@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime as dt
 import json
 import logging
@@ -84,7 +85,6 @@ class Config:
     csv_delimiter: str
     partition: TimeSlotPartition
     params: GenParams
-    workers: int
     granularity: int
     holiday_weekdays: tuple
     holiday_days: tuple
@@ -188,7 +188,7 @@ def load_config(path) -> Config:
     _check_keys(
         gen,
         {"kappa", "epsilon", "blowup", "min_gap", "seed", "horizon_days",
-         "start_day", "workers"},
+         "start_day"},
         "generation",
     )
     horizon_days = int(gen.get("horizon_days", 7))
@@ -208,9 +208,6 @@ def load_config(path) -> Config:
         params.check()
     except InvalidParams as exc:
         raise ConfigError(str(exc)) from None
-    workers = int(gen.get("workers", len(TYPE_ORDER)))
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
 
     val = _section(doc, "validation")
     _check_keys(
@@ -267,7 +264,6 @@ def load_config(path) -> Config:
         csv_delimiter=delimiter,
         partition=partition,
         params=params,
-        workers=workers,
         granularity=granularity,
         holiday_weekdays=holiday_weekdays,
         holiday_days=holiday_days,
@@ -524,19 +520,11 @@ def cmd_ingest(config: Config) -> int:
     return 0
 
 
-def cmd_generate(config: Config, workers=None, seed=None) -> int:
+def cmd_generate(config: Config, seed=None) -> int:
     store = load_store(config.path("store"))
     params = config.params
     if seed is not None:
-        params = GenParams(
-            kappa=params.kappa,
-            epsilon=params.epsilon,
-            blowup=params.blowup,
-            min_gap=params.min_gap,
-            horizon_start=params.horizon_start,
-            horizon_end=params.horizon_end,
-            rng_seed=seed,
-        )
+        params = dataclasses.replace(params, rng_seed=seed)
     stats = GenStats()
     records = generate_all(
         store.profiles,
@@ -545,7 +533,6 @@ def cmd_generate(config: Config, workers=None, seed=None) -> int:
         store.pools,
         params,
         store.partition,
-        workers=workers if workers is not None else config.workers,
         stats=stats,
     )
     out_path = config.path("generated")
@@ -613,7 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
     add("corpus", "write a synthetic seed dataset (trips, zones, network)")
     add("ingest", "parse seed tables and build the generation store")
     p_gen = add("generate", "synthesize a trip table from the store")
-    p_gen.add_argument("--workers", type=int, help="parallel traveller types")
     p_gen.add_argument("--seed", type=int, help="override the generation seed")
     p_val = add("validate", "compare generated trips against the seed data")
     p_val.add_argument("--reference", help="override the reference trip CSV")
@@ -635,7 +621,7 @@ def main(argv=None) -> int:
         if args.command == "ingest":
             return cmd_ingest(config)
         if args.command == "generate":
-            return cmd_generate(config, workers=args.workers, seed=args.seed)
+            return cmd_generate(config, seed=args.seed)
         if args.command == "validate":
             return cmd_validate(config, args.reference, args.generated)
         raise AssertionError(args.command)

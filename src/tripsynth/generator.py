@@ -14,7 +14,6 @@ from __future__ import annotations
 import logging
 import random
 from collections import Counter, defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .ingest import DurationPool, PathCatalog, ReferenceAggregates
@@ -53,7 +52,6 @@ class GenParams:
 
     kappa: float = 1e-9
     epsilon: float = 1e-6
-    mu: float = 1.0
     blowup: float = 1e9
     min_gap: int = 1
     horizon_start: GenClock = GenClock(0, 1)
@@ -68,8 +66,6 @@ class GenParams:
             raise InvalidParams("epsilon must be positive")
         if self.blowup <= 1.0:
             raise InvalidParams("blowup must exceed 1")
-        if self.mu != 1.0:
-            raise InvalidParams("only the unit imbalance domain (mu=1) is supported")
         if self.min_gap < 0:
             raise InvalidParams("min_gap must be >= 0")
         if 1.0 / self.blowup >= self.epsilon:
@@ -83,6 +79,25 @@ class GenParams:
             raise InvalidParams("kappa * blowup must stay near 1")
 
 
+class TypeCounts:
+    """Departure counts of one traveller type as dense lists indexed by
+    minute of day and by slot id (index 0 unused), plus their total."""
+
+    __slots__ = ("minute", "slot", "total")
+
+    def __init__(self):
+        # A slot spans at least one minute, so slot ids never exceed 1440.
+        self.minute = [0] * (MINUTES_PER_DAY + 1)
+        self.slot = [0] * (MINUTES_PER_DAY + 1)
+        self.total = 0
+
+    def slot_share(self, slot_id: int) -> float:
+        return self.slot[slot_id] / self.total if self.total else 0.0
+
+    def period_share(self, minute: int) -> float:
+        return self.minute[minute] / self.total if self.total else 0.0
+
+
 class AggregationLedger:
     """Running per-type departure counts of already generated trips.
 
@@ -90,46 +105,55 @@ class AggregationLedger:
     """
 
     def __init__(self):
-        self._slot = defaultdict(Counter)
-        self._minute = defaultdict(Counter)
-        self._total = Counter()
+        self._by_type = {}
+
+    def counts(self, ttype: TravellerType) -> TypeCounts:
+        """The live dense counts of one type."""
+        counts = self._by_type.get(ttype)
+        if counts is None:
+            counts = self._by_type[ttype] = TypeCounts()
+        return counts
 
     def record(self, ttype: TravellerType, slot_id: int, minute: int) -> None:
-        self._slot[ttype][slot_id] += 1
-        self._minute[ttype][minute] += 1
-        self._total[ttype] += 1
+        if not (1 <= minute <= MINUTES_PER_DAY and 1 <= slot_id <= MINUTES_PER_DAY):
+            raise ValueError(f"cannot record slot {slot_id}, minute {minute}")
+        counts = self.counts(ttype)
+        counts.slot[slot_id] += 1
+        counts.minute[minute] += 1
+        counts.total += 1
 
     def total(self, ttype: TravellerType) -> int:
-        return self._total[ttype]
+        return self.counts(ttype).total
 
     def slot_share(self, ttype: TravellerType, slot_id: int) -> float:
-        total = self._total[ttype]
-        if total == 0:
-            return 0.0
-        return self._slot[ttype][slot_id] / total
+        return self.counts(ttype).slot_share(slot_id)
 
     def period_share(self, ttype: TravellerType, minute: int) -> float:
-        total = self._total[ttype]
-        if total == 0:
-            return 0.0
-        return self._minute[ttype][minute] / total
+        return self.counts(ttype).period_share(minute)
 
     def slot_counts(self, ttype: TravellerType) -> dict:
-        return dict(self._slot[ttype])
+        """{slot id: count} over slots with at least one departure."""
+        return {s: n for s, n in enumerate(self.counts(ttype).slot) if n}
 
     def minute_counts(self, ttype: TravellerType) -> dict:
-        return dict(self._minute[ttype])
+        """{minute: count} over minutes with at least one departure."""
+        return {m: n for m, n in enumerate(self.counts(ttype).minute) if n}
 
 
 @dataclass
 class GenCursor:
-    """Mutable per-individual generation state."""
+    """Mutable per-individual generation state.
+
+    `terms` caches preference_terms by current zone; it lives as long as
+    the cursor, which is one individual of one run.
+    """
 
     profile: IndividualProfile
     clock: GenClock
     location: str
     daily_quota: int
     generated_today: int = 0
+    terms: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass
@@ -205,21 +229,6 @@ def balance_weight(x: float, blowup: float) -> float:
     return blowup ** min(-x, 1.0)
 
 
-def aggregation_factor(
-    ledger: AggregationLedger,
-    reference: ReferenceAggregates,
-    ttype: TravellerType,
-    slot_id: int,
-    params: GenParams,
-) -> float:
-    """Feedback weight for one slot: generated share minus reference share,
-    pushed through the balance curve."""
-    if reference.total(ttype) == 0:
-        raise CorruptInputError(f"no reference departures for type {ttype.value!r}")
-    x = ledger.slot_share(ttype, slot_id) - reference.slot_share(ttype, slot_id)
-    return balance_weight(x, params.blowup)
-
-
 def preference_factors(
     profile: IndividualProfile, current_zone: str, slot_id: int
 ):
@@ -242,25 +251,48 @@ def preference_factors(
     return slot_pref, origin_pref
 
 
-def slot_weights(
-    partition: TimeSlotPartition,
+def preference_terms(
     profile: IndividualProfile,
     current_zone: str,
+    partition: TimeSlotPartition,
+    epsilon: float,
+) -> list:
+    """cp * (1 + cop) + epsilon for every slot, in partition order, where
+    (cp, cop) are the preference_factors of the slot at `current_zone`."""
+    terms = []
+    for slot in partition:
+        cp, cop = preference_factors(profile, current_zone, slot.slot_id)
+        terms.append(cp * (1.0 + cop) + epsilon)
+    return terms
+
+
+def slot_weights(
+    partition: TimeSlotPartition,
+    ttype: TravellerType,
+    terms: list,
     ledger: AggregationLedger,
     reference: ReferenceAggregates,
-    clock: GenClock,
-    remaining: int,
+    active: frozenset,
     params: GenParams,
 ) -> dict:
-    """Unnormalized selection weight for every slot of the day."""
-    _, _, active = subsequent_slots(partition, clock, remaining)
-    ttype = profile.traveller_type
+    """Unnormalized selection weight for every slot of the day.
+
+    Each weight is logic factor * feedback factor * preference term, with
+    `active` the logically available slots (see subsequent_slots) and
+    `terms` the individual's preference_terms at its current zone. The
+    feedback factor pushes the slot's generated share minus its reference
+    share through the balance curve.
+    """
+    if reference.total(ttype) == 0:
+        raise CorruptInputError(f"no reference departures for type {ttype.value!r}")
+    agg = reference.aggregate(ttype)
+    counts = ledger.counts(ttype)
     weights = {}
-    for slot in partition:
-        cs = logic_factor(slot.slot_id, active, params.kappa)
-        cr = aggregation_factor(ledger, reference, ttype, slot.slot_id, params)
-        cp, cop = preference_factors(profile, current_zone, slot.slot_id)
-        weights[slot.slot_id] = cs * cr * (cp * (1.0 + cop) + params.epsilon)
+    for slot, term in zip(partition, terms):
+        sid = slot.slot_id
+        x = counts.slot_share(sid) - agg.slot_share(sid)
+        cs = logic_factor(sid, active, params.kappa)
+        weights[sid] = cs * balance_weight(x, params.blowup) * term
     return weights
 
 
@@ -313,13 +345,17 @@ def period_weights(
     start = max(slot.start, clock.minute)
     if start > slot.end:
         raise ValueError(f"slot {slot.slot_id} has no minutes left at {clock.minute}")
-    minutes = list(range(start, slot.end + 1))
-    deltas = [
-        reference.period_share(ttype, m) - ledger.period_share(ttype, m)
-        for m in minutes
-    ]
-    if any(d > 0.0 for d in deltas):
-        weights = [max(0.0, d) for d in deltas]
+    stop = slot.end + 1
+    minutes = list(range(start, stop))
+    ref_shares = reference.aggregate(ttype).minute_shares[start:stop]
+    counts = ledger.counts(ttype)
+    total = counts.total
+    if total:
+        deltas = [r - n / total for r, n in zip(ref_shares, counts.minute[start:stop])]
+    else:
+        deltas = ref_shares  # the generated share is 0.0, and r - 0.0 == r
+    if max(deltas) > 0.0:
+        weights = [d if d > 0.0 else 0.0 for d in deltas]
     else:
         weights = [1.0 / max(abs(d), floor) for d in deltas]
     return minutes, weights
@@ -407,11 +443,13 @@ def generate_trip(
     remaining = cursor.daily_quota - cursor.generated_today
     if remaining < 1:
         raise ValueError("no remaining quota today")
-    weights = slot_weights(
-        partition, profile, cursor.location, ledger, reference,
-        cursor.clock, remaining, params,
-    )
     reachable, _, active = subsequent_slots(partition, cursor.clock, remaining)
+    terms = cursor.terms.get(cursor.location)
+    if terms is None:
+        terms = preference_terms(profile, cursor.location, partition, params.epsilon)
+        cursor.terms[cursor.location] = terms
+    ttype = profile.traveller_type
+    weights = slot_weights(partition, ttype, terms, ledger, reference, active, params)
     if any(weights[s] > 0.0 for s in reachable):
         slot_id = select_time_slot(weights, rng, allowed=reachable)
     else:
@@ -419,7 +457,6 @@ def generate_trip(
         # only when feedback hits full overshoot on zero-preference slots).
         slot_id = rng.choice(sorted(active))
     slot = partition.by_id(slot_id)
-    ttype = profile.traveller_type
     departure = select_time_period(slot, cursor.clock, ledger, reference, ttype, rng)
     destination, relocated = select_destination(profile, cursor.location, rng)
     origin = most_frequent_origin(profile) if relocated else cursor.location
@@ -505,17 +542,17 @@ def generate_all(
     params: GenParams,
     partition: TimeSlotPartition,
     *,
-    workers: int = 1,
     stats: GenStats | None = None,
 ):
     """Generate trips for every profile; yields records grouped by traveller
     type (fixed type order), individuals in id order, trips chronological.
 
     Each type runs against its own feedback ledger and an independent RNG
-    stream derived from (rng_seed, type), so types may run concurrently
-    without changing the output. An individual that fails mid-generation is
-    quarantined (dropped, logged, listed in stats) and the run continues;
-    its ledger contributions up to the failure remain.
+    stream derived from (rng_seed, type), so one type's output does not
+    depend on which other types are present. An individual whose prepared
+    inputs turn out inconsistent (CorruptInputError) is quarantined
+    (dropped, logged, listed in stats) and the run continues; its ledger
+    contributions up to the failure remain. Any other error propagates.
     """
     params.check(max((p.total_trips for p in profiles.values()), default=0))
     stats = stats if stats is not None else GenStats()
@@ -523,39 +560,21 @@ def generate_all(
     by_type = defaultdict(list)
     for tid in sorted(profiles):
         by_type[profiles[tid].traveller_type].append(profiles[tid])
-    active_types = [t for t in TYPE_ORDER if by_type[t]]
-
-    def run_type(ttype: TravellerType):
+    for ttype in TYPE_ORDER:
+        if not by_type[ttype]:
+            continue
         rng = random.Random(f"{params.rng_seed}:{ttype.value}")
         ledger = AggregationLedger()
-        out = []
-        local = GenStats()
         for profile in by_type[ttype]:
             try:
                 trips = _generate_individual(
                     profile, partition, ledger, reference, catalog, pools, params, rng
                 )
-            except Exception:
-                local.quarantined.append(profile.traveller_id)
+            except CorruptInputError:
+                stats.quarantined.append(profile.traveller_id)
                 log.warning(
                     "quarantined individual %s", profile.traveller_id, exc_info=True
                 )
                 continue
-            _tally(profile, trips, local)
-            out.extend(trips)
-        return out, local
-
-    if workers > 1 and len(active_types) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {t: pool.submit(run_type, t) for t in active_types}
-            results = [(t, futures[t].result()) for t in active_types]
-    else:
-        results = [(t, run_type(t)) for t in active_types]
-
-    for _, (out, local) in results:
-        stats.trips += local.trips
-        stats.relocations += local.relocations
-        stats.chain_breaks += local.chain_breaks
-        stats.continuity_pairs += local.continuity_pairs
-        stats.quarantined.extend(local.quarantined)
-        yield from out
+            _tally(profile, trips, stats)
+            yield from trips

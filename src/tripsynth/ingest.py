@@ -11,8 +11,10 @@ import datetime as dt
 import logging
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .model import (
+    MINUTES_PER_DAY,
     CorruptInputError,
     IndividualProfile,
     RoadNetwork,
@@ -378,6 +380,13 @@ class TypeAggregate:
         if self.total == 0:
             return 0.0
         return self.u_period.get(minute, 0) / self.total
+
+    @cached_property
+    def minute_shares(self) -> list:
+        """period_share of every minute as a list indexed by minute (index 0
+        unused). Built on first use and kept on this object, not in the
+        store; the counts must not change after that."""
+        return [0.0] + [self.period_share(m) for m in range(1, MINUTES_PER_DAY + 1)]
 
 
 class ReferenceAggregates:

@@ -67,7 +67,6 @@ class TestLoadConfig:
         assert config.params.rng_seed == 0
         assert config.params.horizon_start == GenClock(0, 1)
         assert config.params.horizon_end == GenClock(6, 1440)
-        assert config.workers == 5
         assert config.granularity == 15
         assert config.topk_zone_fractions == (0.1,)
         assert config.topk_od_fractions == (0.5,)
@@ -262,8 +261,6 @@ class TestPipeline:
         main(["generate", "-c", cfg])
         first = out.read_bytes()
         main(["generate", "-c", cfg])
-        assert out.read_bytes() == first
-        main(["generate", "-c", cfg, "--workers", "1"])
         assert out.read_bytes() == first
         main(["generate", "-c", cfg, "--seed", "99"])
         assert out.read_bytes() != first

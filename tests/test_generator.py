@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
+from tripsynth import generator
 from tripsynth.generator import (
     AggregationLedger,
     GenCursor,
@@ -10,7 +12,6 @@ from tripsynth.generator import (
     GenStats,
     InvalidParams,
     _tally,
-    aggregation_factor,
     balance_weight,
     daily_quota,
     destination_weights,
@@ -21,6 +22,7 @@ from tripsynth.generator import (
     most_frequent_origin,
     period_weights,
     preference_factors,
+    preference_terms,
     sample_duration,
     select_destination,
     select_path,
@@ -31,6 +33,8 @@ from tripsynth.generator import (
     weighted_draw,
 )
 from tripsynth.ingest import (
+    ReferenceAggregates,
+    TypeAggregate,
     build_duration_pools,
     build_path_catalog,
     build_profiles,
@@ -47,6 +51,7 @@ from tripsynth.model import (
 )
 
 HOURLY = TimeSlotPartition.hourly()
+FOUR_HOUR = TimeSlotPartition.from_boundaries([1, 241, 481, 721, 961, 1201])
 
 
 def profile(per_origin=None, per_destination=None, od=None, per_period=None,
@@ -190,10 +195,10 @@ class TestGenParams:
             {"kappa": -1e-9},
             {"epsilon": 0.0},
             {"blowup": 1.0},
-            {"mu": 0.5},
             {"min_gap": -1},
             {"epsilon": 1e-10},  # 1/blowup not below epsilon
-            {"kappa": 1e-3},  # kappa * blowup far from 1
+            {"kappa": 1e-3},  # kappa * blowup far above 1
+            {"kappa": 1e-10},  # kappa * blowup far below 1
         ],
     )
     def test_rejections(self, kw):
@@ -221,6 +226,11 @@ def test_aggregation_ledger_shares():
     assert ledger.minute_counts(t) == {30: 2, 100: 1}
     # other types unaffected
     assert ledger.total(TravellerType.COMMUTER) == 0
+    # out-of-range keys would alias other list entries
+    for slot_id, minute in ((1, 0), (1, 1441), (0, 30), (-1, 30)):
+        with pytest.raises(ValueError):
+            ledger.record(t, slot_id, minute)
+    assert ledger.total(t) == 3
 
 
 def test_aggregation_factor_full_deficit():
@@ -230,11 +240,19 @@ def test_aggregation_factor_full_deficit():
     ] + [TripRecord("V1", TravellerType.COMMUTER, 0, 1000, 17, "B", "A", ("r1",), 10)]
     ref = build_reference_aggregates(trips, HOURLY)
     params = GenParams()
-    ledger = AggregationLedger()
-    w = aggregation_factor(ledger, ref, TravellerType.COMMUTER, 7, params)
-    assert w == pytest.approx(params.blowup ** 0.75)
+    # logic and preference factors of 1 leave the feedback factor alone
+    ones = [1.0] * len(HOURLY)
+    every_slot = frozenset(range(1, len(HOURLY) + 1))
+    w = slot_weights(
+        HOURLY, TravellerType.COMMUTER, ones, AggregationLedger(), ref, every_slot,
+        params,
+    )
+    assert w[7] == pytest.approx(params.blowup ** 0.75)
     with pytest.raises(CorruptInputError):
-        aggregation_factor(ledger, ref, TravellerType.PASSBY, 7, params)
+        slot_weights(
+            HOURLY, TravellerType.PASSBY, ones, AggregationLedger(), ref, every_slot,
+            params,
+        )
 
 
 def test_preference_factors():
@@ -269,8 +287,10 @@ def test_slot_weights_multiplicative_structure():
         halves,
     )
     params = GenParams()
+    _, _, active = subsequent_slots(halves, GenClock(0, 1), 2)
+    terms = preference_terms(p, "A", halves, params.epsilon)
     w = slot_weights(
-        halves, p, "A", AggregationLedger(), ref, GenClock(0, 1), 2, params
+        halves, p.traveller_type, terms, AggregationLedger(), ref, active, params
     )
     # slot 1: active, full deficit of 0.75, own share 0.75, all departures
     # from A in this slot
@@ -383,6 +403,140 @@ class TestPeriodWeights:
                 TimeSlot(1, 1, 60), GenClock(0, 61), AggregationLedger(), ref,
                 TravellerType.COMMUTER,
             )
+
+
+# Exact-float properties: the weights must equal, float for float, the
+# formulas as first written against the per-minute share lookups. Those
+# formulas are repeated inline below over plain Counters, so they do not
+# share the ledger's dense layout or the reference's cached shares.
+
+def _reference_of(counts, partition, ttype):
+    return ReferenceAggregates({ttype: TypeAggregate.from_period_counts(counts, partition)})
+
+
+def _ledger_of(minutes, partition, ttype):
+    ledger = AggregationLedger()
+    for m in minutes:
+        ledger.record(ttype, partition.slot_of(m).slot_id, m)
+    return ledger
+
+
+@st.composite
+def period_states(draw):
+    """(partition, slot, clock minute, reference counts, generated minutes).
+
+    The ledger is empty, random, or an overshoot of the slot's reference
+    minutes, which leaves no deficit and takes the inverse branch.
+    """
+    partition = draw(st.sampled_from([HOURLY, FOUR_HOUR]))
+    slot = draw(st.sampled_from(partition.slots))
+    clock = draw(st.integers(slot.start, slot.end))
+    inside = st.integers(slot.start, slot.end)
+    ref = draw(
+        st.dictionaries(inside | st.integers(1, 1440), st.integers(1, 60),
+                        min_size=1, max_size=30)
+    )
+    mode = draw(st.sampled_from(["empty", "random", "overshoot"]))
+    if mode == "empty":
+        generated = []
+    elif mode == "random":
+        generated = draw(st.lists(inside | st.integers(1, 1440), max_size=200))
+    else:
+        k = draw(st.integers(1, 4))
+        generated = [m for m, n in ref.items() if m in slot for _ in range(k * n)]
+    return partition, slot, clock, ref, generated
+
+
+@st.composite
+def slot_states(draw):
+    """(partition, profile, zone, clock, remaining, reference counts,
+    generated minutes) with a random individual history over zones A-C."""
+    partition = draw(st.sampled_from([HOURLY, FOUR_HOUR]))
+    slot_ids = st.integers(1, len(partition))
+    by_slot = draw(
+        st.dictionaries(
+            slot_ids,
+            st.dictionaries(st.sampled_from("ABC"), st.integers(1, 9), min_size=1),
+            min_size=1,
+            max_size=len(partition),
+        )
+    )
+    per_origin = Counter()
+    for row in by_slot.values():
+        per_origin.update(row)
+    prof = profile(per_origin=dict(per_origin), slot_origin=by_slot,
+                   per_period={1: sum(per_origin.values())})
+    zone = draw(st.sampled_from("ABCZ"))
+    clock = GenClock(0, draw(st.integers(1, 1440)))
+    remaining = draw(st.integers(1, 5))
+    ref = draw(st.dictionaries(st.integers(1, 1440), st.integers(1, 60),
+                               min_size=1, max_size=30))
+    generated = draw(st.lists(st.integers(1, 1440), max_size=200))
+    return partition, prof, zone, clock, remaining, ref, generated
+
+
+class TestExactFloats:
+    @given(period_states())
+    def test_period_weights(self, state):
+        partition, slot, minute, ref, generated = state
+        ttype = TravellerType.COMMUTER
+        clock = GenClock(0, minute)
+        minutes, weights = period_weights(
+            slot, clock, _ledger_of(generated, partition, ttype),
+            _reference_of(ref, partition, ttype), ttype,
+        )
+
+        ref_total = sum(ref.values())
+        gen = Counter(generated)
+        expect_minutes = list(range(max(slot.start, clock.minute), slot.end + 1))
+        deltas = [
+            ref.get(m, 0) / ref_total - (gen[m] / len(generated) if generated else 0.0)
+            for m in expect_minutes
+        ]
+        if any(d > 0.0 for d in deltas):
+            expect = [max(0.0, d) for d in deltas]
+        else:
+            expect = [1.0 / max(abs(d), 1e-12) for d in deltas]
+        assert minutes == expect_minutes
+        assert weights == expect
+
+    @given(slot_states())
+    def test_slot_weights(self, state):
+        partition, prof, zone, clock, remaining, ref, generated = state
+        ttype = prof.traveller_type
+        params = GenParams()
+        _, _, active = subsequent_slots(partition, clock, remaining)
+        weights = slot_weights(
+            partition, ttype, preference_terms(prof, zone, partition, params.epsilon),
+            _ledger_of(generated, partition, ttype),
+            _reference_of(ref, partition, ttype), active, params,
+        )
+
+        ref_slots = Counter()
+        for m, n in ref.items():
+            ref_slots[partition.slot_of(m).slot_id] += n
+        gen_slots = Counter(partition.slot_of(m).slot_id for m in generated)
+        first = partition.slot_of(clock.minute).slot_id
+        reachable = list(range(first, len(partition) + 1))
+        held = min(remaining - 1, len(reachable) - 1)
+        expect_active = reachable[: len(reachable) - held] if held > 0 else reachable
+        from_zone = prof.per_origin.get(zone, 0)
+        expect = {}
+        for slot in partition:
+            sid = slot.slot_id
+            cs = 1.0 if sid in expect_active else params.kappa
+            x = (gen_slots[sid] / len(generated) if generated else 0.0) - (
+                ref_slots[sid] / sum(ref.values())
+            )
+            if x >= 0.0:
+                cr = max(0.0, 1.0 - x)
+            else:
+                cr = params.blowup ** min(-x, 1.0)
+            by_origin = prof.slot_origin_counts.get(sid, {})
+            cp = sum(by_origin.values()) / prof.total_trips
+            cop = by_origin.get(zone, 0) / from_zone if from_zone else 0.0
+            expect[sid] = cs * cr * (cp * (1.0 + cop) + params.epsilon)
+        assert weights == expect
 
 
 class TestDestination:
@@ -574,7 +728,21 @@ class TestGenerateAll:
         assert {t.traveller_id for t in trips} == {"V1"}
         assert len(trips) == 14
 
-    def test_workers_do_not_change_output(self):
+    def test_programming_error_propagates(self, monkeypatch):
+        profiles, ref, catalog, pools = small_world()
+
+        def broken(*args):
+            raise IndexError("list index out of range")
+
+        monkeypatch.setattr(generator, "select_path", broken)
+        with pytest.raises(IndexError):
+            list(
+                generate_all(
+                    profiles, ref, catalog, pools, GenParams(rng_seed=5), HOURLY
+                )
+            )
+
+    def test_types_are_independent_and_ordered(self):
         t1 = TravellerType.COMMUTER
         t2 = TravellerType.STABLE
         trips = []
@@ -586,19 +754,15 @@ class TestGenerateAll:
         catalog = build_path_catalog(trips)
         pools = build_duration_pools(trips, HOURLY)
         ref = build_reference_aggregates(trips, HOURLY)
-        one = list(
-            generate_all(
-                profiles, ref, catalog, pools, GenParams(rng_seed=4), HOURLY, workers=1
-            )
-        )
-        many = list(
-            generate_all(
-                profiles, ref, catalog, pools, GenParams(rng_seed=4), HOURLY, workers=5
-            )
-        )
-        assert one == many
+        params = GenParams(rng_seed=4)
+        both = list(generate_all(profiles, ref, catalog, pools, params, HOURLY))
         # grouped by type in fixed order
-        assert [t.traveller_id for t in one] == ["C1"] * 14 + ["S1"] * 7
+        assert [t.traveller_id for t in both] == ["C1"] * 14 + ["S1"] * 7
+        # each type has its own RNG stream and ledger
+        alone = list(
+            generate_all({"S1": profiles["S1"]}, ref, catalog, pools, params, HOURLY)
+        )
+        assert alone == both[14:]
 
 
 def test_tally_separates_breaks_from_first_trip_relocation():
