@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import datetime as dt
+import functools
 import json
 import logging
 import sys
@@ -30,6 +31,7 @@ from .generator import (
 from .ingest import (
     DurationPool,
     PathCatalog,
+    PathEntry,
     ReferenceAggregates,
     TypeAggregate,
     build_duration_pools,
@@ -48,14 +50,13 @@ from .model import (
     RoadNetwork,
     TimeSlotPartition,
     TravellerType,
-    Zone,
     minute_to_hhmm,
 )
-from .validator import build_report
+from .validator import build_report, day_class
 
 log = logging.getLogger(__name__)
 
-STORE_VERSION = 1
+STORE_VERSION = 2
 
 TRIP_HEADER = (
     "traveller_ID",
@@ -91,11 +92,6 @@ class Config:
     topk_zone_fractions: tuple
     topk_od_fractions: tuple
     corpus_spec: CorpusSpec
-
-    def day_class(self, day: int) -> str:
-        if day in self.holiday_days or day % 7 in self.holiday_weekdays:
-            return "holiday"
-        return "weekday"
 
     def duration_divisor(self) -> float:
         return 60.0 if self.duration_unit == "seconds" else 1.0
@@ -320,7 +316,11 @@ def write_network_csv(network: RoadNetwork, stream) -> None:
 
 
 def save_store(path, *, partition, window_days, profiles, catalog, pools,
-               reference, zones, network) -> None:
+               reference) -> None:
+    """Persist only what `generate` cannot derive: per-individual OD and
+    slot x origin counts, the route catalog, per-(route, slot) durations
+    and the per-type reference departures. Ids are stored as JSON strings
+    and lists, never joined with a delimiter."""
     doc = {
         "version": STORE_VERSION,
         "window_days": window_days,
@@ -328,10 +328,6 @@ def save_store(path, *, partition, window_days, profiles, catalog, pools,
         "profiles": {
             tid: {
                 "type": p.traveller_type.value,
-                "observed_days": p.observed_days,
-                "per_period": {str(k): v for k, v in p.per_period.items()},
-                "per_origin": p.per_origin,
-                "per_destination": p.per_destination,
                 "od": p.od_counts,
                 "slot_origin": {
                     str(s): by_o for s, by_o in p.slot_origin_counts.items()
@@ -339,26 +335,17 @@ def save_store(path, *, partition, window_days, profiles, catalog, pools,
             }
             for tid, p in profiles.items()
         },
-        "catalog": {
-            f"{o}|{d}": [[e.path_id, e.crowd_count] for e in catalog.get(o, d)]
+        "catalog": [
+            [o, d, [[e.path_id, e.crowd_count] for e in catalog.get(o, d)]]
             for o, d in catalog.od_pairs()
-        },
-        "pools": {
-            "samples": {
-                f"{pid}|{slot}": list(v)
-                for (pid, slot), v in sorted(pools.samples.items())
-            },
-            "fallback": {pid: list(v) for pid, v in sorted(pools.fallback.items())},
-        },
+        ],
+        "pools": [
+            [pid, slot, list(v)] for (pid, slot), v in sorted(pools.samples.items())
+        ],
         "reference": {
             ttype.value: {str(m): n for m, n in agg.u_period.items()}
             for ttype, agg in sorted(reference.by_type.items(), key=lambda kv: kv[0].value)
         },
-        "zones": [
-            [z.zone_id, z.longitude, z.latitude, sorted(z.roads)] for z in zones
-        ],
-        "network": {road: sorted(nbrs) for road, nbrs in
-                    ((r, network.neighbors(r)) for r in sorted(network.roads))},
     }
     Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
@@ -373,8 +360,6 @@ class Store:
     catalog: PathCatalog
     pools: DurationPool
     reference: ReferenceAggregates
-    zones: list
-    network: RoadNetwork
 
 
 def load_store(path) -> Store:
@@ -383,43 +368,25 @@ def load_store(path) -> Store:
     if version != STORE_VERSION:
         raise ValueError(f"unsupported store version: {version!r}")
     partition = TimeSlotPartition.from_boundaries(doc["partition"])
+    window_days = doc["window_days"]
 
-    profiles = {}
-    for tid, raw in doc["profiles"].items():
-        per_period = {int(k): v for k, v in raw["per_period"].items()}
-        profiles[tid] = IndividualProfile(
+    profiles = {
+        tid: IndividualProfile(
             traveller_id=tid,
             traveller_type=TravellerType(raw["type"]),
-            total_trips=sum(per_period.values()),
-            per_period=per_period,
-            per_origin=dict(raw["per_origin"]),
-            per_destination=dict(raw["per_destination"]),
-            od_counts={o: dict(d) for o, d in raw["od"].items()},
-            slot_origin_counts={
-                int(s): dict(by_o) for s, by_o in raw["slot_origin"].items()
-            },
-            observed_days=raw["observed_days"],
+            od_counts=raw["od"],
+            slot_origin_counts={int(s): by_o for s, by_o in raw["slot_origin"].items()},
+            observed_days=window_days,
         )
-
-    from .ingest import PathEntry
-
-    entries = {}
-    for key, rows in doc["catalog"].items():
-        o, _, d = key.partition("|")
-        entries[(o, d)] = tuple(
-            PathEntry(pid, tuple(pid.split("-")), count) for pid, count in rows
-        )
-    catalog = PathCatalog(entries)
-
-    samples = {}
-    for key, values in doc["pools"]["samples"].items():
-        pid, _, slot = key.rpartition("|")
-        samples[(pid, int(slot))] = tuple(values)
-    pools = DurationPool(
-        samples=samples,
-        fallback={pid: tuple(v) for pid, v in doc["pools"]["fallback"].items()},
+        for tid, raw in doc["profiles"].items()
+    }
+    catalog = PathCatalog(
+        {
+            (o, d): [PathEntry(pid, tuple(pid.split("-")), n) for pid, n in rows]
+            for o, d, rows in doc["catalog"]
+        }
     )
-
+    pools = DurationPool({(pid, slot): tuple(v) for pid, slot, v in doc["pools"]})
     reference = ReferenceAggregates(
         {
             TravellerType(name): TypeAggregate.from_period_counts(
@@ -428,21 +395,13 @@ def load_store(path) -> Store:
             for name, counts in doc["reference"].items()
         }
     )
-
-    zones = [
-        Zone(zone_id=zid, longitude=lon, latitude=lat, roads=frozenset(roads))
-        for zid, lon, lat, roads in doc["zones"]
-    ]
-    network = RoadNetwork({road: set(nbrs) for road, nbrs in doc["network"].items()})
     return Store(
         partition=partition,
-        window_days=doc["window_days"],
+        window_days=window_days,
         profiles=profiles,
         catalog=catalog,
         pools=pools,
         reference=reference,
-        zones=zones,
-        network=network,
     )
 
 
@@ -480,20 +439,18 @@ def cmd_ingest(config: Config) -> int:
     if not parsed.records:
         log.error("no usable trip rows (rejected: %d)", len(parsed.errors))
         return 1
+    # Zones and network are checked here but not stored: generate reads
+    # neither.
     with open(config.path("zones"), newline="") as fh:
-        zones = parse_zones(fh, delimiter=config.csv_delimiter)
+        parse_zones(fh, delimiter=config.csv_delimiter)
     if "network" in config.paths and config.paths["network"].exists():
         with open(config.paths["network"]) as fh:
             network = parse_network(fh)
-    else:
-        log.info("no network file; inferring adjacency from observed paths")
-        network = RoadNetwork.from_paths(t.path for t in parsed.records)
-
-    unknown_roads = {
-        road for t in parsed.records for road in t.path if road not in network
-    }
-    if unknown_roads:
-        log.warning("%d roads in paths missing from network", len(unknown_roads))
+        unknown_roads = {
+            road for t in parsed.records for road in t.path if road not in network
+        }
+        if unknown_roads:
+            log.warning("%d roads in paths missing from network", len(unknown_roads))
 
     profiles = build_profiles(parsed.records, config.partition, config.window_days)
     catalog = build_path_catalog(parsed.records)
@@ -510,8 +467,6 @@ def cmd_ingest(config: Config) -> int:
         catalog=catalog,
         pools=pools,
         reference=reference,
-        zones=zones,
-        network=network,
     )
     log.info(
         "ingest: %d trips from %d individuals (%d rows rejected) -> %s",
@@ -547,6 +502,9 @@ def cmd_generate(config: Config, seed=None) -> int:
         n, stats.relocations, stats.chain_breaks, stats.continuity_pairs,
         len(stats.quarantined), out_path,
     )
+    if stats.quarantined:
+        log.error("quarantined individuals: %s", ", ".join(stats.quarantined))
+        return 1
     return 0
 
 
@@ -569,7 +527,11 @@ def cmd_validate(config: Config, reference=None, generated=None) -> int:
         ref.records,
         gen.records,
         granularity=config.granularity,
-        day_class=config.day_class,
+        day_class=functools.partial(
+            day_class,
+            holiday_weekdays=config.holiday_weekdays,
+            holiday_days=config.holiday_days,
+        ),
         topk_zone_fractions=config.topk_zone_fractions,
         topk_od_fractions=config.topk_od_fractions,
     )

@@ -392,9 +392,10 @@ def destination_weights(profile: IndividualProfile, origin: str):
 
 def select_destination(profile: IndividualProfile, origin: str, rng: random.Random):
     """Sample a destination proportionally to the individual's historical
-    OD counts from `origin`. Returns (destination, relocated)."""
-    _, dests, weights, relocated = destination_weights(profile, origin)
-    return weighted_draw(dests, weights, rng), relocated
+    OD counts from `origin`, relocating as destination_weights does.
+    Returns (origin_used, destination, relocated)."""
+    origin, dests, weights, relocated = destination_weights(profile, origin)
+    return origin, weighted_draw(dests, weights, rng), relocated
 
 
 def select_path(catalog: PathCatalog, o_zone: str, d_zone: str, rng: random.Random):
@@ -458,8 +459,7 @@ def generate_trip(
         slot_id = rng.choice(sorted(active))
     slot = partition.by_id(slot_id)
     departure = select_time_period(slot, cursor.clock, ledger, reference, ttype, rng)
-    destination, relocated = select_destination(profile, cursor.location, rng)
-    origin = most_frequent_origin(profile) if relocated else cursor.location
+    origin, destination, _ = select_destination(profile, cursor.location, rng)
     entry = select_path(catalog, origin, destination, rng)
     duration = sample_duration(pools, entry.path_id, slot_id, rng)
 

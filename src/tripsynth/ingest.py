@@ -238,17 +238,16 @@ def build_profiles(trips, partition: TimeSlotPartition, window_days: int) -> dic
 
     Returns {traveller_id: IndividualProfile}. If an individual appears under
     more than one traveller type, the first-seen type wins and a warning is
-    logged.
+    logged. Trip dates spanning more days than `window_days` are an error:
+    every daily rate would be inflated by the ratio.
     """
     if window_days < 1:
         raise ValueError("window_days must be >= 1")
     types: dict = {}
-    per_period: dict = defaultdict(Counter)
-    per_origin: dict = defaultdict(Counter)
-    per_destination: dict = defaultdict(Counter)
     od_counts: dict = defaultdict(lambda: defaultdict(Counter))
     slot_origin: dict = defaultdict(lambda: defaultdict(Counter))
     conflicted = set()
+    dates = set()
 
     for trip in trips:
         tid = trip.traveller_id
@@ -256,32 +255,31 @@ def build_profiles(trips, partition: TimeSlotPartition, window_days: int) -> dic
             types[tid] = trip.traveller_type
         elif types[tid] is not trip.traveller_type:
             conflicted.add(tid)
-        per_period[tid][trip.departure] += 1
-        per_origin[tid][trip.o_zone] += 1
-        per_destination[tid][trip.d_zone] += 1
+        dates.add(trip.date)
         od_counts[tid][trip.o_zone][trip.d_zone] += 1
         slot_origin[tid][partition.slot_of(trip.departure).slot_id][trip.o_zone] += 1
 
+    if dates and max(dates) - min(dates) + 1 > window_days:
+        raise ValueError(
+            f"trip dates span {max(dates) - min(dates) + 1} days, "
+            f"more than window_days = {window_days}"
+        )
     if conflicted:
         log.warning(
             "%d individuals appear under multiple traveller types; keeping first-seen",
             len(conflicted),
         )
 
-    profiles = {}
-    for tid in sorted(types):
-        profiles[tid] = IndividualProfile(
+    return {
+        tid: IndividualProfile(
             traveller_id=tid,
             traveller_type=types[tid],
-            total_trips=sum(per_period[tid].values()),
-            per_period=dict(per_period[tid]),
-            per_origin=dict(per_origin[tid]),
-            per_destination=dict(per_destination[tid]),
             od_counts={o: dict(dst) for o, dst in od_counts[tid].items()},
             slot_origin_counts={s: dict(by_o) for s, by_o in slot_origin[tid].items()},
             observed_days=window_days,
         )
-    return profiles
+        for tid in sorted(types)
+    }
 
 
 @dataclass(frozen=True)
@@ -336,24 +334,25 @@ def build_path_catalog(trips) -> PathCatalog:
 
 @dataclass
 class DurationPool:
-    """Historical trip durations pooled by (path, slot), with path-only fallback."""
+    """Historical trip durations pooled by (path, slot), with a path-only
+    fallback pool derived from them on construction."""
 
     samples: dict = field(default_factory=dict)  # (path_id, slot_id) -> tuple
-    fallback: dict = field(default_factory=dict)  # path_id -> tuple
+    fallback: dict = field(init=False)  # path_id -> tuple
+
+    def __post_init__(self):
+        pooled: dict = defaultdict(list)
+        for (pid, _), values in self.samples.items():
+            pooled[pid].extend(values)
+        self.fallback = {pid: tuple(sorted(v)) for pid, v in pooled.items()}
 
 
 def build_duration_pools(trips, partition: TimeSlotPartition) -> DurationPool:
     samples: dict = defaultdict(list)
-    fallback: dict = defaultdict(list)
     for trip in trips:
-        pid = path_id_of(trip.path)
         slot_id = partition.slot_of(trip.departure).slot_id
-        samples[(pid, slot_id)].append(trip.duration)
-        fallback[pid].append(trip.duration)
-    return DurationPool(
-        samples={k: tuple(sorted(v)) for k, v in samples.items()},
-        fallback={k: tuple(sorted(v)) for k, v in fallback.items()},
-    )
+        samples[(path_id_of(trip.path), slot_id)].append(trip.duration)
+    return DurationPool({k: tuple(sorted(v)) for k, v in samples.items()})
 
 
 @dataclass

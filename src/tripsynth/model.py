@@ -207,18 +207,6 @@ class RoadNetwork:
             adj.setdefault(b, set())
         return cls(adj)
 
-    @classmethod
-    def from_paths(cls, paths) -> "RoadNetwork":
-        """Infer adjacency from consecutive roads of observed trip paths."""
-        adj: dict = {}
-        for path in paths:
-            for a, b in zip(path, path[1:]):
-                adj.setdefault(a, set()).add(b)
-                adj.setdefault(b, set())
-            if path:
-                adj.setdefault(path[0], set())
-        return cls(adj)
-
     def __contains__(self, road: str) -> bool:
         return road in self.roads
 
@@ -284,21 +272,29 @@ class IndividualProfile:
     All counters are plain dicts over observed keys only; missing keys mean
     zero. `od_counts` maps origin -> {destination: trips}; the per-slot
     origin breakdown `slot_origin_counts` maps slot id -> {origin: trips}.
+    `total_trips`, `per_origin` and `per_destination` are derived from
+    `od_counts` on construction.
     """
 
     traveller_id: str
     traveller_type: TravellerType
-    total_trips: int
-    per_period: dict = field(repr=False)
-    per_origin: dict = field(repr=False)
-    per_destination: dict = field(repr=False)
     od_counts: dict = field(repr=False)
     slot_origin_counts: dict = field(repr=False)
     observed_days: int = 1
+    total_trips: int = field(init=False)
+    per_origin: dict = field(init=False, repr=False)
+    per_destination: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        per_origin, per_destination = {}, {}
+        for o, row in self.od_counts.items():
+            for d, n in row.items():
+                per_origin[o] = per_origin.get(o, 0) + n
+                per_destination[d] = per_destination.get(d, 0) + n
+        object.__setattr__(self, "total_trips", sum(per_origin.values()))
+        object.__setattr__(self, "per_origin", per_origin)
+        object.__setattr__(self, "per_destination", per_destination)
 
     def slot_total(self, slot_id: int) -> int:
         """Trips departing within one slot (sum over origins)."""
         return sum(self.slot_origin_counts.get(slot_id, {}).values())
-
-    def slot_totals(self) -> dict:
-        return {s: sum(by_origin.values()) for s, by_origin in self.slot_origin_counts.items()}

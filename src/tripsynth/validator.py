@@ -222,9 +222,12 @@ def _histogram(values, bin_width: float, top: float) -> Counter:
     return counts
 
 
-def default_day_class(day: int) -> str:
-    """Weekly rule: days 5 and 6 of each 7-day cycle count as holiday."""
-    return "holiday" if day % 7 in (5, 6) else "weekday"
+def day_class(day: int, holiday_weekdays=(5, 6), holiday_days=()) -> str:
+    """Weekly rule: a day is a holiday when its position in the 7-day cycle
+    is in `holiday_weekdays` or the day index itself is in `holiday_days`."""
+    if day in holiday_days or day % 7 in holiday_weekdays:
+        return "holiday"
+    return "weekday"
 
 
 class ValidationReport:
@@ -282,7 +285,7 @@ def build_report(
     generated_trips,
     *,
     granularity: int = 15,
-    day_class=default_day_class,
+    day_class=day_class,
     topk_zone_fractions=(0.10,),
     topk_od_fractions=(0.50,),
 ) -> ValidationReport:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tripsynth.cli import (
     ConfigError,
@@ -26,7 +27,8 @@ from tripsynth.ingest import (
     parse_trips,
     parse_zones,
 )
-from tripsynth.model import GenClock, TravellerType
+from tripsynth.model import GenClock, TimeSlotPartition, TravellerType, TripRecord
+from tripsynth.validator import day_class
 
 SMALL_CORPUS = """\
 corpus:
@@ -106,9 +108,12 @@ corpus:
         assert config.corpus_spec.grid_side == 5
         assert config.corpus_spec.days == 3
         assert config.corpus_spec.individuals == ((TravellerType.COMMUTER, 2),)
-        assert config.day_class(2) == "holiday"   # listed day
-        assert config.day_class(6) == "holiday"   # weekday rule
-        assert config.day_class(5) == "weekday"
+        assert config.holiday_weekdays == (6,)
+        assert config.holiday_days == (2,)
+        rule = (config.holiday_weekdays, config.holiday_days)
+        assert day_class(2, *rule) == "holiday"   # listed day
+        assert day_class(6, *rule) == "holiday"   # weekday rule
+        assert day_class(5, *rule) == "weekday"
 
     @pytest.mark.parametrize(
         "body,fragment",
@@ -195,8 +200,6 @@ class TestStore:
             catalog=catalog,
             pools=pools,
             reference=reference,
-            zones=small.zones,
-            network=small.network,
         )
         return profiles, catalog, pools, reference
 
@@ -214,8 +217,18 @@ class TestStore:
             assert got.u_period == agg.u_period
             assert got.u_slot == agg.u_slot
             assert got.total == agg.total
-        assert store.zones == small.zones
-        assert store.network.roads == small.network.roads
+
+    def test_holds_only_independent_facts(self, small, tmp_path):
+        path = tmp_path / "store.json"
+        self.build(small, path)
+        doc = json.loads(path.read_text())
+        assert set(doc) == {
+            "version", "window_days", "partition", "profiles", "catalog", "pools",
+            "reference",
+        }
+        assert doc["version"] == 2
+        for raw in doc["profiles"].values():
+            assert set(raw) == {"type", "od", "slot_origin"}
 
     def test_write_is_deterministic(self, small, tmp_path):
         self.build(small, tmp_path / "a.json")
@@ -230,6 +243,65 @@ class TestStore:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="version"):
             load_store(path)
+
+
+HOURLY_PARTITION = TimeSlotPartition.hourly()
+FOUR_HOUR_PARTITION = TimeSlotPartition.from_boundaries([1, 241, 481, 721, 961, 1201])
+
+
+# Legal ids: non-empty; delimiters and non-ASCII allowed, except that a
+# road id may not contain the path separator "-".
+ID_CHARS = st.one_of(st.sampled_from("|:-; ,é中\"{}"), st.characters())
+zone_ids = st.text(ID_CHARS, min_size=1, max_size=4)
+road_ids = st.text(ID_CHARS, min_size=1, max_size=4).filter(lambda r: "-" not in r)
+
+
+@st.composite
+def trip_tables(draw):
+    partition = draw(st.sampled_from([HOURLY_PARTITION, FOUR_HOUR_PARTITION]))
+    tids = draw(st.lists(zone_ids, min_size=1, max_size=4, unique=True))
+    zones = draw(st.lists(zone_ids, min_size=1, max_size=4, unique=True))
+    roads = draw(st.lists(road_ids, min_size=1, max_size=4, unique=True))
+    trips = []
+    for _ in range(draw(st.integers(1, 12))):
+        departure = draw(st.integers(1, 1440))
+        trips.append(TripRecord(
+            traveller_id=draw(st.sampled_from(tids)),
+            traveller_type=draw(st.sampled_from(list(TravellerType))),
+            date=draw(st.integers(0, 6)),
+            departure=departure,
+            slot=partition.slot_of(departure).slot_id,
+            o_zone=draw(st.sampled_from(zones)),
+            d_zone=draw(st.sampled_from(zones)),
+            path=tuple(draw(st.lists(st.sampled_from(roads), min_size=1, max_size=3))),
+            duration=draw(st.integers(1, 90)),
+        ))
+    return partition, trips
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=trip_tables())
+@example(table=(FOUR_HOUR_PARTITION, [
+    TripRecord("V|1", TravellerType.COMMUTER, 0, 400, 2, "A|1", "B", ("r|1", "é"), 9),
+    TripRecord("V|1", TravellerType.COMMUTER, 1, 900, 4, "A", "1|B", ("r:2",), 5),
+]))
+def test_store_round_trips_any_legal_ids(table, tmp_path_factory):
+    partition, trips = table
+    path = tmp_path_factory.mktemp("store") / "store.json"
+    profiles = build_profiles(trips, partition, 7)
+    catalog = build_path_catalog(trips)
+    pools = build_duration_pools(trips, partition)
+    reference = build_reference_aggregates(trips, partition)
+    save_store(path, partition=partition, window_days=7, profiles=profiles,
+               catalog=catalog, pools=pools, reference=reference)
+    store = load_store(path)
+    assert store.partition == partition
+    assert store.profiles == profiles
+    assert store.catalog.entries == catalog.entries
+    assert store.pools == pools
+    assert {t: a.u_period for t, a in store.reference.by_type.items()} == {
+        t: a.u_period for t, a in reference.by_type.items()
+    }
 
 
 class TestPipeline:
@@ -282,6 +354,50 @@ class TestPipeline:
         assert main(["generate", "-c", cfg]) == 1
         # reference trips missing
         assert main(["validate", "-c", cfg]) == 1
+
+    def test_window_shorter_than_trip_dates_fails_ingest(self, tmp_path, caplog):
+        cfg = write_config(
+            tmp_path, PATHS + "corpus: {seed: 7, days: 14, individuals: {passby: 2}}\n"
+        )
+        assert main(["corpus", "-c", cfg]) == 0
+        assert main(["ingest", "-c", cfg]) == 1
+        assert "span 14 days" in caplog.text and "window_days = 7" in caplog.text
+        assert not (tmp_path / "build" / "store.json").exists()
+
+    def test_quarantine_fails_generate(self, cfg, tmp_path, caplog):
+        main(["corpus", "-c", cfg])
+        main(["ingest", "-c", cfg])
+        store = tmp_path / "build" / "store.json"
+        doc = json.loads(store.read_text())
+        # The OD pair that makes up the largest share of one individual's
+        # trips and that nobody else travels: that individual draws it.
+        users = {}
+        for tid, raw in doc["profiles"].items():
+            total = sum(n for row in raw["od"].values() for n in row.values())
+            for o, row in raw["od"].items():
+                for d, n in row.items():
+                    users.setdefault((o, d), []).append((n / total, tid))
+        (_, victim), od = max(
+            (found[0], od) for od, found in users.items() if len(found) == 1
+        )
+        doc["catalog"] = [e for e in doc["catalog"] if tuple(e[:2]) != od]
+        store.write_text(json.dumps(doc))
+
+        caplog.clear()
+        assert main(["generate", "-c", cfg]) == 1
+        assert victim in caplog.text
+        generated = (tmp_path / "out" / "generated.csv").read_text()
+        assert generated.startswith("traveller_ID") and victim not in generated
+
+    def test_version_1_store_fails_generate(self, cfg, tmp_path, caplog):
+        main(["corpus", "-c", cfg])
+        main(["ingest", "-c", cfg])
+        store = tmp_path / "build" / "store.json"
+        doc = json.loads(store.read_text())
+        doc["version"] = 1
+        store.write_text(json.dumps(doc))
+        assert main(["generate", "-c", cfg]) == 1
+        assert "unsupported store version" in caplog.text
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -151,10 +151,6 @@ class TestOracles:
         p = IndividualProfile(
             traveller_id="V1",
             traveller_type=TravellerType.COMMUTER,
-            total_trips=4,
-            per_period={400: 3, 1000: 1},
-            per_origin={"A": 3, "B": 1},
-            per_destination={"B": 3, "A": 1},
             od_counts={"A": {"B": 3}, "B": {"A": 1}},
             slot_origin_counts={1: {"A": 3}, 2: {"B": 1}},
             observed_days=7,

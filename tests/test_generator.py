@@ -54,16 +54,10 @@ HOURLY = TimeSlotPartition.hourly()
 FOUR_HOUR = TimeSlotPartition.from_boundaries([1, 241, 481, 721, 961, 1201])
 
 
-def profile(per_origin=None, per_destination=None, od=None, per_period=None,
-            slot_origin=None, ttype=TravellerType.COMMUTER, days=7):
-    per_period = per_period or {}
+def profile(od=None, slot_origin=None, ttype=TravellerType.COMMUTER, days=7):
     return IndividualProfile(
         traveller_id="V1",
         traveller_type=ttype,
-        total_trips=sum(per_period.values()),
-        per_period=per_period,
-        per_origin=per_origin or {},
-        per_destination=per_destination or {},
         od_counts=od or {},
         slot_origin_counts=slot_origin or {},
         observed_days=days,
@@ -72,45 +66,37 @@ def profile(per_origin=None, per_destination=None, od=None, per_period=None,
 
 class TestInitialLocation:
     def test_argmax_of_touch_counts(self):
-        p = profile(
-            per_origin={"Z2": 3, "Z5": 1},
-            per_destination={"Z5": 3},
-            per_period={400: 4},
-        )
-        # Z5 touched 4 times, Z2 only 3
+        p = profile(od={"Z2": {"Z5": 3}, "Z5": {"Z1": 1}})
+        # Z5 touched 4 times, Z2 only 3, Z1 once
         assert initial_location(p) == "Z5"
 
     def test_tie_goes_lexicographically_smallest(self):
-        p = profile(
-            per_origin={"Z9": 2, "Z10": 2},
-            per_destination={},
-            per_period={400: 4},
-        )
+        p = profile(od={"Z9": {"Z9": 1, "Z10": 1}, "Z10": {"Z9": 1, "Z10": 1}})
         assert initial_location(p) == "Z10"  # string order, not numeric
 
     def test_empty_profile(self):
         with pytest.raises(CorruptInputError):
-            initial_location(profile(per_period={}))
+            initial_location(profile())
 
 
 def test_most_frequent_origin():
-    p = profile(per_origin={"Z3": 5, "Z1": 5, "Z2": 9}, per_period={1: 19})
+    p = profile(od={"Z3": {"A": 5}, "Z1": {"A": 5}, "Z2": {"A": 9}})
     assert most_frequent_origin(p) == "Z2"
-    p = profile(per_origin={"Z3": 5, "Z1": 5}, per_period={1: 10})
+    p = profile(od={"Z3": {"A": 5}, "Z1": {"A": 5}})
     assert most_frequent_origin(p) == "Z1"
     with pytest.raises(CorruptInputError):
-        most_frequent_origin(profile(per_period={1: 1}))
+        most_frequent_origin(profile())
 
 
 class TestDailyQuota:
     def test_integer_rate_is_deterministic(self):
-        p = profile(per_period={400: 14}, days=7)
+        p = profile(od={"A": {"B": 14}}, days=7)
         rng = random.Random(0)
         assert {daily_quota(p, rng) for _ in range(50)} == {2}
 
     def test_fractional_rate_mean(self):
         # 5 trips over 2 days: 2 plus a fair coin
-        p = profile(per_period={400: 5}, days=2)
+        p = profile(od={"A": {"B": 5}}, days=2)
         rng = random.Random(123)
         n = 100_000
         draws = [daily_quota(p, rng) for _ in range(n)]
@@ -257,8 +243,7 @@ def test_aggregation_factor_full_deficit():
 
 def test_preference_factors():
     p = profile(
-        per_period={400: 3, 1000: 1},
-        per_origin={"A": 3, "B": 1},
+        od={"A": {"B": 3}, "B": {"A": 1}},
         slot_origin={7: {"A": 3}, 17: {"B": 1}},
     )
     assert preference_factors(p, "A", 7) == (pytest.approx(0.75), pytest.approx(1.0))
@@ -271,9 +256,6 @@ def test_preference_factors():
 def test_slot_weights_multiplicative_structure():
     halves = TimeSlotPartition.from_boundaries([1, 721])
     p = profile(
-        per_period={400: 3, 1000: 1},
-        per_origin={"A": 3, "B": 1},
-        per_destination={"B": 3, "A": 1},
         od={"A": {"B": 3}, "B": {"A": 1}},
         slot_origin={1: {"A": 3}, 2: {"B": 1}},
     )
@@ -464,8 +446,8 @@ def slot_states(draw):
     per_origin = Counter()
     for row in by_slot.values():
         per_origin.update(row)
-    prof = profile(per_origin=dict(per_origin), slot_origin=by_slot,
-                   per_period={1: sum(per_origin.values())})
+    prof = profile(od={o: {"D": n} for o, n in per_origin.items()},
+                   slot_origin=by_slot)
     zone = draw(st.sampled_from("ABCZ"))
     clock = GenClock(0, draw(st.integers(1, 1440)))
     remaining = draw(st.integers(1, 5))
@@ -541,27 +523,19 @@ class TestExactFloats:
 
 class TestDestination:
     def test_weights_follow_history(self):
-        p = profile(
-            per_period={1: 4},
-            per_origin={"A": 4},
-            od={"A": {"B": 3, "C": 1}},
-        )
+        p = profile(od={"A": {"B": 3, "C": 1}})
         origin, dests, weights, relocated = destination_weights(p, "A")
         assert (origin, dests, weights, relocated) == ("A", ["B", "C"], [3, 1], False)
         rng = random.Random(5)
-        picks = [select_destination(p, "A", rng)[0] for _ in range(100_000)]
+        picks = [select_destination(p, "A", rng)[1] for _ in range(100_000)]
         assert picks.count("B") / len(picks) == pytest.approx(0.75, abs=0.01)
 
     def test_relocates_when_origin_unseen(self):
-        p = profile(
-            per_period={1: 4},
-            per_origin={"A": 3, "B": 1},
-            od={"A": {"B": 3}, "B": {"A": 1}},
-        )
+        p = profile(od={"A": {"B": 3}, "B": {"A": 1}})
         origin, dests, _, relocated = destination_weights(p, "Z99")
         assert relocated and origin == "A" and dests == ["B"]
-        dest, flagged = select_destination(p, "Z99", random.Random(1))
-        assert dest == "B" and flagged
+        used, dest, flagged = select_destination(p, "Z99", random.Random(1))
+        assert used == "A" and dest == "B" and flagged
 
 
 def small_world():
@@ -767,12 +741,7 @@ class TestGenerateAll:
 
 def test_tally_separates_breaks_from_first_trip_relocation():
     t = TravellerType.PASSBY
-    p = profile(
-        per_origin={"B": 7},
-        per_destination={"A": 7},
-        od={"B": {"A": 7}},
-        per_period={700: 7},
-    )
+    p = profile(od={"B": {"A": 7}})
     # initial location is A (tie broken below B alphabetically is wrong way:
     # A < B), so a first trip departing B is a relocation without a broken pair
     trips = [TripRecord("V1", t, 0, 700, 12, "B", "A", ("r1",), 10)]

@@ -175,12 +175,11 @@ class TestBuildProfiles:
         assert p.per_origin == {"Z3": 2, "Z9": 1}
         assert p.per_destination == {"Z9": 2, "Z3": 1}
         assert p.od_counts == {"Z3": {"Z9": 2}, "Z9": {"Z3": 1}}
-        assert p.per_period == {452: 1, 455: 1, 1052: 1}
+        assert p.slot_origin_counts == {8: {"Z3": 2}, 18: {"Z9": 1}}
         assert p.observed_days == 7
 
     def test_marginals_agree(self, history):
         for p in build_profiles(history, HOURLY, window_days=7).values():
-            assert sum(p.per_period.values()) == p.total_trips
             assert sum(p.per_origin.values()) == p.total_trips
             assert sum(p.per_destination.values()) == p.total_trips
             od_total = sum(n for dst in p.od_counts.values() for n in dst.values())
@@ -188,11 +187,11 @@ class TestBuildProfiles:
 
     def test_slot_origin_consistency(self, history):
         # departures in a slot, summed over origins, must match the
-        # per-minute counts falling inside that slot
+        # individual's trips departing inside that slot
         p = build_profiles(history, HOURLY, window_days=7)["V1"]
         for slot in HOURLY:
             in_slot = sum(
-                n for minute, n in p.per_period.items() if minute in slot
+                1 for t in history if t.traveller_id == "V1" and t.departure in slot
             )
             assert p.slot_total(slot.slot_id) == in_slot
         assert p.slot_origin_counts[8] == {"Z3": 2}
@@ -206,6 +205,14 @@ class TestBuildProfiles:
     def test_window_days_validated(self, history):
         with pytest.raises(ValueError):
             build_profiles(history, HOURLY, window_days=0)
+
+    def test_window_shorter_than_trip_dates_rejected(self, history):
+        late = history + [trip("V2", TravellerType.RANDOM, 13, 600, "Z1", "Z2")]
+        with pytest.raises(ValueError, match=r"span 14 days.*window_days = 7"):
+            build_profiles(late, HOURLY, window_days=7)
+        # a window longer than the span is fine: edge days may have no trips
+        assert build_profiles(late, HOURLY, window_days=14)["V2"].observed_days == 14
+        assert build_profiles(history, HOURLY, window_days=2)["V1"].total_trips == 3
 
 
 class TestPathCatalog:
@@ -231,6 +238,9 @@ def test_duration_pools(history):
     assert pools.samples[("r1-r4", 8)] == (10, 12)
     assert pools.samples[("r4-r1", 18)] == (10,)
     assert pools.fallback["r1-r4"] == (10, 12)
+    # the path-only fallback pools every slot of the path
+    pools = DurationPool({("p", 2): (4, 9), ("p", 7): (3,), ("q", 2): (5,)})
+    assert pools.fallback == {"p": (3, 4, 9), "q": (5,)}
 
 
 class TestReferenceAggregates:

@@ -151,13 +151,6 @@ class TestRoadNetwork:
         assert not net.adjacent("r2", "r1")  # one direction per pair
         assert net.roads == {"r1", "r2", "r3"}
 
-    def test_from_paths_infers_consecutive_links(self):
-        net = RoadNetwork.from_paths([("r1", "r4", "r7"), ("r4", "r2")])
-        assert net.adjacent("r1", "r4")
-        assert net.adjacent("r4", "r7")
-        assert net.adjacent("r4", "r2")
-        assert not net.adjacent("r1", "r7")
-
     def test_unknown_road(self):
         net = RoadNetwork.from_edges([("r1", "r2")])
         with pytest.raises(UnknownRoadError):

@@ -10,7 +10,7 @@ from tripsynth.validator import (
     build_report,
     continuity_ratio,
     daily_frequency_by_individual,
-    default_day_class,
+    day_class,
     destination_entropy,
     entropy_by_individual,
     js_divergence,
@@ -276,10 +276,12 @@ def test_daily_frequency_uses_observed_days():
 
 
 def test_default_day_class():
-    assert [default_day_class(d) for d in range(7)] == [
+    assert [day_class(d) for d in range(7)] == [
         "weekday"] * 5 + ["holiday"] * 2
-    assert default_day_class(12) == "holiday"
-    assert default_day_class(14) == "weekday"
+    assert day_class(12) == "holiday"
+    assert day_class(14) == "weekday"
+    assert day_class(2, holiday_days=(2,)) == "holiday"
+    assert day_class(6, holiday_weekdays=(0,)) == "weekday"
 
 
 class TestValidationReport:
