@@ -273,9 +273,24 @@ def load_config(path) -> Config:
 # CSV writers (the exact shapes `ingest` parses back).
 
 
+class _LineFeedRows:
+    """Stream adapter for a csv writer that ends rows with "\r\n".
+
+    With a "\n" terminator the csv module before Python 3.13 leaves a field
+    holding "\r" unquoted, and the row cannot be read back. Ending rows with
+    "\r\n" makes the writer quote it; each row still reaches `stream`
+    ending "\n"."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def write(self, row: str):
+        return self.stream.write(row[:-2] + "\n")
+
+
 def write_trips_csv(records, stream, epoch: dt.date, partition: TimeSlotPartition,
                     delimiter: str = ",") -> int:
-    writer = csv.writer(stream, delimiter=delimiter, lineterminator="\n")
+    writer = csv.writer(_LineFeedRows(stream), delimiter=delimiter, lineterminator="\r\n")
     writer.writerow(TRIP_HEADER)
     n = 0
     for trip in records:
@@ -443,8 +458,12 @@ def cmd_ingest(config: Config) -> int:
     # neither.
     with open(config.path("zones"), newline="") as fh:
         parse_zones(fh, delimiter=config.csv_delimiter)
-    if "network" in config.paths and config.paths["network"].exists():
-        with open(config.paths["network"]) as fh:
+    if "network" in config.paths:
+        network_path = config.paths["network"]
+        if not network_path.is_file():
+            log.error("network file not found: %s", network_path)
+            return 1
+        with open(network_path) as fh:
             network = parse_network(fh)
         unknown_roads = {
             road for t in parsed.records for road in t.path if road not in network
@@ -517,11 +536,10 @@ def cmd_validate(config: Config, reference=None, generated=None) -> int:
             duration_divisor=config.duration_divisor(),
             delimiter=config.csv_delimiter,
         )
+    # `generate` writes durations in minutes whatever the input unit.
     with open(gen_path, newline="") as fh:
         gen = parse_trips(
-            fh, config.partition, config.epoch,
-            duration_divisor=config.duration_divisor(),
-            delimiter=config.csv_delimiter,
+            fh, config.partition, config.epoch, delimiter=config.csv_delimiter
         )
     report = build_report(
         ref.records,

@@ -91,6 +91,21 @@ def parse_day_index(text: str, epoch: dt.date) -> int:
     return (dt.date.fromisoformat(text) - epoch).days
 
 
+def _memo(cache: dict, text: str, parse):
+    """parse(text), computed once per distinct text and kept in `cache`;
+    None when parse raises ValueError."""
+    try:
+        return cache[text]
+    except KeyError:
+        pass
+    try:
+        value = parse(text)
+    except ValueError:
+        value = None
+    cache[text] = value
+    return value
+
+
 def parse_trips(
     stream,
     partition: TimeSlotPartition,
@@ -106,6 +121,9 @@ def parse_trips(
     `partition`; the textual time-slot column is not trusted. Durations are
     divided by `duration_divisor` (60.0 for input in seconds) and rounded to
     whole minutes. Bad rows become RowErrors and parsing continues.
+
+    Each distinct type, date, time, duration and path text is parsed once per
+    call; rows with the same path text share one path tuple.
     """
     reader = csv.reader(stream, delimiter=delimiter)
     try:
@@ -113,59 +131,82 @@ def parse_trips(
     except StopIteration:
         raise ValueError("trip table is empty") from None
     col = _header_index(header, TRIP_COLUMNS, schema)
+    width = max(col.values()) + 1
+    c_id, c_type, c_date, c_time, c_o, c_d, c_path, c_dur = (
+        col[name]
+        for name in ("traveller_id", "traveller_type", "date", "departure_time",
+                     "o_zone", "d_zone", "path", "duration")
+    )
+
+    def parse_day(text):
+        return parse_day_index(text, epoch)
+
+    def parse_time(text):
+        minute = hhmm_to_minute(text)
+        return minute, partition.slot_of(minute).slot_id
+
+    def parse_duration(text):
+        duration = round(float(text) / duration_divisor)
+        if duration < 1:
+            raise ValueError(text)
+        return duration
+
+    # text -> parsed value, or None for a text that is rejected
+    types: dict = {}
+    days: dict = {}
+    times: dict = {}
+    durations: dict = {}
+    paths: dict = {}
 
     result = ParseResult()
+    errors = result.errors
+    records = result.records
     for row in reader:
-        if not row or all(not cell.strip() for cell in row):
+        if not "".join(row).strip():
             continue
         line = reader.line_num
-        if len(row) <= max(col.values()):
-            result.errors.append(RowError(line, "short row", f"{len(row)} fields"))
+        if len(row) < width:
+            errors.append(RowError(line, "short row", f"{len(row)} fields"))
             continue
-        try:
-            ttype = TravellerType.parse(row[col["traveller_type"]])
-        except ValueError:
-            result.errors.append(
-                RowError(line, "unknown traveller type", row[col["traveller_type"]])
-            )
+        text = row[c_type]
+        ttype = _memo(types, text, TravellerType.parse)
+        if ttype is None:
+            errors.append(RowError(line, "unknown traveller type", text))
             continue
-        try:
-            day = parse_day_index(row[col["date"]], epoch)
-        except ValueError:
-            result.errors.append(RowError(line, "bad date", row[col["date"]]))
+        text = row[c_date]
+        day = _memo(days, text, parse_day)
+        if day is None:
+            errors.append(RowError(line, "bad date", text))
             continue
-        try:
-            departure = hhmm_to_minute(row[col["departure_time"]])
-        except ValueError:
-            result.errors.append(
-                RowError(line, "bad departure time", row[col["departure_time"]])
-            )
+        text = row[c_time]
+        time = _memo(times, text, parse_time)
+        if time is None:
+            errors.append(RowError(line, "bad departure time", text))
             continue
-        try:
-            raw = float(row[col["duration"]])
-            duration = round(raw / duration_divisor)
-        except ValueError:
-            result.errors.append(RowError(line, "bad duration", row[col["duration"]]))
+        text = row[c_dur]
+        duration = _memo(durations, text, parse_duration)
+        if duration is None:
+            errors.append(RowError(line, "bad duration", text))
             continue
-        if duration < 1:
-            result.errors.append(RowError(line, "bad duration", row[col["duration"]]))
-            continue
-        path = tuple(p for p in row[col["path"]].split(PATH_SEPARATOR) if p)
+        text = row[c_path]
+        path = paths.get(text)
+        if path is None:
+            path = paths[text] = tuple(p for p in text.split(PATH_SEPARATOR) if p)
         if not path:
-            result.errors.append(RowError(line, "empty path"))
+            errors.append(RowError(line, "empty path"))
             continue
-        o_zone = row[col["o_zone"]].strip()
-        d_zone = row[col["d_zone"]].strip()
+        o_zone = row[c_o].strip()
+        d_zone = row[c_d].strip()
         if not o_zone or not d_zone:
-            result.errors.append(RowError(line, "missing zone"))
+            errors.append(RowError(line, "missing zone"))
             continue
-        result.records.append(
+        records.append(
             TripRecord(
-                traveller_id=row[col["traveller_id"]].strip(),
+                traveller_id=row[c_id].strip(),
                 traveller_type=ttype,
                 date=day,
-                departure=departure,
-                slot=partition.slot_of(departure).slot_id,
+                departure=time[0],
+                slot=time[1],
                 o_zone=o_zone,
                 d_zone=d_zone,
                 path=path,

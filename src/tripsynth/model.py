@@ -240,7 +240,7 @@ def path_is_continuous(path, net: RoadNetwork) -> bool:
     return all(net.adjacent(a, b) for a, b in zip(path, path[1:]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TripRecord:
     """One observed or synthesized trip."""
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .model import MINUTES_PER_DAY, TYPE_ORDER
 
@@ -88,6 +89,9 @@ def overlap_ratio(observed: set, generated: set) -> float:
     return len(observed & generated) / len(observed)
 
 
+_TIME_ORDER = attrgetter("date", "departure")
+
+
 def _filtered(trips, ttype=None, day_filter=None):
     for trip in trips:
         if ttype is not None and trip.traveller_type is not ttype:
@@ -97,15 +101,19 @@ def _filtered(trips, ttype=None, day_filter=None):
         yield trip
 
 
+def _window_count(granularity: int) -> int:
+    if granularity < 1 or MINUTES_PER_DAY % granularity:
+        raise ValueError(f"granularity must divide {MINUTES_PER_DAY}")
+    return MINUTES_PER_DAY // granularity
+
+
 def temporal_distribution(
     trips, granularity: int = 15, ttype=None, day_filter=None
 ) -> Distribution:
     """Departure-time distribution over fixed windows of `granularity`
     minutes (which must divide the day). Bin labels are 1-based window
     indices and always cover the whole day."""
-    if granularity < 1 or MINUTES_PER_DAY % granularity:
-        raise ValueError(f"granularity must divide {MINUTES_PER_DAY}")
-    n_bins = MINUTES_PER_DAY // granularity
+    n_bins = _window_count(granularity)
     counts = Counter(
         (t.departure - 1) // granularity + 1
         for t in _filtered(trips, ttype, day_filter)
@@ -169,24 +177,45 @@ def _by_individual(trips) -> dict:
     grouped: dict = defaultdict(list)
     for t in trips:
         grouped[t.traveller_id].append(t)
-    for tid in grouped:
-        grouped[tid].sort(key=lambda t: (t.date, t.departure))
+    for seq in grouped.values():
+        seq.sort(key=_TIME_ORDER)
     return grouped
+
+
+def _by_type_and_individual(trips) -> dict:
+    """{traveller type: {traveller id: trips}} from one scan. Each sequence
+    is in (date, departure) order, and individuals keep their first-seen
+    order within a type, as `_by_individual` over that type's trips gives."""
+    grouped: dict = defaultdict(lambda: defaultdict(list))
+    for t in trips:
+        grouped[t.traveller_type][t.traveller_id].append(t)
+    for by_id in grouped.values():
+        for seq in by_id.values():
+            seq.sort(key=_TIME_ORDER)
+    return grouped
+
+
+def _continuity(sequences) -> dict:
+    """Per-type continuity ratio over time-ordered per-individual sequences;
+    a sequence counts under the type of its first trip."""
+    pairs: Counter = Counter()
+    continuous: Counter = Counter()
+    for seq in sequences:
+        if len(seq) < 2:
+            continue
+        ttype = seq[0].traveller_type
+        pairs[ttype] += len(seq) - 1
+        continuous[ttype] += sum(
+            cur.o_zone == prev.d_zone for prev, cur in zip(seq, seq[1:])
+        )
+    return {t: continuous[t] / pairs[t] for t in pairs}
 
 
 def continuity_ratio(trips) -> dict:
     """Per-type share of consecutive same-individual trip pairs whose next
     origin equals the previous destination. Individuals with fewer than two
     trips contribute no pairs; types without pairs are omitted."""
-    pairs: Counter = Counter()
-    continuous: Counter = Counter()
-    for seq in _by_individual(trips).values():
-        ttype = seq[0].traveller_type
-        for prev, cur in zip(seq, seq[1:]):
-            pairs[ttype] += 1
-            if cur.o_zone == prev.d_zone:
-                continuous[ttype] += 1
-    return {t: continuous[t] / pairs[t] for t in pairs}
+    return _continuity(_by_individual(trips).values())
 
 
 def destination_entropy(trips) -> float:
@@ -280,6 +309,74 @@ def _cell(report, metric, ttype, param, fn) -> None:
         report.add(metric, ttype, param, str(exc))
 
 
+@dataclass
+class _TypeCounts:
+    """One traveller type's trips in one table, reduced to what the report
+    cells read."""
+
+    windows: Counter  # (day, window of the day) -> departures
+    roads: Counter  # road -> trips touching it
+    visits: Counter  # zone -> trip ends
+    ods: Counter  # (origin, destination) -> trips
+    days: set  # days with a trip
+    entropies: dict  # traveller id -> destination entropy
+    frequencies: dict  # traveller id -> trips per day in `days`
+
+
+def _count_type(individuals: dict, granularity: int) -> _TypeCounts:
+    """Count one type's per-individual sequences. Roads are counted once per
+    distinct path, and zone visits come from the OD counts."""
+    trips = [t for seq in individuals.values() for t in seq]
+    windows = Counter([(t.date, (t.departure - 1) // granularity + 1) for t in trips])
+    paths = Counter([t.path for t in trips])
+    ods = Counter([(t.o_zone, t.d_zone) for t in trips])
+    days = {day for day, _ in windows}
+    roads: Counter = Counter()
+    for path, n in paths.items():
+        for road in set(path):
+            roads[road] += n
+    visits: Counter = Counter()
+    for (o, d), n in ods.items():
+        visits[o] += n
+        visits[d] += n
+    return _TypeCounts(
+        windows=windows,
+        roads=roads,
+        visits=visits,
+        ods=ods,
+        days=days,
+        entropies={tid: destination_entropy(seq) for tid, seq in individuals.items()},
+        frequencies={tid: len(seq) / len(days) for tid, seq in individuals.items()},
+    )
+
+
+def _individual_sequences(groups: dict, trips) -> list:
+    """Every individual's time-ordered trips across types. An individual seen
+    under one type reuses that type's sequence; only individuals seen under
+    several types are grouped again from `trips`."""
+    seen = Counter(tid for by_id in groups.values() for tid in by_id)
+    mixed = {tid for tid, n in seen.items() if n > 1}
+    sequences = [
+        seq
+        for by_id in groups.values()
+        for tid, seq in by_id.items()
+        if tid not in mixed
+    ]
+    if mixed:
+        sequences.extend(
+            _by_individual(t for t in trips if t.traveller_id in mixed).values()
+        )
+    return sequences
+
+
+def _window_distribution(windows: Counter, n_windows: int, days=None) -> Distribution:
+    counts: Counter = Counter()
+    for (day, window), n in windows.items():
+        if days is None or day in days:
+            counts[window] += n
+    return Distribution.from_counts(counts, bins=range(1, n_windows + 1))
+
+
 def build_report(
     reference_trips,
     generated_trips,
@@ -295,8 +392,13 @@ def build_report(
     (overall and per day class), hot-zone and OD top-k overlaps, road-access
     divergence, continuity ratios, destination-entropy and daily-frequency
     summaries. Cells that cannot be computed carry the error text instead of
-    a number.
+    a number. A granularity that does not divide the day is a ValueError.
+
+    Each table is grouped by type and individual once; every cell reads the
+    integer counts of that one scan, and the all-type cells sum the per-type
+    counts.
     """
+    n_windows = _window_count(granularity)
     reference_trips = list(reference_trips)
     generated_trips = list(generated_trips)
     report = ValidationReport()
@@ -304,113 +406,71 @@ def build_report(
     report.add("trips", "", "reference", float(len(reference_trips)))
     report.add("trips", "", "generated", float(len(generated_trips)))
 
-    types = [
-        t
-        for t in TYPE_ORDER
-        if any(x.traveller_type is t for x in reference_trips)
-        or any(x.traveller_type is t for x in generated_trips)
-    ]
+    ref_groups = _by_type_and_individual(reference_trips)
+    gen_groups = _by_type_and_individual(generated_trips)
+    types = [t for t in TYPE_ORDER if t in ref_groups or t in gen_groups]
+    ref = {t: _count_type(ref_groups.get(t, {}), granularity) for t in types}
+    gen = {t: _count_type(gen_groups.get(t, {}), granularity) for t in types}
 
-    def js_time(ttype, day_filter=None):
-        p = temporal_distribution(reference_trips, granularity, ttype, day_filter)
-        q = temporal_distribution(generated_trips, granularity, ttype, day_filter)
+    def total(side, field) -> Counter:
+        counts: Counter = Counter()
+        for type_counts in side.values():
+            counts.update(getattr(type_counts, field))
+        return counts
+
+    day_classes = ("weekday", "holiday") if day_class is not None else ()
+    class_days: dict = defaultdict(set)
+    if day_class is not None:
+        for day in set().union(*(c.days for side in (ref, gen) for c in side.values())):
+            class_days[day_class(day)].add(day)
+
+    def js_time(ref_windows, gen_windows, days=None):
+        p = _window_distribution(ref_windows, n_windows, days)
+        q = _window_distribution(gen_windows, n_windows, days)
         return js_divergence(p, q)
 
-    def js_road(ttype):
-        ref_counts = road_access_counts(reference_trips, ttype)
-        gen_counts = road_access_counts(generated_trips, ttype)
+    def js_road(ref_counts, gen_counts):
         bins = tuple(sorted(set(ref_counts) | set(gen_counts)))
         return js_divergence(
             Distribution.from_counts(ref_counts, bins=bins),
             Distribution.from_counts(gen_counts, bins=bins),
         )
 
-    day_classes = ("weekday", "holiday") if day_class is not None else ()
+    _cell(report, "js_time", "", "all",
+          lambda: js_time(total(ref, "windows"), total(gen, "windows")))
+    _cell(report, "js_road", "", "",
+          lambda: js_road(total(ref, "roads"), total(gen, "roads")))
 
-    _cell(report, "js_time", "", "all", lambda: js_time(None))
-    _cell(report, "js_road", "", "", lambda: js_road(None))
-
-    cont_ref = continuity_ratio(reference_trips)
-    cont_gen = continuity_ratio(generated_trips)
+    cont_ref = _continuity(_individual_sequences(ref_groups, reference_trips))
+    cont_gen = _continuity(_individual_sequences(gen_groups, generated_trips))
 
     for ttype in types:
         name = ttype.value
-        _cell(report, "js_time", name, "all", lambda t=ttype: js_time(t))
+        r, g = ref[ttype], gen[ttype]
+        _cell(report, "js_time", name, "all", lambda: js_time(r.windows, g.windows))
         for cls in day_classes:
             _cell(
                 report,
                 "js_time",
                 name,
                 cls,
-                lambda t=ttype, c=cls: js_time(t, lambda d: day_class(d) == c),
+                lambda: js_time(r.windows, g.windows, class_days[cls]),
             )
         for k in topk_zone_fractions:
-            _cell(
-                report,
-                "hotzone_overlap",
-                name,
-                f"{k:g}",
-                lambda t=ttype, k=k: _overlap_cell(
-                    zone_visit_counts(reference_trips, t),
-                    zone_visit_counts(generated_trips, t),
-                    k,
-                ),
-            )
+            _cell(report, "hotzone_overlap", name, f"{k:g}",
+                  lambda: _overlap_cell(r.visits, g.visits, k))
         for k in topk_od_fractions:
-            _cell(
-                report,
-                "od_overlap",
-                name,
-                f"{k:g}",
-                lambda t=ttype, k=k: _overlap_cell(
-                    od_pair_counts(reference_trips, t),
-                    od_pair_counts(generated_trips, t),
-                    k,
-                ),
-            )
-        _cell(report, "js_road", name, "", lambda t=ttype: js_road(t))
-        _cell(
-            report,
-            "continuity",
-            name,
-            "reference",
-            lambda t=ttype: _require(cont_ref, t),
-        )
-        _cell(
-            report,
-            "continuity",
-            name,
-            "generated",
-            lambda t=ttype: _require(cont_gen, t),
-        )
-        _cell(
-            report,
-            "entropy_mean",
-            name,
-            "reference",
-            lambda t=ttype: _mean_entropy(reference_trips, t),
-        )
-        _cell(
-            report,
-            "entropy_mean",
-            name,
-            "generated",
-            lambda t=ttype: _mean_entropy(generated_trips, t),
-        )
-        _cell(
-            report,
-            "js_frequency",
-            name,
-            "",
-            lambda t=ttype: _js_frequency(reference_trips, generated_trips, t),
-        )
-        _cell(
-            report,
-            "js_entropy",
-            name,
-            "",
-            lambda t=ttype: _js_entropy(reference_trips, generated_trips, t),
-        )
+            _cell(report, "od_overlap", name, f"{k:g}",
+                  lambda: _overlap_cell(r.ods, g.ods, k))
+        _cell(report, "js_road", name, "", lambda: js_road(r.roads, g.roads))
+        _cell(report, "continuity", name, "reference", lambda: _require(cont_ref, ttype))
+        _cell(report, "continuity", name, "generated", lambda: _require(cont_gen, ttype))
+        _cell(report, "entropy_mean", name, "reference", lambda: _mean(r.entropies))
+        _cell(report, "entropy_mean", name, "generated", lambda: _mean(g.entropies))
+        _cell(report, "js_frequency", name, "",
+              lambda: _js_histograms(r.frequencies, g.frequencies, 0.5, 10.0))
+        _cell(report, "js_entropy", name, "",
+              lambda: _js_histograms(r.entropies, g.entropies, 0.25, 4.0))
     return report
 
 
@@ -427,35 +487,19 @@ def _overlap_cell(ref_counts: Counter, gen_counts: Counter, k: float) -> float:
     )
 
 
-def _mean_entropy(trips, ttype) -> float:
-    values = [
-        destination_entropy(seq)
-        for seq in _by_individual(_filtered(trips, ttype)).values()
-    ]
+def _mean(per_individual: dict) -> float:
+    """Mean over individuals, summed in their first-seen order."""
+    values = list(per_individual.values())
     if not values:
         raise ValueError("empty distribution")
     return sum(values) / len(values)
 
 
-def _js_frequency(ref_trips, gen_trips, ttype) -> float:
-    ref = daily_frequency_by_individual(list(_filtered(ref_trips, ttype)))
-    gen = daily_frequency_by_individual(list(_filtered(gen_trips, ttype)))
+def _js_histograms(ref: dict, gen: dict, width: float, top: float) -> float:
+    """JS divergence of two per-individual value histograms with bins of
+    `width`, everything at or above `top` pooled in the last bin."""
     if not ref or not gen:
         raise ValueError("empty distribution")
-    width, top = 0.5, 10.0
-    bins = range(int(top / width) + 1)
-    return js_divergence(
-        Distribution.from_counts(_histogram(ref.values(), width, top), bins=bins),
-        Distribution.from_counts(_histogram(gen.values(), width, top), bins=bins),
-    )
-
-
-def _js_entropy(ref_trips, gen_trips, ttype) -> float:
-    ref = entropy_by_individual(list(_filtered(ref_trips, ttype)))
-    gen = entropy_by_individual(list(_filtered(gen_trips, ttype)))
-    if not ref or not gen:
-        raise ValueError("empty distribution")
-    width, top = 0.25, 4.0
     bins = range(int(top / width) + 1)
     return js_divergence(
         Distribution.from_counts(_histogram(ref.values(), width, top), bins=bins),

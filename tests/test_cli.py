@@ -304,6 +304,56 @@ def test_store_round_trips_any_legal_ids(table, tmp_path_factory):
     }
 
 
+# Python 3.10's csv module can neither write nor read a NUL character.
+CSV_ID_CHARS = ID_CHARS if sys.version_info >= (3, 11) else ID_CHARS.filter(
+    lambda c: c != "\x00"
+)
+# Traveller and zone ids are stripped on parse, so legal ones are stripped.
+stripped_ids = st.text(CSV_ID_CHARS, min_size=1, max_size=6).filter(
+    lambda s: s == s.strip()
+)
+csv_road_ids = st.text(CSV_ID_CHARS, min_size=1, max_size=4).filter(lambda r: "-" not in r)
+
+
+@st.composite
+def csv_tables(draw):
+    partition = draw(st.sampled_from([HOURLY_PARTITION, FOUR_HOUR_PARTITION]))
+    trips = []
+    for _ in range(draw(st.integers(0, 8))):
+        departure = draw(st.integers(1, 1440))
+        trips.append(TripRecord(
+            traveller_id=draw(stripped_ids),
+            traveller_type=draw(st.sampled_from(list(TravellerType))),
+            date=draw(st.integers(0, 100_000)),
+            departure=departure,
+            slot=partition.slot_of(departure).slot_id,
+            o_zone=draw(stripped_ids),
+            d_zone=draw(stripped_ids),
+            path=tuple(draw(st.lists(csv_road_ids, min_size=1, max_size=4))),
+            duration=draw(st.integers(1, 100_000)),
+        ))
+    return partition, trips
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=csv_tables(), delimiter=st.sampled_from([",", ";"]))
+@example(
+    table=(FOUR_HOUR_PARTITION, [
+        TripRecord('V,"1";|', TravellerType.PASSBY, 0, 1, 1, "A;é", 'B"中', ("r,1", "r;2|"), 1),
+        TripRecord("V2", TravellerType.HIGH_FREQ, 9, 1440, 6, "A|1", "1|B", ("r\r1", "\n"), 600),
+    ]),
+    delimiter=";",
+)
+def test_trips_csv_round_trips_any_legal_ids(table, delimiter):
+    partition, trips = table
+    epoch = dt.date(2019, 8, 12)
+    buf = io.StringIO()
+    write_trips_csv(trips, buf, epoch, partition, delimiter)
+    parsed = parse_trips(io.StringIO(buf.getvalue()), partition, epoch, delimiter=delimiter)
+    assert not parsed.errors
+    assert parsed.records == trips
+
+
 class TestPipeline:
     @pytest.fixture()
     def cfg(self, tmp_path):
@@ -398,6 +448,39 @@ class TestPipeline:
         store.write_text(json.dumps(doc))
         assert main(["generate", "-c", cfg]) == 1
         assert "unsupported store version" in caplog.text
+
+    def test_seconds_input_validates_every_generated_row(self, tmp_path, caplog):
+        cfg = write_config(tmp_path, PATHS + SMALL_CORPUS + "duration_unit: seconds\n")
+        assert main(["corpus", "-c", cfg]) == 0
+        trips = tmp_path / "data" / "trips.csv"
+        lines = trips.read_text().splitlines()
+        rows = [lines[0]]
+        for line in lines[1:]:
+            head, _, minutes = line.rpartition(",")
+            rows.append(f"{head},{int(minutes) * 60}")
+        trips.write_text("\n".join(rows) + "\n")
+        assert main(["ingest", "-c", cfg]) == 0
+        assert main(["generate", "-c", cfg]) == 0
+        caplog.clear()
+        assert main(["validate", "-c", cfg]) == 0
+        assert "rejected" not in caplog.text
+        generated = (tmp_path / "out" / "generated.csv").read_text().splitlines()
+        report = (tmp_path / "out" / "report.csv").read_text().splitlines()
+        assert f"trips,,generated,{len(generated) - 1}" in report
+        assert f"trips,,reference,{len(lines) - 1}" in report
+
+    def test_missing_network_file_fails_ingest(self, cfg, tmp_path, caplog):
+        assert main(["corpus", "-c", cfg]) == 0
+        network = tmp_path / "data" / "network.csv"
+        network.unlink()
+        assert main(["ingest", "-c", cfg]) == 1
+        assert str(network) in caplog.text
+        assert not (tmp_path / "build" / "store.json").exists()
+        # Without the key there is no network check.
+        no_network = write_config(
+            tmp_path, PATHS.replace("  network: data/network.csv\n", ""), name="nn.yaml"
+        )
+        assert main(["ingest", "-c", no_network]) == 0
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -83,6 +83,59 @@ def test_bad_rows_become_errors():
     }
 
 
+def test_repeated_texts_keep_their_row_errors():
+    # Every reject reason twice with the same bad text, so the second hit is
+    # answered from the per-call parse of that text; good rows share texts
+    # with the bad ones.
+    result = parse(
+        [
+            "V1,commuter,2019-08-12,07:31,,Z3,Z9,r1-r4,14",
+            "V2,wizard,2019-08-12,07:31,,Z3,Z9,r1-r4,14",
+            "V3,commuter,teatime,07:31,,Z3,Z9,r1-r4,14",
+            "V4,commuter,2019-08-12,25:99,,Z3,Z9,r1-r4,14",
+            "V5,commuter,2019-08-12,07:31,,Z3,Z9,r1-r4,soon",
+            "V6,commuter,2019-08-12,07:31,,Z3,Z9,r1-r4,0",
+            "V7,commuter,2019-08-12,07:31,,Z3,Z9,--,14",
+            "V8,commuter,2019-08-12,07:31,,,Z9,r1-r4,14",
+            "V9,commuter",
+            "V1,commuter,1,07:31,,Z9,Z3,r1-r4,14",
+            "V2,wizard,teatime,25:99,,Z3,Z9,--,soon",
+            "V3,Commuter,teatime,07:31,,Z3,Z9,r1-r4,14",
+            "V4,passby,1,25:99,,Z3,Z9,r1-r4,14",
+            "V5,passby,1,07:31,,Z3,Z9,r1-r4,soon",
+            "V6,commuter,2019-08-12,08:00,,Z3,Z9,r1-r4,0",
+            "V7,passby,1,08:00,,Z3,Z9,--,14",
+            "V8,commuter,1,07:31,,Z3, ,r1-r4,14",
+            "V9,passby",
+            "V2,passby,2019-08-12,08:00,,Z3,Z9,r1-r4,0.6",
+        ]
+    )
+    assert [(e.line, e.reason, e.detail) for e in result.errors] == [
+        (3, "unknown traveller type", "wizard"),
+        (4, "bad date", "teatime"),
+        (5, "bad departure time", "25:99"),
+        (6, "bad duration", "soon"),
+        (7, "bad duration", "0"),
+        (8, "empty path", ""),
+        (9, "missing zone", ""),
+        (10, "short row", "2 fields"),
+        (12, "unknown traveller type", "wizard"),
+        (13, "bad date", "teatime"),
+        (14, "bad departure time", "25:99"),
+        (15, "bad duration", "soon"),
+        (16, "bad duration", "0"),
+        (17, "empty path", ""),
+        (18, "missing zone", ""),
+        (19, "short row", "2 fields"),
+    ]
+    assert result.records == [
+        TripRecord("V1", TravellerType.COMMUTER, 0, 452, 8, "Z3", "Z9", ("r1", "r4"), 14),
+        TripRecord("V1", TravellerType.COMMUTER, 1, 452, 8, "Z9", "Z3", ("r1", "r4"), 14),
+        TripRecord("V2", TravellerType.PASSBY, 0, 481, 9, "Z3", "Z9", ("r1", "r4"), 1),
+    ]
+    assert result.records[0].path is result.records[1].path
+
+
 def test_blank_lines_skipped():
     result = parse(["", "V1,commuter,0,07:31,,Z3,Z9,r1,14", " , , "])
     assert len(result.records) == 1 and not result.errors

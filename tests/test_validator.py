@@ -1,9 +1,11 @@
+import functools
 import math
+from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from tripsynth.model import TimeSlotPartition, TravellerType, TripRecord
+from tripsynth.model import TYPE_ORDER, TimeSlotPartition, TravellerType, TripRecord
 from tripsynth.validator import (
     Distribution,
     ValidationReport,
@@ -348,3 +350,154 @@ class TestBuildReport:
         report = build_report(trips, trips)
         cell = report.get("continuity", "passby", "reference")
         assert isinstance(cell, str) and "pairs" in cell
+
+
+def oracle_report(ref, gen, granularity, day_class_of, zone_ks, od_ks) -> list:
+    """build_report's cells, computed from the public per-metric functions
+    over explicitly filtered lists, with the cell order and error texts of
+    the report."""
+    cells = []
+
+    def cell(metric, ttype, param, fn):
+        try:
+            cells.append((metric, ttype, param, fn()))
+        except ValueError as exc:
+            cells.append((metric, ttype, param, str(exc)))
+
+    def only(trips, ttype):
+        return [t for t in trips if t.traveller_type is ttype]
+
+    def js_time(ttype=None, day_filter=None):
+        return js_divergence(
+            temporal_distribution(ref, granularity, ttype, day_filter),
+            temporal_distribution(gen, granularity, ttype, day_filter),
+        )
+
+    def js_road(ttype=None):
+        ref_counts = road_access_counts(ref, ttype)
+        gen_counts = road_access_counts(gen, ttype)
+        bins = sorted(set(ref_counts) | set(gen_counts))
+        return js_divergence(
+            Distribution.from_counts(ref_counts, bins=bins),
+            Distribution.from_counts(gen_counts, bins=bins),
+        )
+
+    def overlap(topk, counts, ttype, k):
+        universe = len(set(counts(ref, ttype)) | set(counts(gen, ttype)))
+        return overlap_ratio(topk(ref, k, ttype, universe), topk(gen, k, ttype, universe))
+
+    def continuity(trips, ttype):
+        ratios = continuity_ratio(trips)
+        if ttype not in ratios:
+            raise ValueError("no consecutive trip pairs")
+        return ratios[ttype]
+
+    def mean_entropy(trips, ttype):
+        mine = only(trips, ttype)
+        values = [
+            destination_entropy(
+                sorted((t for t in mine if t.traveller_id == tid),
+                       key=lambda t: (t.date, t.departure))
+            )
+            for tid in dict.fromkeys(t.traveller_id for t in mine)
+        ]
+        if not values:
+            raise ValueError("empty distribution")
+        return sum(values) / len(values)
+
+    def js_histogram(per_individual, ttype, width, top):
+        ref_values = per_individual(only(ref, ttype)).values()
+        gen_values = per_individual(only(gen, ttype)).values()
+        if not ref_values or not gen_values:
+            raise ValueError("empty distribution")
+        bins = range(int(top / width) + 1)
+        return js_divergence(*(
+            Distribution.from_counts(
+                Counter(min(int(v / width), int(top / width)) for v in values), bins=bins
+            )
+            for values in (ref_values, gen_values)
+        ))
+
+    cell("trips", "", "reference", lambda: float(len(ref)))
+    cell("trips", "", "generated", lambda: float(len(gen)))
+    cell("js_time", "", "all", js_time)
+    cell("js_road", "", "", js_road)
+    for ttype in TYPE_ORDER:
+        if not only(ref, ttype) and not only(gen, ttype):
+            continue
+        name = ttype.value
+        cell("js_time", name, "all", lambda: js_time(ttype))
+        for cls in ("weekday", "holiday"):
+            cell("js_time", name, cls, lambda: js_time(ttype, lambda d: day_class_of(d) == cls))
+        for k in zone_ks:
+            cell("hotzone_overlap", name, f"{k:g}",
+                 lambda: overlap(topk_zones, zone_visit_counts, ttype, k))
+        for k in od_ks:
+            cell("od_overlap", name, f"{k:g}", lambda: overlap(topk_od, od_pair_counts, ttype, k))
+        cell("js_road", name, "", lambda: js_road(ttype))
+        cell("continuity", name, "reference", lambda: continuity(ref, ttype))
+        cell("continuity", name, "generated", lambda: continuity(gen, ttype))
+        cell("entropy_mean", name, "reference", lambda: mean_entropy(ref, ttype))
+        cell("entropy_mean", name, "generated", lambda: mean_entropy(gen, ttype))
+        cell("js_frequency", name, "",
+             lambda: js_histogram(daily_frequency_by_individual, ttype, 0.5, 10.0))
+        cell("js_entropy", name, "",
+             lambda: js_histogram(entropy_by_individual, ttype, 0.25, 4.0))
+    return cells
+
+
+@st.composite
+def report_tables(draw):
+    """Two small tables over a few ids, zones and roads, so that types,
+    individuals, departures and paths repeat. Some individuals appear under
+    more than one type, and one type never appears in the generated table."""
+    tids = [f"V{i}" for i in range(draw(st.integers(1, 6)))]
+    home_type = {tid: draw(st.sampled_from(TYPE_ORDER)) for tid in tids}
+    absent = draw(st.sampled_from(TYPE_ORDER))
+
+    def table(size):
+        trips = []
+        for _ in range(size):
+            tid = draw(st.sampled_from(tids))
+            ttype = draw(st.one_of(st.just(home_type[tid]), st.sampled_from(TYPE_ORDER)))
+            trips.append(trip(
+                tid, ttype,
+                day=draw(st.integers(0, 13)),
+                dep=draw(st.one_of(st.sampled_from([1, 452, 453, 1440]), st.integers(1, 1440))),
+                o=draw(st.sampled_from(["Z1", "Z2", "Z3", "Z4"])),
+                d=draw(st.sampled_from(["Z1", "Z2", "Z3", "Z4"])),
+                path=tuple(draw(st.lists(st.sampled_from(["r1", "r2", "r3", "r4"]),
+                                         min_size=1, max_size=4))),
+            ))
+        return trips
+
+    ref = table(draw(st.integers(0, 30)))
+    gen = [t for t in table(draw(st.integers(0, 30))) if t.traveller_type is not absent]
+    return ref, gen
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tables=report_tables(),
+    granularity=st.sampled_from([15, 60, 240, 1440]),
+    holiday_weekdays=st.sets(st.integers(0, 6), max_size=3),
+    holiday_days=st.sets(st.integers(0, 13), max_size=4),
+    zone_ks=st.lists(st.sampled_from([0.1, 0.5, 1.0]), min_size=1, max_size=2, unique=True),
+    od_ks=st.lists(st.sampled_from([0.25, 0.5, 1.0]), min_size=1, max_size=2, unique=True),
+)
+@example(tables=([], []), granularity=15, holiday_weekdays={5, 6}, holiday_days=set(),
+         zone_ks=[0.1], od_ks=[0.5])
+def test_report_cells_equal_the_per_metric_oracle(
+    tables, granularity, holiday_weekdays, holiday_days, zone_ks, od_ks
+):
+    ref, gen = tables
+    day_class_of = functools.partial(
+        day_class, holiday_weekdays=tuple(holiday_weekdays), holiday_days=tuple(holiday_days)
+    )
+    report = build_report(
+        ref, gen, granularity=granularity, day_class=day_class_of,
+        topk_zone_fractions=zone_ks, topk_od_fractions=od_ks,
+    )
+    assert list(report.rows()) == oracle_report(
+        ref, gen, granularity, day_class_of, zone_ks, od_ks
+    )
