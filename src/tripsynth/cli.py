@@ -32,8 +32,6 @@ from .ingest import (
     DurationPool,
     PathCatalog,
     PathEntry,
-    ReferenceAggregates,
-    TypeAggregate,
     build_duration_pools,
     build_path_catalog,
     build_profiles,
@@ -41,10 +39,12 @@ from .ingest import (
     parse_network,
     parse_trips,
     parse_zones,
+    reference_from_minutes,
 )
 from .model import (
     MINUTES_PER_DAY,
     TYPE_ORDER,
+    AggregationLedger,
     GenClock,
     IndividualProfile,
     RoadNetwork,
@@ -312,7 +312,7 @@ def write_trips_csv(records, stream, epoch: dt.date, partition: TimeSlotPartitio
 
 
 def write_zones_csv(zones, stream, delimiter: str = ",") -> None:
-    writer = csv.writer(stream, delimiter=delimiter, lineterminator="\n")
+    writer = csv.writer(_LineFeedRows(stream), delimiter=delimiter, lineterminator="\r\n")
     writer.writerow(("Zone_ID", "Longitude", "Latitude", "Roads"))
     for zone in zones:
         writer.writerow(
@@ -358,8 +358,8 @@ def save_store(path, *, partition, window_days, profiles, catalog, pools,
             [pid, slot, list(v)] for (pid, slot), v in sorted(pools.samples.items())
         ],
         "reference": {
-            ttype.value: {str(m): n for m, n in agg.u_period.items()}
-            for ttype, agg in sorted(reference.by_type.items(), key=lambda kv: kv[0].value)
+            ttype.value: {str(m): n for m, n in enumerate(counts.minute) if n}
+            for ttype, counts in reference.by_type.items()
         },
     }
     Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
@@ -374,7 +374,7 @@ class Store:
     profiles: dict
     catalog: PathCatalog
     pools: DurationPool
-    reference: ReferenceAggregates
+    reference: AggregationLedger
 
 
 def load_store(path) -> Store:
@@ -402,13 +402,12 @@ def load_store(path) -> Store:
         }
     )
     pools = DurationPool({(pid, slot): tuple(v) for pid, slot, v in doc["pools"]})
-    reference = ReferenceAggregates(
+    reference = reference_from_minutes(
         {
-            TravellerType(name): TypeAggregate.from_period_counts(
-                {int(m): n for m, n in counts.items()}, partition
-            )
+            TravellerType(name): {int(m): n for m, n in counts.items()}
             for name, counts in doc["reference"].items()
-        }
+        },
+        partition,
     )
     return Store(
         partition=partition,

@@ -21,7 +21,7 @@ sampled frequencies against independently derived exact values.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import (
     RoadNetwork,
@@ -97,8 +97,6 @@ class CorpusSpec:
     individuals: tuple = _DESK_INDIVIDUALS
     route_split: float = 0.7  # probability of the row-first grid route
     zipf_exponent: float = 1.2  # zone popularity decay
-    slot_starts: tuple = CORPUS_SLOT_STARTS
-    leg_windows: dict = field(default_factory=lambda: dict(LEG_WINDOWS))
 
 
 @dataclass(frozen=True)
@@ -299,10 +297,10 @@ def _plant_individuals(rng: random.Random, spec: CorpusSpec) -> dict:
     return planted
 
 
-def synth_corpus(spec: CorpusSpec | None = None, rng: random.Random | None = None) -> SynthCorpus:
+def synth_corpus(spec: CorpusSpec | None = None) -> SynthCorpus:
     """Build a corpus: zones, road network, and a planted trip history.
 
-    Fully deterministic in (spec, seed): types, individuals, days and legs
+    Fully deterministic in the spec: types, individuals, days and legs
     are walked in a fixed order off a single RNG stream.
     """
     spec = spec or CorpusSpec()
@@ -310,9 +308,9 @@ def synth_corpus(spec: CorpusSpec | None = None, rng: random.Random | None = Non
         raise ValueError("grid_side must be >= 2")
     if spec.days < 1:
         raise ValueError("days must be >= 1")
-    rng = rng or random.Random(spec.rng_seed)
+    rng = random.Random(spec.rng_seed)
     side = spec.grid_side
-    partition = TimeSlotPartition.from_boundaries(spec.slot_starts)
+    partition = TimeSlotPartition.from_boundaries(CORPUS_SLOT_STARTS)
     zones = _grid_zones(side)
     network = _grid_network(side)
     zone_index = {z.zone_id: i for i, z in enumerate(zones)}
@@ -321,7 +319,7 @@ def synth_corpus(spec: CorpusSpec | None = None, rng: random.Random | None = Non
     trips = []
     for tid in sorted(planted):
         ind = planted[tid]
-        windows = spec.leg_windows[ind.ttype]
+        windows = LEG_WINDOWS[ind.ttype]
         for day in range(spec.days):
             legs = _day_legs(rng, ind)
             minutes = []
@@ -360,14 +358,14 @@ def synth_corpus(spec: CorpusSpec | None = None, rng: random.Random | None = Non
     )
 
 
-def planted_slot_shares(spec: CorpusSpec, ttype: TravellerType) -> dict:
+def planted_slot_shares(ttype: TravellerType) -> dict:
     """Expected departure-slot shares implied by the planted leg windows.
 
     A window straddling a slot boundary contributes to each slot in
     proportion to the overlapping minute span.
     """
-    partition = TimeSlotPartition.from_boundaries(spec.slot_starts)
-    windows = spec.leg_windows[ttype]
+    partition = TimeSlotPartition.from_boundaries(CORPUS_SLOT_STARTS)
+    windows = LEG_WINDOWS[ttype]
     shares: dict = {}
     for window in windows:
         total = sum(window.values())
@@ -388,7 +386,9 @@ def planted_slot_shares(spec: CorpusSpec, ttype: TravellerType) -> dict:
 #
 # These recompute each selection law arithmetically from the frozen state.
 # They intentionally repeat the maths instead of importing the generator's
-# factor helpers, so a bug there cannot cancel out here.
+# factor helpers, so a bug there cannot cancel out here. Of the two ledgers
+# they read only the per-minute counts, and sum slot counts and totals from
+# those.
 
 
 def oracle_slot_probabilities(
@@ -403,11 +403,12 @@ def oracle_slot_probabilities(
 ) -> dict:
     """Exact slot-selection distribution over all slots of the day."""
     ttype = profile.traveller_type
-    ref_agg = reference.by_type[ttype]
-    if ref_agg.total <= 0:
+    ref_minutes = reference.by_type[ttype].minute
+    ref_total = sum(ref_minutes)
+    if ref_total <= 0:
         raise ValueError("reference aggregate is empty")
-    gen_counts = ledger.slot_counts(ttype)
-    gen_total = sum(gen_counts.values())
+    gen_minutes = ledger.counts(ttype).minute
+    gen_total = sum(gen_minutes)
 
     first = None
     for slot in partition.slots:
@@ -425,8 +426,9 @@ def oracle_slot_probabilities(
     for slot in partition.slots:
         sid = slot.slot_id
         logic = 1.0 if sid in active else params.kappa
-        gen_share = (gen_counts.get(sid, 0) / gen_total) if gen_total else 0.0
-        ref_share = ref_agg.u_slot.get(sid, 0) / ref_agg.total
+        span = slice(slot.start, slot.end + 1)
+        gen_share = (sum(gen_minutes[span]) / gen_total) if gen_total else 0.0
+        ref_share = sum(ref_minutes[span]) / ref_total
         x = gen_share - ref_share
         if x >= 0.0:
             feedback = max(0.0, 1.0 - x)
@@ -458,11 +460,12 @@ def oracle_period_probabilities(
     floor: float = 1e-12,
 ) -> dict:
     """Exact departure-minute distribution inside one chosen slot."""
-    ref_agg = reference.by_type[ttype]
-    if ref_agg.total <= 0:
+    ref_minutes = reference.by_type[ttype].minute
+    ref_total = sum(ref_minutes)
+    if ref_total <= 0:
         raise ValueError("reference aggregate is empty")
-    gen_counts = ledger.minute_counts(ttype)
-    gen_total = sum(gen_counts.values())
+    gen_minutes = ledger.counts(ttype).minute
+    gen_total = sum(gen_minutes)
 
     start = max(slot.start, clock.minute)
     if start > slot.end:
@@ -470,8 +473,8 @@ def oracle_period_probabilities(
     minutes = range(start, slot.end + 1)
     deltas = {}
     for m in minutes:
-        ref_share = ref_agg.u_period.get(m, 0) / ref_agg.total
-        gen_share = (gen_counts.get(m, 0) / gen_total) if gen_total else 0.0
+        ref_share = ref_minutes[m] / ref_total
+        gen_share = (gen_minutes[m] / gen_total) if gen_total else 0.0
         deltas[m] = ref_share - gen_share
     if any(d > 0.0 for d in deltas.values()):
         weights = {m: max(0.0, d) for m, d in deltas.items()}

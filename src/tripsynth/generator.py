@@ -16,10 +16,11 @@ import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-from .ingest import DurationPool, PathCatalog, ReferenceAggregates
+from .ingest import DurationPool, PathCatalog
 from .model import (
     MINUTES_PER_DAY,
     TYPE_ORDER,
+    AggregationLedger,
     CorruptInputError,
     GenClock,
     IndividualProfile,
@@ -77,67 +78,6 @@ class GenParams:
             )
         if not 0.5 <= self.kappa * self.blowup <= 2.0:
             raise InvalidParams("kappa * blowup must stay near 1")
-
-
-class TypeCounts:
-    """Departure counts of one traveller type as dense lists indexed by
-    minute of day and by slot id (index 0 unused), plus their total."""
-
-    __slots__ = ("minute", "slot", "total")
-
-    def __init__(self):
-        # A slot spans at least one minute, so slot ids never exceed 1440.
-        self.minute = [0] * (MINUTES_PER_DAY + 1)
-        self.slot = [0] * (MINUTES_PER_DAY + 1)
-        self.total = 0
-
-    def slot_share(self, slot_id: int) -> float:
-        return self.slot[slot_id] / self.total if self.total else 0.0
-
-    def period_share(self, minute: int) -> float:
-        return self.minute[minute] / self.total if self.total else 0.0
-
-
-class AggregationLedger:
-    """Running per-type departure counts of already generated trips.
-
-    Shares are defined as 0 while a type has no generated trips yet.
-    """
-
-    def __init__(self):
-        self._by_type = {}
-
-    def counts(self, ttype: TravellerType) -> TypeCounts:
-        """The live dense counts of one type."""
-        counts = self._by_type.get(ttype)
-        if counts is None:
-            counts = self._by_type[ttype] = TypeCounts()
-        return counts
-
-    def record(self, ttype: TravellerType, slot_id: int, minute: int) -> None:
-        if not (1 <= minute <= MINUTES_PER_DAY and 1 <= slot_id <= MINUTES_PER_DAY):
-            raise ValueError(f"cannot record slot {slot_id}, minute {minute}")
-        counts = self.counts(ttype)
-        counts.slot[slot_id] += 1
-        counts.minute[minute] += 1
-        counts.total += 1
-
-    def total(self, ttype: TravellerType) -> int:
-        return self.counts(ttype).total
-
-    def slot_share(self, ttype: TravellerType, slot_id: int) -> float:
-        return self.counts(ttype).slot_share(slot_id)
-
-    def period_share(self, ttype: TravellerType, minute: int) -> float:
-        return self.counts(ttype).period_share(minute)
-
-    def slot_counts(self, ttype: TravellerType) -> dict:
-        """{slot id: count} over slots with at least one departure."""
-        return {s: n for s, n in enumerate(self.counts(ttype).slot) if n}
-
-    def minute_counts(self, ttype: TravellerType) -> dict:
-        """{minute: count} over minutes with at least one departure."""
-        return {m: n for m, n in enumerate(self.counts(ttype).minute) if n}
 
 
 @dataclass
@@ -271,7 +211,7 @@ def slot_weights(
     ttype: TravellerType,
     terms: list,
     ledger: AggregationLedger,
-    reference: ReferenceAggregates,
+    reference: AggregationLedger,
     active: frozenset,
     params: GenParams,
 ) -> dict:
@@ -283,14 +223,13 @@ def slot_weights(
     feedback factor pushes the slot's generated share minus its reference
     share through the balance curve.
     """
-    if reference.total(ttype) == 0:
-        raise CorruptInputError(f"no reference departures for type {ttype.value!r}")
-    agg = reference.aggregate(ttype)
+    ref = reference.departures(ttype)
     counts = ledger.counts(ttype)
+    total = counts.total or 1  # an empty ledger's shares are all 0.0
     weights = {}
     for slot, term in zip(partition, terms):
         sid = slot.slot_id
-        x = counts.slot_share(sid) - agg.slot_share(sid)
+        x = counts.slot[sid] / total - ref.slot[sid] / ref.total
         cs = logic_factor(sid, active, params.kappa)
         weights[sid] = cs * balance_weight(x, params.blowup) * term
     return weights
@@ -329,7 +268,7 @@ def period_weights(
     slot: TimeSlot,
     clock: GenClock,
     ledger: AggregationLedger,
-    reference: ReferenceAggregates,
+    reference: AggregationLedger,
     ttype: TravellerType,
     floor: float = DELTA_FLOOR,
 ):
@@ -340,20 +279,19 @@ def period_weights(
     shortfalls (deficit-proportional); once every candidate is at or past
     its reference share, weights are inverse absolute overshoots, floored.
     """
-    if reference.total(ttype) == 0:
-        raise CorruptInputError(f"no reference departures for type {ttype.value!r}")
+    ref = reference.departures(ttype)
     start = max(slot.start, clock.minute)
     if start > slot.end:
         raise ValueError(f"slot {slot.slot_id} has no minutes left at {clock.minute}")
     stop = slot.end + 1
     minutes = list(range(start, stop))
-    ref_shares = reference.aggregate(ttype).minute_shares[start:stop]
+    ref_total = ref.total
     counts = ledger.counts(ttype)
-    total = counts.total
-    if total:
-        deltas = [r - n / total for r, n in zip(ref_shares, counts.minute[start:stop])]
-    else:
-        deltas = ref_shares  # the generated share is 0.0, and r - 0.0 == r
+    total = counts.total or 1  # an empty ledger's shares are all 0.0
+    deltas = [
+        r / ref_total - n / total
+        for r, n in zip(ref.minute[start:stop], counts.minute[start:stop])
+    ]
     if max(deltas) > 0.0:
         weights = [d if d > 0.0 else 0.0 for d in deltas]
     else:
@@ -365,7 +303,7 @@ def select_time_period(
     slot: TimeSlot,
     clock: GenClock,
     ledger: AggregationLedger,
-    reference: ReferenceAggregates,
+    reference: AggregationLedger,
     ttype: TravellerType,
     rng: random.Random,
 ) -> int:
@@ -425,7 +363,7 @@ def generate_trip(
     cursor: GenCursor,
     partition: TimeSlotPartition,
     ledger: AggregationLedger,
-    reference: ReferenceAggregates,
+    reference: AggregationLedger,
     catalog: PathCatalog,
     pools: DurationPool,
     params: GenParams,
@@ -536,7 +474,7 @@ def _tally(profile, trips, stats: GenStats) -> None:
 
 def generate_all(
     profiles: dict,
-    reference: ReferenceAggregates,
+    reference: AggregationLedger,
     catalog: PathCatalog,
     pools: DurationPool,
     params: GenParams,

@@ -9,13 +9,12 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import logging
+import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .model import (
-    MINUTES_PER_DAY,
-    CorruptInputError,
+    AggregationLedger,
     IndividualProfile,
     RoadNetwork,
     TimeSlotPartition,
@@ -64,20 +63,17 @@ class ParseResult:
         return Counter(err.reason for err in self.errors)
 
 
-def _header_index(header, wanted, schema=None, what="trip"):
+def _header_index(header, wanted, what="trip"):
     """Map canonical column names to indices, case-insensitively.
 
-    `schema` optionally renames canonical -> actual CSV column names.
     A missing column is a hard error: nothing row-level can recover it.
     """
-    schema = schema or {}
     lookup = {name.strip().lower(): i for i, name in enumerate(header)}
     index = {}
     for name in wanted:
-        actual = schema.get(name, name).strip().lower()
-        if actual not in lookup:
-            raise ValueError(f"{what} table is missing column {actual!r}")
-        index[name] = lookup[actual]
+        if name not in lookup:
+            raise ValueError(f"{what} table is missing column {name!r}")
+        index[name] = lookup[name]
     return index
 
 
@@ -111,7 +107,6 @@ def parse_trips(
     partition: TimeSlotPartition,
     epoch: dt.date,
     *,
-    schema=None,
     duration_divisor: float = 1.0,
     delimiter: str = ",",
 ) -> ParseResult:
@@ -130,7 +125,7 @@ def parse_trips(
         header = next(reader)
     except StopIteration:
         raise ValueError("trip table is empty") from None
-    col = _header_index(header, TRIP_COLUMNS, schema)
+    col = _header_index(header, TRIP_COLUMNS)
     width = max(col.values()) + 1
     c_id, c_type, c_date, c_time, c_o, c_d, c_path, c_dur = (
         col[name]
@@ -146,7 +141,10 @@ def parse_trips(
         return minute, partition.slot_of(minute).slot_id
 
     def parse_duration(text):
-        duration = round(float(text) / duration_divisor)
+        minutes = float(text) / duration_divisor
+        if not math.isfinite(minutes):  # round() raises OverflowError on inf
+            raise ValueError(text)
+        duration = round(minutes)
         if duration < 1:
             raise ValueError(text)
         return duration
@@ -222,14 +220,14 @@ def parse_trips(
     return result
 
 
-def parse_zones(stream, *, schema=None, delimiter: str = ",") -> list:
+def parse_zones(stream, *, delimiter: str = ",") -> list:
     """Parse the zone table. Duplicate zone ids are a hard error."""
     reader = csv.reader(stream, delimiter=delimiter)
     try:
         header = next(reader)
     except StopIteration:
         raise ValueError("zone table is empty") from None
-    col = _header_index(header, ZONE_COLUMNS, schema, what="zone")
+    col = _header_index(header, ZONE_COLUMNS, what="zone")
     zones = []
     seen = set()
     for row in reader:
@@ -396,74 +394,21 @@ def build_duration_pools(trips, partition: TimeSlotPartition) -> DurationPool:
     return DurationPool({k: tuple(sorted(v)) for k, v in samples.items()})
 
 
-@dataclass
-class TypeAggregate:
-    """Crowd-level departure-time counts for one traveller type."""
-
-    u_slot: dict
-    u_period: dict
-    total: int
-
-    @classmethod
-    def from_period_counts(cls, u_period, partition: TimeSlotPartition) -> "TypeAggregate":
-        u_slot: Counter = Counter()
-        for minute, n in u_period.items():
-            u_slot[partition.slot_of(minute).slot_id] += n
-        return cls(u_slot=dict(u_slot), u_period=dict(u_period), total=sum(u_period.values()))
-
-    def slot_share(self, slot_id: int) -> float:
-        if self.total == 0:
-            return 0.0
-        return self.u_slot.get(slot_id, 0) / self.total
-
-    def period_share(self, minute: int) -> float:
-        if self.total == 0:
-            return 0.0
-        return self.u_period.get(minute, 0) / self.total
-
-    @cached_property
-    def minute_shares(self) -> list:
-        """period_share of every minute as a list indexed by minute (index 0
-        unused). Built on first use and kept on this object, not in the
-        store; the counts must not change after that."""
-        return [0.0] + [self.period_share(m) for m in range(1, MINUTES_PER_DAY + 1)]
-
-
-class ReferenceAggregates:
-    """Per-type reference departure-time distributions from the seed data."""
-
-    def __init__(self, by_type):
-        self.by_type = dict(by_type)
-
-    def aggregate(self, ttype: TravellerType) -> TypeAggregate:
-        try:
-            return self.by_type[ttype]
-        except KeyError:
-            raise CorruptInputError(
-                f"no reference aggregate for type {ttype.value!r}"
-            ) from None
-
-    def total(self, ttype: TravellerType) -> int:
-        agg = self.by_type.get(ttype)
-        return agg.total if agg else 0
-
-    def slot_share(self, ttype: TravellerType, slot_id: int) -> float:
-        agg = self.by_type.get(ttype)
-        return agg.slot_share(slot_id) if agg else 0.0
-
-    def period_share(self, ttype: TravellerType, minute: int) -> float:
-        agg = self.by_type.get(ttype)
-        return agg.period_share(minute) if agg else 0.0
-
-
-def build_reference_aggregates(trips, partition: TimeSlotPartition) -> ReferenceAggregates:
+def build_reference_aggregates(trips, partition: TimeSlotPartition) -> AggregationLedger:
     """Count departures per minute and per slot, keyed by traveller type."""
     per_type_minutes: dict = defaultdict(Counter)
     for trip in trips:
         per_type_minutes[trip.traveller_type][trip.departure] += 1
-    return ReferenceAggregates(
-        {
-            ttype: TypeAggregate.from_period_counts(minutes, partition)
-            for ttype, minutes in per_type_minutes.items()
-        }
-    )
+    return reference_from_minutes(per_type_minutes, partition)
+
+
+def reference_from_minutes(
+    per_type_minutes: dict, partition: TimeSlotPartition
+) -> AggregationLedger:
+    """A reference ledger from {traveller type: {minute: departures}}."""
+    reference = AggregationLedger()
+    for ttype, minutes in per_type_minutes.items():
+        counts = reference.counts(ttype)
+        for minute, n in minutes.items():
+            counts.add(partition.slot_of(minute).slot_id, minute, n)
+    return reference

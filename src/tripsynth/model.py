@@ -298,3 +298,52 @@ class IndividualProfile:
     def slot_total(self, slot_id: int) -> int:
         """Trips departing within one slot (sum over origins)."""
         return sum(self.slot_origin_counts.get(slot_id, {}).values())
+
+
+class TypeCounts:
+    """Departure counts of one traveller type as dense lists indexed by
+    minute of day and by slot id (index 0 unused), plus their total."""
+
+    __slots__ = ("minute", "slot", "total")
+
+    def __init__(self):
+        # A slot spans at least one minute, so slot ids never exceed 1440.
+        self.minute = [0] * (MINUTES_PER_DAY + 1)
+        self.slot = [0] * (MINUTES_PER_DAY + 1)
+        self.total = 0
+
+    def add(self, slot_id: int, minute: int, n: int = 1) -> None:
+        self.slot[slot_id] += n
+        self.minute[minute] += n
+        self.total += n
+
+
+class AggregationLedger:
+    """Per-type departure counts by minute of day and by slot id.
+
+    One ledger holds the source reference, and one per type run holds the
+    trips generated so far; the feedback factor compares the two.
+    """
+
+    def __init__(self):
+        self.by_type = {}
+
+    def counts(self, ttype: TravellerType) -> TypeCounts:
+        """The live dense counts of one type, created empty on first use."""
+        counts = self.by_type.get(ttype)
+        if counts is None:
+            counts = self.by_type[ttype] = TypeCounts()
+        return counts
+
+    def departures(self, ttype: TravellerType) -> TypeCounts:
+        """The counts of one type; CorruptInputError when it has none.
+        Unlike counts(), never adds the type."""
+        counts = self.by_type.get(ttype)
+        if counts is None or counts.total == 0:
+            raise CorruptInputError(f"no departures for type {ttype.value!r}")
+        return counts
+
+    def record(self, ttype: TravellerType, slot_id: int, minute: int) -> None:
+        if not (1 <= minute <= MINUTES_PER_DAY and 1 <= slot_id <= MINUTES_PER_DAY):
+            raise ValueError(f"cannot record slot {slot_id}, minute {minute}")
+        self.counts(ttype).add(slot_id, minute)

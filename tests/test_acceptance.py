@@ -34,12 +34,11 @@ from tripsynth.generator import (
     weighted_draw,
 )
 from tripsynth.ingest import (
-    TypeAggregate,
-    ReferenceAggregates,
     build_duration_pools,
     build_path_catalog,
     build_profiles,
     build_reference_aggregates,
+    reference_from_minutes,
 )
 from tripsynth.model import TYPE_ORDER, GenClock, TravellerType
 from tripsynth.validator import (
@@ -53,7 +52,9 @@ from tripsynth.validator import (
 GEN_SEED = 11
 DRAWS = 100_000
 N_STATES = 100
-# generated.csv of the CLI run below (corpus seed 7, generation seed 11).
+# store.json and generated.csv of the CLI run below (corpus seed 7,
+# generation seed 11).
+STORE_SHA256 = "c6ee6e53262b0aac3181812a6b1d08765ac26f01f37ebc2af0ad23c97c85ce88"
 GENERATED_SHA256 = "5a4d720946358351d32c369fffe24ca5a309a8565d82343fa5f1eb161a611b63"
 
 CONFIG = """\
@@ -201,9 +202,7 @@ def _period_state(meta, world, rng, shape):
         counts = {m: 7 for m in supported}
     else:
         counts = {m: meta.randint(5, 120) for m in supported}
-    reference = ReferenceAggregates(
-        {ttype: TypeAggregate.from_period_counts(counts, partition)}
-    )
+    reference = reference_from_minutes({ttype: counts}, partition)
     ledger = AggregationLedger()
     if shape == 1:
         for m in supported[: k_ref // 2]:
@@ -443,6 +442,13 @@ def test_generated_bytes_pinned(cli_runs):
         (cli_runs[0]["base"] / "out" / "generated.csv").read_bytes()
     ).hexdigest()
     assert digest == GENERATED_SHA256
+
+
+def test_store_bytes_pinned(cli_runs):
+    digest = hashlib.sha256(
+        (cli_runs[0]["base"] / "build" / "store.json").read_bytes()
+    ).hexdigest()
+    assert digest == STORE_SHA256
 
 
 def test_pipeline_time_budget(cli_runs):

@@ -14,8 +14,6 @@ from tripsynth.corpus import (
 )
 from tripsynth.generator import AggregationLedger, GenParams
 from tripsynth.ingest import (
-    TypeAggregate,
-    ReferenceAggregates,
     build_path_catalog,
     build_profiles,
     build_reference_aggregates,
@@ -137,10 +135,11 @@ def test_desk_corpus_shape(desk):
 def test_planted_shares_recovered(desk):
     reference = build_reference_aggregates(desk.trips, desk.partition)
     for ttype, _ in desk.spec.individuals:
-        expected = planted_slot_shares(desk.spec, ttype)
+        expected = planted_slot_shares(ttype)
         assert sum(expected.values()) == pytest.approx(1.0)
+        counts = reference.by_type[ttype]
         for slot in desk.partition:
-            got = reference.slot_share(ttype, slot.slot_id)
+            got = counts.slot[slot.slot_id] / counts.total
             assert got == pytest.approx(expected.get(slot.slot_id, 0.0), abs=0.02)
 
 
@@ -175,9 +174,8 @@ class TestOracles:
 
     def test_slot_probabilities_empty_reference(self):
         halves, p, _ = self.hand_state()
-        empty = ReferenceAggregates(
-            {TravellerType.COMMUTER: TypeAggregate({}, {}, 0)}
-        )
+        empty = AggregationLedger()
+        empty.counts(TravellerType.COMMUTER)
         with pytest.raises(ValueError):
             oracle_slot_probabilities(
                 halves, p, "A", AggregationLedger(), empty, GenClock(0, 1), 1,

@@ -33,12 +33,11 @@ from tripsynth.generator import (
     weighted_draw,
 )
 from tripsynth.ingest import (
-    ReferenceAggregates,
-    TypeAggregate,
     build_duration_pools,
     build_path_catalog,
     build_profiles,
     build_reference_aggregates,
+    reference_from_minutes,
 )
 from tripsynth.model import (
     CorruptInputError,
@@ -197,26 +196,35 @@ class TestGenParams:
             GenParams(epsilon=1e-2).check(max_trip_frequency=1000)
 
 
+def nonzero(counts: list) -> dict:
+    return {i: n for i, n in enumerate(counts) if n}
+
+
 def test_aggregation_ledger_shares():
     ledger = AggregationLedger()
     t = TravellerType.STABLE
-    assert ledger.slot_share(t, 1) == 0.0
-    assert ledger.period_share(t, 1) == 0.0
+    empty = ledger.counts(t)
+    assert empty.total == 0 and not any(empty.slot) and not any(empty.minute)
     ledger.record(t, 1, 30)
     ledger.record(t, 1, 30)
     ledger.record(t, 2, 100)
-    assert ledger.total(t) == 3
-    assert ledger.slot_share(t, 1) == pytest.approx(2 / 3)
-    assert ledger.period_share(t, 30) == pytest.approx(2 / 3)
-    assert ledger.slot_counts(t) == {1: 2, 2: 1}
-    assert ledger.minute_counts(t) == {30: 2, 100: 1}
+    counts = ledger.counts(t)
+    assert counts is empty
+    assert counts.total == 3
+    assert counts.slot[1] / counts.total == pytest.approx(2 / 3)
+    assert counts.minute[30] / counts.total == pytest.approx(2 / 3)
+    assert nonzero(counts.slot) == {1: 2, 2: 1}
+    assert nonzero(counts.minute) == {30: 2, 100: 1}
+    assert len(counts.slot) == len(counts.minute) == 1441
     # other types unaffected
-    assert ledger.total(TravellerType.COMMUTER) == 0
+    assert ledger.counts(TravellerType.COMMUTER).total == 0
     # out-of-range keys would alias other list entries
     for slot_id, minute in ((1, 0), (1, 1441), (0, 30), (-1, 30)):
         with pytest.raises(ValueError):
             ledger.record(t, slot_id, minute)
-    assert ledger.total(t) == 3
+    assert counts.total == 3
+    assert nonzero(counts.slot) == {1: 2, 2: 1}
+    assert nonzero(counts.minute) == {30: 2, 100: 1}
 
 
 def test_aggregation_factor_full_deficit():
@@ -234,11 +242,19 @@ def test_aggregation_factor_full_deficit():
         params,
     )
     assert w[7] == pytest.approx(params.blowup ** 0.75)
-    with pytest.raises(CorruptInputError):
-        slot_weights(
-            HOURLY, TravellerType.PASSBY, ones, AggregationLedger(), ref, every_slot,
-            params,
-        )
+    # a type without reference departures, absent or present but empty, is
+    # corrupt input; asking does not add it to the reference
+    ref.counts(TravellerType.STABLE)
+    for ttype in (TravellerType.PASSBY, TravellerType.STABLE):
+        with pytest.raises(CorruptInputError):
+            slot_weights(
+                HOURLY, ttype, ones, AggregationLedger(), ref, every_slot, params,
+            )
+        with pytest.raises(CorruptInputError):
+            period_weights(
+                TimeSlot(1, 1, 60), GenClock(0, 1), AggregationLedger(), ref, ttype
+            )
+    assert set(ref.by_type) == {TravellerType.COMMUTER, TravellerType.STABLE}
 
 
 def test_preference_factors():
@@ -390,10 +406,10 @@ class TestPeriodWeights:
 # Exact-float properties: the weights must equal, float for float, the
 # formulas as first written against the per-minute share lookups. Those
 # formulas are repeated inline below over plain Counters, so they do not
-# share the ledger's dense layout or the reference's cached shares.
+# share the ledgers' dense layout.
 
 def _reference_of(counts, partition, ttype):
-    return ReferenceAggregates({ttype: TypeAggregate.from_period_counts(counts, partition)})
+    return reference_from_minutes({ttype: counts}, partition)
 
 
 def _ledger_of(minutes, partition, ttype):
@@ -596,7 +612,7 @@ class TestGenerateTrip:
         assert cursor.location == "B"
         assert cursor.generated_today == 1
         assert cursor.clock == GenClock(0, trip.departure + trip.duration + 1)
-        assert ledger.total(TravellerType.COMMUTER) == 1
+        assert ledger.counts(TravellerType.COMMUTER).total == 1
         second = generate_trip(cursor, HOURLY, ledger, ref, catalog, pools, params, rng)
         assert second.o_zone == "B" and second.d_zone == "A"
         assert second.departure >= trip.departure + trip.duration + 1
