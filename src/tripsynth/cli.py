@@ -607,7 +607,7 @@ def main(argv=None) -> int:
     except (ConfigError, InvalidParams) as exc:
         log.error("config error: %s", exc)
         return 2
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, csv.Error) as exc:
         log.error("%s", exc)
         return 1
 

@@ -401,7 +401,8 @@ def oracle_slot_probabilities(
     remaining: int,
     params,
 ) -> dict:
-    """Exact slot-selection distribution over all slots of the day."""
+    """Exact slot-selection distribution over the slots still reachable at
+    `clock`: the slot under it and every later one."""
     ttype = profile.traveller_type
     ref_minutes = reference.by_type[ttype].minute
     ref_total = sum(ref_minutes)
@@ -425,6 +426,8 @@ def oracle_slot_probabilities(
     weights = {}
     for slot in partition.slots:
         sid = slot.slot_id
+        if sid < first:
+            continue
         logic = 1.0 if sid in active else params.kappa
         span = slice(slot.start, slot.end + 1)
         gen_share = (sum(gen_minutes[span]) / gen_total) if gen_total else 0.0

@@ -2,12 +2,12 @@
 
 Each individual is walked through the generation horizon day by day. Every
 trip picks, in order: a departure time slot, a departure minute inside it, a
-destination, a route, and a duration. Slot choice multiplies three factor
-families: a logic factor that discounts slots the clock has passed or that
-are reserved for later trips of the day, a feedback factor that compares the
-running share of generated departures per slot against the seed data (kept
-separately per traveller type), and the individual's own historical slot and
-slot-given-origin preferences.
+destination, a route, and a duration. Slot choice runs over the slots the
+clock has not yet passed and multiplies three factor families: a logic
+factor that discounts slots reserved for later trips of the day, a feedback
+factor that compares the running share of generated departures per slot
+against the seed data (kept separately per traveller type), and the
+individual's own historical slot and slot-given-origin preferences.
 """
 from __future__ import annotations
 
@@ -134,27 +134,19 @@ def daily_quota(profile: IndividualProfile, rng: random.Random) -> int:
 
 
 def subsequent_slots(partition: TimeSlotPartition, clock: GenClock, remaining: int):
-    """Partition today's slots around the clock.
+    """Today's reachable slots around the clock, as two slot ids.
 
-    Returns (reachable, reserved, active): `reachable` holds the slot under
-    the clock and everything later; `reserved` holds the latest
-    min(remaining - 1, len(reachable) - 1) of those, held back so later
-    trips of the day keep somewhere to go; `active` is the difference and is
-    never empty.
+    Returns (first, last_active): slots `first..n` are reachable (the slot
+    under the clock and everything later); of those, `first..last_active`
+    are active and the latest min(remaining - 1, n - first) are reserved,
+    held back so later trips of the day keep somewhere to go. At least one
+    slot is always active.
     """
     if remaining < 1:
         raise ValueError("remaining must be >= 1")
+    n = len(partition)
     first = partition.slot_of(clock.minute).slot_id
-    reachable = list(range(first, len(partition) + 1))
-    held = min(remaining - 1, len(reachable) - 1)
-    active = reachable[: len(reachable) - held] if held > 0 else reachable
-    reserved = reachable[len(active):]
-    return frozenset(reachable), frozenset(reserved), frozenset(active)
-
-
-def logic_factor(slot_id: int, active, kappa: float) -> float:
-    """1 for an active slot, kappa for everything else."""
-    return 1.0 if slot_id in active else kappa
+    return first, n - min(remaining - 1, n - first)
 
 
 def balance_weight(x: float, blowup: float) -> float:
@@ -169,39 +161,29 @@ def balance_weight(x: float, blowup: float) -> float:
     return blowup ** min(-x, 1.0)
 
 
-def preference_factors(
-    profile: IndividualProfile, current_zone: str, slot_id: int
-):
-    """Individual preference weights for one slot.
-
-    Returns (slot share of the individual's history, share of departures
-    from `current_zone` that fall in this slot). The second term is 0 when
-    the individual never departed from `current_zone`.
-    """
-    if profile.total_trips == 0:
-        raise CorruptInputError(f"profile {profile.traveller_id!r} has no trips")
-    slot_pref = profile.slot_total(slot_id) / profile.total_trips
-    from_zone = profile.per_origin.get(current_zone, 0)
-    if from_zone == 0:
-        origin_pref = 0.0
-    else:
-        origin_pref = (
-            profile.slot_origin_counts.get(slot_id, {}).get(current_zone, 0) / from_zone
-        )
-    return slot_pref, origin_pref
-
-
 def preference_terms(
     profile: IndividualProfile,
     current_zone: str,
     partition: TimeSlotPartition,
     epsilon: float,
 ) -> list:
-    """cp * (1 + cop) + epsilon for every slot, in partition order, where
-    (cp, cop) are the preference_factors of the slot at `current_zone`."""
+    """cp * (1 + cop) + epsilon for every slot, in partition order.
+
+    cp is the slot's share of the individual's history; cop is the share of
+    departures from `current_zone` that fall in the slot, 0 when the
+    individual never departed from `current_zone`.
+    """
+    if profile.total_trips == 0:
+        raise CorruptInputError(f"profile {profile.traveller_id!r} has no trips")
+    from_zone = profile.per_origin.get(current_zone, 0)
     terms = []
     for slot in partition:
-        cp, cop = preference_factors(profile, current_zone, slot.slot_id)
+        cp = profile.slot_total(slot.slot_id) / profile.total_trips
+        if from_zone == 0:
+            cop = 0.0
+        else:
+            by_origin = profile.slot_origin_counts.get(slot.slot_id, {})
+            cop = by_origin.get(current_zone, 0) / from_zone
         terms.append(cp * (1.0 + cop) + epsilon)
     return terms
 
@@ -212,26 +194,26 @@ def slot_weights(
     terms: list,
     ledger: AggregationLedger,
     reference: AggregationLedger,
-    active: frozenset,
+    first: int,
+    last_active: int,
     params: GenParams,
-) -> dict:
-    """Unnormalized selection weight for every slot of the day.
+) -> list:
+    """Unnormalized selection weights of the reachable slots `first..n`.
 
-    Each weight is logic factor * feedback factor * preference term, with
-    `active` the logically available slots (see subsequent_slots) and
-    `terms` the individual's preference_terms at its current zone. The
-    feedback factor pushes the slot's generated share minus its reference
-    share through the balance curve.
+    Each weight is logic factor * feedback factor * preference term: logic
+    is 1 up to `last_active` and kappa for the reserved slots after it (see
+    subsequent_slots), feedback pushes the slot's generated share minus its
+    reference share through the balance curve, and `terms` are the
+    individual's preference_terms at its current zone.
     """
     ref = reference.departures(ttype)
     counts = ledger.counts(ttype)
     total = counts.total or 1  # an empty ledger's shares are all 0.0
-    weights = {}
-    for slot, term in zip(partition, terms):
-        sid = slot.slot_id
+    weights = []
+    for sid in range(first, len(partition) + 1):
         x = counts.slot[sid] / total - ref.slot[sid] / ref.total
-        cs = logic_factor(sid, active, params.kappa)
-        weights[sid] = cs * balance_weight(x, params.blowup) * term
+        cs = 1.0 if sid <= last_active else params.kappa
+        weights.append(cs * balance_weight(x, params.blowup) * terms[sid - 1])
     return weights
 
 
@@ -252,16 +234,10 @@ def weighted_draw(labels, weights, rng: random.Random, k=None):
     return rng.choices(labels, weights=weights, k=k)
 
 
-def select_time_slot(weights: dict, rng: random.Random, allowed=None) -> int:
-    """Sample a slot id proportionally to its weight.
-
-    `allowed` optionally restricts (conditions) the draw to a subset of
-    slots; weights are renormalized implicitly.
-    """
-    items = sorted(weights.items())
-    if allowed is not None:
-        items = [(s, w) for s, w in items if s in allowed]
-    return weighted_draw([s for s, _ in items], [w for _, w in items], rng)
+def select_time_slot(weights: list, first: int, rng: random.Random) -> int:
+    """Sample a slot id from `first, first + 1, ...` proportionally to
+    `weights` (as slot_weights returns them)."""
+    return weighted_draw(range(first, first + len(weights)), weights, rng)
 
 
 def period_weights(
@@ -371,30 +347,34 @@ def generate_trip(
 ) -> TripRecord:
     """Generate one trip and advance the cursor.
 
-    The slot draw is conditioned on slots that still have minutes at or
-    after the clock; a slot already entirely in the past carries only a
-    kappa-scale weight anyway, and no departure minute inside it could
-    respect the clock. Records the trip in the ledger, moves the location
-    to the destination and pushes the clock past arrival plus the minimum
-    gap, rolling over midnight if needed.
+    The slot draw runs over the slots that still have minutes at or after
+    the clock; a slot already entirely in the past is not weighed at all,
+    since no departure minute inside it could respect the clock. Records
+    the trip in the ledger, moves the location to the destination and
+    pushes the clock past arrival plus the minimum gap, rolling over
+    midnight if needed.
     """
     profile = cursor.profile
     remaining = cursor.daily_quota - cursor.generated_today
     if remaining < 1:
         raise ValueError("no remaining quota today")
-    reachable, _, active = subsequent_slots(partition, cursor.clock, remaining)
+    first, last_active = subsequent_slots(partition, cursor.clock, remaining)
     terms = cursor.terms.get(cursor.location)
     if terms is None:
         terms = preference_terms(profile, cursor.location, partition, params.epsilon)
         cursor.terms[cursor.location] = terms
     ttype = profile.traveller_type
-    weights = slot_weights(partition, ttype, terms, ledger, reference, active, params)
-    if any(weights[s] > 0.0 for s in reachable):
-        slot_id = select_time_slot(weights, rng, allowed=reachable)
+    weights = slot_weights(
+        partition, ttype, terms, ledger, reference, first, last_active, params
+    )
+    if any(w > 0.0 for w in weights):
+        slot_id = select_time_slot(weights, first, rng)
     else:
-        # Degenerate corner: every reachable slot weighs exactly 0 (possible
-        # only when feedback hits full overshoot on zero-preference slots).
-        slot_id = rng.choice(sorted(active))
+        # Degenerate corner: the clock is in the last slot (with two or more
+        # reachable slots some weight is positive), every generated departure
+        # of the type sits in it and the reference has none there, so full
+        # overshoot zeroes its feedback factor.
+        slot_id = rng.choice(range(first, last_active + 1))
     slot = partition.by_id(slot_id)
     departure = select_time_period(slot, cursor.clock, ledger, reference, ttype, rng)
     origin, destination, _ = select_destination(profile, cursor.location, rng)

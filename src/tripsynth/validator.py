@@ -49,20 +49,6 @@ class Distribution:
         return dict(zip(self.bins, self.mass))
 
 
-def kl_divergence(p: Distribution, q: Distribution) -> float:
-    """Kullback-Leibler divergence KL(p||q) in nats; zero-mass p bins
-    contribute nothing."""
-    if p.bins != q.bins:
-        raise ValueError("bin-set mismatch")
-    total = 0.0
-    for pi, qi in zip(p.mass, q.mass):
-        if pi > 0.0:
-            if qi <= 0.0:
-                return math.inf
-            total += pi * math.log(pi / qi)
-    return max(0.0, total)
-
-
 def js_divergence(p: Distribution, q: Distribution) -> float:
     """Jensen-Shannon divergence in nats: the mean KL of each side against
     the midpoint mixture. Symmetric, finite, bounded by ln 2."""
@@ -167,10 +153,6 @@ def road_access_counts(trips, ttype=None) -> Counter:
         for road in set(t.path):
             counts[road] += 1
     return counts
-
-
-def road_access_distribution(trips, ttype=None, bins=None) -> Distribution:
-    return Distribution.from_counts(road_access_counts(trips, ttype), bins=bins)
 
 
 def _by_individual(trips) -> dict:

@@ -170,16 +170,13 @@ def _slot_state(meta, world, rng):
         partition, profile, zone, ledger, world.reference, clock, remaining,
         world.params,
     )
-    _, _, active = subsequent_slots(partition, clock, remaining)
+    first, last_active = subsequent_slots(partition, clock, remaining)
     terms = preference_terms(profile, zone, partition, world.params.epsilon)
     weights = slot_weights(
-        partition, profile.traveller_type, terms, ledger, world.reference, active,
-        world.params,
+        partition, profile.traveller_type, terms, ledger, world.reference, first,
+        last_active, world.params,
     )
-    items = sorted(weights.items())
-    draws = weighted_draw(
-        [s for s, _ in items], [w for _, w in items], rng, k=DRAWS
-    )
+    draws = weighted_draw(range(first, first + len(weights)), weights, rng, k=DRAWS)
     return _tv(oracle, draws)
 
 

@@ -531,6 +531,24 @@ class TestPipeline:
         )
         assert main(["ingest", "-c", no_network]) == 0
 
+    @pytest.mark.parametrize("command", ["ingest", "validate"])
+    def test_oversized_csv_field_fails_command(self, cfg, tmp_path, caplog, command):
+        # A field beyond the csv module's 131,072-character limit is a
+        # logged runtime failure, not a traceback.
+        assert main(["corpus", "-c", cfg]) == 0
+        if command == "validate":
+            assert main(["ingest", "-c", cfg]) == 0
+            assert main(["generate", "-c", cfg]) == 0
+        trips = tmp_path / "data" / "trips.csv"
+        header, first, rest = trips.read_text().split("\n", 2)
+        names = header.split(",")
+        cells = first.split(",")
+        cells[names.index("Path")] = "r" * 200_000
+        trips.write_text("\n".join([header, ",".join(cells), rest]))
+        caplog.clear()
+        assert main([command, "-c", cfg]) == 1
+        assert "field larger than field limit" in caplog.text
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "tripsynth.cli", "--help"],

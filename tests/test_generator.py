@@ -18,10 +18,8 @@ from tripsynth.generator import (
     generate_all,
     generate_trip,
     initial_location,
-    logic_factor,
     most_frequent_origin,
     period_weights,
-    preference_factors,
     preference_terms,
     sample_duration,
     select_destination,
@@ -105,25 +103,24 @@ class TestDailyQuota:
 
 class TestSubsequentSlots:
     def test_mid_day_with_reservation(self):
-        # clock in slot 10 of 24, three trips left today
+        # clock in slot 10 of 24, three trips left today: 23 and 24 reserved
         clock = GenClock(0, 9 * 60 + 30)
-        reachable, reserved, active = subsequent_slots(HOURLY, clock, remaining=3)
-        assert reachable == frozenset(range(10, 25))
-        assert reserved == frozenset({23, 24})
-        assert active == frozenset(range(10, 23))
+        assert subsequent_slots(HOURLY, clock, remaining=3) == (10, 22)
 
     def test_last_slot_single_trip(self):
         clock = GenClock(0, 1400)
-        reachable, reserved, active = subsequent_slots(HOURLY, clock, remaining=1)
-        assert reachable == active == frozenset({24})
-        assert reserved == frozenset()
+        assert subsequent_slots(HOURLY, clock, remaining=1) == (24, 24)
 
     def test_reservation_capped_by_reachable(self):
         # more trips left than slots: active still keeps one slot
         clock = GenClock(0, 1400)
-        reachable, reserved, active = subsequent_slots(HOURLY, clock, remaining=99)
-        assert active == frozenset({24})
-        assert reserved == frozenset()
+        assert subsequent_slots(HOURLY, clock, remaining=99) == (24, 24)
+
+    def test_four_hour_partition(self):
+        # minute 300 lies in slot 2 of 6
+        clock = GenClock(0, 300)
+        assert subsequent_slots(FOUR_HOUR, clock, remaining=2) == (2, 5)
+        assert subsequent_slots(FOUR_HOUR, clock, remaining=6) == (2, 2)
 
     def test_remaining_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -134,18 +131,12 @@ class TestSubsequentSlots:
         remaining=st.integers(min_value=1, max_value=40),
     )
     def test_partition_invariants(self, minute, remaining):
-        reachable, reserved, active = subsequent_slots(
-            HOURLY, GenClock(0, minute), remaining
-        )
-        assert active and active | reserved == reachable
-        assert not active & reserved
-        assert len(reserved) == min(remaining - 1, len(reachable) - 1)
-        assert max(active) < min(reserved) if reserved else True
-
-
-def test_logic_factor():
-    assert logic_factor(3, {3, 4}, kappa=1e-9) == 1.0
-    assert logic_factor(2, {3, 4}, kappa=1e-9) == 1e-9
+        first, last_active = subsequent_slots(HOURLY, GenClock(0, minute), remaining)
+        assert HOURLY.by_id(first).start <= minute <= HOURLY.by_id(first).end
+        # slots first..last_active are active, the rest of first..n reserved
+        reachable = len(HOURLY) - first + 1
+        assert first <= last_active <= len(HOURLY)
+        assert len(HOURLY) - last_active == min(remaining - 1, reachable - 1)
 
 
 class TestBalanceWeight:
@@ -236,20 +227,18 @@ def test_aggregation_factor_full_deficit():
     params = GenParams()
     # logic and preference factors of 1 leave the feedback factor alone
     ones = [1.0] * len(HOURLY)
-    every_slot = frozenset(range(1, len(HOURLY) + 1))
+    n = len(HOURLY)
     w = slot_weights(
-        HOURLY, TravellerType.COMMUTER, ones, AggregationLedger(), ref, every_slot,
-        params,
+        HOURLY, TravellerType.COMMUTER, ones, AggregationLedger(), ref, 1, n, params,
     )
-    assert w[7] == pytest.approx(params.blowup ** 0.75)
+    assert len(w) == n
+    assert w[7 - 1] == pytest.approx(params.blowup ** 0.75)
     # a type without reference departures, absent or present but empty, is
     # corrupt input; asking does not add it to the reference
     ref.counts(TravellerType.STABLE)
     for ttype in (TravellerType.PASSBY, TravellerType.STABLE):
         with pytest.raises(CorruptInputError):
-            slot_weights(
-                HOURLY, ttype, ones, AggregationLedger(), ref, every_slot, params,
-            )
+            slot_weights(HOURLY, ttype, ones, AggregationLedger(), ref, 1, n, params)
         with pytest.raises(CorruptInputError):
             period_weights(
                 TimeSlot(1, 1, 60), GenClock(0, 1), AggregationLedger(), ref, ttype
@@ -262,11 +251,17 @@ def test_preference_factors():
         od={"A": {"B": 3}, "B": {"A": 1}},
         slot_origin={7: {"A": 3}, 17: {"B": 1}},
     )
-    assert preference_factors(p, "A", 7) == (pytest.approx(0.75), pytest.approx(1.0))
-    assert preference_factors(p, "A", 17) == (pytest.approx(0.25), 0.0)
-    assert preference_factors(p, "C", 7) == (pytest.approx(0.75), 0.0)
+    eps = 1e-6
+    # slot 7 holds 3 of 4 trips and all 3 departures from A
+    terms = preference_terms(p, "A", HOURLY, eps)
+    assert len(terms) == len(HOURLY)
+    assert terms[7 - 1] == pytest.approx(0.75 * 2.0 + eps)
+    assert terms[17 - 1] == pytest.approx(0.25 + eps)
+    assert terms[1 - 1] == eps
+    # never departed from C: the origin term is 0
+    assert preference_terms(p, "C", HOURLY, eps)[7 - 1] == pytest.approx(0.75 + eps)
     with pytest.raises(CorruptInputError):
-        preference_factors(profile(), "A", 1)
+        preference_terms(profile(), "A", HOURLY, eps)
 
 
 def test_slot_weights_multiplicative_structure():
@@ -285,16 +280,18 @@ def test_slot_weights_multiplicative_structure():
         halves,
     )
     params = GenParams()
-    _, _, active = subsequent_slots(halves, GenClock(0, 1), 2)
+    first, last_active = subsequent_slots(halves, GenClock(0, 1), 2)
     terms = preference_terms(p, "A", halves, params.epsilon)
     w = slot_weights(
-        halves, p.traveller_type, terms, AggregationLedger(), ref, active, params
+        halves, p.traveller_type, terms, AggregationLedger(), ref, first, last_active,
+        params,
     )
+    assert len(w) == 2
     # slot 1: active, full deficit of 0.75, own share 0.75, all departures
     # from A in this slot
-    assert w[1] == pytest.approx(params.blowup ** 0.75 * (0.75 * 2.0 + params.epsilon))
+    assert w[0] == pytest.approx(params.blowup ** 0.75 * (0.75 * 2.0 + params.epsilon))
     # slot 2: reserved for the second trip, kappa-scaled
-    assert w[2] == pytest.approx(
+    assert w[1] == pytest.approx(
         params.kappa * params.blowup ** 0.25 * (0.25 + params.epsilon)
     )
 
@@ -327,10 +324,15 @@ class TestWeightedDraw:
 
 
 def test_select_time_slot_conditioning():
-    weights = {1: 5.0, 2: 1.0, 3: 1.0}
+    # weights of slots 2 and 3 only: slot 1 can never be drawn
     rng = random.Random(3)
-    picks = {select_time_slot(weights, rng, allowed={2, 3}) for _ in range(200)}
-    assert picks == {2, 3}
+    picks = [select_time_slot([1.0, 3.0], 2, rng) for _ in range(100_000)]
+    assert set(picks) == {2, 3}
+    assert picks.count(3) / len(picks) == pytest.approx(0.75, abs=0.01)
+    # a store on disk can carry weights the draw must refuse
+    for bad in ([0.0, 0.0], [-1.0, 2.0], []):
+        with pytest.raises(ValueError):
+            select_time_slot(bad, 2, rng)
 
 
 class TestPeriodWeights:
@@ -498,16 +500,16 @@ class TestExactFloats:
         assert minutes == expect_minutes
         assert weights == expect
 
-    @given(slot_states())
-    def test_slot_weights(self, state):
+    @given(slot_states(), st.integers(0, 2**32))
+    def test_slot_weights(self, state, seed):
         partition, prof, zone, clock, remaining, ref, generated = state
         ttype = prof.traveller_type
         params = GenParams()
-        _, _, active = subsequent_slots(partition, clock, remaining)
+        first, last_active = subsequent_slots(partition, clock, remaining)
         weights = slot_weights(
             partition, ttype, preference_terms(prof, zone, partition, params.epsilon),
             _ledger_of(generated, partition, ttype),
-            _reference_of(ref, partition, ttype), active, params,
+            _reference_of(ref, partition, ttype), first, last_active, params,
         )
 
         ref_slots = Counter()
@@ -519,9 +521,8 @@ class TestExactFloats:
         held = min(remaining - 1, len(reachable) - 1)
         expect_active = reachable[: len(reachable) - held] if held > 0 else reachable
         from_zone = prof.per_origin.get(zone, 0)
-        expect = {}
-        for slot in partition:
-            sid = slot.slot_id
+        expect = []
+        for sid in reachable:
             cs = 1.0 if sid in expect_active else params.kappa
             x = (gen_slots[sid] / len(generated) if generated else 0.0) - (
                 ref_slots[sid] / sum(ref.values())
@@ -533,8 +534,12 @@ class TestExactFloats:
             by_origin = prof.slot_origin_counts.get(sid, {})
             cp = sum(by_origin.values()) / prof.total_trips
             cop = by_origin.get(zone, 0) / from_zone if from_zone else 0.0
-            expect[sid] = cs * cr * (cp * (1.0 + cop) + params.epsilon)
+            expect.append(cs * cr * (cp * (1.0 + cop) + params.epsilon))
         assert weights == expect
+        # the draw never goes back to a slot the clock has passed
+        if any(w > 0.0 for w in weights):
+            slot_id = select_time_slot(weights, first, random.Random(seed))
+            assert partition.by_id(slot_id).end >= clock.minute
 
 
 class TestDestination:
@@ -632,6 +637,37 @@ class TestGenerateTrip:
         )
         assert trip.date == 0 and trip.departure >= 1435
         assert cursor.clock.day == 1
+
+    def test_degenerate_slot_draw(self, monkeypatch):
+        # The clock is in the last slot, every generated commuter departure
+        # sits there and the reference has none there: full overshoot zeroes
+        # the only reachable weight, so the slot is drawn uniformly over the
+        # active slots instead of through select_time_slot.
+        profiles, ref, catalog, pools = small_world()
+        ledger = AggregationLedger()
+        ledger.record(TravellerType.COMMUTER, 24, 1420)
+        cursor = GenCursor(
+            profile=profiles["V1"], clock=GenClock(0, 1400), location="A",
+            daily_quota=1,
+        )
+        params = GenParams()
+        terms = preference_terms(profiles["V1"], "A", HOURLY, params.epsilon)
+        weights = slot_weights(
+            HOURLY, TravellerType.COMMUTER, terms, ledger, ref, 24, 24, params
+        )
+        assert weights == [0.0]
+
+        def refuse(*args):
+            raise AssertionError("select_time_slot called on the degenerate path")
+
+        monkeypatch.setattr(generator, "select_time_slot", refuse)
+        trip = generate_trip(
+            cursor, HOURLY, ledger, ref, catalog, pools, params, random.Random(5)
+        )
+        assert trip == TripRecord(
+            "V1", TravellerType.COMMUTER, 0, 1430, 24, "A", "B", ("r1", "r2"), 14
+        )
+        assert ledger.counts(TravellerType.COMMUTER).slot[24] == 2
 
     def test_requires_quota(self):
         profiles, ref, catalog, pools = small_world()

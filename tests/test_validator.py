@@ -16,7 +16,6 @@ from tripsynth.validator import (
     destination_entropy,
     entropy_by_individual,
     js_divergence,
-    kl_divergence,
     od_pair_counts,
     overlap_ratio,
     road_access_counts,
@@ -61,24 +60,6 @@ class TestDistribution:
             Distribution(bins=(1,), mass=(-0.1,))
         with pytest.raises(ValueError):
             Distribution(bins=(1, 2), mass=(0.6, 0.6))
-
-
-class TestKL:
-    def test_self_is_zero(self):
-        p = dist(0.5, 0.5)
-        assert kl_divergence(p, p) == 0.0
-
-    def test_missing_support_is_infinite(self):
-        assert kl_divergence(dist(1.0, 0.0), dist(0.0, 1.0)) == math.inf
-
-    def test_zero_mass_p_bins_ignored(self):
-        assert kl_divergence(dist(0.0, 1.0), dist(0.5, 0.5)) == pytest.approx(
-            math.log(2)
-        )
-
-    def test_bin_mismatch(self):
-        with pytest.raises(ValueError):
-            kl_divergence(dist(1.0), Distribution(bins=("x",), mass=(1.0,)))
 
 
 class TestJS:
