@@ -9,6 +9,7 @@ failure, 2 on configuration errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import datetime as dt
@@ -290,17 +291,24 @@ class _LineFeedRows:
 
 def write_trips_csv(records, stream, epoch: dt.date, partition: TimeSlotPartition,
                     delimiter: str = ",") -> int:
+    """Write `records` as a trip table; returns the number of rows.
+
+    Each date, departure time and slot label is rendered once per call.
+    """
     writer = csv.writer(_LineFeedRows(stream), delimiter=delimiter, lineterminator="\r\n")
     writer.writerow(TRIP_HEADER)
+    date_text = functools.cache(lambda day: (epoch + dt.timedelta(days=day)).isoformat())
+    time_text = functools.cache(minute_to_hhmm)
+    slot_label = functools.cache(lambda slot_id: partition.by_id(slot_id).label())
     n = 0
     for trip in records:
         writer.writerow(
             (
                 trip.traveller_id,
                 trip.traveller_type.value,
-                (epoch + dt.timedelta(days=trip.date)).isoformat(),
-                minute_to_hhmm(trip.departure),
-                partition.by_id(trip.slot).label(),
+                date_text(trip.date),
+                time_text(trip.departure),
+                slot_label(trip.slot),
                 trip.o_zone,
                 trip.d_zone,
                 "-".join(trip.path),
@@ -423,6 +431,17 @@ def load_store(path) -> Store:
 # Commands.
 
 
+@contextlib.contextmanager
+def _read_table(path):
+    """Open a CSV table for reading; a csv.Error raised while reading it
+    names the file."""
+    with open(path, newline="") as fh:
+        try:
+            yield fh
+        except csv.Error as exc:
+            raise csv.Error(f"{path}: {exc}") from None
+
+
 def cmd_corpus(config: Config) -> int:
     built = synth_corpus(config.corpus_spec)
     trips_path = config.path("trips")
@@ -442,7 +461,7 @@ def cmd_corpus(config: Config) -> int:
 
 
 def cmd_ingest(config: Config) -> int:
-    with open(config.path("trips"), newline="") as fh:
+    with _read_table(config.path("trips")) as fh:
         parsed = parse_trips(
             fh,
             config.partition,
@@ -455,7 +474,7 @@ def cmd_ingest(config: Config) -> int:
         return 1
     # Zones and network are checked here but not stored: generate reads
     # neither.
-    with open(config.path("zones"), newline="") as fh:
+    with _read_table(config.path("zones")) as fh:
         parse_zones(fh, delimiter=config.csv_delimiter)
     if "network" in config.paths:
         network_path = config.paths["network"]
@@ -529,14 +548,14 @@ def cmd_generate(config: Config, seed=None) -> int:
 def cmd_validate(config: Config, reference=None, generated=None) -> int:
     ref_path = Path(reference) if reference else config.path("trips")
     gen_path = Path(generated) if generated else config.path("generated")
-    with open(ref_path, newline="") as fh:
+    with _read_table(ref_path) as fh:
         ref = parse_trips(
             fh, config.partition, config.epoch,
             duration_divisor=config.duration_divisor(),
             delimiter=config.csv_delimiter,
         )
     # `generate` writes durations in minutes whatever the input unit.
-    with open(gen_path, newline="") as fh:
+    with _read_table(gen_path) as fh:
         gen = parse_trips(
             fh, config.partition, config.epoch, delimiter=config.csv_delimiter
         )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 import random
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
@@ -248,31 +249,41 @@ def period_weights(
     ttype: TravellerType,
     floor: float = DELTA_FLOOR,
 ):
-    """Candidate departure minutes inside `slot` with selection weights.
+    """Departure minutes inside `slot` that can be drawn, with their weights.
 
     Candidates run from max(slot start, clock minute) to the slot end. Where
-    some minutes still trail their reference share, weights are those
-    shortfalls (deficit-proportional); once every candidate is at or past
-    its reference share, weights are inverse absolute overshoots, floored.
+    some candidates still trail their reference share, only those are listed,
+    each weighted by its shortfall (deficit-proportional); a minute without
+    reference departures can never trail, so only the reference's non-zero
+    minutes are walked. Once every candidate is at or past its reference
+    share, all candidates are listed, weighted by inverse absolute
+    overshoots, floored.
     """
     ref = reference.departures(ttype)
     start = max(slot.start, clock.minute)
     if start > slot.end:
         raise ValueError(f"slot {slot.slot_id} has no minutes left at {clock.minute}")
-    stop = slot.end + 1
-    minutes = list(range(start, stop))
-    ref_total = ref.total
     counts = ledger.counts(ttype)
+    generated = counts.minute
     total = counts.total or 1  # an empty ledger's shares are all 0.0
-    deltas = [
-        r / ref_total - n / total
-        for r, n in zip(ref.minute[start:stop], counts.minute[start:stop])
+    support, shares = ref.support(slot)
+    minutes = []
+    weights = []
+    i = bisect_left(support, start)
+    for m, share in zip(support[i:], shares[i:]):
+        d = share - generated[m] / total
+        if d > 0.0:
+            minutes.append(m)
+            weights.append(d)
+    if minutes:
+        return minutes, weights
+    stop = slot.end + 1
+    ref_total = ref.total
+    weights = [
+        1.0 / max(abs(r / ref_total - n / total), floor)
+        for r, n in zip(ref.minute[start:stop], generated[start:stop])
     ]
-    if max(deltas) > 0.0:
-        weights = [d if d > 0.0 else 0.0 for d in deltas]
-    else:
-        weights = [1.0 / max(abs(d), floor) for d in deltas]
-    return minutes, weights
+    return list(range(start, stop)), weights
 
 
 def select_time_period(
@@ -283,7 +294,13 @@ def select_time_period(
     ttype: TravellerType,
     rng: random.Random,
 ) -> int:
-    """Sample a departure minute inside the chosen slot."""
+    """Sample a departure minute inside the chosen slot.
+
+    Draws over period_weights: the minutes in deficit when there are any,
+    otherwise every candidate minute by inverse overshoot. Leaving out the
+    zero weights changes neither the minute drawn nor the RNG state, since
+    the cumulative table only loses its repeated entries.
+    """
     minutes, weights = period_weights(slot, clock, ledger, reference, ttype)
     return weighted_draw(minutes, weights, rng)
 
@@ -373,8 +390,9 @@ def generate_trip(
         # Degenerate corner: the clock is in the last slot (with two or more
         # reachable slots some weight is positive), every generated departure
         # of the type sits in it and the reference has none there, so full
-        # overshoot zeroes its feedback factor.
-        slot_id = rng.choice(range(first, last_active + 1))
+        # overshoot zeroes its feedback factor. That slot is the only one
+        # left, so it is taken without a draw.
+        slot_id = first
     slot = partition.by_id(slot_id)
     departure = select_time_period(slot, cursor.clock, ledger, reference, ttype, rng)
     origin, destination, _ = select_destination(profile, cursor.location, rng)

@@ -102,6 +102,11 @@ def _memo(cache: dict, text: str, parse):
     return value
 
 
+def _at_line(reader, exc: csv.Error) -> csv.Error:
+    """`exc` with the number of the line `reader` stopped at in front."""
+    return csv.Error(f"line {reader.line_num}: {exc}")
+
+
 def parse_trips(
     stream,
     partition: TimeSlotPartition,
@@ -118,13 +123,16 @@ def parse_trips(
     whole minutes. Bad rows become RowErrors and parsing continues.
 
     Each distinct type, date, time, duration and path text is parsed once per
-    call; rows with the same path text share one path tuple.
+    call; rows with the same path text share one path tuple. A csv.Error
+    names the line it stopped at.
     """
     reader = csv.reader(stream, delimiter=delimiter)
     try:
         header = next(reader)
     except StopIteration:
         raise ValueError("trip table is empty") from None
+    except csv.Error as exc:
+        raise _at_line(reader, exc) from None
     col = _header_index(header, TRIP_COLUMNS)
     width = max(col.values()) + 1
     c_id, c_type, c_date, c_time, c_o, c_d, c_path, c_dur = (
@@ -159,58 +167,61 @@ def parse_trips(
     result = ParseResult()
     errors = result.errors
     records = result.records
-    for row in reader:
-        if not "".join(row).strip():
-            continue
-        line = reader.line_num
-        if len(row) < width:
-            errors.append(RowError(line, "short row", f"{len(row)} fields"))
-            continue
-        text = row[c_type]
-        ttype = _memo(types, text, TravellerType.parse)
-        if ttype is None:
-            errors.append(RowError(line, "unknown traveller type", text))
-            continue
-        text = row[c_date]
-        day = _memo(days, text, parse_day)
-        if day is None:
-            errors.append(RowError(line, "bad date", text))
-            continue
-        text = row[c_time]
-        time = _memo(times, text, parse_time)
-        if time is None:
-            errors.append(RowError(line, "bad departure time", text))
-            continue
-        text = row[c_dur]
-        duration = _memo(durations, text, parse_duration)
-        if duration is None:
-            errors.append(RowError(line, "bad duration", text))
-            continue
-        text = row[c_path]
-        path = paths.get(text)
-        if path is None:
-            path = paths[text] = tuple(p for p in text.split(PATH_SEPARATOR) if p)
-        if not path:
-            errors.append(RowError(line, "empty path"))
-            continue
-        o_zone = row[c_o].strip()
-        d_zone = row[c_d].strip()
-        if not o_zone or not d_zone:
-            errors.append(RowError(line, "missing zone"))
-            continue
-        records.append(
-            TripRecord(
-                traveller_id=row[c_id].strip(),
-                traveller_type=ttype,
-                date=day,
-                departure=time[0],
-                slot=time[1],
-                o_zone=o_zone,
-                d_zone=d_zone,
-                path=path,
-                duration=duration,
+    try:
+        for row in reader:
+            if not "".join(row).strip():
+                continue
+            line = reader.line_num
+            if len(row) < width:
+                errors.append(RowError(line, "short row", f"{len(row)} fields"))
+                continue
+            text = row[c_type]
+            ttype = _memo(types, text, TravellerType.parse)
+            if ttype is None:
+                errors.append(RowError(line, "unknown traveller type", text))
+                continue
+            text = row[c_date]
+            day = _memo(days, text, parse_day)
+            if day is None:
+                errors.append(RowError(line, "bad date", text))
+                continue
+            text = row[c_time]
+            time = _memo(times, text, parse_time)
+            if time is None:
+                errors.append(RowError(line, "bad departure time", text))
+                continue
+            text = row[c_dur]
+            duration = _memo(durations, text, parse_duration)
+            if duration is None:
+                errors.append(RowError(line, "bad duration", text))
+                continue
+            text = row[c_path]
+            path = paths.get(text)
+            if path is None:
+                path = paths[text] = tuple(p for p in text.split(PATH_SEPARATOR) if p)
+            if not path:
+                errors.append(RowError(line, "empty path"))
+                continue
+            o_zone = row[c_o].strip()
+            d_zone = row[c_d].strip()
+            if not o_zone or not d_zone:
+                errors.append(RowError(line, "missing zone"))
+                continue
+            records.append(
+                TripRecord(
+                    traveller_id=row[c_id].strip(),
+                    traveller_type=ttype,
+                    date=day,
+                    departure=time[0],
+                    slot=time[1],
+                    o_zone=o_zone,
+                    d_zone=d_zone,
+                    path=path,
+                    duration=duration,
+                )
             )
-        )
+    except csv.Error as exc:
+        raise _at_line(reader, exc) from None
     if result.errors:
         log.warning(
             "rejected %d trip rows: %s",
@@ -221,35 +232,41 @@ def parse_trips(
 
 
 def parse_zones(stream, *, delimiter: str = ",") -> list:
-    """Parse the zone table. Duplicate zone ids are a hard error."""
+    """Parse the zone table. Duplicate zone ids are a hard error; a
+    csv.Error names the line it stopped at."""
     reader = csv.reader(stream, delimiter=delimiter)
     try:
         header = next(reader)
     except StopIteration:
         raise ValueError("zone table is empty") from None
+    except csv.Error as exc:
+        raise _at_line(reader, exc) from None
     col = _header_index(header, ZONE_COLUMNS, what="zone")
     zones = []
     seen = set()
-    for row in reader:
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        zone_id = row[col["zone_id"]].strip()
-        if not zone_id:
-            raise ValueError(f"line {reader.line_num}: missing zone id")
-        if zone_id in seen:
-            raise ValueError(f"line {reader.line_num}: duplicate zone id {zone_id!r}")
-        seen.add(zone_id)
-        roads = frozenset(
-            r for r in row[col["roads"]].split(ROAD_LIST_SEPARATOR) if r.strip()
-        )
-        zones.append(
-            Zone(
-                zone_id=zone_id,
-                longitude=float(row[col["longitude"]]),
-                latitude=float(row[col["latitude"]]),
-                roads=roads,
+    try:
+        for row in reader:
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            zone_id = row[col["zone_id"]].strip()
+            if not zone_id:
+                raise ValueError(f"line {reader.line_num}: missing zone id")
+            if zone_id in seen:
+                raise ValueError(f"line {reader.line_num}: duplicate zone id {zone_id!r}")
+            seen.add(zone_id)
+            roads = frozenset(
+                r for r in row[col["roads"]].split(ROAD_LIST_SEPARATOR) if r.strip()
             )
-        )
+            zones.append(
+                Zone(
+                    zone_id=zone_id,
+                    longitude=float(row[col["longitude"]]),
+                    latitude=float(row[col["latitude"]]),
+                    roads=roads,
+                )
+            )
+    except csv.Error as exc:
+        raise _at_line(reader, exc) from None
     return zones
 
 

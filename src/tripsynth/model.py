@@ -304,18 +304,35 @@ class TypeCounts:
     """Departure counts of one traveller type as dense lists indexed by
     minute of day and by slot id (index 0 unused), plus their total."""
 
-    __slots__ = ("minute", "slot", "total")
+    __slots__ = ("minute", "slot", "total", "_support")
 
     def __init__(self):
         # A slot spans at least one minute, so slot ids never exceed 1440.
         self.minute = [0] * (MINUTES_PER_DAY + 1)
         self.slot = [0] * (MINUTES_PER_DAY + 1)
         self.total = 0
+        self._support = {}
 
     def add(self, slot_id: int, minute: int, n: int = 1) -> None:
         self.slot[slot_id] += n
         self.minute[minute] += n
         self.total += n
+        if self._support:
+            self._support.clear()
+
+    def support(self, slot: TimeSlot) -> tuple:
+        """(minutes, shares): the minutes of `slot` with a non-zero count,
+        ascending, and each one's share `count / total`.
+
+        Filled once per slot span and kept until the next add().
+        """
+        key = (slot.start, slot.end)
+        found = self._support.get(key)
+        if found is None:
+            minute, total = self.minute, self.total
+            minutes = [m for m in range(slot.start, slot.end + 1) if minute[m]]
+            found = self._support[key] = (minutes, [minute[m] / total for m in minutes])
+        return found
 
 
 class AggregationLedger:

@@ -547,7 +547,8 @@ class TestPipeline:
         trips.write_text("\n".join([header, ",".join(cells), rest]))
         caplog.clear()
         assert main([command, "-c", cfg]) == 1
-        assert "field larger than field limit" in caplog.text
+        # The oversized field is on line 2 of the trip table.
+        assert f"{trips}: line 2: field larger than field limit" in caplog.text
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -2,7 +2,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from tripsynth import generator
 from tripsynth.generator import (
@@ -218,6 +218,20 @@ def test_aggregation_ledger_shares():
     assert nonzero(counts.minute) == {30: 2, 100: 1}
 
 
+def test_support_follows_add():
+    counts = AggregationLedger().counts(TravellerType.STABLE)
+    hour = TimeSlot(1, 1, 60)
+    counts.add(1, 30)
+    counts.add(1, 10, 3)
+    counts.add(2, 100)
+    assert counts.support(hour) == ([10, 30], [3 / 5, 1 / 5])
+    assert counts.support(hour) is counts.support(hour)
+    counts.add(1, 20)
+    assert counts.support(hour) == ([10, 20, 30], [3 / 6, 1 / 6, 1 / 6])
+    assert counts.support(TimeSlot(1, 15, 60)) == ([20, 30], [1 / 6, 1 / 6])
+    assert counts.support(TimeSlot(3, 121, 180)) == ([], [])
+
+
 def test_aggregation_factor_full_deficit():
     trips = [
         TripRecord("V1", TravellerType.COMMUTER, 0, 400, 7, "A", "B", ("r1",), 10)
@@ -353,12 +367,10 @@ class TestPeriodWeights:
         minutes, weights = period_weights(
             slot, GenClock(0, 1), ledger, ref, TravellerType.COMMUTER
         )
-        assert minutes == list(range(1, 61))
         # minute 10 overshot (1.0 generated vs 0.25 reference), minute 20
-        # still owed 0.75; everything else level at zero
-        expect = [0.0] * 60
-        expect[19] = 0.75
-        assert weights == pytest.approx(expect)
+        # still owed 0.75; everything else level at zero and left out
+        assert minutes == [20]
+        assert weights == [3 / 4 - 0 / 1]
         rng = random.Random(0)
         assert select_time_period(
             slot, GenClock(0, 1), ledger, ref, TravellerType.COMMUTER, rng
@@ -475,6 +487,29 @@ def slot_states(draw):
     return partition, prof, zone, clock, remaining, ref, generated
 
 
+def _full_period_weights(slot, minute, ref, generated):
+    """The minute weights over every candidate minute, zero weights included:
+    deficits where any minute trails its reference share, else floored
+    inverse overshoots."""
+    ref_total = sum(ref.values())
+    gen = Counter(generated)
+    candidates = list(range(max(slot.start, minute), slot.end + 1))
+    deltas = [
+        ref.get(m, 0) / ref_total - (gen[m] / len(generated) if generated else 0.0)
+        for m in candidates
+    ]
+    if any(d > 0.0 for d in deltas):
+        return candidates, [max(0.0, d) for d in deltas]
+    return candidates, [1.0 / max(abs(d), 1e-12) for d in deltas]
+
+
+class TopRandom(random.Random):
+    """An RNG whose random() always returns the largest float below 1."""
+
+    def random(self):
+        return 1.0 - 2.0**-53
+
+
 class TestExactFloats:
     @given(period_states())
     def test_period_weights(self, state):
@@ -486,19 +521,37 @@ class TestExactFloats:
             _reference_of(ref, partition, ttype), ttype,
         )
 
-        ref_total = sum(ref.values())
-        gen = Counter(generated)
-        expect_minutes = list(range(max(slot.start, clock.minute), slot.end + 1))
-        deltas = [
-            ref.get(m, 0) / ref_total - (gen[m] / len(generated) if generated else 0.0)
-            for m in expect_minutes
-        ]
-        if any(d > 0.0 for d in deltas):
-            expect = [max(0.0, d) for d in deltas]
+        candidates, full = _full_period_weights(slot, minute, ref, generated)
+        if any(w > 0.0 for w in full):
+            # only the minutes in deficit are listed
+            expect = [(m, w) for m, w in zip(candidates, full) if w > 0.0]
         else:
-            expect = [1.0 / max(abs(d), 1e-12) for d in deltas]
-        assert minutes == expect_minutes
-        assert weights == expect
+            expect = list(zip(candidates, full))
+        assert list(zip(minutes, weights)) == expect
+
+    # Hour 2 is minutes 61-120; the reference has departures at 70 and 95
+    # in it and at 200 outside it.
+    @example((HOURLY, HOURLY.by_id(2), 61, {70: 2, 95: 1, 200: 3}, []), "seeded", 1)
+    @example((HOURLY, HOURLY.by_id(2), 90, {70: 2, 95: 1, 200: 3}, [200]), "seeded", 2)
+    @example((HOURLY, HOURLY.by_id(2), 61, {70: 2, 95: 1, 200: 3}, [70, 95]), "top", 0)
+    @example((HOURLY, HOURLY.by_id(2), 80, {70: 2, 95: 1, 200: 3}, []), "top", 0)
+    @given(period_states(), st.sampled_from(["seeded", "top"]), st.integers(0, 2**32))
+    def test_minute_draw_matches_full_list(self, state, kind, seed):
+        # The draw over the listed minutes picks the same minute and leaves
+        # the same RNG state as a draw over every candidate minute with the
+        # zero weights kept in.
+        partition, slot, minute, ref, generated = state
+        ttype = TravellerType.COMMUTER
+        candidates, full = _full_period_weights(slot, minute, ref, generated)
+        make = TopRandom if kind == "top" else random.Random
+        old_rng, new_rng = make(seed), make(seed)
+        expect = old_rng.choices(candidates, weights=full)[0]
+        got = select_time_period(
+            slot, GenClock(0, minute), _ledger_of(generated, partition, ttype),
+            _reference_of(ref, partition, ttype), ttype, new_rng,
+        )
+        assert got == expect
+        assert new_rng.getstate() == old_rng.getstate()
 
     @given(slot_states(), st.integers(0, 2**32))
     def test_slot_weights(self, state, seed):
@@ -641,8 +694,8 @@ class TestGenerateTrip:
     def test_degenerate_slot_draw(self, monkeypatch):
         # The clock is in the last slot, every generated commuter departure
         # sits there and the reference has none there: full overshoot zeroes
-        # the only reachable weight, so the slot is drawn uniformly over the
-        # active slots instead of through select_time_slot.
+        # the only reachable weight, so that slot is taken without a draw
+        # instead of through select_time_slot.
         profiles, ref, catalog, pools = small_world()
         ledger = AggregationLedger()
         ledger.record(TravellerType.COMMUTER, 24, 1420)
@@ -660,12 +713,22 @@ class TestGenerateTrip:
         def refuse(*args):
             raise AssertionError("select_time_slot called on the degenerate path")
 
+        states = []
+        draw_minute = generator.select_time_period
+
+        def spy(slot, clock, ledger, reference, ttype, rng):
+            states.append(rng.getstate())
+            return draw_minute(slot, clock, ledger, reference, ttype, rng)
+
         monkeypatch.setattr(generator, "select_time_slot", refuse)
+        monkeypatch.setattr(generator, "select_time_period", spy)
         trip = generate_trip(
             cursor, HOURLY, ledger, ref, catalog, pools, params, random.Random(5)
         )
+        # nothing was drawn before the minute
+        assert states == [random.Random(5).getstate()]
         assert trip == TripRecord(
-            "V1", TravellerType.COMMUTER, 0, 1430, 24, "A", "B", ("r1", "r2"), 14
+            "V1", TravellerType.COMMUTER, 0, 1425, 24, "A", "B", ("r1", "r2"), 14
         )
         assert ledger.counts(TravellerType.COMMUTER).slot[24] == 2
 

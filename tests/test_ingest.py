@@ -1,3 +1,4 @@
+import csv
 import datetime as dt
 import io
 
@@ -178,6 +179,17 @@ def test_parse_zones_duplicate_id_is_fatal():
     text = "Zone_ID,Longitude,Latitude,Roads\nZ1,0,0,\nZ1,1,1,\n"
     with pytest.raises(ValueError, match="duplicate"):
         parse_zones(io.StringIO(text))
+
+
+def test_csv_error_names_line():
+    big = "r" * 200_000
+    zones = "Zone_ID,Longitude,Latitude,Roads\nZ1,0,0,\nZ2,0,0," + big + "\n"
+    with pytest.raises(csv.Error, match="^line 3: field larger than field limit"):
+        parse_zones(io.StringIO(zones))
+    with pytest.raises(csv.Error, match="^line 1: field larger than field limit"):
+        parse_trips(io.StringIO(big + "\n"), HOURLY, EPOCH)
+    with pytest.raises(csv.Error, match="^line 2: field larger than field limit"):
+        parse([f"V1,commuter,2019-08-12,07:31,07:00-08:00,Z3,Z9,{big},14"])
 
 
 def test_parse_network_tolerates_header():
