@@ -27,7 +27,6 @@ from .ingest import (
 from .model import (
     GenClock,
     IndividualProfile,
-    RoadNetwork,
     TimeSlot,
     TimeSlotPartition,
     TravellerType,
@@ -46,7 +45,6 @@ __all__ = [
     "IndividualProfile",
     "InvalidParams",
     "ParseResult",
-    "RoadNetwork",
     "TimeSlot",
     "TimeSlotPartition",
     "TravellerType",

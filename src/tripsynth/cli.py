@@ -46,9 +46,7 @@ from .model import (
     MINUTES_PER_DAY,
     TYPE_ORDER,
     AggregationLedger,
-    GenClock,
     IndividualProfile,
-    RoadNetwork,
     TimeSlotPartition,
     TravellerType,
     minute_to_hhmm,
@@ -191,14 +189,13 @@ def load_config(path) -> Config:
     horizon_days = int(gen.get("horizon_days", 7))
     if horizon_days < 0:
         raise ConfigError("horizon_days must be >= 0")
-    start_day = int(gen.get("start_day", 0))
     params = GenParams(
         kappa=float(gen.get("kappa", 1e-9)),
         epsilon=float(gen.get("epsilon", 1e-6)),
         blowup=float(gen.get("blowup", 1e9)),
         min_gap=int(gen.get("min_gap", 1)),
-        horizon_start=GenClock(start_day, 1),
-        horizon_end=GenClock(start_day + horizon_days - 1, MINUTES_PER_DAY),
+        start_day=int(gen.get("start_day", 0)),
+        horizon_days=horizon_days,
         rng_seed=int(gen.get("seed", 0)),
     )
     try:
@@ -293,13 +290,14 @@ def write_trips_csv(records, stream, epoch: dt.date, partition: TimeSlotPartitio
                     delimiter: str = ",") -> int:
     """Write `records` as a trip table; returns the number of rows.
 
-    Each date, departure time and slot label is rendered once per call.
+    The slot label is that of the departure's slot under `partition`. Each
+    date, departure time and slot label is rendered once per call.
     """
     writer = csv.writer(_LineFeedRows(stream), delimiter=delimiter, lineterminator="\r\n")
     writer.writerow(TRIP_HEADER)
     date_text = functools.cache(lambda day: (epoch + dt.timedelta(days=day)).isoformat())
     time_text = functools.cache(minute_to_hhmm)
-    slot_label = functools.cache(lambda slot_id: partition.by_id(slot_id).label())
+    slot_label = functools.cache(lambda minute: partition.slot_of(minute).label())
     n = 0
     for trip in records:
         writer.writerow(
@@ -308,7 +306,7 @@ def write_trips_csv(records, stream, epoch: dt.date, partition: TimeSlotPartitio
                 trip.traveller_type.value,
                 date_text(trip.date),
                 time_text(trip.departure),
-                slot_label(trip.slot),
+                slot_label(trip.departure),
                 trip.o_zone,
                 trip.d_zone,
                 "-".join(trip.path),
@@ -328,9 +326,10 @@ def write_zones_csv(zones, stream, delimiter: str = ",") -> None:
         )
 
 
-def write_network_csv(network: RoadNetwork, stream) -> None:
+def write_network_csv(edges, stream) -> None:
+    """Write (road, neighbor) pairs as a network edge list, in the order given."""
     stream.write("road_id,neighbor_id\n")
-    for road, neighbor in network.edges():
+    for road, neighbor in edges:
         stream.write(f"{road},{neighbor}\n")
 
 
@@ -433,13 +432,15 @@ def load_store(path) -> Store:
 
 @contextlib.contextmanager
 def _read_table(path):
-    """Open a CSV table for reading; a csv.Error raised while reading it
-    names the file."""
+    """Open a CSV table for reading; a csv.Error or ValueError raised while
+    reading it names the file."""
     with open(path, newline="") as fh:
         try:
             yield fh
         except csv.Error as exc:
             raise csv.Error(f"{path}: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def cmd_corpus(config: Config) -> int:
@@ -464,7 +465,6 @@ def cmd_ingest(config: Config) -> int:
     with _read_table(config.path("trips")) as fh:
         parsed = parse_trips(
             fh,
-            config.partition,
             config.epoch,
             duration_divisor=config.duration_divisor(),
             delimiter=config.csv_delimiter,
@@ -481,10 +481,10 @@ def cmd_ingest(config: Config) -> int:
         if not network_path.is_file():
             log.error("network file not found: %s", network_path)
             return 1
-        with open(network_path) as fh:
-            network = parse_network(fh)
+        with _read_table(network_path) as fh:
+            roads = parse_network(fh)
         unknown_roads = {
-            road for t in parsed.records for road in t.path if road not in network
+            road for t in parsed.records for road in t.path if road not in roads
         }
         if unknown_roads:
             log.warning("%d roads in paths missing from network", len(unknown_roads))
@@ -550,15 +550,13 @@ def cmd_validate(config: Config, reference=None, generated=None) -> int:
     gen_path = Path(generated) if generated else config.path("generated")
     with _read_table(ref_path) as fh:
         ref = parse_trips(
-            fh, config.partition, config.epoch,
+            fh, config.epoch,
             duration_divisor=config.duration_divisor(),
             delimiter=config.csv_delimiter,
         )
     # `generate` writes durations in minutes whatever the input unit.
     with _read_table(gen_path) as fh:
-        gen = parse_trips(
-            fh, config.partition, config.epoch, delimiter=config.csv_delimiter
-        )
+        gen = parse_trips(fh, config.epoch, delimiter=config.csv_delimiter)
     report = build_report(
         ref.records,
         gen.records,

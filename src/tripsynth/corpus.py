@@ -24,7 +24,6 @@ import random
 from dataclasses import dataclass
 
 from .model import (
-    RoadNetwork,
     TimeSlotPartition,
     TravellerType,
     TripRecord,
@@ -117,7 +116,7 @@ class SynthCorpus:
     spec: CorpusSpec
     trips: list
     zones: list
-    network: RoadNetwork
+    network: tuple  # sorted (road, neighbor) edges
     planted: dict
     partition: TimeSlotPartition
 
@@ -153,9 +152,10 @@ def _grid_zones(side: int) -> list:
     return zones
 
 
-def _grid_network(side: int) -> RoadNetwork:
-    """Roads sharing a grid cell are mutually adjacent (both directions)."""
-    incident: dict = {}
+def _grid_network(side: int) -> tuple:
+    """Sorted (road, neighbor) edges: roads sharing a grid cell are mutually
+    adjacent (both directions)."""
+    edges = set()
     for idx in range(side * side):
         r, c = divmod(idx, side)
         here = []
@@ -163,13 +163,8 @@ def _grid_network(side: int) -> RoadNetwork:
             rr, cc = r + dr, c + dc
             if 0 <= rr < side and 0 <= cc < side:
                 here.append(_road_id(idx, rr * side + cc, side))
-        incident[idx] = here
-    adjacency: dict = {}
-    for roads in incident.values():
-        for road in roads:
-            peers = adjacency.setdefault(road, set())
-            peers.update(x for x in roads if x != road)
-    return RoadNetwork(adjacency)
+        edges.update((road, peer) for road in here for peer in here if peer != road)
+    return tuple(sorted(edges))
 
 
 def _cells_between(side: int, o_idx: int, d_idx: int, row_first: bool) -> list:
@@ -341,7 +336,6 @@ def synth_corpus(spec: CorpusSpec | None = None) -> SynthCorpus:
                         traveller_type=ind.ttype,
                         date=day,
                         departure=minute,
-                        slot=partition.slot_of(minute).slot_id,
                         o_zone=o_zone,
                         d_zone=d_zone,
                         path=path,

@@ -56,8 +56,8 @@ class GenParams:
     epsilon: float = 1e-6
     blowup: float = 1e9
     min_gap: int = 1
-    horizon_start: GenClock = GenClock(0, 1)
-    horizon_end: GenClock = GenClock(6, MINUTES_PER_DAY)
+    start_day: int = 0
+    horizon_days: int = 7
     rng_seed: int = 0
 
     def check(self, max_trip_frequency: int = 0) -> None:
@@ -86,7 +86,9 @@ class GenCursor:
     """Mutable per-individual generation state.
 
     `terms` caches preference_terms by current zone; it lives as long as
-    the cursor, which is one individual of one run.
+    the cursor, which is one individual of one run. `trips`, `relocations`
+    and `chain_breaks` count what generate_trip has done so far, as GenStats
+    defines them.
     """
 
     profile: IndividualProfile
@@ -94,6 +96,9 @@ class GenCursor:
     location: str
     daily_quota: int
     generated_today: int = 0
+    trips: int = 0
+    relocations: int = 0
+    chain_breaks: int = 0
     terms: dict = field(default_factory=dict, repr=False)
 
 
@@ -395,7 +400,11 @@ def generate_trip(
         slot_id = first
     slot = partition.by_id(slot_id)
     departure = select_time_period(slot, cursor.clock, ledger, reference, ttype, rng)
-    origin, destination, _ = select_destination(profile, cursor.location, rng)
+    origin, destination, relocated = select_destination(profile, cursor.location, rng)
+    if relocated:
+        cursor.relocations += 1
+        if cursor.trips:
+            cursor.chain_breaks += 1
     entry = select_path(catalog, origin, destination, rng)
     duration = sample_duration(pools, entry.path_id, slot_id, rng)
 
@@ -404,7 +413,6 @@ def generate_trip(
         traveller_type=ttype,
         date=cursor.clock.day,
         departure=departure,
-        slot=slot_id,
         o_zone=origin,
         d_zone=destination,
         path=entry.path,
@@ -420,21 +428,23 @@ def generate_trip(
     cursor.location = destination
     cursor.clock = GenClock(day, minute)
     cursor.generated_today += 1
+    cursor.trips += 1
     return trip
 
 
 def _generate_individual(
-    profile, partition, ledger, reference, catalog, pools, params, rng
+    profile, partition, ledger, reference, catalog, pools, params, rng, stats
 ) -> list:
-    """All trips of one individual over the horizon, chronological."""
+    """All trips of one individual over the horizon, chronological; folds
+    their counts into `stats` once the last one is drawn."""
     cursor = GenCursor(
         profile=profile,
-        clock=params.horizon_start,
+        clock=GenClock(params.start_day, 1),
         location=initial_location(profile),
         daily_quota=daily_quota(profile, rng),
     )
     trips = []
-    while cursor.clock <= params.horizon_end:
+    while cursor.clock.day < params.start_day + params.horizon_days:
         if cursor.generated_today >= cursor.daily_quota:
             # Today's quota is done: jump to the start of the next day.
             cursor.clock = GenClock(cursor.clock.day + 1, 1)
@@ -451,23 +461,11 @@ def _generate_individual(
             # Trip spilled past midnight; the old day's unmet quota is dropped.
             cursor.daily_quota = daily_quota(profile, rng)
             cursor.generated_today = 0
+    stats.trips += cursor.trips
+    stats.relocations += cursor.relocations
+    stats.chain_breaks += cursor.chain_breaks
+    stats.continuity_pairs += max(cursor.trips - 1, 0)
     return trips
-
-
-def _tally(profile, trips, stats: GenStats) -> None:
-    """Fold one individual's result into the run statistics."""
-    stats.trips += len(trips)
-    prev = None
-    expected = initial_location(profile)
-    for trip in trips:
-        if trip.o_zone != expected:
-            stats.relocations += 1
-            if prev is not None:
-                stats.chain_breaks += 1
-        if prev is not None:
-            stats.continuity_pairs += 1
-        prev = trip
-        expected = trip.d_zone
 
 
 def generate_all(
@@ -504,7 +502,8 @@ def generate_all(
         for profile in by_type[ttype]:
             try:
                 trips = _generate_individual(
-                    profile, partition, ledger, reference, catalog, pools, params, rng
+                    profile, partition, ledger, reference, catalog, pools, params,
+                    rng, stats,
                 )
             except CorruptInputError:
                 stats.quarantined.append(profile.traveller_id)
@@ -512,5 +511,4 @@ def generate_all(
                     "quarantined individual %s", profile.traveller_id, exc_info=True
                 )
                 continue
-            _tally(profile, trips, stats)
             yield from trips

@@ -1,8 +1,10 @@
 """Parse historical trip tables and build the aggregates generation needs.
 
 Input formats are flat CSV: a trip table, a zone table, and an optional road
-adjacency edge list. Malformed trip rows are collected, not fatal; a parse
-returns both the accepted records and per-row errors.
+network edge list, of which only the road ids are read: generation draws
+whole observed routes, so adjacency is never checked. Malformed trip rows are
+collected, not fatal; a parse returns both the accepted records and per-row
+errors.
 """
 from __future__ import annotations
 
@@ -16,7 +18,6 @@ from dataclasses import dataclass, field
 from .model import (
     AggregationLedger,
     IndividualProfile,
-    RoadNetwork,
     TimeSlotPartition,
     TravellerType,
     TripRecord,
@@ -109,7 +110,6 @@ def _at_line(reader, exc: csv.Error) -> csv.Error:
 
 def parse_trips(
     stream,
-    partition: TimeSlotPartition,
     epoch: dt.date,
     *,
     duration_divisor: float = 1.0,
@@ -117,8 +117,8 @@ def parse_trips(
 ) -> ParseResult:
     """Parse a historical trip CSV into TripRecords.
 
-    The slot of each record is derived from its departure minute under
-    `partition`; the textual time-slot column is not trusted. Durations are
+    The textual time-slot column is not read: a slot is always derived from
+    the departure minute under the partition in use. Durations are
     divided by `duration_divisor` (60.0 for input in seconds) and rounded to
     whole minutes. Bad rows become RowErrors and parsing continues.
 
@@ -143,10 +143,6 @@ def parse_trips(
 
     def parse_day(text):
         return parse_day_index(text, epoch)
-
-    def parse_time(text):
-        minute = hhmm_to_minute(text)
-        return minute, partition.slot_of(minute).slot_id
 
     def parse_duration(text):
         minutes = float(text) / duration_divisor
@@ -186,8 +182,8 @@ def parse_trips(
                 errors.append(RowError(line, "bad date", text))
                 continue
             text = row[c_time]
-            time = _memo(times, text, parse_time)
-            if time is None:
+            departure = _memo(times, text, hhmm_to_minute)
+            if departure is None:
                 errors.append(RowError(line, "bad departure time", text))
                 continue
             text = row[c_dur]
@@ -212,8 +208,7 @@ def parse_trips(
                     traveller_id=row[c_id].strip(),
                     traveller_type=ttype,
                     date=day,
-                    departure=time[0],
-                    slot=time[1],
+                    departure=departure,
                     o_zone=o_zone,
                     d_zone=d_zone,
                     path=path,
@@ -232,8 +227,9 @@ def parse_trips(
 
 
 def parse_zones(stream, *, delimiter: str = ",") -> list:
-    """Parse the zone table. Duplicate zone ids are a hard error; a
-    csv.Error names the line it stopped at."""
+    """Parse the zone table. A short row, a missing or duplicate zone id and
+    a coordinate that is not a number are hard errors; each, like a
+    csv.Error, names the line it stopped at."""
     reader = csv.reader(stream, delimiter=delimiter)
     try:
         header = next(reader)
@@ -242,40 +238,43 @@ def parse_zones(stream, *, delimiter: str = ",") -> list:
     except csv.Error as exc:
         raise _at_line(reader, exc) from None
     col = _header_index(header, ZONE_COLUMNS, what="zone")
+    width = max(col.values()) + 1
     zones = []
     seen = set()
     try:
         for row in reader:
             if not row or all(not cell.strip() for cell in row):
                 continue
+            line = reader.line_num
+            if len(row) < width:
+                raise ValueError(f"line {line}: short row, {len(row)} fields")
             zone_id = row[col["zone_id"]].strip()
             if not zone_id:
-                raise ValueError(f"line {reader.line_num}: missing zone id")
+                raise ValueError(f"line {line}: missing zone id")
             if zone_id in seen:
-                raise ValueError(f"line {reader.line_num}: duplicate zone id {zone_id!r}")
+                raise ValueError(f"line {line}: duplicate zone id {zone_id!r}")
             seen.add(zone_id)
+            try:
+                longitude = float(row[col["longitude"]])
+                latitude = float(row[col["latitude"]])
+            except ValueError as exc:
+                raise ValueError(f"line {line}: {exc}") from None
             roads = frozenset(
                 r for r in row[col["roads"]].split(ROAD_LIST_SEPARATOR) if r.strip()
             )
             zones.append(
-                Zone(
-                    zone_id=zone_id,
-                    longitude=float(row[col["longitude"]]),
-                    latitude=float(row[col["latitude"]]),
-                    roads=roads,
-                )
+                Zone(zone_id=zone_id, longitude=longitude, latitude=latitude, roads=roads)
             )
     except csv.Error as exc:
         raise _at_line(reader, exc) from None
     return zones
 
 
-def parse_network(stream) -> RoadNetwork:
-    """Parse a road adjacency edge list: one `road_id,neighbor_id` per line.
-
-    A leading header line is tolerated and skipped.
+def parse_network(stream) -> frozenset:
+    """The road ids of a road network edge list: one `road_id,neighbor_id`
+    per line. Adjacency is not kept; a leading header line is skipped.
     """
-    edges = []
+    roads = set()
     for i, raw in enumerate(stream, start=1):
         line = raw.strip()
         if not line:
@@ -285,8 +284,8 @@ def parse_network(stream) -> RoadNetwork:
             raise ValueError(f"line {i}: expected 'road_id,neighbor_id', got {raw!r}")
         if i == 1 and parts[0].lower() == "road_id":
             continue
-        edges.append((parts[0], parts[1]))
-    return RoadNetwork.from_edges(edges)
+        roads.update(parts)
+    return frozenset(roads)
 
 
 def build_profiles(trips, partition: TimeSlotPartition, window_days: int) -> dict:

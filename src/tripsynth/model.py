@@ -16,10 +16,6 @@ MINUTES_PER_DAY = 1440
 TimePeriod = int
 
 
-class UnknownRoadError(LookupError):
-    """A path references a road that is not part of the road network."""
-
-
 class CorruptInputError(ValueError):
     """Prepared inputs are internally inconsistent (e.g. a missing OD entry)."""
 
@@ -183,63 +179,6 @@ class Zone:
     roads: frozenset = frozenset()
 
 
-class RoadNetwork:
-    """Directed road adjacency; roads are opaque string ids."""
-
-    def __init__(self, adjacency):
-        adj = {}
-        roads = set()
-        for road, neighbors in adjacency.items():
-            adj[road] = frozenset(neighbors)
-            roads.add(road)
-            roads.update(neighbors)
-        for road in roads:
-            adj.setdefault(road, frozenset())
-        self._adjacency = adj
-        self.roads = frozenset(roads)
-
-    @classmethod
-    def from_edges(cls, edges) -> "RoadNetwork":
-        """Build from (road, neighbor) pairs, one direction per pair."""
-        adj: dict = {}
-        for a, b in edges:
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set())
-        return cls(adj)
-
-    def __contains__(self, road: str) -> bool:
-        return road in self.roads
-
-    def neighbors(self, road: str) -> frozenset:
-        try:
-            return self._adjacency[road]
-        except KeyError:
-            raise UnknownRoadError(road) from None
-
-    def adjacent(self, a: str, b: str) -> bool:
-        return b in self.neighbors(a)
-
-    def edges(self):
-        """Iterate (road, neighbor) pairs in sorted order."""
-        for road in sorted(self._adjacency):
-            for nb in sorted(self._adjacency[road]):
-                yield road, nb
-
-
-def path_is_continuous(path, net: RoadNetwork) -> bool:
-    """True iff every consecutive road pair of `path` is adjacent in `net`.
-
-    A single-road path is continuous. Raises UnknownRoadError for roads
-    absent from the network.
-    """
-    if not path:
-        raise ValueError("empty path")
-    for road in path:
-        if road not in net:
-            raise UnknownRoadError(road)
-    return all(net.adjacent(a, b) for a, b in zip(path, path[1:]))
-
-
 @dataclass(frozen=True, slots=True)
 class TripRecord:
     """One observed or synthesized trip."""
@@ -248,7 +187,6 @@ class TripRecord:
     traveller_type: TravellerType
     date: int  # day index relative to the configured epoch
     departure: int  # 1-based minute of day
-    slot: int  # slot id within the active partition
     o_zone: str
     d_zone: str
     path: tuple

@@ -52,10 +52,15 @@ from tripsynth.validator import (
 GEN_SEED = 11
 DRAWS = 100_000
 N_STATES = 100
-# store.json and generated.csv of the CLI run below (corpus seed 7,
-# generation seed 11).
-STORE_SHA256 = "c6ee6e53262b0aac3181812a6b1d08765ac26f01f37ebc2af0ad23c97c85ce88"
-GENERATED_SHA256 = "5a4d720946358351d32c369fffe24ca5a309a8565d82343fa5f1eb161a611b63"
+# Every table of the CLI run below (corpus seed 7, generation seed 11).
+DESK_SHA256 = {
+    "data/network.csv": "616587c921b76be94dd80c8d9bcee10688b3284678a08986c9bce4f021145e4e",
+    "data/zones.csv": "0f9f4ef936e1499cbcfda76e0327c563c4bf2f4f61375139d7bbbae36cd5d64f",
+    "data/trips.csv": "afd4214b3d96a20dc6c5399b6e9164ae1aa3b36ecbce3b49f5921eb394ca43cb",
+    "build/store.json": "c6ee6e53262b0aac3181812a6b1d08765ac26f01f37ebc2af0ad23c97c85ce88",
+    "out/generated.csv": "5a4d720946358351d32c369fffe24ca5a309a8565d82343fa5f1eb161a611b63",
+    "out/report.csv": "26744e743549d97e581dbf093bda8ee393b3d220b7ad0e6b33d1de3bad30ca9b",
+}
 
 CONFIG = """\
 paths:
@@ -434,18 +439,10 @@ def test_criterion_10_byte_identical_reruns(cli_runs):
     )
 
 
-def test_generated_bytes_pinned(cli_runs):
-    digest = hashlib.sha256(
-        (cli_runs[0]["base"] / "out" / "generated.csv").read_bytes()
-    ).hexdigest()
-    assert digest == GENERATED_SHA256
-
-
-def test_store_bytes_pinned(cli_runs):
-    digest = hashlib.sha256(
-        (cli_runs[0]["base"] / "build" / "store.json").read_bytes()
-    ).hexdigest()
-    assert digest == STORE_SHA256
+@pytest.mark.parametrize("table", sorted(DESK_SHA256))
+def test_desk_bytes_pinned(cli_runs, table):
+    digest = hashlib.sha256((cli_runs[0]["base"] / table).read_bytes()).hexdigest()
+    assert digest == DESK_SHA256[table]
 
 
 def test_pipeline_time_budget(cli_runs):

@@ -28,7 +28,6 @@ from tripsynth.ingest import (
     parse_zones,
 )
 from tripsynth.model import (
-    GenClock,
     TimeSlotPartition,
     TravellerType,
     TripRecord,
@@ -73,8 +72,8 @@ class TestLoadConfig:
         assert config.duration_divisor() == 1.0
         assert len(config.partition) == 24
         assert config.params.rng_seed == 0
-        assert config.params.horizon_start == GenClock(0, 1)
-        assert config.params.horizon_end == GenClock(6, 1440)
+        assert config.params.start_day == 0
+        assert config.params.horizon_days == 7
         assert config.granularity == 15
         assert config.topk_zone_fractions == (0.1,)
         assert config.topk_od_fractions == (0.5,)
@@ -108,8 +107,8 @@ corpus:
         assert config.partition.boundaries() == [1, 241, 481, 721, 961, 1201]
         assert config.params.rng_seed == 42
         assert config.params.min_gap == 5
-        assert config.params.horizon_start == GenClock(2, 1)
-        assert config.params.horizon_end == GenClock(4, 1440)
+        assert config.params.start_day == 2
+        assert config.params.horizon_days == 3
         assert config.topk_zone_fractions == (0.1, 0.2)
         assert config.corpus_spec.grid_side == 5
         assert config.corpus_spec.days == 3
@@ -173,7 +172,7 @@ def test_trips_csv_round_trip(small):
     buf = io.StringIO()
     n = write_trips_csv(small.trips, buf, epoch, small.partition)
     assert n == len(small.trips)
-    parsed = parse_trips(io.StringIO(buf.getvalue()), small.partition, epoch)
+    parsed = parse_trips(io.StringIO(buf.getvalue()), epoch)
     assert not parsed.errors
     assert parsed.records == small.trips
 
@@ -186,10 +185,9 @@ def test_zone_and_network_round_trip(small):
 
     buf = io.StringIO()
     write_network_csv(small.network, buf)
-    network = parse_network(io.StringIO(buf.getvalue()))
-    assert network.roads == small.network.roads
-    for road in sorted(small.network.roads):
-        assert network.neighbors(road) == small.network.neighbors(road)
+    assert buf.getvalue().splitlines()[1:] == [f"{a},{b}" for a, b in small.network]
+    roads = parse_network(io.StringIO(buf.getvalue()))
+    assert roads == {road for edge in small.network for road in edge}
 
 
 def reference_counts(reference) -> dict:
@@ -277,7 +275,6 @@ def trip_tables(draw):
             traveller_type=draw(st.sampled_from(list(TravellerType))),
             date=draw(st.integers(0, 6)),
             departure=departure,
-            slot=partition.slot_of(departure).slot_id,
             o_zone=draw(st.sampled_from(zones)),
             d_zone=draw(st.sampled_from(zones)),
             path=tuple(draw(st.lists(st.sampled_from(roads), min_size=1, max_size=3))),
@@ -289,8 +286,8 @@ def trip_tables(draw):
 @settings(max_examples=150, deadline=None)
 @given(table=trip_tables())
 @example(table=(FOUR_HOUR_PARTITION, [
-    TripRecord("V|1", TravellerType.COMMUTER, 0, 400, 2, "A|1", "B", ("r|1", "é"), 9),
-    TripRecord("V|1", TravellerType.COMMUTER, 1, 900, 4, "A", "1|B", ("r:2",), 5),
+    TripRecord("V|1", TravellerType.COMMUTER, 0, 400, "A|1", "B", ("r|1", "é"), 9),
+    TripRecord("V|1", TravellerType.COMMUTER, 1, 900, "A", "1|B", ("r:2",), 5),
 ]))
 def test_store_round_trips_any_legal_ids(table, tmp_path_factory):
     partition, trips = table
@@ -331,7 +328,6 @@ def csv_tables(draw):
             traveller_type=draw(st.sampled_from(list(TravellerType))),
             date=draw(st.integers(0, 100_000)),
             departure=departure,
-            slot=partition.slot_of(departure).slot_id,
             o_zone=draw(stripped_ids),
             d_zone=draw(stripped_ids),
             path=tuple(draw(st.lists(csv_road_ids, min_size=1, max_size=4))),
@@ -344,14 +340,14 @@ def csv_tables(draw):
 @given(table=csv_tables(), delimiter=st.sampled_from([",", ";"]))
 @example(
     table=(FOUR_HOUR_PARTITION, [
-        TripRecord('V,"1";|', TravellerType.PASSBY, 0, 1, 1, "A;é", 'B"中', ("r,1", "r;2|"), 1),
-        TripRecord("V2", TravellerType.HIGH_FREQ, 9, 1440, 6, "A|1", "1|B", ("r\r1", "\n"), 600),
+        TripRecord('V,"1";|', TravellerType.PASSBY, 0, 1, "A;é", 'B"中', ("r,1", "r;2|"), 1),
+        TripRecord("V2", TravellerType.HIGH_FREQ, 9, 1440, "A|1", "1|B", ("r\r1", "\n"), 600),
     ]),
     delimiter=";",
 )
 @example(
     table=(HOURLY_PARTITION, [
-        TripRecord("V1", TravellerType.STABLE, 3, 61, 2, 'Z\r;1', 'Z,"2"\r3', ("r1",), 7),
+        TripRecord("V1", TravellerType.STABLE, 3, 61, 'Z\r;1', 'Z,"2"\r3', ("r1",), 7),
     ]),
     delimiter=",",
 )
@@ -360,7 +356,7 @@ def test_trips_csv_round_trips_any_legal_ids(table, delimiter):
     epoch = dt.date(2019, 8, 12)
     buf = io.StringIO()
     write_trips_csv(trips, buf, epoch, partition, delimiter)
-    parsed = parse_trips(io.StringIO(buf.getvalue()), partition, epoch, delimiter=delimiter)
+    parsed = parse_trips(io.StringIO(buf.getvalue()), epoch, delimiter=delimiter)
     assert not parsed.errors
     assert parsed.records == trips
 
@@ -420,9 +416,7 @@ class TestPipeline:
 
         generated = (tmp_path / "out" / "generated.csv").read_text()
         config = load_config(cfg)
-        parsed = parse_trips(
-            io.StringIO(generated), config.partition, config.epoch
-        )
+        parsed = parse_trips(io.StringIO(generated), config.epoch)
         assert not parsed.errors and parsed.records
 
     def test_rerun_is_byte_identical(self, cfg, tmp_path):
@@ -549,6 +543,31 @@ class TestPipeline:
         assert main([command, "-c", cfg]) == 1
         # The oversized field is on line 2 of the trip table.
         assert f"{trips}: line 2: field larger than field limit" in caplog.text
+
+    def test_bad_zone_or_network_row_fails_ingest(self, cfg, tmp_path, caplog):
+        assert main(["corpus", "-c", cfg]) == 0
+        zones = tmp_path / "data" / "zones.csv"
+        network = tmp_path / "data" / "network.csv"
+        zone_text, network_text = zones.read_text(), network.read_text()
+        header, first = zone_text.splitlines()[:2]
+        end = len(zone_text.splitlines()) + 1  # line number of an appended row
+        first_id, _, rest = first.partition(",")
+        cases = [
+            (zones, zone_text + "Z9\n", f"line {end}: short row, 1 fields"),
+            (zones, zone_text + first + "\n", f"line {end}: duplicate zone id {first_id!r}"),
+            (zones, zone_text.replace(first, f"{first_id},abc,{rest.partition(',')[2]}"),
+             "line 2: could not convert string to float: 'abc'"),
+            (network, network_text + "R1,R2,R3\n",
+             f"line {len(network_text.splitlines()) + 1}: expected 'road_id,neighbor_id'"),
+        ]
+        for path, text, message in cases:
+            zones.write_text(zone_text)
+            network.write_text(network_text)
+            path.write_text(text)
+            caplog.clear()
+            assert main(["ingest", "-c", cfg]) == 1
+            assert f"{path}: {message}" in caplog.text
+        assert not (tmp_path / "build" / "store.json").exists()
 
     def test_module_entry_point(self):
         proc = subprocess.run(

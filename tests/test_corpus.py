@@ -25,7 +25,6 @@ from tripsynth.model import (
     TimeSlotPartition,
     TravellerType,
     TripRecord,
-    path_is_continuous,
 )
 
 LEGS_PER_DAY = {
@@ -79,19 +78,23 @@ def test_grid_zones(small):
     assert ids == sorted(ids)
     for zone in small.zones:
         assert zone.roads
-        assert zone.roads <= small.network.roads
+        assert zone.roads <= {road for edge in small.network for road in edge}
 
 
 def test_network_adjacency_is_mutual(small):
-    for road in sorted(small.network.roads):
-        for peer in small.network.neighbors(road):
-            assert small.network.adjacent(peer, road)
+    edges = set(small.network)
+    assert list(small.network) == sorted(edges)
+    for road, peer in small.network:
+        assert road != peer and (peer, road) in edges
 
 
 def test_routes_are_walkable(small):
     zones = {z.zone_id: z for z in small.zones}
+    edges = set(small.network)
+    roads = {road for edge in edges for road in edge}
     for trip in small.trips:
-        assert path_is_continuous(trip.path, small.network)
+        assert trip.path and set(trip.path) <= roads
+        assert all(pair in edges for pair in zip(trip.path, trip.path[1:]))
         assert trip.path[0] in zones[trip.o_zone].roads
         assert trip.path[-1] in zones[trip.d_zone].roads
 
@@ -155,8 +158,8 @@ class TestOracles:
             observed_days=7,
         )
         trips = [
-            TripRecord("V1", p.traveller_type, 0, 400, 1, "A", "B", ("r1",), 10)
-        ] * 3 + [TripRecord("V1", p.traveller_type, 0, 1000, 2, "B", "A", ("r1",), 10)]
+            TripRecord("V1", p.traveller_type, 0, 400, "A", "B", ("r1",), 10)
+        ] * 3 + [TripRecord("V1", p.traveller_type, 0, 1000, "B", "A", ("r1",), 10)]
         reference = build_reference_aggregates(trips, halves)
         return halves, p, reference
 

@@ -11,7 +11,6 @@ from tripsynth.generator import (
     GenParams,
     GenStats,
     InvalidParams,
-    _tally,
     balance_weight,
     daily_quota,
     destination_weights,
@@ -234,9 +233,9 @@ def test_support_follows_add():
 
 def test_aggregation_factor_full_deficit():
     trips = [
-        TripRecord("V1", TravellerType.COMMUTER, 0, 400, 7, "A", "B", ("r1",), 10)
+        TripRecord("V1", TravellerType.COMMUTER, 0, 400, "A", "B", ("r1",), 10)
         for _ in range(3)
-    ] + [TripRecord("V1", TravellerType.COMMUTER, 0, 1000, 17, "B", "A", ("r1",), 10)]
+    ] + [TripRecord("V1", TravellerType.COMMUTER, 0, 1000, "B", "A", ("r1",), 10)]
     ref = build_reference_aggregates(trips, HOURLY)
     params = GenParams()
     # logic and preference factors of 1 leave the feedback factor alone
@@ -286,10 +285,10 @@ def test_slot_weights_multiplicative_structure():
     )
     ref = build_reference_aggregates(
         [
-            TripRecord("V1", p.traveller_type, 0, 400, 1, "A", "B", ("r1",), 10),
-            TripRecord("V1", p.traveller_type, 0, 400, 1, "A", "B", ("r1",), 10),
-            TripRecord("V1", p.traveller_type, 0, 400, 1, "A", "B", ("r1",), 10),
-            TripRecord("V1", p.traveller_type, 0, 1000, 2, "B", "A", ("r1",), 10),
+            TripRecord("V1", p.traveller_type, 0, 400, "A", "B", ("r1",), 10),
+            TripRecord("V1", p.traveller_type, 0, 400, "A", "B", ("r1",), 10),
+            TripRecord("V1", p.traveller_type, 0, 400, "A", "B", ("r1",), 10),
+            TripRecord("V1", p.traveller_type, 0, 1000, "B", "A", ("r1",), 10),
         ],
         halves,
     )
@@ -352,8 +351,7 @@ def test_select_time_slot_conditioning():
 class TestPeriodWeights:
     def ref(self, counts):
         trips = [
-            TripRecord("V1", TravellerType.COMMUTER, 0, m, HOURLY.slot_of(m).slot_id,
-                       "A", "B", ("r1",), 10)
+            TripRecord("V1", TravellerType.COMMUTER, 0, m, "A", "B", ("r1",), 10)
             for m, n in counts.items()
             for _ in range(n)
         ]
@@ -617,8 +615,8 @@ def small_world():
     t = TravellerType.COMMUTER
     trips = []
     for day in range(7):
-        trips.append(TripRecord("V1", t, day, 452, 8, "A", "B", ("r1", "r2"), 14))
-        trips.append(TripRecord("V1", t, day, 1052, 18, "B", "A", ("r2", "r1"), 16))
+        trips.append(TripRecord("V1", t, day, 452, "A", "B", ("r1", "r2"), 14))
+        trips.append(TripRecord("V1", t, day, 1052, "B", "A", ("r2", "r1"), 16))
     profiles = build_profiles(trips, HOURLY, window_days=7)
     return (
         profiles,
@@ -644,8 +642,8 @@ def test_select_path_and_duration():
 
 def test_select_path_prefers_crowd_counts():
     t = TravellerType.COMMUTER
-    trips = [TripRecord("V1", t, 0, 452, 8, "A", "B", ("r1", "r2"), 10)] * 9
-    trips += [TripRecord("V2", t, 0, 452, 8, "A", "B", ("r3",), 10)]
+    trips = [TripRecord("V1", t, 0, 452, "A", "B", ("r1", "r2"), 10)] * 9
+    trips += [TripRecord("V2", t, 0, 452, "A", "B", ("r3",), 10)]
     catalog = build_path_catalog(trips)
     rng = random.Random(11)
     picks = [select_path(catalog, "A", "B", rng).path_id for _ in range(100_000)]
@@ -666,11 +664,11 @@ class TestGenerateTrip:
         rng = random.Random(3)
         trip = generate_trip(cursor, HOURLY, ledger, ref, catalog, pools, params, rng)
         assert trip.o_zone == "A" and trip.d_zone == "B"
-        assert trip.departure in HOURLY.by_id(trip.slot)
         assert cursor.location == "B"
         assert cursor.generated_today == 1
         assert cursor.clock == GenClock(0, trip.departure + trip.duration + 1)
-        assert ledger.counts(TravellerType.COMMUTER).total == 1
+        counts = ledger.counts(TravellerType.COMMUTER)
+        assert counts.total == counts.slot[HOURLY.slot_of(trip.departure).slot_id] == 1
         second = generate_trip(cursor, HOURLY, ledger, ref, catalog, pools, params, rng)
         assert second.o_zone == "B" and second.d_zone == "A"
         assert second.departure >= trip.departure + trip.duration + 1
@@ -728,7 +726,7 @@ class TestGenerateTrip:
         # nothing was drawn before the minute
         assert states == [random.Random(5).getstate()]
         assert trip == TripRecord(
-            "V1", TravellerType.COMMUTER, 0, 1425, 24, "A", "B", ("r1", "r2"), 14
+            "V1", TravellerType.COMMUTER, 0, 1425, "A", "B", ("r1", "r2"), 14
         )
         assert ledger.counts(TravellerType.COMMUTER).slot[24] == 2
 
@@ -759,6 +757,12 @@ class TestGenerateAll:
         assert len(trips) == 14
         assert stats.trips == 14 and not stats.quarantined
 
+    def test_horizon_runs_from_start_day(self):
+        profiles, ref, catalog, pools = small_world()
+        params = GenParams(rng_seed=5, start_day=3, horizon_days=2)
+        trips = list(generate_all(profiles, ref, catalog, pools, params, HOURLY))
+        assert Counter(t.date for t in trips) == {3: 2, 4: 2}
+
     def test_chronological_and_alternating(self):
         profiles, ref, catalog, pools = small_world()
         trips = list(
@@ -784,8 +788,8 @@ class TestGenerateAll:
         t = TravellerType.RANDOM
         trips = []
         for day in range(7):
-            trips.append(TripRecord("V9", t, day, 600, 10, "A", "B", ("r1",), 10))
-        trips.append(TripRecord("V9", t, 0, 700, 12, "B", "A", ("r2",), 10))
+            trips.append(TripRecord("V9", t, day, 600, "A", "B", ("r1",), 10))
+        trips.append(TripRecord("V9", t, 0, 700, "B", "A", ("r2",), 10))
         # 8 trips over 7 days: daily quota is 1 or 2
         profiles = build_profiles(trips, HOURLY, window_days=7)
         catalog = build_path_catalog(trips)
@@ -800,9 +804,9 @@ class TestGenerateAll:
         profiles, ref, catalog, pools = small_world()
         t = TravellerType.COMMUTER
         orphan = [
-            TripRecord("V0", t, day, 452, 8, "X", "Y", ("q1",), 9) for day in range(7)
+            TripRecord("V0", t, day, 452, "X", "Y", ("q1",), 9) for day in range(7)
         ] + [
-            TripRecord("V0", t, day, 1052, 18, "Y", "X", ("q1",), 9) for day in range(7)
+            TripRecord("V0", t, day, 1052, "Y", "X", ("q1",), 9) for day in range(7)
         ]
         # V0's OD pairs are absent from the shared catalog: path choice fails
         profiles.update(build_profiles(orphan, HOURLY, window_days=7))
@@ -815,7 +819,7 @@ class TestGenerateAll:
         )
         assert stats.quarantined == ["V0"]
         assert {t.traveller_id for t in trips} == {"V1"}
-        assert len(trips) == 14
+        assert len(trips) == stats.trips == 14
 
     def test_programming_error_propagates(self, monkeypatch):
         profiles, ref, catalog, pools = small_world()
@@ -836,9 +840,9 @@ class TestGenerateAll:
         t2 = TravellerType.STABLE
         trips = []
         for day in range(7):
-            trips.append(TripRecord("C1", t1, day, 452, 8, "A", "B", ("r1",), 10))
-            trips.append(TripRecord("C1", t1, day, 1052, 18, "B", "A", ("r2",), 10))
-            trips.append(TripRecord("S1", t2, day, 600, 10, "A", "B", ("r1",), 10))
+            trips.append(TripRecord("C1", t1, day, 452, "A", "B", ("r1",), 10))
+            trips.append(TripRecord("C1", t1, day, 1052, "B", "A", ("r2",), 10))
+            trips.append(TripRecord("S1", t2, day, 600, "A", "B", ("r1",), 10))
         profiles = build_profiles(trips, HOURLY, window_days=7)
         catalog = build_path_catalog(trips)
         pools = build_duration_pools(trips, HOURLY)
@@ -856,22 +860,31 @@ class TestGenerateAll:
 
 def test_tally_separates_breaks_from_first_trip_relocation():
     t = TravellerType.PASSBY
-    p = profile(od={"B": {"A": 7}})
-    # initial location is A (tie broken below B alphabetically is wrong way:
-    # A < B), so a first trip departing B is a relocation without a broken pair
-    trips = [TripRecord("V1", t, 0, 700, 12, "B", "A", ("r1",), 10)]
-    stats = GenStats()
-    _tally(p, trips, stats)
-    assert stats.relocations == 1
-    assert stats.chain_breaks == 0
-    assert stats.continuity_pairs == 0
 
-    stats = GenStats()
-    chain = [
-        TripRecord("V1", t, 0, 700, 12, "B", "A", ("r1",), 10),
-        TripRecord("V1", t, 0, 800, 14, "B", "A", ("r1",), 10),  # breaks A -> B
-    ]
-    _tally(p, chain, stats)
-    assert stats.relocations == 2
-    assert stats.chain_breaks == 1
-    assert stats.continuity_pairs == 1
+    def run(departures):
+        # One day of trips from B to A only. The initial location is A (A and
+        # B tie on touches; the smaller id wins), which has no departures, so
+        # every trip relocates to B; only the first breaks no pair.
+        history = [
+            TripRecord("V1", t, day, minute, "B", "A", ("r1",), 10)
+            for day in range(7)
+            for minute in departures
+        ]
+        stats = GenStats()
+        trips = list(
+            generate_all(
+                build_profiles(history, HOURLY, window_days=7),
+                build_reference_aggregates(history, HOURLY),
+                build_path_catalog(history),
+                build_duration_pools(history, HOURLY),
+                GenParams(rng_seed=1, horizon_days=1),
+                HOURLY,
+                stats=stats,
+            )
+        )
+        assert [(trip.o_zone, trip.d_zone) for trip in trips] == [("B", "A")] * len(trips)
+        assert stats.trips == len(trips)
+        return stats.relocations, stats.chain_breaks, stats.continuity_pairs
+
+    assert run([700]) == (1, 0, 0)
+    assert run([700, 800]) == (2, 1, 1)

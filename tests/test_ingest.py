@@ -31,7 +31,7 @@ HEADER = "traveller_ID,traveller_type,Date,Departure_time,Time_slot,O_zone,D_zon
 
 def parse(rows, **kw):
     text = HEADER + "\n" + "\n".join(rows) + "\n"
-    return parse_trips(io.StringIO(text), HOURLY, EPOCH, **kw)
+    return parse_trips(io.StringIO(text), EPOCH, **kw)
 
 
 def test_parse_single_row():
@@ -42,7 +42,6 @@ def test_parse_single_row():
     assert trip.traveller_type is TravellerType.COMMUTER
     assert trip.date == 0
     assert trip.departure == 452
-    assert trip.slot == 8
     assert trip.o_zone == "Z3" and trip.d_zone == "Z9"
     assert trip.path == ("r1", "r4", "r7")
     assert trip.duration == 14
@@ -51,7 +50,8 @@ def test_parse_single_row():
 def test_slot_comes_from_departure_not_the_column():
     # mislabelled slot text must not leak into the record
     result = parse(["V1,commuter,2019-08-12,07:31,23:00-24:00,Z3,Z9,r1,14"])
-    assert result.records[0].slot == 8
+    labelled = parse(["V1,commuter,2019-08-12,07:31,07:00-08:00,Z3,Z9,r1,14"])
+    assert result.records == labelled.records
 
 
 def test_date_accepts_bare_day_index():
@@ -136,9 +136,9 @@ def test_repeated_texts_keep_their_row_errors():
         (19, "short row", "2 fields"),
     ]
     assert result.records == [
-        TripRecord("V1", TravellerType.COMMUTER, 0, 452, 8, "Z3", "Z9", ("r1", "r4"), 14),
-        TripRecord("V1", TravellerType.COMMUTER, 1, 452, 8, "Z9", "Z3", ("r1", "r4"), 14),
-        TripRecord("V2", TravellerType.PASSBY, 0, 481, 9, "Z3", "Z9", ("r1", "r4"), 1),
+        TripRecord("V1", TravellerType.COMMUTER, 0, 452, "Z3", "Z9", ("r1", "r4"), 14),
+        TripRecord("V1", TravellerType.COMMUTER, 1, 452, "Z9", "Z3", ("r1", "r4"), 14),
+        TripRecord("V2", TravellerType.PASSBY, 0, 481, "Z3", "Z9", ("r1", "r4"), 1),
     ]
     assert result.records[0].path is result.records[1].path
 
@@ -151,12 +151,12 @@ def test_blank_lines_skipped():
 def test_missing_column_is_fatal():
     text = "traveller_ID,traveller_type,Date,O_zone,D_zone,Path,Duration\nV1,commuter,0,Z3,Z9,r1,14\n"
     with pytest.raises(ValueError, match="departure_time"):
-        parse_trips(io.StringIO(text), HOURLY, EPOCH)
+        parse_trips(io.StringIO(text), EPOCH)
 
 
 def test_empty_stream_is_fatal():
     with pytest.raises(ValueError, match="empty"):
-        parse_trips(io.StringIO(""), HOURLY, EPOCH)
+        parse_trips(io.StringIO(""), EPOCH)
 
 
 def test_duration_divisor_converts_seconds():
@@ -181,20 +181,35 @@ def test_parse_zones_duplicate_id_is_fatal():
         parse_zones(io.StringIO(text))
 
 
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ("Z2", "line 3: short row, 1 fields"),
+        ("Z2,abc,0,", "line 3: could not convert string to float: 'abc'"),
+        ("Z2,0,,", "line 3: could not convert string to float: ''"),
+    ],
+)
+def test_parse_zones_bad_row_names_line(row, message):
+    text = "Zone_ID,Longitude,Latitude,Roads\nZ1,0,0,\n" + row + "\n"
+    with pytest.raises(ValueError) as raised:
+        parse_zones(io.StringIO(text))
+    assert str(raised.value) == message
+
+
 def test_csv_error_names_line():
     big = "r" * 200_000
     zones = "Zone_ID,Longitude,Latitude,Roads\nZ1,0,0,\nZ2,0,0," + big + "\n"
     with pytest.raises(csv.Error, match="^line 3: field larger than field limit"):
         parse_zones(io.StringIO(zones))
     with pytest.raises(csv.Error, match="^line 1: field larger than field limit"):
-        parse_trips(io.StringIO(big + "\n"), HOURLY, EPOCH)
+        parse_trips(io.StringIO(big + "\n"), EPOCH)
     with pytest.raises(csv.Error, match="^line 2: field larger than field limit"):
         parse([f"V1,commuter,2019-08-12,07:31,07:00-08:00,Z3,Z9,{big},14"])
 
 
 def test_parse_network_tolerates_header():
-    net = parse_network(io.StringIO("road_id,neighbor_id\nr1,r2\nr2,r3\n"))
-    assert net.adjacent("r1", "r2") and net.adjacent("r2", "r3")
+    roads = parse_network(io.StringIO("road_id,neighbor_id\nr1,r2\nr2,r3\n"))
+    assert roads == {"r1", "r2", "r3"}
     with pytest.raises(ValueError):
         parse_network(io.StringIO("r1,r2,r3\n"))
 
@@ -205,7 +220,6 @@ def trip(tid, ttype, day, dep, o, d, path=("r1",), dur=10):
         traveller_type=ttype,
         date=day,
         departure=dep,
-        slot=HOURLY.slot_of(dep).slot_id,
         o_zone=o,
         d_zone=d,
         path=path,

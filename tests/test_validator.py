@@ -109,7 +109,6 @@ def trip(tid="V1", ttype=TravellerType.COMMUTER, day=0, dep=452, o="Z1", d="Z2",
         traveller_type=ttype,
         date=day,
         departure=dep,
-        slot=HOURLY.slot_of(dep).slot_id,
         o_zone=o,
         d_zone=d,
         path=path,
