@@ -475,7 +475,15 @@ def cmd_ingest(config: Config) -> int:
     # Zones and network are checked here but not stored: generate reads
     # neither.
     with _read_table(config.path("zones")) as fh:
-        parse_zones(fh, delimiter=config.csv_delimiter)
+        zone_ids = {z.zone_id for z in parse_zones(fh, delimiter=config.csv_delimiter)}
+    unknown_zones = {
+        zone
+        for t in parsed.records
+        for zone in (t.o_zone, t.d_zone)
+        if zone not in zone_ids
+    }
+    if unknown_zones:
+        log.warning("%d trip zones missing from zone table", len(unknown_zones))
     if "network" in config.paths:
         network_path = config.paths["network"]
         if not network_path.is_file():
@@ -535,9 +543,10 @@ def cmd_generate(config: Config, seed=None) -> int:
         )
     log.info(
         "generate: %d trips, %d relocations (%d chain breaks / %d pairs), "
-        "%d quarantined -> %s",
+        "%d midnight spills (%d quota dropped), %d quarantined -> %s",
         n, stats.relocations, stats.chain_breaks, stats.continuity_pairs,
-        len(stats.quarantined), out_path,
+        stats.midnight_spills, stats.spill_dropped_quota, len(stats.quarantined),
+        out_path,
     )
     if stats.quarantined:
         log.error("quarantined individuals: %s", ", ".join(stats.quarantined))

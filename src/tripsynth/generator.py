@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import logging
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import accumulate
+from math import inf
 
 from .ingest import DurationPool, PathCatalog
 from .model import (
@@ -27,8 +29,8 @@ from .model import (
     IndividualProfile,
     TimeSlot,
     TimeSlotPartition,
-    TravellerType,
     TripRecord,
+    TypeCounts,
 )
 
 log = logging.getLogger(__name__)
@@ -85,9 +87,10 @@ class GenParams:
 class GenCursor:
     """Mutable per-individual generation state.
 
-    `terms` caches preference_terms by current zone; it lives as long as
-    the cursor, which is one individual of one run. `trips`, `relocations`
-    and `chain_breaks` count what generate_trip has done so far, as GenStats
+    `terms` and `destinations` cache preference_terms and
+    destination_weights by current zone; they live as long as the cursor,
+    which is one individual of one run. `trips`, `relocations` and
+    `chain_breaks` count what generate_trip has done so far, as GenStats
     defines them.
     """
 
@@ -100,6 +103,7 @@ class GenCursor:
     relocations: int = 0
     chain_breaks: int = 0
     terms: dict = field(default_factory=dict, repr=False)
+    destinations: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass
@@ -110,6 +114,8 @@ class GenStats:
     relocations: int = 0  # trips whose origin was relocated off the cursor
     chain_breaks: int = 0  # relocations that broke a consecutive-trip pair
     continuity_pairs: int = 0  # consecutive same-individual trip pairs
+    midnight_spills: int = 0  # trips arriving after midnight, ending their day
+    spill_dropped_quota: int = 0  # trips of a spilled day's quota left undrawn
     quarantined: list = field(default_factory=list)
 
 
@@ -196,10 +202,9 @@ def preference_terms(
 
 def slot_weights(
     partition: TimeSlotPartition,
-    ttype: TravellerType,
     terms: list,
-    ledger: AggregationLedger,
-    reference: AggregationLedger,
+    counts: TypeCounts,
+    ref: TypeCounts,
     first: int,
     last_active: int,
     params: GenParams,
@@ -208,36 +213,48 @@ def slot_weights(
 
     Each weight is logic factor * feedback factor * preference term: logic
     is 1 up to `last_active` and kappa for the reserved slots after it (see
-    subsequent_slots), feedback pushes the slot's generated share minus its
-    reference share through the balance curve, and `terms` are the
+    subsequent_slots), feedback pushes the slot's share of `counts` (the
+    type's trips generated so far) minus its share of `ref` (the type's
+    reference departures) through the balance curve, and `terms` are the
     individual's preference_terms at its current zone.
     """
-    ref = reference.departures(ttype)
-    counts = ledger.counts(ttype)
     total = counts.total or 1  # an empty ledger's shares are all 0.0
+    generated, expected, ref_total = counts.slot, ref.slot, ref.total
     weights = []
     for sid in range(first, len(partition) + 1):
-        x = counts.slot[sid] / total - ref.slot[sid] / ref.total
+        x = generated[sid] / total - expected[sid] / ref_total
         cs = 1.0 if sid <= last_active else params.kappa
         weights.append(cs * balance_weight(x, params.blowup) * terms[sid - 1])
     return weights
 
 
 def weighted_draw(labels, weights, rng: random.Random, k=None):
-    """Draw from `labels` proportionally to non-negative `weights`.
+    """Inverse-CDF draw from `labels` by non-negative `weights`.
 
-    With k=None returns a single label; otherwise a list of k draws from the
-    same cumulative table.
+    Each draw takes one rng.random() value u and returns the first label
+    whose cumulative weight exceeds u times the total, or the last label.
+    That is the table and the search random.choices uses, so the labels
+    drawn and the RNG state left are those of rng.choices(labels, weights,
+    k=...). A zero weight repeats a cumulative entry and is never drawn.
+    With k=None returns a single label; otherwise a list of k draws.
+    Raises ValueError for mismatched lengths, no labels, a negative weight,
+    or a total that is not positive and finite.
     """
-    if len(labels) != len(weights):
+    n = len(labels)
+    if n != len(weights):
         raise ValueError("labels and weights differ in length")
-    if not labels:
+    if not n:
         raise ValueError("nothing to draw from")
-    if min(weights) < 0 or sum(weights) <= 0:
-        raise ValueError("weights must be non-negative with positive sum")
+    if min(weights) < 0:
+        raise ValueError("weights must be non-negative")
+    cum = list(accumulate(weights))
+    total = cum[-1] + 0.0
+    if not 0.0 < total < inf:
+        raise ValueError("weights must have a positive, finite sum")
     if k is None:
-        return rng.choices(labels, weights=weights)[0]
-    return rng.choices(labels, weights=weights, k=k)
+        return labels[bisect_right(cum, rng.random() * total, 0, n - 1)]
+    draw = rng.random
+    return [labels[bisect_right(cum, draw() * total, 0, n - 1)] for _ in range(k)]
 
 
 def select_time_slot(weights: list, first: int, rng: random.Random) -> int:
@@ -249,26 +266,25 @@ def select_time_slot(weights: list, first: int, rng: random.Random) -> int:
 def period_weights(
     slot: TimeSlot,
     clock: GenClock,
-    ledger: AggregationLedger,
-    reference: AggregationLedger,
-    ttype: TravellerType,
+    counts: TypeCounts,
+    ref: TypeCounts,
     floor: float = DELTA_FLOOR,
 ):
     """Departure minutes inside `slot` that can be drawn, with their weights.
 
-    Candidates run from max(slot start, clock minute) to the slot end. Where
-    some candidates still trail their reference share, only those are listed,
-    each weighted by its shortfall (deficit-proportional); a minute without
-    reference departures can never trail, so only the reference's non-zero
-    minutes are walked. Once every candidate is at or past its reference
-    share, all candidates are listed, weighted by inverse absolute
+    Candidates run from max(slot start, clock minute) to the slot end. A
+    minute's share is its count over the total, in `counts` (the type's
+    trips generated so far) and in `ref` (its reference departures). Where
+    some candidates still trail their reference share, only those are
+    listed, each weighted by its shortfall (deficit-proportional); a minute
+    without reference departures can never trail, so only the reference's
+    non-zero minutes are walked. Once every candidate is at or past its
+    reference share, all candidates are listed, weighted by inverse
     overshoots, floored.
     """
-    ref = reference.departures(ttype)
     start = max(slot.start, clock.minute)
     if start > slot.end:
         raise ValueError(f"slot {slot.slot_id} has no minutes left at {clock.minute}")
-    counts = ledger.counts(ttype)
     generated = counts.minute
     total = counts.total or 1  # an empty ledger's shares are all 0.0
     support, shares = ref.support(slot)
@@ -284,8 +300,10 @@ def period_weights(
         return minutes, weights
     stop = slot.end + 1
     ref_total = ref.total
+    # No candidate trails its share here, so the overshoot x is never
+    # negative and equals the absolute share difference.
     weights = [
-        1.0 / max(abs(r / ref_total - n / total), floor)
+        1.0 / (x if (x := n / total - r / ref_total) > floor else floor)
         for r, n in zip(ref.minute[start:stop], generated[start:stop])
     ]
     return list(range(start, stop)), weights
@@ -294,19 +312,19 @@ def period_weights(
 def select_time_period(
     slot: TimeSlot,
     clock: GenClock,
-    ledger: AggregationLedger,
-    reference: AggregationLedger,
-    ttype: TravellerType,
+    counts: TypeCounts,
+    ref: TypeCounts,
     rng: random.Random,
 ) -> int:
     """Sample a departure minute inside the chosen slot.
 
-    Draws over period_weights: the minutes in deficit when there are any,
-    otherwise every candidate minute by inverse overshoot. Leaving out the
-    zero weights changes neither the minute drawn nor the RNG state, since
-    the cumulative table only loses its repeated entries.
+    One inverse-CDF draw (weighted_draw) over period_weights: the minutes in
+    deficit when there are any, otherwise every candidate minute by inverse
+    overshoot. The full candidate list would add only zero weights, which
+    repeat cumulative entries the search never stops at, so leaving them
+    out changes neither the minute drawn nor the RNG state.
     """
-    minutes, weights = period_weights(slot, clock, ledger, reference, ttype)
+    minutes, weights = period_weights(slot, clock, counts, ref)
     return weighted_draw(minutes, weights, rng)
 
 
@@ -326,11 +344,16 @@ def destination_weights(profile: IndividualProfile, origin: str):
     return origin, dests, [row[d] for d in dests], relocated
 
 
-def select_destination(profile: IndividualProfile, origin: str, rng: random.Random):
+def select_destination(cursor: GenCursor, rng: random.Random):
     """Sample a destination proportionally to the individual's historical
-    OD counts from `origin`, relocating as destination_weights does.
+    OD counts from the cursor's location, relocating as destination_weights
+    does; the weights are cached on the cursor per location.
     Returns (origin_used, destination, relocated)."""
-    origin, dests, weights, relocated = destination_weights(profile, origin)
+    found = cursor.destinations.get(cursor.location)
+    if found is None:
+        found = destination_weights(cursor.profile, cursor.location)
+        cursor.destinations[cursor.location] = found
+    origin, dests, weights, relocated = found
     return origin, weighted_draw(dests, weights, rng), relocated
 
 
@@ -339,9 +362,7 @@ def select_path(catalog: PathCatalog, o_zone: str, d_zone: str, rng: random.Rand
     entries = catalog.get(o_zone, d_zone)
     if not entries:
         raise CorruptInputError(f"no pooled path for OD pair ({o_zone}, {d_zone})")
-    return entries[
-        weighted_draw(range(len(entries)), [e.crowd_count for e in entries], rng)
-    ]
+    return weighted_draw(entries, catalog.crowd_counts(o_zone, d_zone), rng)
 
 
 def sample_duration(
@@ -386,9 +407,9 @@ def generate_trip(
         terms = preference_terms(profile, cursor.location, partition, params.epsilon)
         cursor.terms[cursor.location] = terms
     ttype = profile.traveller_type
-    weights = slot_weights(
-        partition, ttype, terms, ledger, reference, first, last_active, params
-    )
+    ref = reference.departures(ttype)
+    counts = ledger.counts(ttype)
+    weights = slot_weights(partition, terms, counts, ref, first, last_active, params)
     if any(w > 0.0 for w in weights):
         slot_id = select_time_slot(weights, first, rng)
     else:
@@ -399,8 +420,8 @@ def generate_trip(
         # left, so it is taken without a draw.
         slot_id = first
     slot = partition.by_id(slot_id)
-    departure = select_time_period(slot, cursor.clock, ledger, reference, ttype, rng)
-    origin, destination, relocated = select_destination(profile, cursor.location, rng)
+    departure = select_time_period(slot, cursor.clock, counts, ref, rng)
+    origin, destination, relocated = select_destination(cursor, rng)
     if relocated:
         cursor.relocations += 1
         if cursor.trips:
@@ -444,6 +465,7 @@ def _generate_individual(
         daily_quota=daily_quota(profile, rng),
     )
     trips = []
+    spills = dropped = 0
     while cursor.clock.day < params.start_day + params.horizon_days:
         if cursor.generated_today >= cursor.daily_quota:
             # Today's quota is done: jump to the start of the next day.
@@ -459,12 +481,16 @@ def _generate_individual(
         )
         if cursor.clock.day != day_before:
             # Trip spilled past midnight; the old day's unmet quota is dropped.
+            spills += 1
+            dropped += cursor.daily_quota - cursor.generated_today
             cursor.daily_quota = daily_quota(profile, rng)
             cursor.generated_today = 0
     stats.trips += cursor.trips
     stats.relocations += cursor.relocations
     stats.chain_breaks += cursor.chain_breaks
     stats.continuity_pairs += max(cursor.trips - 1, 0)
+    stats.midnight_spills += spills
+    stats.spill_dropped_quota += dropped
     return trips
 
 

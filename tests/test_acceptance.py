@@ -5,15 +5,18 @@ Thresholds are asserted exactly as stated; every expected value is either
 computed in closed form here or measured through an independent route.
 """
 import hashlib
+import io
 import math
 import random
+import subprocess
+import sys
 import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 import pytest
 
-from tripsynth.cli import main
+from tripsynth.cli import load_config, load_store, main, write_trips_csv
 from tripsynth.corpus import (
     CorpusSpec,
     oracle_destination_probabilities,
@@ -177,9 +180,10 @@ def _slot_state(meta, world, rng):
     )
     first, last_active = subsequent_slots(partition, clock, remaining)
     terms = preference_terms(profile, zone, partition, world.params.epsilon)
+    ttype = profile.traveller_type
     weights = slot_weights(
-        partition, profile.traveller_type, terms, ledger, world.reference, first,
-        last_active, world.params,
+        partition, terms, ledger.counts(ttype), world.reference.departures(ttype),
+        first, last_active, world.params,
     )
     draws = weighted_draw(range(first, first + len(weights)), weights, rng, k=DRAWS)
     return _tv(oracle, draws)
@@ -218,7 +222,9 @@ def _period_state(meta, world, rng, shape):
     oracle = oracle_period_probabilities(slot, clock, ledger, reference, ttype)
     from tripsynth.generator import period_weights
 
-    minutes, weights = period_weights(slot, clock, ledger, reference, ttype)
+    minutes, weights = period_weights(
+        slot, clock, ledger.counts(ttype), reference.departures(ttype)
+    )
     draws = weighted_draw(minutes, weights, rng, k=DRAWS)
     return _tv(oracle, draws)
 
@@ -443,6 +449,55 @@ def test_criterion_10_byte_identical_reruns(cli_runs):
 def test_desk_bytes_pinned(cli_runs, table):
     digest = hashlib.sha256((cli_runs[0]["base"] / table).read_bytes()).hexdigest()
     assert digest == DESK_SHA256[table]
+
+
+def test_midnight_spills_counted(world):
+    # bench/run.py's traced desk run counts the same 2 trips ending past
+    # midnight; each was the last of its day's quota.
+    assert (world.stats.midnight_spills, world.stats.spill_dropped_quota) == (2, 0)
+
+
+def _generate_fresh(base, config_text):
+    """`generate` in a new process; returns the bytes it wrote."""
+    cfg = base / "fresh.yaml"
+    cfg.write_text(config_text.replace("out/generated.csv", "out/fresh.csv"))
+    subprocess.run(
+        [sys.executable, "-m", "tripsynth.cli", "generate", "-c", str(cfg)], check=True
+    )
+    return (base / "out" / "fresh.csv").read_bytes()
+
+
+def _generate_here(base, store):
+    config = load_config(base / "run.yaml")
+    records = generate_all(
+        store.profiles, store.reference, store.catalog, store.pools, config.params,
+        store.partition,
+    )
+    buf = io.StringIO()
+    write_trips_csv(records, buf, config.epoch, store.partition, config.csv_delimiter)
+    return buf.getvalue().encode()
+
+
+def test_generator_caches_do_not_leak_between_runs(cli_runs, tmp_path):
+    # The desk store twice, then a second store (hourly slots, other corpus
+    # seed and size), all in this process: each output must equal the one a
+    # fresh process writes from the same store.
+    desk = cli_runs[0]["base"]
+    other_config = CONFIG.replace("partition: [1, 241, 481, 721, 961, 1201]\n", "").replace(
+        "  seed: 7\n", "  seed: 3\n  individuals: {commuter: 8, random: 6, passby: 4}\n"
+    )
+    (tmp_path / "run.yaml").write_text(other_config)
+    for command in ("corpus", "ingest"):
+        assert main([command, "-c", str(tmp_path / "run.yaml")]) == 0
+    desk_fresh = _generate_fresh(desk, CONFIG)
+    other_fresh = _generate_fresh(tmp_path, other_config)
+    assert desk_fresh != other_fresh
+
+    store = load_store(desk / "build" / "store.json")
+    assert _generate_here(desk, store) == desk_fresh
+    assert _generate_here(desk, store) == desk_fresh
+    other = load_store(tmp_path / "build" / "store.json")
+    assert _generate_here(tmp_path, other) == other_fresh
 
 
 def test_pipeline_time_budget(cli_runs):

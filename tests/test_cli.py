@@ -525,6 +525,21 @@ class TestPipeline:
         )
         assert main(["ingest", "-c", no_network]) == 0
 
+    def test_trip_zone_missing_from_zone_table_warns(self, tmp_path, caplog):
+        cfg = write_config(tmp_path, PATHS + "corpus: {seed: 7}\n")
+        assert main(["corpus", "-c", cfg]) == 0
+        assert main(["ingest", "-c", cfg]) == 0
+        assert "missing from zone table" not in caplog.text
+        zones = tmp_path / "data" / "zones.csv"
+        lines = zones.read_text().splitlines(keepends=True)
+        kept = [line for line in lines if not line.startswith("Z01,")]
+        assert len(kept) == len(lines) - 1
+        zones.write_text("".join(kept))
+        caplog.clear()
+        assert main(["ingest", "-c", cfg]) == 0
+        assert "1 trip zones missing from zone table" in caplog.text
+        assert (tmp_path / "build" / "store.json").is_file()
+
     @pytest.mark.parametrize("command", ["ingest", "validate"])
     def test_oversized_csv_field_fails_command(self, cfg, tmp_path, caplog, command):
         # A field beyond the csv module's 131,072-character limit is a

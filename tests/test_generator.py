@@ -44,10 +44,29 @@ from tripsynth.model import (
     TimeSlotPartition,
     TravellerType,
     TripRecord,
+    TypeCounts,
 )
 
 HOURLY = TimeSlotPartition.hourly()
 FOUR_HOUR = TimeSlotPartition.from_boundaries([1, 241, 481, 721, 961, 1201])
+
+
+class TopRandom(random.Random):
+    """An RNG whose random() always returns the largest float below 1."""
+
+    def random(self):
+        return 1.0 - 2.0**-53
+
+
+class ZeroRandom(random.Random):
+    """An RNG whose random() always returns 0.0."""
+
+    def random(self):
+        return 0.0
+
+
+def commuters(ledger):
+    return ledger.counts(TravellerType.COMMUTER)
 
 
 def profile(od=None, slot_origin=None, ttype=TravellerType.COMMUTER, days=7):
@@ -241,21 +260,29 @@ def test_aggregation_factor_full_deficit():
     # logic and preference factors of 1 leave the feedback factor alone
     ones = [1.0] * len(HOURLY)
     n = len(HOURLY)
-    w = slot_weights(
-        HOURLY, TravellerType.COMMUTER, ones, AggregationLedger(), ref, 1, n, params,
-    )
+    expected = ref.departures(TravellerType.COMMUTER)
+    w = slot_weights(HOURLY, ones, TypeCounts(), expected, 1, n, params)
     assert len(w) == n
     assert w[7 - 1] == pytest.approx(params.blowup ** 0.75)
     # a type without reference departures, absent or present but empty, is
-    # corrupt input; asking does not add it to the reference
+    # corrupt input; asking, even through generate_trip, does not add it to
+    # the reference
     ref.counts(TravellerType.STABLE)
+    catalog = build_path_catalog(trips)
+    pools = build_duration_pools(trips, HOURLY)
     for ttype in (TravellerType.PASSBY, TravellerType.STABLE):
         with pytest.raises(CorruptInputError):
-            slot_weights(HOURLY, ttype, ones, AggregationLedger(), ref, 1, n, params)
+            ref.departures(ttype)
+        cursor = GenCursor(
+            profile=profile(od={"A": {"B": 1}}, slot_origin={7: {"A": 1}}, ttype=ttype),
+            clock=GenClock(0, 1), location="A", daily_quota=1,
+        )
+        rng = random.Random(0)
         with pytest.raises(CorruptInputError):
-            period_weights(
-                TimeSlot(1, 1, 60), GenClock(0, 1), AggregationLedger(), ref, ttype
+            generate_trip(
+                cursor, HOURLY, AggregationLedger(), ref, catalog, pools, params, rng
             )
+        assert rng.getstate() == random.Random(0).getstate()
     assert set(ref.by_type) == {TravellerType.COMMUTER, TravellerType.STABLE}
 
 
@@ -296,8 +323,8 @@ def test_slot_weights_multiplicative_structure():
     first, last_active = subsequent_slots(halves, GenClock(0, 1), 2)
     terms = preference_terms(p, "A", halves, params.epsilon)
     w = slot_weights(
-        halves, p.traveller_type, terms, AggregationLedger(), ref, first, last_active,
-        params,
+        halves, terms, TypeCounts(), ref.departures(p.traveller_type), first,
+        last_active, params,
     )
     assert len(w) == 2
     # slot 1: active, full deficit of 0.75, own share 0.75, all departures
@@ -335,6 +362,33 @@ class TestWeightedDraw:
         b = weighted_draw([1, 2, 3], [1, 1, 1], random.Random(42), k=50)
         assert a == b
 
+    @example([1.0], None, random.Random, 0)
+    @example([1.0], 3, random.Random, 0)
+    @example([0.0, 0.0, 2.5, 0.0], None, ZeroRandom, 1)
+    @example([0, 3, 0, 1], 5, TopRandom, 2)
+    @given(
+        st.lists(
+            st.integers(0, 50) | st.floats(0.0, 1e3) | st.just(0.0),
+            min_size=1, max_size=30,
+        ).filter(lambda ws: any(w > 0 for w in ws)),
+        st.none() | st.integers(2, 40),
+        st.sampled_from([random.Random, TopRandom, ZeroRandom]),
+        st.integers(0, 2**32),
+    )
+    def test_matches_random_choices(self, weights, k, make, seed):
+        # Same labels and same RNG state as random.choices over the same
+        # weights, zero weights and single labels included; the stub RNGs
+        # pin both ends of the unit interval.
+        labels = [f"L{i}" for i in range(len(weights))]
+        ours, theirs = make(seed), make(seed)
+        if k is None:
+            assert weighted_draw(labels, weights, ours) == theirs.choices(labels, weights)[0]
+        else:
+            assert weighted_draw(labels, weights, ours, k=k) == theirs.choices(
+                labels, weights, k=k
+            )
+        assert ours.getstate() == theirs.getstate()
+
 
 def test_select_time_slot_conditioning():
     # weights of slots 2 and 3 only: slot 1 can never be drawn
@@ -362,17 +416,14 @@ class TestPeriodWeights:
         ledger = AggregationLedger()
         ledger.record(TravellerType.COMMUTER, 1, 10)
         slot = TimeSlot(1, 1, 60)
-        minutes, weights = period_weights(
-            slot, GenClock(0, 1), ledger, ref, TravellerType.COMMUTER
-        )
+        counts, ref = commuters(ledger), commuters(ref)
+        minutes, weights = period_weights(slot, GenClock(0, 1), counts, ref)
         # minute 10 overshot (1.0 generated vs 0.25 reference), minute 20
         # still owed 0.75; everything else level at zero and left out
         assert minutes == [20]
         assert weights == [3 / 4 - 0 / 1]
         rng = random.Random(0)
-        assert select_time_period(
-            slot, GenClock(0, 1), ledger, ref, TravellerType.COMMUTER, rng
-        ) == 20
+        assert select_time_period(slot, GenClock(0, 1), counts, ref, rng) == 20
 
     def test_overshoot_branch_inverts_excess(self):
         ref = self.ref({1: 2, 2: 3, 100: 5})
@@ -381,7 +432,7 @@ class TestPeriodWeights:
             for _ in range(n):
                 ledger.record(TravellerType.COMMUTER, HOURLY.slot_of(minute).slot_id, minute)
         minutes, weights = period_weights(
-            TimeSlot(1, 1, 2), GenClock(0, 1), ledger, ref, TravellerType.COMMUTER
+            TimeSlot(1, 1, 2), GenClock(0, 1), commuters(ledger), commuters(ref)
         )
         assert minutes == [1, 2]
         assert weights == pytest.approx([10.0, 5.0])  # inverse of |-0.1|, |-0.2|
@@ -392,7 +443,7 @@ class TestPeriodWeights:
         ledger.record(TravellerType.COMMUTER, 1, 1)
         ledger.record(TravellerType.COMMUTER, 1, 2)
         minutes, weights = period_weights(
-            TimeSlot(1, 1, 2), GenClock(0, 1), ledger, ref, TravellerType.COMMUTER
+            TimeSlot(1, 1, 2), GenClock(0, 1), commuters(ledger), commuters(ref)
         )
         # generated shares match the reference exactly: floored inverses, equal
         assert minutes == [1, 2]
@@ -401,8 +452,7 @@ class TestPeriodWeights:
     def test_clock_trims_candidates(self):
         ref = self.ref({10: 1})
         minutes, _ = period_weights(
-            TimeSlot(1, 1, 60), GenClock(0, 30), AggregationLedger(), ref,
-            TravellerType.COMMUTER,
+            TimeSlot(1, 1, 60), GenClock(0, 30), TypeCounts(), commuters(ref)
         )
         assert minutes == list(range(30, 61))
 
@@ -410,8 +460,7 @@ class TestPeriodWeights:
         ref = self.ref({10: 1})
         with pytest.raises(ValueError):
             period_weights(
-                TimeSlot(1, 1, 60), GenClock(0, 61), AggregationLedger(), ref,
-                TravellerType.COMMUTER,
+                TimeSlot(1, 1, 60), GenClock(0, 61), TypeCounts(), commuters(ref)
             )
 
 
@@ -420,15 +469,16 @@ class TestPeriodWeights:
 # formulas are repeated inline below over plain Counters, so they do not
 # share the ledgers' dense layout.
 
-def _reference_of(counts, partition, ttype):
-    return reference_from_minutes({ttype: counts}, partition)
+def _reference_of(counts, partition):
+    ttype = TravellerType.COMMUTER
+    return reference_from_minutes({ttype: counts}, partition).departures(ttype)
 
 
-def _ledger_of(minutes, partition, ttype):
-    ledger = AggregationLedger()
+def _ledger_of(minutes, partition):
+    counts = TypeCounts()
     for m in minutes:
-        ledger.record(ttype, partition.slot_of(m).slot_id, m)
-    return ledger
+        counts.add(partition.slot_of(m).slot_id, m)
+    return counts
 
 
 @st.composite
@@ -501,22 +551,13 @@ def _full_period_weights(slot, minute, ref, generated):
     return candidates, [1.0 / max(abs(d), 1e-12) for d in deltas]
 
 
-class TopRandom(random.Random):
-    """An RNG whose random() always returns the largest float below 1."""
-
-    def random(self):
-        return 1.0 - 2.0**-53
-
-
 class TestExactFloats:
     @given(period_states())
     def test_period_weights(self, state):
         partition, slot, minute, ref, generated = state
-        ttype = TravellerType.COMMUTER
         clock = GenClock(0, minute)
         minutes, weights = period_weights(
-            slot, clock, _ledger_of(generated, partition, ttype),
-            _reference_of(ref, partition, ttype), ttype,
+            slot, clock, _ledger_of(generated, partition), _reference_of(ref, partition)
         )
 
         candidates, full = _full_period_weights(slot, minute, ref, generated)
@@ -539,14 +580,13 @@ class TestExactFloats:
         # the same RNG state as a draw over every candidate minute with the
         # zero weights kept in.
         partition, slot, minute, ref, generated = state
-        ttype = TravellerType.COMMUTER
         candidates, full = _full_period_weights(slot, minute, ref, generated)
         make = TopRandom if kind == "top" else random.Random
         old_rng, new_rng = make(seed), make(seed)
         expect = old_rng.choices(candidates, weights=full)[0]
         got = select_time_period(
-            slot, GenClock(0, minute), _ledger_of(generated, partition, ttype),
-            _reference_of(ref, partition, ttype), ttype, new_rng,
+            slot, GenClock(0, minute), _ledger_of(generated, partition),
+            _reference_of(ref, partition), new_rng,
         )
         assert got == expect
         assert new_rng.getstate() == old_rng.getstate()
@@ -554,13 +594,12 @@ class TestExactFloats:
     @given(slot_states(), st.integers(0, 2**32))
     def test_slot_weights(self, state, seed):
         partition, prof, zone, clock, remaining, ref, generated = state
-        ttype = prof.traveller_type
         params = GenParams()
         first, last_active = subsequent_slots(partition, clock, remaining)
         weights = slot_weights(
-            partition, ttype, preference_terms(prof, zone, partition, params.epsilon),
-            _ledger_of(generated, partition, ttype),
-            _reference_of(ref, partition, ttype), first, last_active, params,
+            partition, preference_terms(prof, zone, partition, params.epsilon),
+            _ledger_of(generated, partition), _reference_of(ref, partition), first,
+            last_active, params,
         )
 
         ref_slots = Counter()
@@ -599,15 +638,18 @@ class TestDestination:
         origin, dests, weights, relocated = destination_weights(p, "A")
         assert (origin, dests, weights, relocated) == ("A", ["B", "C"], [3, 1], False)
         rng = random.Random(5)
-        picks = [select_destination(p, "A", rng)[1] for _ in range(100_000)]
+        cursor = GenCursor(profile=p, clock=GenClock(0, 1), location="A", daily_quota=1)
+        picks = [select_destination(cursor, rng)[1] for _ in range(100_000)]
         assert picks.count("B") / len(picks) == pytest.approx(0.75, abs=0.01)
 
     def test_relocates_when_origin_unseen(self):
         p = profile(od={"A": {"B": 3}, "B": {"A": 1}})
         origin, dests, _, relocated = destination_weights(p, "Z99")
         assert relocated and origin == "A" and dests == ["B"]
-        used, dest, flagged = select_destination(p, "Z99", random.Random(1))
+        cursor = GenCursor(profile=p, clock=GenClock(0, 1), location="Z99", daily_quota=1)
+        used, dest, flagged = select_destination(cursor, random.Random(1))
         assert used == "A" and dest == "B" and flagged
+        assert cursor.destinations == {"Z99": ("A", ["B"], [3], True)}
 
 
 def small_world():
@@ -704,7 +746,7 @@ class TestGenerateTrip:
         params = GenParams()
         terms = preference_terms(profiles["V1"], "A", HOURLY, params.epsilon)
         weights = slot_weights(
-            HOURLY, TravellerType.COMMUTER, terms, ledger, ref, 24, 24, params
+            HOURLY, terms, commuters(ledger), commuters(ref), 24, 24, params
         )
         assert weights == [0.0]
 
@@ -714,9 +756,9 @@ class TestGenerateTrip:
         states = []
         draw_minute = generator.select_time_period
 
-        def spy(slot, clock, ledger, reference, ttype, rng):
+        def spy(slot, clock, counts, ref, rng):
             states.append(rng.getstate())
-            return draw_minute(slot, clock, ledger, reference, ttype, rng)
+            return draw_minute(slot, clock, counts, ref, rng)
 
         monkeypatch.setattr(generator, "select_time_slot", refuse)
         monkeypatch.setattr(generator, "select_time_period", spy)
@@ -888,3 +930,28 @@ def test_tally_separates_breaks_from_first_trip_relocation():
 
     assert run([700]) == (1, 0, 0)
     assert run([700, 800]) == (2, 1, 1)
+
+
+def test_midnight_spill_drops_unmet_quota():
+    # Two late trips a day: the first one drawn already ends past midnight,
+    # so the day's second trip is dropped with the spill.
+    t = TravellerType.STABLE
+    history = [
+        TripRecord("V1", t, day, minute, o, d, ("r1",), 20)
+        for day in range(7)
+        for minute, o, d in ((1430, "A", "B"), (1432, "B", "A"))
+    ]
+    stats = GenStats()
+    trips = list(
+        generate_all(
+            build_profiles(history, HOURLY, window_days=7),
+            build_reference_aggregates(history, HOURLY),
+            build_path_catalog(history),
+            build_duration_pools(history, HOURLY),
+            GenParams(rng_seed=1, horizon_days=1),
+            HOURLY,
+            stats=stats,
+        )
+    )
+    assert len(trips) == 1 and trips[0].departure >= 1430
+    assert (stats.midnight_spills, stats.spill_dropped_quota) == (1, 1)
