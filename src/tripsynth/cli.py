@@ -543,10 +543,12 @@ def cmd_generate(config: Config, seed=None) -> int:
         )
     log.info(
         "generate: %d trips, %d relocations (%d chain breaks / %d pairs), "
-        "%d midnight spills (%d quota dropped), %d quarantined -> %s",
+        "%d midnight spills (%d quota dropped), %d degenerate slot draws, "
+        "%d duration fallbacks, %d quarantined -> %s",
         n, stats.relocations, stats.chain_breaks, stats.continuity_pairs,
-        stats.midnight_spills, stats.spill_dropped_quota, len(stats.quarantined),
-        out_path,
+        stats.midnight_spills, stats.spill_dropped_quota,
+        stats.degenerate_slot_draws, stats.duration_fallbacks,
+        len(stats.quarantined), out_path,
     )
     if stats.quarantined:
         log.error("quarantined individuals: %s", ", ".join(stats.quarantined))

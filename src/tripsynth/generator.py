@@ -89,9 +89,9 @@ class GenCursor:
 
     `terms` and `destinations` cache preference_terms and
     destination_weights by current zone; they live as long as the cursor,
-    which is one individual of one run. `trips`, `relocations` and
-    `chain_breaks` count what generate_trip has done so far, as GenStats
-    defines them.
+    which is one individual of one run. `trips`, `relocations`,
+    `chain_breaks`, `degenerate_slot_draws` and `duration_fallbacks` count
+    what generate_trip has done so far, as GenStats defines them.
     """
 
     profile: IndividualProfile
@@ -102,6 +102,8 @@ class GenCursor:
     trips: int = 0
     relocations: int = 0
     chain_breaks: int = 0
+    degenerate_slot_draws: int = 0
+    duration_fallbacks: int = 0
     terms: dict = field(default_factory=dict, repr=False)
     destinations: dict = field(default_factory=dict, repr=False)
 
@@ -114,6 +116,8 @@ class GenStats:
     relocations: int = 0  # trips whose origin was relocated off the cursor
     chain_breaks: int = 0  # relocations that broke a consecutive-trip pair
     continuity_pairs: int = 0  # consecutive same-individual trip pairs
+    degenerate_slot_draws: int = 0  # all-zero slot weights, slot taken undrawn
+    duration_fallbacks: int = 0  # durations drawn from the path-only pool
     midnight_spills: int = 0  # trips arriving after midnight, ending their day
     spill_dropped_quota: int = 0  # trips of a spilled day's quota left undrawn
     quarantined: list = field(default_factory=list)
@@ -228,17 +232,24 @@ def slot_weights(
     return weights
 
 
+def _cumulative_draw(labels, cum: list, rng: random.Random):
+    """One inverse-CDF draw: takes one rng.random() value u and returns the
+    label of the first cumulative weight in `cum` above u times the total
+    cum[-1], or the last label. That is the table search random.choices
+    makes, so the label drawn and the RNG state left are the same."""
+    return labels[bisect_right(cum, rng.random() * (cum[-1] + 0.0), 0, len(cum) - 1)]
+
+
 def weighted_draw(labels, weights, rng: random.Random, k=None):
     """Inverse-CDF draw from `labels` by non-negative `weights`.
 
-    Each draw takes one rng.random() value u and returns the first label
-    whose cumulative weight exceeds u times the total, or the last label.
-    That is the table and the search random.choices uses, so the labels
-    drawn and the RNG state left are those of rng.choices(labels, weights,
-    k=...). A zero weight repeats a cumulative entry and is never drawn.
-    With k=None returns a single label; otherwise a list of k draws.
-    Raises ValueError for mismatched lengths, no labels, a negative weight,
-    or a total that is not positive and finite.
+    Draws through _cumulative_draw over the running sums of `weights`, so
+    the labels drawn and the RNG state left are those of
+    rng.choices(labels, weights, k=...). A zero weight repeats a cumulative
+    entry and is never drawn. With k=None returns a single label;
+    otherwise a list of k draws. Raises ValueError for mismatched lengths,
+    no labels, a negative weight, or a total that is not positive and
+    finite.
     """
     n = len(labels)
     if n != len(weights):
@@ -248,13 +259,11 @@ def weighted_draw(labels, weights, rng: random.Random, k=None):
     if min(weights) < 0:
         raise ValueError("weights must be non-negative")
     cum = list(accumulate(weights))
-    total = cum[-1] + 0.0
-    if not 0.0 < total < inf:
+    if not 0.0 < cum[-1] + 0.0 < inf:
         raise ValueError("weights must have a positive, finite sum")
     if k is None:
-        return labels[bisect_right(cum, rng.random() * total, 0, n - 1)]
-    draw = rng.random
-    return [labels[bisect_right(cum, draw() * total, 0, n - 1)] for _ in range(k)]
+        return _cumulative_draw(labels, cum, rng)
+    return [_cumulative_draw(labels, cum, rng) for _ in range(k)]
 
 
 def select_time_slot(weights: list, first: int, rng: random.Random) -> int:
@@ -276,9 +285,12 @@ def period_weights(
     minute's share is its count over the total, in `counts` (the type's
     trips generated so far) and in `ref` (its reference departures). Where
     some candidates still trail their reference share, only those are
-    listed, each weighted by its shortfall (deficit-proportional); a minute
-    without reference departures can never trail, so only the reference's
-    non-zero minutes are walked. Once every candidate is at or past its
+    listed, each weighted by its shortfall share - n / total
+    (deficit-proportional). They are the candidates' slice of the list of
+    minutes in deficit that `counts` keeps current on every add (see
+    TypeCounts), cut out with two bisections, so no other minute is
+    visited; that list is exact while ref.total * total < 2**52, so every
+    listed weight is positive. Once every candidate is at or past its
     reference share, all candidates are listed, weighted by inverse
     overshoots, floored.
     """
@@ -287,18 +299,13 @@ def period_weights(
         raise ValueError(f"slot {slot.slot_id} has no minutes left at {clock.minute}")
     generated = counts.minute
     total = counts.total or 1  # an empty ledger's shares are all 0.0
-    support, shares = ref.support(slot)
-    minutes = []
-    weights = []
-    i = bisect_left(support, start)
-    for m, share in zip(support[i:], shares[i:]):
-        d = share - generated[m] / total
-        if d > 0.0:
-            minutes.append(m)
-            weights.append(d)
-    if minutes:
-        return minutes, weights
+    listed, shares = counts.deficit_minutes(ref)
     stop = slot.end + 1
+    lo = bisect_left(listed, start)
+    hi = bisect_left(listed, stop, lo)
+    if lo < hi:
+        minutes = listed[lo:hi]
+        return minutes, [shares[m] - generated[m] / total for m in minutes]
     ref_total = ref.total
     # No candidate trails its share here, so the overshoot x is never
     # negative and equals the absolute share difference.
@@ -318,14 +325,16 @@ def select_time_period(
 ) -> int:
     """Sample a departure minute inside the chosen slot.
 
-    One inverse-CDF draw (weighted_draw) over period_weights: the minutes in
-    deficit when there are any, otherwise every candidate minute by inverse
-    overshoot. The full candidate list would add only zero weights, which
-    repeat cumulative entries the search never stops at, so leaving them
-    out changes neither the minute drawn nor the RNG state.
+    One inverse-CDF draw (_cumulative_draw, as weighted_draw makes it) over
+    period_weights: the minutes in deficit when there are any, otherwise
+    every candidate minute by inverse overshoot. Those weights are positive
+    and finite by construction, so weighted_draw's checks are skipped. The
+    full candidate list would add only zero weights, which repeat
+    cumulative entries the search never stops at, so leaving them out
+    changes neither the minute drawn nor the RNG state.
     """
     minutes, weights = period_weights(slot, clock, counts, ref)
-    return weighted_draw(minutes, weights, rng)
+    return _cumulative_draw(minutes, list(accumulate(weights)), rng)
 
 
 def destination_weights(profile: IndividualProfile, origin: str):
@@ -367,15 +376,17 @@ def select_path(catalog: PathCatalog, o_zone: str, d_zone: str, rng: random.Rand
 
 def sample_duration(
     pools: DurationPool, path_id: str, slot_id: int, rng: random.Random
-) -> int:
+) -> tuple:
     """Uniform draw from historical durations of (path, slot); falls back to
-    the path-only pool when that slot was never observed."""
+    the path-only pool when that slot was never observed.
+    Returns (duration, fell_back)."""
     pool = pools.samples.get((path_id, slot_id))
-    if not pool:
+    fell_back = not pool
+    if fell_back:
         pool = pools.fallback.get(path_id)
     if not pool:
         raise CorruptInputError(f"no recorded durations for path {path_id!r}")
-    return pool[rng.randrange(len(pool))]
+    return pool[rng.randrange(len(pool))], fell_back
 
 
 def generate_trip(
@@ -419,6 +430,7 @@ def generate_trip(
         # overshoot zeroes its feedback factor. That slot is the only one
         # left, so it is taken without a draw.
         slot_id = first
+        cursor.degenerate_slot_draws += 1
     slot = partition.by_id(slot_id)
     departure = select_time_period(slot, cursor.clock, counts, ref, rng)
     origin, destination, relocated = select_destination(cursor, rng)
@@ -427,7 +439,8 @@ def generate_trip(
         if cursor.trips:
             cursor.chain_breaks += 1
     entry = select_path(catalog, origin, destination, rng)
-    duration = sample_duration(pools, entry.path_id, slot_id, rng)
+    duration, fell_back = sample_duration(pools, entry.path_id, slot_id, rng)
+    cursor.duration_fallbacks += fell_back
 
     trip = TripRecord(
         traveller_id=profile.traveller_id,
@@ -489,6 +502,8 @@ def _generate_individual(
     stats.relocations += cursor.relocations
     stats.chain_breaks += cursor.chain_breaks
     stats.continuity_pairs += max(cursor.trips - 1, 0)
+    stats.degenerate_slot_draws += cursor.degenerate_slot_draws
+    stats.duration_fallbacks += cursor.duration_fallbacks
     stats.midnight_spills += spills
     stats.spill_dropped_quota += dropped
     return trips

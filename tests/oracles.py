@@ -1,0 +1,162 @@
+"""Enumeration oracles for the selection laws used in generation, and the
+slot shares the synthetic corpus plants.
+
+The oracles recompute each selection law arithmetically from the frozen
+state. They intentionally repeat the maths instead of importing the
+generator's factor helpers, so a bug there cannot cancel out here, and
+tests can compare sampled frequencies against independently derived exact
+values. Of the two ledgers they read only the per-minute counts, and sum
+slot counts and totals from those.
+"""
+from tripsynth.corpus import CORPUS_SLOT_STARTS, LEG_WINDOWS
+from tripsynth.model import TimeSlotPartition, TravellerType
+
+
+def planted_slot_shares(ttype: TravellerType) -> dict:
+    """Expected departure-slot shares implied by the planted leg windows.
+
+    A window straddling a slot boundary contributes to each slot in
+    proportion to the overlapping minute span.
+    """
+    partition = TimeSlotPartition.from_boundaries(CORPUS_SLOT_STARTS)
+    windows = LEG_WINDOWS[ttype]
+    shares: dict = {}
+    for window in windows:
+        total = sum(window.values())
+        for (lo, hi), w in window.items():
+            span = hi - lo + 1
+            for slot in partition:
+                overlap = min(hi, slot.end) - max(lo, slot.start) + 1
+                if overlap > 0:
+                    shares[slot.slot_id] = (
+                        shares.get(slot.slot_id, 0.0)
+                        + (w / total) * (overlap / span) / len(windows)
+                    )
+    return shares
+
+
+def oracle_slot_probabilities(
+    partition: TimeSlotPartition,
+    profile,
+    current_zone: str,
+    ledger,
+    reference,
+    clock,
+    remaining: int,
+    params,
+) -> dict:
+    """Exact slot-selection distribution over the slots still reachable at
+    `clock`: the slot under it and every later one."""
+    ttype = profile.traveller_type
+    ref_minutes = reference.by_type[ttype].minute
+    ref_total = sum(ref_minutes)
+    if ref_total <= 0:
+        raise ValueError("reference aggregate is empty")
+    gen_minutes = ledger.counts(ttype).minute
+    gen_total = sum(gen_minutes)
+
+    first = None
+    for slot in partition.slots:
+        if slot.start <= clock.minute <= slot.end:
+            first = slot.slot_id
+            break
+    reachable = [s.slot_id for s in partition.slots if s.slot_id >= first]
+    held = min(remaining - 1, len(reachable) - 1)
+    active = set(reachable[: len(reachable) - held] if held > 0 else reachable)
+
+    vf = profile.total_trips
+    from_zone = profile.per_origin.get(current_zone, 0)
+
+    weights = {}
+    for slot in partition.slots:
+        sid = slot.slot_id
+        if sid < first:
+            continue
+        logic = 1.0 if sid in active else params.kappa
+        span = slice(slot.start, slot.end + 1)
+        gen_share = (sum(gen_minutes[span]) / gen_total) if gen_total else 0.0
+        ref_share = sum(ref_minutes[span]) / ref_total
+        x = gen_share - ref_share
+        if x >= 0.0:
+            feedback = max(0.0, 1.0 - x)
+        else:
+            feedback = params.blowup ** min(-x, 1.0)
+        slot_history = sum(profile.slot_origin_counts.get(sid, {}).values())
+        pref = slot_history / vf
+        if from_zone:
+            origin_pref = (
+                profile.slot_origin_counts.get(sid, {}).get(current_zone, 0)
+                / from_zone
+            )
+        else:
+            origin_pref = 0.0
+        weights[sid] = logic * feedback * (pref * (1.0 + origin_pref) + params.epsilon)
+
+    total = sum(weights.values())
+    if total <= 0:
+        raise ValueError("all slot weights vanished")
+    return {sid: w / total for sid, w in weights.items()}
+
+
+def oracle_period_probabilities(
+    slot,
+    clock,
+    ledger,
+    reference,
+    ttype: TravellerType,
+    floor: float = 1e-12,
+) -> dict:
+    """Exact departure-minute distribution inside one chosen slot."""
+    ref_minutes = reference.by_type[ttype].minute
+    ref_total = sum(ref_minutes)
+    if ref_total <= 0:
+        raise ValueError("reference aggregate is empty")
+    gen_minutes = ledger.counts(ttype).minute
+    gen_total = sum(gen_minutes)
+
+    start = max(slot.start, clock.minute)
+    if start > slot.end:
+        raise ValueError("slot has no selectable minutes")
+    minutes = range(start, slot.end + 1)
+    deltas = {}
+    for m in minutes:
+        ref_share = ref_minutes[m] / ref_total
+        gen_share = (gen_minutes[m] / gen_total) if gen_total else 0.0
+        deltas[m] = ref_share - gen_share
+    if any(d > 0.0 for d in deltas.values()):
+        weights = {m: max(0.0, d) for m, d in deltas.items()}
+    else:
+        weights = {m: 1.0 / max(abs(d), floor) for m, d in deltas.items()}
+    total = sum(weights.values())
+    return {m: w / total for m, w in weights.items()}
+
+
+def oracle_destination_probabilities(profile, origin: str):
+    """Exact destination distribution, applying the relocation rule.
+
+    Returns (origin_used, {zone: probability}, relocated).
+    """
+    row = profile.od_counts.get(origin)
+    relocated = False
+    if not row:
+        candidates = sorted(profile.per_origin)
+        if not candidates:
+            raise ValueError("profile has no origins")
+        best = candidates[0]
+        for z in candidates[1:]:
+            if profile.per_origin[z] > profile.per_origin[best]:
+                best = z
+        origin = best
+        row = profile.od_counts[origin]
+        relocated = True
+    total = sum(row.values())
+    return origin, {z: n / total for z, n in row.items()}, relocated
+
+
+def oracle_path_probabilities(catalog, o_zone: str, d_zone: str) -> dict:
+    """Exact route distribution for one OD pair from pooled crowd counts."""
+    entries = catalog.get(o_zone, d_zone)
+    if not entries:
+        raise ValueError(f"no pooled path for ({o_zone}, {d_zone})")
+    total = sum(e.crowd_count for e in entries)
+    return {e.path_id: e.crowd_count / total for e in entries}

@@ -17,14 +17,7 @@ from dataclasses import dataclass
 import pytest
 
 from tripsynth.cli import load_config, load_store, main, write_trips_csv
-from tripsynth.corpus import (
-    CorpusSpec,
-    oracle_destination_probabilities,
-    oracle_path_probabilities,
-    oracle_period_probabilities,
-    oracle_slot_probabilities,
-    synth_corpus,
-)
+from tripsynth.corpus import CorpusSpec, synth_corpus
 from tripsynth.generator import (
     AggregationLedger,
     GenParams,
@@ -50,6 +43,13 @@ from tripsynth.validator import (
     continuity_ratio,
     destination_entropy,
     js_divergence,
+)
+
+from oracles import (
+    oracle_destination_probabilities,
+    oracle_path_probabilities,
+    oracle_period_probabilities,
+    oracle_slot_probabilities,
 )
 
 GEN_SEED = 11
@@ -455,6 +455,12 @@ def test_midnight_spills_counted(world):
     # bench/run.py's traced desk run counts the same 2 trips ending past
     # midnight; each was the last of its day's quota.
     assert (world.stats.midnight_spills, world.stats.spill_dropped_quota) == (2, 0)
+
+
+def test_sampler_fallbacks_counted(world):
+    # bench/run.py's traced desk run counts the same fallbacks: no all-zero
+    # slot draw, and 1,982 durations drawn from the path-only pool.
+    assert (world.stats.degenerate_slot_draws, world.stats.duration_fallbacks) == (0, 1982)
 
 
 def _generate_fresh(base, config_text):

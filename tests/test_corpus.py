@@ -3,15 +3,7 @@ from collections import Counter, defaultdict
 
 import pytest
 
-from tripsynth.corpus import (
-    CorpusSpec,
-    oracle_destination_probabilities,
-    oracle_path_probabilities,
-    oracle_period_probabilities,
-    oracle_slot_probabilities,
-    planted_slot_shares,
-    synth_corpus,
-)
+from tripsynth.corpus import CorpusSpec, synth_corpus
 from tripsynth.generator import AggregationLedger, GenParams
 from tripsynth.ingest import (
     build_path_catalog,
@@ -25,6 +17,14 @@ from tripsynth.model import (
     TimeSlotPartition,
     TravellerType,
     TripRecord,
+)
+
+from oracles import (
+    oracle_destination_probabilities,
+    oracle_path_probabilities,
+    oracle_period_probabilities,
+    oracle_slot_probabilities,
+    planted_slot_shares,
 )
 
 LEGS_PER_DAY = {

@@ -236,18 +236,101 @@ def test_aggregation_ledger_shares():
     assert nonzero(counts.minute) == {30: 2, 100: 1}
 
 
-def test_support_follows_add():
-    counts = AggregationLedger().counts(TravellerType.STABLE)
-    hour = TimeSlot(1, 1, 60)
-    counts.add(1, 30)
-    counts.add(1, 10, 3)
-    counts.add(2, 100)
-    assert counts.support(hour) == ([10, 30], [3 / 5, 1 / 5])
-    assert counts.support(hour) is counts.support(hour)
+def test_deficit_list_follows_add():
+    ref = TypeCounts()
+    for minute, n in {10: 3, 20: 1, 30: 1}.items():
+        ref.add(1, minute, n)
+    counts = TypeCounts()
+    listed, shares = counts.deficit_minutes(ref)
+    # the empty ledger trails every reference minute
+    assert listed == [10, 20, 30]
+    assert shares[10] == 3 / 5 and shares[20] == 1 / 5 and shares[40] == 0.0
+    counts.add(1, 10)  # 1/1 against 3/5: past its share
+    assert counts.deficit_minutes(ref)[0] is listed == [20, 30]
+    counts.add(1, 20)  # 1/2 against 1/5; 10 is at 1/2 < 3/5 again
+    assert listed == [10, 30]
+    counts.add(1, 40)  # a minute the reference never saw is never listed
+    assert listed == [10, 30]
+    counts.add(1, 30, 2)  # an add of n != 1 drops the list
+    assert counts.deficit_minutes(ref)[0] == [10]
+    ref.add(1, 50, 1)  # so does a grown reference, even before a query
+    counts.add(1, 50)
+    counts.add(1, 50)  # 2/7 against 1/6
+    assert counts.deficit_minutes(ref)[0] == [10, 20]
+    ref.add(1, 60, 100)  # or a query after the reference grew
+    assert counts.deficit_minutes(ref)[0] == [60]
+    other = TypeCounts()
+    other.add(1, 30)
+    assert counts.deficit_minutes(other)[0] == [30]  # 1/1 against 2/7
+
+
+def test_deficit_minutes_refuses_inexact_totals():
+    # The integer rule is exact only while ref.total * total < 2**52.
+    ref, counts = TypeCounts(), TypeCounts()
+    ref.add(1, 10, 2**20)
+    counts.add(1, 20, 2**32 - 1)
+    assert counts.deficit_minutes(ref)[0] == [10]
     counts.add(1, 20)
-    assert counts.support(hour) == ([10, 20, 30], [3 / 6, 1 / 6, 1 / 6])
-    assert counts.support(TimeSlot(1, 15, 60)) == ([20, 30], [1 / 6, 1 / 6])
-    assert counts.support(TimeSlot(3, 121, 180)) == ([], [])
+    with pytest.raises(ValueError, match="2\\*\\*52"):
+        counts.deficit_minutes(ref)
+
+
+def _deficit_filter(counts, ref):
+    """Every minute whose reference share exceeds its generated share, as
+    the float test r / R - n / T > 0.0, from scratch."""
+    total = counts.total or 1
+    return [
+        m for m in range(1, 1441)
+        if ref.minute[m] / ref.total - counts.minute[m] / total > 0.0
+    ]
+
+
+@given(st.data())
+def test_deficit_list_matches_filter(data):
+    # Random add() sequences against a bound reference: after every step
+    # the kept list must equal the filter built from scratch, or the query
+    # must refuse once the totals' product reaches 2**52.
+    near = st.integers(1, 12)
+    ref = TypeCounts()
+    big = data.draw(st.booleans())
+    for m, n in data.draw(st.dictionaries(near, st.integers(1, 60), min_size=1)).items():
+        ref.add(1, m, n * 2**20 if big else n)
+    counts = TypeCounts()
+    minute = 1
+    for _ in range(data.draw(st.integers(1, 60))):
+        listed = set(_deficit_filter(counts, ref))
+        past = [m for m in range(1, 13) if ref.minute[m] and m not in listed]
+        unseen = [m for m in range(1, 13) if not ref.minute[m]]
+        # Steps that drop the binding are rarer, so runs of add(n=1) grow
+        # long enough for the waiting minutes to come due. "again" records
+        # the last minute once more, so a minute that just left the list
+        # waits for a later total than the one it was due at.
+        step = data.draw(st.sampled_from(
+            ["deficit", "past", "unseen", "again", "any"] * 3 + ["bulk", "ref", "bound"]
+        ))
+        pool = {"deficit": sorted(listed), "past": past, "unseen": unseen,
+                "again": [minute], "ref": list(range(1, 13))}.get(step)
+        minute = data.draw(st.sampled_from(pool) if pool else st.integers(1, 1440))
+        if step == "bulk":
+            counts.add(1, minute, data.draw(st.integers(2, 50)))
+        elif step == "ref":
+            # the add meets the grown reference before any query
+            ref.add(1, minute, data.draw(st.integers(1, 50)))
+            counts.add(1, minute)
+        elif step == "bound":
+            # land the product just below or at 2**52 through one add(n)
+            n = (2**52 - 1) // ref.total - counts.total + data.draw(st.integers(-3, 1))
+            if n > 0:
+                counts.add(1, minute, n)
+        else:
+            counts.add(1, minute)
+        if ref.total * (counts.total or 1) >= 2**52:
+            with pytest.raises(ValueError):
+                counts.deficit_minutes(ref)
+            continue
+        got, shares = counts.deficit_minutes(ref)
+        assert got == _deficit_filter(counts, ref)
+        assert all(shares[m] == ref.minute[m] / ref.total for m in got)
 
 
 def test_aggregation_factor_full_deficit():
@@ -675,9 +758,9 @@ def test_select_path_and_duration():
     assert entry.path == ("r1", "r2")
     with pytest.raises(CorruptInputError):
         select_path(catalog, "A", "Z99", rng)
-    assert sample_duration(pools, "r1-r2", 8, rng) == 14
+    assert sample_duration(pools, "r1-r2", 8, rng) == (14, False)
     # unseen slot falls back to the path pool
-    assert sample_duration(pools, "r1-r2", 3, rng) == 14
+    assert sample_duration(pools, "r1-r2", 3, rng) == (14, True)
     with pytest.raises(CorruptInputError):
         sample_duration(pools, "r9", 8, rng)
 
@@ -771,6 +854,7 @@ class TestGenerateTrip:
             "V1", TravellerType.COMMUTER, 0, 1425, "A", "B", ("r1", "r2"), 14
         )
         assert ledger.counts(TravellerType.COMMUTER).slot[24] == 2
+        assert cursor.degenerate_slot_draws == 1
 
     def test_requires_quota(self):
         profiles, ref, catalog, pools = small_world()
