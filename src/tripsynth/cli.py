@@ -108,6 +108,24 @@ def _check_keys(section, allowed, where):
         raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
 
 
+def _value(section, key, default, convert, where):
+    """`convert` applied to section[key], or to `default` when the key is
+    absent; a value it cannot convert is a ConfigError naming the key."""
+    value = section.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"bad value for {key!r} in {where}: {value!r}") from None
+
+
+def _ints(values) -> tuple:
+    return tuple(int(v) for v in values)
+
+
+def _floats(values) -> tuple:
+    return tuple(float(v) for v in values)
+
+
 def _section(doc, name) -> dict:
     value = doc.get(name, {})
     if value is None:
@@ -156,7 +174,7 @@ def load_config(path) -> Config:
     if not isinstance(epoch, dt.date):
         raise ConfigError("epoch must be an ISO date")
 
-    window_days = int(doc.get("window_days", 7))
+    window_days = _value(doc, "window_days", 7, int, "config root")
     if window_days < 1:
         raise ConfigError("window_days must be >= 1")
 
@@ -180,23 +198,15 @@ def load_config(path) -> Config:
         raise ConfigError(str(exc)) from None
 
     gen = _section(doc, "generation")
-    _check_keys(
-        gen,
-        {"kappa", "epsilon", "blowup", "min_gap", "seed", "horizon_days",
-         "start_day"},
-        "generation",
-    )
-    horizon_days = int(gen.get("horizon_days", 7))
+    _check_keys(gen, {"min_gap", "seed", "horizon_days", "start_day"}, "generation")
+    horizon_days = _value(gen, "horizon_days", 7, int, "generation")
     if horizon_days < 0:
         raise ConfigError("horizon_days must be >= 0")
     params = GenParams(
-        kappa=float(gen.get("kappa", 1e-9)),
-        epsilon=float(gen.get("epsilon", 1e-6)),
-        blowup=float(gen.get("blowup", 1e9)),
-        min_gap=int(gen.get("min_gap", 1)),
-        start_day=int(gen.get("start_day", 0)),
+        min_gap=_value(gen, "min_gap", 1, int, "generation"),
+        start_day=_value(gen, "start_day", 0, int, "generation"),
         horizon_days=horizon_days,
-        rng_seed=int(gen.get("seed", 0)),
+        rng_seed=_value(gen, "seed", 0, int, "generation"),
     )
     try:
         params.check()
@@ -209,34 +219,23 @@ def load_config(path) -> Config:
         {"granularity", "holiday_weekdays", "holiday_days", "topk_zones", "topk_od"},
         "validation",
     )
-    granularity = int(val.get("granularity", 15))
+    granularity = _value(val, "granularity", 15, int, "validation")
     if granularity < 1 or MINUTES_PER_DAY % granularity:
         raise ConfigError("granularity must divide 1440")
-    holiday_weekdays = tuple(int(d) for d in val.get("holiday_weekdays", (5, 6)))
-    holiday_days = tuple(int(d) for d in val.get("holiday_days", ()))
-    topk_zones = tuple(float(k) for k in val.get("topk_zones", (0.10,)))
-    topk_od = tuple(float(k) for k in val.get("topk_od", (0.50,)))
+    holiday_weekdays = _value(val, "holiday_weekdays", (5, 6), _ints, "validation")
+    holiday_days = _value(val, "holiday_days", (), _ints, "validation")
+    topk_zones = _value(val, "topk_zones", (0.10,), _floats, "validation")
+    topk_od = _value(val, "topk_od", (0.50,), _floats, "validation")
     for k in topk_zones + topk_od:
         if not 0.0 < k <= 1.0:
             raise ConfigError(f"top-k fraction out of (0, 1]: {k}")
 
     cor = _section(doc, "corpus")
-    _check_keys(
-        cor,
-        {"grid_side", "days", "seed", "individuals", "route_split", "zipf_exponent"},
-        "corpus",
-    )
+    _check_keys(cor, {"grid_side", "days", "seed", "individuals"}, "corpus")
     corpus_spec = CorpusSpec()
-    if "grid_side" in cor:
-        corpus_spec.grid_side = int(cor["grid_side"])
-    if "days" in cor:
-        corpus_spec.days = int(cor["days"])
-    if "seed" in cor:
-        corpus_spec.rng_seed = int(cor["seed"])
-    if "route_split" in cor:
-        corpus_spec.route_split = float(cor["route_split"])
-    if "zipf_exponent" in cor:
-        corpus_spec.zipf_exponent = float(cor["zipf_exponent"])
+    corpus_spec.grid_side = _value(cor, "grid_side", corpus_spec.grid_side, int, "corpus")
+    corpus_spec.days = _value(cor, "days", corpus_spec.days, int, "corpus")
+    corpus_spec.rng_seed = _value(cor, "seed", corpus_spec.rng_seed, int, "corpus")
     if "individuals" in cor:
         raw = cor["individuals"]
         if not isinstance(raw, dict):
@@ -244,7 +243,9 @@ def load_config(path) -> Config:
         counts = []
         for ttype in TYPE_ORDER:
             if ttype.value in raw:
-                counts.append((ttype, int(raw[ttype.value])))
+                counts.append(
+                    (ttype, _value(raw, ttype.value, None, int, "corpus individuals"))
+                )
         leftover = set(raw) - {t.value for t in TYPE_ORDER}
         if leftover:
             raise ConfigError(f"unknown traveller type in corpus individuals: {sorted(leftover)[0]!r}")

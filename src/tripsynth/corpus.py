@@ -36,6 +36,9 @@ _ID_PREFIX = {
 # Slot grid the corpus is designed around: six four-hour blocks.
 CORPUS_SLOT_STARTS = (1, 241, 481, 721, 961, 1201)
 
+ROUTE_SPLIT = 0.7  # probability of the row-first grid route
+ZIPF_EXPONENT = 1.2  # zone popularity decay
+
 # Planted departure windows, one {(lo_minute, hi_minute): weight} dict per
 # daily leg. Windows are inclusive 1-based minute ranges; minutes are drawn
 # uniformly inside the chosen window.
@@ -82,15 +85,15 @@ _DESK_INDIVIDUALS = (
 
 @dataclass
 class CorpusSpec:
-    """Knobs for one synthetic corpus; defaults are the desk-scale fixture
-    (about a thousand individuals on a 7x7 grid over one week)."""
+    """Size and seed of one synthetic corpus; defaults are the desk-scale
+    fixture (about a thousand individuals on a 7x7 grid over one week).
+    Route split and zone popularity are the constants ROUTE_SPLIT and
+    ZIPF_EXPONENT."""
 
     grid_side: int = 7
     days: int = 7
     rng_seed: int = 7
     individuals: tuple = _DESK_INDIVIDUALS
-    route_split: float = 0.7  # probability of the row-first grid route
-    zipf_exponent: float = 1.2  # zone popularity decay
 
 
 @dataclass(frozen=True)
@@ -236,10 +239,10 @@ def _plant_individuals(rng: random.Random, spec: CorpusSpec) -> dict:
     side = spec.grid_side
     n_zones = side * side
     zone_ids = [_zone_id(i, side) for i in range(n_zones)]
-    zipf = [1.0 / (i + 1) ** spec.zipf_exponent for i in range(n_zones)]
+    zipf = [1.0 / (i + 1) ** ZIPF_EXPONENT for i in range(n_zones)]
     west = [r * side for r in range(side)]
     east = [r * side + side - 1 for r in range(side)]
-    row_zipf = [1.0 / (i + 1) ** spec.zipf_exponent for i in range(side)]
+    row_zipf = [1.0 / (i + 1) ** ZIPF_EXPONENT for i in range(side)]
 
     planted = {}
     for ttype, count in spec.individuals:
@@ -322,7 +325,7 @@ def synth_corpus(spec: CorpusSpec | None = None) -> SynthCorpus:
                 if minutes[i] <= minutes[i - 1]:
                     minutes[i] = min(minutes[i - 1] + 1, 1440)
             for (o_zone, d_zone), minute in zip(legs, minutes):
-                row_first = rng.random() < spec.route_split
+                row_first = rng.random() < ROUTE_SPLIT
                 path = _route(side, zone_index[o_zone], zone_index[d_zone], row_first)
                 duration = 9 * len(path) + rng.randint(0, 14)
                 trips.append(

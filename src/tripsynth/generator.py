@@ -39,48 +39,42 @@ log = logging.getLogger(__name__)
 # already at or above its reference share; keeps inverse weights finite.
 DELTA_FLOOR = 1e-12
 
+# Slot-choice weights. KAPPA scales a reserved slot, BLOWUP is the feedback
+# factor at full deficit and EPSILON the preference floor. KAPPA * BLOWUP = 1,
+# so a slot merely behind on its aggregate share can at best draw level with,
+# never overtake, a slot still logically available; 1/BLOWUP < EPSILON, so a
+# full overshoot cannot push a slot below an unpreferred one.
+KAPPA = 1e-9
+EPSILON = 1e-6
+BLOWUP = 1e9
+
 
 class InvalidParams(ValueError):
-    """Generation parameters violate the required priority ordering."""
+    """A generation parameter is out of range, or an individual has too many
+    trips for EPSILON to stay below every historical preference."""
 
 
 @dataclass
 class GenParams:
-    """Weighting constants and horizon for one generation run.
+    """Minimum gap between trips, horizon and seed for one generation run.
+    The slot-choice weights are the module constants KAPPA, EPSILON and
+    BLOWUP."""
 
-    The defaults satisfy kappa * blowup = 1: a slot that is merely behind on
-    its aggregate share can at best draw level with, never overtake, a slot
-    that is still logically available. epsilon keeps every available slot
-    reachable but far below any genuine historical preference.
-    """
-
-    kappa: float = 1e-9
-    epsilon: float = 1e-6
-    blowup: float = 1e9
     min_gap: int = 1
     start_day: int = 0
     horizon_days: int = 7
     rng_seed: int = 0
 
     def check(self, max_trip_frequency: int = 0) -> None:
-        """Reject constant choices that break factor priorities."""
-        if self.kappa <= 0.0:
-            raise InvalidParams("kappa must be positive")
-        if self.epsilon <= 0.0:
-            raise InvalidParams("epsilon must be positive")
-        if self.blowup <= 1.0:
-            raise InvalidParams("blowup must exceed 1")
+        """Reject a negative gap, and input data whose busiest individual
+        has so many trips that EPSILON would rival a historical preference."""
         if self.min_gap < 0:
             raise InvalidParams("min_gap must be >= 0")
-        if 1.0 / self.blowup >= self.epsilon:
-            raise InvalidParams("1/blowup must stay below epsilon")
-        if max_trip_frequency > 0 and self.epsilon >= 1.0 / max_trip_frequency:
+        if max_trip_frequency > 0 and EPSILON >= 1.0 / max_trip_frequency:
             raise InvalidParams(
                 "epsilon must stay below 1/max_trip_frequency "
                 f"(= 1/{max_trip_frequency})"
             )
-        if not 0.5 <= self.kappa * self.blowup <= 2.0:
-            raise InvalidParams("kappa * blowup must stay near 1")
 
 
 @dataclass
@@ -165,25 +159,24 @@ def subsequent_slots(partition: TimeSlotPartition, clock: GenClock, remaining: i
     return first, n - min(remaining - 1, n - first)
 
 
-def balance_weight(x: float, blowup: float) -> float:
+def balance_weight(x: float) -> float:
     """Feedback curve over the share imbalance x in [-1, 1].
 
-    Decreasing, with value 1 at balance, 0 at full overshoot, and blowup at
+    Decreasing, with value 1 at balance, 0 at full overshoot, and BLOWUP at
     full deficit: overshoots are damped linearly while deficits are boosted
     exponentially.
     """
     if x >= 0.0:
         return max(0.0, 1.0 - x)
-    return blowup ** min(-x, 1.0)
+    return BLOWUP ** min(-x, 1.0)
 
 
 def preference_terms(
     profile: IndividualProfile,
     current_zone: str,
     partition: TimeSlotPartition,
-    epsilon: float,
 ) -> list:
-    """cp * (1 + cop) + epsilon for every slot, in partition order.
+    """cp * (1 + cop) + EPSILON for every slot, in partition order.
 
     cp is the slot's share of the individual's history; cop is the share of
     departures from `current_zone` that fall in the slot, 0 when the
@@ -200,7 +193,7 @@ def preference_terms(
         else:
             by_origin = profile.slot_origin_counts.get(slot.slot_id, {})
             cop = by_origin.get(current_zone, 0) / from_zone
-        terms.append(cp * (1.0 + cop) + epsilon)
+        terms.append(cp * (1.0 + cop) + EPSILON)
     return terms
 
 
@@ -211,12 +204,11 @@ def slot_weights(
     ref: TypeCounts,
     first: int,
     last_active: int,
-    params: GenParams,
 ) -> list:
     """Unnormalized selection weights of the reachable slots `first..n`.
 
     Each weight is logic factor * feedback factor * preference term: logic
-    is 1 up to `last_active` and kappa for the reserved slots after it (see
+    is 1 up to `last_active` and KAPPA for the reserved slots after it (see
     subsequent_slots), feedback pushes the slot's share of `counts` (the
     type's trips generated so far) minus its share of `ref` (the type's
     reference departures) through the balance curve, and `terms` are the
@@ -227,8 +219,8 @@ def slot_weights(
     weights = []
     for sid in range(first, len(partition) + 1):
         x = generated[sid] / total - expected[sid] / ref_total
-        cs = 1.0 if sid <= last_active else params.kappa
-        weights.append(cs * balance_weight(x, params.blowup) * terms[sid - 1])
+        cs = 1.0 if sid <= last_active else KAPPA
+        weights.append(cs * balance_weight(x) * terms[sid - 1])
     return weights
 
 
@@ -277,7 +269,6 @@ def period_weights(
     clock: GenClock,
     counts: TypeCounts,
     ref: TypeCounts,
-    floor: float = DELTA_FLOOR,
 ):
     """Departure minutes inside `slot` that can be drawn, with their weights.
 
@@ -292,7 +283,7 @@ def period_weights(
     visited; that list is exact while ref.total * total < 2**52, so every
     listed weight is positive. Once every candidate is at or past its
     reference share, all candidates are listed, weighted by inverse
-    overshoots, floored.
+    overshoots, floored at DELTA_FLOOR.
     """
     start = max(slot.start, clock.minute)
     if start > slot.end:
@@ -310,7 +301,7 @@ def period_weights(
     # No candidate trails its share here, so the overshoot x is never
     # negative and equals the absolute share difference.
     weights = [
-        1.0 / (x if (x := n / total - r / ref_total) > floor else floor)
+        1.0 / (x if (x := n / total - r / ref_total) > DELTA_FLOOR else DELTA_FLOOR)
         for r, n in zip(ref.minute[start:stop], generated[start:stop])
     ]
     return list(range(start, stop)), weights
@@ -415,12 +406,12 @@ def generate_trip(
     first, last_active = subsequent_slots(partition, cursor.clock, remaining)
     terms = cursor.terms.get(cursor.location)
     if terms is None:
-        terms = preference_terms(profile, cursor.location, partition, params.epsilon)
+        terms = preference_terms(profile, cursor.location, partition)
         cursor.terms[cursor.location] = terms
     ttype = profile.traveller_type
     ref = reference.departures(ttype)
     counts = ledger.counts(ttype)
-    weights = slot_weights(partition, terms, counts, ref, first, last_active, params)
+    weights = slot_weights(partition, terms, counts, ref, first, last_active)
     if any(w > 0.0 for w in weights):
         slot_id = select_time_slot(weights, first, rng)
     else:

@@ -12,10 +12,6 @@ from enum import Enum
 
 MINUTES_PER_DAY = 1440
 
-# A time period is one minute of the day, 1-based: minute 1 starts at 00:00,
-# minute 1440 starts at 23:59.
-TimePeriod = int
-
 
 class CorruptInputError(ValueError):
     """Prepared inputs are internally inconsistent (e.g. a missing OD entry)."""

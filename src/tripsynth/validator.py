@@ -78,46 +78,10 @@ def overlap_ratio(observed: set, generated: set) -> float:
 _TIME_ORDER = attrgetter("date", "departure")
 
 
-def _filtered(trips, ttype=None, day_filter=None):
-    for trip in trips:
-        if ttype is not None and trip.traveller_type is not ttype:
-            continue
-        if day_filter is not None and not day_filter(trip.date):
-            continue
-        yield trip
-
-
 def _window_count(granularity: int) -> int:
     if granularity < 1 or MINUTES_PER_DAY % granularity:
         raise ValueError(f"granularity must divide {MINUTES_PER_DAY}")
     return MINUTES_PER_DAY // granularity
-
-
-def temporal_distribution(
-    trips, granularity: int = 15, ttype=None, day_filter=None
-) -> Distribution:
-    """Departure-time distribution over fixed windows of `granularity`
-    minutes (which must divide the day). Bin labels are 1-based window
-    indices and always cover the whole day."""
-    n_bins = _window_count(granularity)
-    counts = Counter(
-        (t.departure - 1) // granularity + 1
-        for t in _filtered(trips, ttype, day_filter)
-    )
-    return Distribution.from_counts(counts, bins=range(1, n_bins + 1))
-
-
-def zone_visit_counts(trips, ttype=None) -> Counter:
-    """Visits per zone: each trip touches its origin and its destination."""
-    visits: Counter = Counter()
-    for t in _filtered(trips, ttype):
-        visits[t.o_zone] += 1
-        visits[t.d_zone] += 1
-    return visits
-
-
-def od_pair_counts(trips, ttype=None) -> Counter:
-    return Counter((t.o_zone, t.d_zone) for t in _filtered(trips, ttype))
 
 
 def _topk(counts: Counter, k_fraction: float, universe=None) -> set:
@@ -131,28 +95,6 @@ def _topk(counts: Counter, k_fraction: float, universe=None) -> set:
     if n > len(ranked):
         raise ValueError(f"only {len(ranked)} ranked labels for top-{n} request")
     return set(ranked[:n])
-
-
-def topk_zones(trips, k_fraction: float, ttype=None, universe=None) -> set:
-    """The ceil(k * base) most visited zones; base defaults to the number of
-    zones visited in `trips`, or pass `universe` to fix a shared base size.
-    Ties resolve to lexicographically smaller zone ids."""
-    return _topk(zone_visit_counts(trips, ttype), k_fraction, universe)
-
-
-def topk_od(trips, k_fraction: float, ttype=None, universe=None) -> set:
-    """The ceil(k * base) most frequent OD pairs, analogous to topk_zones."""
-    return _topk(od_pair_counts(trips, ttype), k_fraction, universe)
-
-
-def road_access_counts(trips, ttype=None) -> Counter:
-    """Trips touching each road: one count per trip per distinct road in its
-    path, both travel directions pooled under the road id."""
-    counts: Counter = Counter()
-    for t in _filtered(trips, ttype):
-        for road in set(t.path):
-            counts[road] += 1
-    return counts
 
 
 def _by_individual(trips) -> dict:
@@ -193,13 +135,6 @@ def _continuity(sequences) -> dict:
     return {t: continuous[t] / pairs[t] for t in pairs}
 
 
-def continuity_ratio(trips) -> dict:
-    """Per-type share of consecutive same-individual trip pairs whose next
-    origin equals the previous destination. Individuals with fewer than two
-    trips contribute no pairs; types without pairs are omitted."""
-    return _continuity(_by_individual(trips).values())
-
-
 def destination_entropy(trips) -> float:
     """Shannon entropy (nats) of one individual's destination distribution."""
     counts = Counter(t.d_zone for t in trips)
@@ -207,22 +142,6 @@ def destination_entropy(trips) -> float:
     if total == 0:
         raise ValueError("empty distribution")
     return -sum((n / total) * math.log(n / total) for n in counts.values())
-
-
-def entropy_by_individual(trips) -> dict:
-    return {
-        tid: destination_entropy(seq) for tid, seq in sorted(_by_individual(trips).items())
-    }
-
-
-def daily_frequency_by_individual(trips) -> dict:
-    """Mean trips per observed day for each individual, using the number of
-    distinct days present in the dataset as the denominator."""
-    days = {t.date for t in trips}
-    if not days:
-        return {}
-    grouped = _by_individual(trips)
-    return {tid: len(seq) / len(days) for tid, seq in sorted(grouped.items())}
 
 
 def _histogram(values, bin_width: float, top: float) -> Counter:

@@ -1,15 +1,35 @@
-"""Enumeration oracles for the selection laws used in generation, and the
-slot shares the synthetic corpus plants.
+"""Enumeration oracles for the selection laws used in generation, the
+slot shares the synthetic corpus plants, and per-metric oracles for the
+validation report.
 
 The oracles recompute each selection law arithmetically from the frozen
-state. They intentionally repeat the maths instead of importing the
-generator's factor helpers, so a bug there cannot cancel out here, and
-tests can compare sampled frequencies against independently derived exact
-values. Of the two ledgers they read only the per-minute counts, and sum
-slot counts and totals from those.
+state. They intentionally repeat the maths, and the generator's weighting
+constants, instead of importing the generator's factor helpers, so a bug
+there cannot cancel out here, and tests can compare sampled frequencies
+against independently derived exact values. Of the two ledgers they read
+only the per-minute counts, and sum slot counts and totals from those.
+
+The per-metric oracles compute each report metric from the trip list on
+its own, one metric per scan; build_report computes them all from one scan.
 """
+from collections import Counter
+
 from tripsynth.corpus import CORPUS_SLOT_STARTS, LEG_WINDOWS
 from tripsynth.model import TimeSlotPartition, TravellerType
+from tripsynth.validator import (
+    Distribution,
+    _by_individual,
+    _continuity,
+    _topk,
+    _window_count,
+    destination_entropy,
+)
+
+# The generator's slot weights: reserved-slot scale, full-deficit feedback
+# and preference floor.
+KAPPA = 1e-9
+BLOWUP = 1e9
+EPSILON = 1e-6
 
 
 def planted_slot_shares(ttype: TravellerType) -> dict:
@@ -43,7 +63,6 @@ def oracle_slot_probabilities(
     reference,
     clock,
     remaining: int,
-    params,
 ) -> dict:
     """Exact slot-selection distribution over the slots still reachable at
     `clock`: the slot under it and every later one."""
@@ -72,7 +91,7 @@ def oracle_slot_probabilities(
         sid = slot.slot_id
         if sid < first:
             continue
-        logic = 1.0 if sid in active else params.kappa
+        logic = 1.0 if sid in active else KAPPA
         span = slice(slot.start, slot.end + 1)
         gen_share = (sum(gen_minutes[span]) / gen_total) if gen_total else 0.0
         ref_share = sum(ref_minutes[span]) / ref_total
@@ -80,7 +99,7 @@ def oracle_slot_probabilities(
         if x >= 0.0:
             feedback = max(0.0, 1.0 - x)
         else:
-            feedback = params.blowup ** min(-x, 1.0)
+            feedback = BLOWUP ** min(-x, 1.0)
         slot_history = sum(profile.slot_origin_counts.get(sid, {}).values())
         pref = slot_history / vf
         if from_zone:
@@ -90,7 +109,7 @@ def oracle_slot_probabilities(
             )
         else:
             origin_pref = 0.0
-        weights[sid] = logic * feedback * (pref * (1.0 + origin_pref) + params.epsilon)
+        weights[sid] = logic * feedback * (pref * (1.0 + origin_pref) + EPSILON)
 
     total = sum(weights.values())
     if total <= 0:
@@ -160,3 +179,84 @@ def oracle_path_probabilities(catalog, o_zone: str, d_zone: str) -> dict:
         raise ValueError(f"no pooled path for ({o_zone}, {d_zone})")
     total = sum(e.crowd_count for e in entries)
     return {e.path_id: e.crowd_count / total for e in entries}
+
+
+def _filtered(trips, ttype=None, day_filter=None):
+    for trip in trips:
+        if ttype is not None and trip.traveller_type is not ttype:
+            continue
+        if day_filter is not None and not day_filter(trip.date):
+            continue
+        yield trip
+
+
+def temporal_distribution(
+    trips, granularity: int = 15, ttype=None, day_filter=None
+) -> Distribution:
+    """Departure-time distribution over fixed windows of `granularity`
+    minutes (which must divide the day). Bin labels are 1-based window
+    indices and always cover the whole day."""
+    n_bins = _window_count(granularity)
+    counts = Counter(
+        (t.departure - 1) // granularity + 1
+        for t in _filtered(trips, ttype, day_filter)
+    )
+    return Distribution.from_counts(counts, bins=range(1, n_bins + 1))
+
+
+def zone_visit_counts(trips, ttype=None) -> Counter:
+    """Visits per zone: each trip touches its origin and its destination."""
+    visits: Counter = Counter()
+    for t in _filtered(trips, ttype):
+        visits[t.o_zone] += 1
+        visits[t.d_zone] += 1
+    return visits
+
+
+def od_pair_counts(trips, ttype=None) -> Counter:
+    return Counter((t.o_zone, t.d_zone) for t in _filtered(trips, ttype))
+
+
+def topk_zones(trips, k_fraction: float, ttype=None, universe=None) -> set:
+    """The ceil(k * base) most visited zones; base defaults to the number of
+    zones visited in `trips`, or pass `universe` to fix a shared base size.
+    Ties resolve to lexicographically smaller zone ids."""
+    return _topk(zone_visit_counts(trips, ttype), k_fraction, universe)
+
+
+def topk_od(trips, k_fraction: float, ttype=None, universe=None) -> set:
+    """The ceil(k * base) most frequent OD pairs, analogous to topk_zones."""
+    return _topk(od_pair_counts(trips, ttype), k_fraction, universe)
+
+
+def road_access_counts(trips, ttype=None) -> Counter:
+    """Trips touching each road: one count per trip per distinct road in its
+    path, both travel directions pooled under the road id."""
+    counts: Counter = Counter()
+    for t in _filtered(trips, ttype):
+        for road in set(t.path):
+            counts[road] += 1
+    return counts
+
+
+def continuity_ratio(trips) -> dict:
+    """Per-type share of consecutive same-individual trip pairs whose next
+    origin equals the previous destination. Individuals with fewer than two
+    trips contribute no pairs; types without pairs are omitted."""
+    return _continuity(_by_individual(trips).values())
+
+
+def entropy_by_individual(trips) -> dict:
+    return {
+        tid: destination_entropy(seq) for tid, seq in sorted(_by_individual(trips).items())
+    }
+
+
+def daily_frequency_by_individual(trips) -> dict:
+    """Mean trips per observed day for each individual, using the number of
+    distinct days present in the dataset as the denominator."""
+    days = {t.date for t in trips}
+    if not days:
+        return {}
+    grouped = _by_individual(trips)
+    return {tid: len(seq) / len(days) for tid, seq in sorted(grouped.items())}

@@ -40,12 +40,12 @@ from tripsynth.model import TYPE_ORDER, GenClock, TravellerType
 from tripsynth.validator import (
     Distribution,
     build_report,
-    continuity_ratio,
     destination_entropy,
     js_divergence,
 )
 
 from oracles import (
+    continuity_ratio,
     oracle_destination_probabilities,
     oracle_path_probabilities,
     oracle_period_probabilities,
@@ -175,15 +175,14 @@ def _slot_state(meta, world, rng):
     remaining = meta.randint(1, 4)
 
     oracle = oracle_slot_probabilities(
-        partition, profile, zone, ledger, world.reference, clock, remaining,
-        world.params,
+        partition, profile, zone, ledger, world.reference, clock, remaining
     )
     first, last_active = subsequent_slots(partition, clock, remaining)
-    terms = preference_terms(profile, zone, partition, world.params.epsilon)
+    terms = preference_terms(profile, zone, partition)
     ttype = profile.traveller_type
     weights = slot_weights(
         partition, terms, ledger.counts(ttype), world.reference.departures(ttype),
-        first, last_active, world.params,
+        first, last_active,
     )
     draws = weighted_draw(range(first, first + len(weights)), weights, rng, k=DRAWS)
     return _tv(oracle, draws)

@@ -131,7 +131,15 @@ corpus:
             ("partition: nonsense\n", "partition"),
             ("generation: {horizon_days: -1}\n", "horizon_days"),
             ("generation: {epsilon: 1.0e-10}\n", "epsilon"),
+            ("generation: {kappa: 1.0e-9}\n", "unknown key 'kappa'"),
+            ("generation: {blowup: 1.0e9}\n", "unknown key 'blowup'"),
             ("generation: {workers: 0}\n", "workers"),
+            ("corpus: {route_split: 0.7}\n", "unknown key 'route_split'"),
+            ("corpus: {zipf_exponent: 1.2}\n", "unknown key 'zipf_exponent'"),
+            ("window_days: abc\n", "'window_days' in config root"),
+            ("generation: {seed: x}\n", "'seed' in generation"),
+            ("validation: {holiday_days: 3}\n", "'holiday_days' in validation"),
+            ("corpus: {grid_side: [1]}\n", "'grid_side' in corpus"),
             ("validation: {granularity: 17}\n", "granularity"),
             ("validation: {topk_zones: [0]}\n", "top-k"),
             ("corpus: {individuals: {wizard: 3}}\n", "wizard"),
@@ -443,6 +451,8 @@ class TestPipeline:
     def test_exit_codes(self, cfg, tmp_path):
         bad = write_config(tmp_path, "bogus: 1\n", name="bad.yaml")
         assert main(["corpus", "-c", bad]) == 2
+        mistyped = write_config(tmp_path, "window_days: abc\n", name="mistyped.yaml")
+        assert main(["corpus", "-c", mistyped]) == 2
         # store not built yet
         assert main(["generate", "-c", cfg]) == 1
         # reference trips missing

@@ -4,7 +4,7 @@ from collections import Counter, defaultdict
 import pytest
 
 from tripsynth.corpus import CorpusSpec, synth_corpus
-from tripsynth.generator import AggregationLedger, GenParams
+from tripsynth.generator import AggregationLedger
 from tripsynth.ingest import (
     build_path_catalog,
     build_profiles,
@@ -165,12 +165,12 @@ class TestOracles:
 
     def test_slot_probabilities_match_hand_arithmetic(self):
         halves, p, reference = self.hand_state()
-        params = GenParams()
         probs = oracle_slot_probabilities(
-            halves, p, "A", AggregationLedger(), reference, GenClock(0, 1), 2, params
+            halves, p, "A", AggregationLedger(), reference, GenClock(0, 1), 2
         )
-        w1 = params.blowup ** 0.75 * (0.75 * 2.0 + params.epsilon)
-        w2 = params.kappa * params.blowup ** 0.25 * (0.25 + params.epsilon)
+        # kappa 1e-9, blowup 1e9, epsilon 1e-6
+        w1 = 1e9 ** 0.75 * (0.75 * 2.0 + 1e-6)
+        w2 = 1e-9 * 1e9 ** 0.25 * (0.25 + 1e-6)
         assert probs[1] == pytest.approx(w1 / (w1 + w2))
         assert probs[2] == pytest.approx(w2 / (w1 + w2))
         assert sum(probs.values()) == pytest.approx(1.0)
@@ -181,8 +181,7 @@ class TestOracles:
         empty.counts(TravellerType.COMMUTER)
         with pytest.raises(ValueError):
             oracle_slot_probabilities(
-                halves, p, "A", AggregationLedger(), empty, GenClock(0, 1), 1,
-                GenParams(),
+                halves, p, "A", AggregationLedger(), empty, GenClock(0, 1), 1
             )
 
     def test_period_probabilities_deficit(self):
@@ -238,7 +237,7 @@ class TestOracles:
             ledger.record(p.traveller_type, slot, small.partition.by_id(slot).start)
         probs = oracle_slot_probabilities(
             small.partition, p, small.planted[tid].home, ledger, reference,
-            GenClock(0, 300), 2, GenParams(),
+            GenClock(0, 300), 2,
         )
         # only the slot under the clock and later ones are reachable
         assert set(probs) == {s.slot_id for s in small.partition if s.end >= 300}

@@ -6,6 +6,9 @@ from hypothesis import example, given, strategies as st
 
 from tripsynth import generator
 from tripsynth.generator import (
+    BLOWUP,
+    EPSILON,
+    KAPPA,
     AggregationLedger,
     GenCursor,
     GenParams,
@@ -159,15 +162,15 @@ class TestSubsequentSlots:
 
 class TestBalanceWeight:
     def test_anchor_points(self):
-        assert balance_weight(0.0, 1e9) == 1.0
-        assert balance_weight(1.0, 1e9) == 0.0
-        assert balance_weight(-1.0, 1e9) == 1e9
-        assert balance_weight(0.25, 1e9) == 0.75
-        assert balance_weight(-0.5, 1e9) == pytest.approx(1e9 ** 0.5)
+        assert balance_weight(0.0) == 1.0
+        assert balance_weight(1.0) == 0.0
+        assert balance_weight(-1.0) == 1e9
+        assert balance_weight(0.25) == 0.75
+        assert balance_weight(-0.5) == pytest.approx(1e9 ** 0.5)
 
     def test_clamps_outside_unit_range(self):
-        assert balance_weight(1.5, 1e9) == 0.0
-        assert balance_weight(-2.0, 1e9) == 1e9
+        assert balance_weight(1.5) == 0.0
+        assert balance_weight(-2.0) == 1e9
 
     @given(
         x=st.floats(min_value=-1.0, max_value=1.0),
@@ -175,34 +178,28 @@ class TestBalanceWeight:
     )
     def test_decreasing(self, x, y):
         lo, hi = sorted((x, y))
-        assert balance_weight(lo, 1e9) >= balance_weight(hi, 1e9)
+        assert balance_weight(lo) >= balance_weight(hi)
 
 
 class TestGenParams:
     def test_defaults_pass(self):
         GenParams().check(max_trip_frequency=100)
 
-    @pytest.mark.parametrize(
-        "kw",
-        [
-            {"kappa": 0.0},
-            {"kappa": -1e-9},
-            {"epsilon": 0.0},
-            {"blowup": 1.0},
-            {"min_gap": -1},
-            {"epsilon": 1e-10},  # 1/blowup not below epsilon
-            {"kappa": 1e-3},  # kappa * blowup far above 1
-            {"kappa": 1e-10},  # kappa * blowup far below 1
-        ],
-    )
+    @pytest.mark.parametrize("kw", [{"min_gap": -1}])
     def test_rejections(self, kw):
         with pytest.raises(InvalidParams):
             GenParams(**kw).check()
 
     def test_epsilon_vs_trip_frequency(self):
-        GenParams(epsilon=1e-6).check(max_trip_frequency=1000)
+        GenParams().check(max_trip_frequency=999_999)
         with pytest.raises(InvalidParams):
-            GenParams(epsilon=1e-2).check(max_trip_frequency=1000)
+            GenParams().check(max_trip_frequency=1_000_000)
+
+    def test_weight_constants_keep_priorities(self):
+        # A slot behind on its share draws at best level with an active one,
+        # and a full overshoot stays above an unpreferred slot's floor.
+        assert KAPPA * BLOWUP == 1
+        assert 1 / BLOWUP < EPSILON
 
 
 def nonzero(counts: list) -> dict:
@@ -344,9 +341,9 @@ def test_aggregation_factor_full_deficit():
     ones = [1.0] * len(HOURLY)
     n = len(HOURLY)
     expected = ref.departures(TravellerType.COMMUTER)
-    w = slot_weights(HOURLY, ones, TypeCounts(), expected, 1, n, params)
+    w = slot_weights(HOURLY, ones, TypeCounts(), expected, 1, n)
     assert len(w) == n
-    assert w[7 - 1] == pytest.approx(params.blowup ** 0.75)
+    assert w[7 - 1] == pytest.approx(BLOWUP ** 0.75)
     # a type without reference departures, absent or present but empty, is
     # corrupt input; asking, even through generate_trip, does not add it to
     # the reference
@@ -374,17 +371,17 @@ def test_preference_factors():
         od={"A": {"B": 3}, "B": {"A": 1}},
         slot_origin={7: {"A": 3}, 17: {"B": 1}},
     )
-    eps = 1e-6
+    eps = EPSILON
     # slot 7 holds 3 of 4 trips and all 3 departures from A
-    terms = preference_terms(p, "A", HOURLY, eps)
+    terms = preference_terms(p, "A", HOURLY)
     assert len(terms) == len(HOURLY)
     assert terms[7 - 1] == pytest.approx(0.75 * 2.0 + eps)
     assert terms[17 - 1] == pytest.approx(0.25 + eps)
     assert terms[1 - 1] == eps
     # never departed from C: the origin term is 0
-    assert preference_terms(p, "C", HOURLY, eps)[7 - 1] == pytest.approx(0.75 + eps)
+    assert preference_terms(p, "C", HOURLY)[7 - 1] == pytest.approx(0.75 + eps)
     with pytest.raises(CorruptInputError):
-        preference_terms(profile(), "A", HOURLY, eps)
+        preference_terms(profile(), "A", HOURLY)
 
 
 def test_slot_weights_multiplicative_structure():
@@ -402,21 +399,18 @@ def test_slot_weights_multiplicative_structure():
         ],
         halves,
     )
-    params = GenParams()
     first, last_active = subsequent_slots(halves, GenClock(0, 1), 2)
-    terms = preference_terms(p, "A", halves, params.epsilon)
+    terms = preference_terms(p, "A", halves)
     w = slot_weights(
         halves, terms, TypeCounts(), ref.departures(p.traveller_type), first,
-        last_active, params,
+        last_active,
     )
     assert len(w) == 2
     # slot 1: active, full deficit of 0.75, own share 0.75, all departures
     # from A in this slot
-    assert w[0] == pytest.approx(params.blowup ** 0.75 * (0.75 * 2.0 + params.epsilon))
+    assert w[0] == pytest.approx(BLOWUP ** 0.75 * (0.75 * 2.0 + EPSILON))
     # slot 2: reserved for the second trip, kappa-scaled
-    assert w[1] == pytest.approx(
-        params.kappa * params.blowup ** 0.25 * (0.25 + params.epsilon)
-    )
+    assert w[1] == pytest.approx(KAPPA * BLOWUP ** 0.25 * (0.25 + EPSILON))
 
 
 class TestWeightedDraw:
@@ -677,12 +671,11 @@ class TestExactFloats:
     @given(slot_states(), st.integers(0, 2**32))
     def test_slot_weights(self, state, seed):
         partition, prof, zone, clock, remaining, ref, generated = state
-        params = GenParams()
         first, last_active = subsequent_slots(partition, clock, remaining)
         weights = slot_weights(
-            partition, preference_terms(prof, zone, partition, params.epsilon),
+            partition, preference_terms(prof, zone, partition),
             _ledger_of(generated, partition), _reference_of(ref, partition), first,
-            last_active, params,
+            last_active,
         )
 
         ref_slots = Counter()
@@ -696,18 +689,18 @@ class TestExactFloats:
         from_zone = prof.per_origin.get(zone, 0)
         expect = []
         for sid in reachable:
-            cs = 1.0 if sid in expect_active else params.kappa
+            cs = 1.0 if sid in expect_active else KAPPA
             x = (gen_slots[sid] / len(generated) if generated else 0.0) - (
                 ref_slots[sid] / sum(ref.values())
             )
             if x >= 0.0:
                 cr = max(0.0, 1.0 - x)
             else:
-                cr = params.blowup ** min(-x, 1.0)
+                cr = BLOWUP ** min(-x, 1.0)
             by_origin = prof.slot_origin_counts.get(sid, {})
             cp = sum(by_origin.values()) / prof.total_trips
             cop = by_origin.get(zone, 0) / from_zone if from_zone else 0.0
-            expect.append(cs * cr * (cp * (1.0 + cop) + params.epsilon))
+            expect.append(cs * cr * (cp * (1.0 + cop) + EPSILON))
         assert weights == expect
         # the draw never goes back to a slot the clock has passed
         if any(w > 0.0 for w in weights):
@@ -826,11 +819,8 @@ class TestGenerateTrip:
             profile=profiles["V1"], clock=GenClock(0, 1400), location="A",
             daily_quota=1,
         )
-        params = GenParams()
-        terms = preference_terms(profiles["V1"], "A", HOURLY, params.epsilon)
-        weights = slot_weights(
-            HOURLY, terms, commuters(ledger), commuters(ref), 24, 24, params
-        )
+        terms = preference_terms(profiles["V1"], "A", HOURLY)
+        weights = slot_weights(HOURLY, terms, commuters(ledger), commuters(ref), 24, 24)
         assert weights == [0.0]
 
         def refuse(*args):
@@ -846,7 +836,7 @@ class TestGenerateTrip:
         monkeypatch.setattr(generator, "select_time_slot", refuse)
         monkeypatch.setattr(generator, "select_time_period", spy)
         trip = generate_trip(
-            cursor, HOURLY, ledger, ref, catalog, pools, params, random.Random(5)
+            cursor, HOURLY, ledger, ref, catalog, pools, GenParams(), random.Random(5)
         )
         # nothing was drawn before the minute
         assert states == [random.Random(5).getstate()]

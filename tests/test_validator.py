@@ -10,14 +10,17 @@ from tripsynth.validator import (
     Distribution,
     ValidationReport,
     build_report,
-    continuity_ratio,
-    daily_frequency_by_individual,
     day_class,
     destination_entropy,
-    entropy_by_individual,
     js_divergence,
-    od_pair_counts,
     overlap_ratio,
+)
+
+from oracles import (
+    continuity_ratio,
+    daily_frequency_by_individual,
+    entropy_by_individual,
+    od_pair_counts,
     road_access_counts,
     temporal_distribution,
     topk_od,
