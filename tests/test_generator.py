@@ -185,7 +185,13 @@ class TestGenParams:
     def test_defaults_pass(self):
         GenParams().check(max_trip_frequency=100)
 
-    @pytest.mark.parametrize("kw", [{"min_gap": -1}])
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            pytest.param({"min_gap": -(10**9)}, id="kw0"),
+            pytest.param({"min_gap": -1}, id="kw4"),
+        ],
+    )
     def test_rejections(self, kw):
         with pytest.raises(InvalidParams):
             GenParams(**kw).check()
