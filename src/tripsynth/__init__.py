@@ -25,7 +25,6 @@ from .ingest import (
     parse_zones,
 )
 from .model import (
-    GenClock,
     IndividualProfile,
     TimeSlot,
     TimeSlotPartition,
@@ -39,7 +38,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregationLedger",
-    "GenClock",
     "GenParams",
     "GenStats",
     "IndividualProfile",

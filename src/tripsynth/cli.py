@@ -118,12 +118,19 @@ def _value(section, key, default, convert, where):
         raise ConfigError(f"bad value for {key!r} in {where}: {value!r}") from None
 
 
+def _list(values):
+    # A string is iterable too, but "12" is not the list [1, 2].
+    if not isinstance(values, (list, tuple)):
+        raise TypeError(f"expected a list, got {values!r}")
+    return values
+
+
 def _ints(values) -> tuple:
-    return tuple(int(v) for v in values)
+    return tuple(int(v) for v in _list(values))
 
 
 def _floats(values) -> tuple:
-    return tuple(float(v) for v in values)
+    return tuple(float(v) for v in _list(values))
 
 
 def _section(doc, name) -> dict:
@@ -191,6 +198,9 @@ def load_config(path) -> Config:
         if part_cfg == "hourly":
             partition = TimeSlotPartition.hourly()
         elif isinstance(part_cfg, list):
+            for start in part_cfg:
+                if type(start) is not int:  # also refuses a bool
+                    raise ValueError(f"bad slot start in 'partition': {start!r}")
             partition = TimeSlotPartition.from_boundaries(part_cfg)
         else:
             raise ValueError(f"partition must be 'hourly' or a list of slot starts")

@@ -25,7 +25,6 @@ from .model import (
     TYPE_ORDER,
     AggregationLedger,
     CorruptInputError,
-    GenClock,
     IndividualProfile,
     TimeSlot,
     TimeSlotPartition,
@@ -77,19 +76,24 @@ class GenParams:
             )
 
 
-@dataclass
+@dataclass(slots=True)
 class GenCursor:
     """Mutable per-individual generation state.
 
-    `terms` and `destinations` cache preference_terms and
-    destination_weights by current zone; they live as long as the cursor,
-    which is one individual of one run. `trips`, `relocations`,
-    `chain_breaks`, `degenerate_slot_draws` and `duration_fallbacks` count
-    what generate_trip has done so far, as GenStats defines them.
+    `day` and `minute` are the clock: the day index and the 1-based minute
+    of day before which no further departure may fall. `ref` and `counts`
+    are the type's reference departures and its generated counts, resolved
+    by the first generate_trip. `terms` and `destinations` cache
+    preference_terms and the checked cumulative destination weights by
+    current zone. All caches live as long as the cursor, which is one
+    individual of one run. `trips`, `relocations`, `chain_breaks`,
+    `degenerate_slot_draws` and `duration_fallbacks` count what
+    generate_trip has done so far, as GenStats defines them.
     """
 
     profile: IndividualProfile
-    clock: GenClock
+    day: int
+    minute: int
     location: str
     daily_quota: int
     generated_today: int = 0
@@ -98,6 +102,8 @@ class GenCursor:
     chain_breaks: int = 0
     degenerate_slot_draws: int = 0
     duration_fallbacks: int = 0
+    ref: TypeCounts | None = field(default=None, repr=False)
+    counts: TypeCounts | None = field(default=None, repr=False)
     terms: dict = field(default_factory=dict, repr=False)
     destinations: dict = field(default_factory=dict, repr=False)
 
@@ -143,19 +149,19 @@ def daily_quota(profile: IndividualProfile, rng: random.Random) -> int:
     return base + (1 if rng.random() < rem / days else 0)
 
 
-def subsequent_slots(partition: TimeSlotPartition, clock: GenClock, remaining: int):
-    """Today's reachable slots around the clock, as two slot ids.
+def subsequent_slots(partition: TimeSlotPartition, minute: int, remaining: int):
+    """Today's reachable slots around the clock `minute`, as two slot ids.
 
     Returns (first, last_active): slots `first..n` are reachable (the slot
     under the clock and everything later); of those, `first..last_active`
     are active and the latest min(remaining - 1, n - first) are reserved,
     held back so later trips of the day keep somewhere to go. At least one
-    slot is always active.
+    slot is always active. A minute outside 1..1440 raises ValueError.
     """
     if remaining < 1:
         raise ValueError("remaining must be >= 1")
     n = len(partition)
-    first = partition.slot_of(clock.minute).slot_id
+    first = partition.slot_of(minute).slot_id
     return first, n - min(remaining - 1, n - first)
 
 
@@ -167,8 +173,8 @@ def balance_weight(x: float) -> float:
     exponentially.
     """
     if x >= 0.0:
-        return max(0.0, 1.0 - x)
-    return BLOWUP ** min(-x, 1.0)
+        return 1.0 - x if x < 1.0 else 0.0
+    return BLOWUP ** (-x if x > -1.0 else 1.0)
 
 
 def preference_terms(
@@ -182,17 +188,15 @@ def preference_terms(
     departures from `current_zone` that fall in the slot, 0 when the
     individual never departed from `current_zone`.
     """
-    if profile.total_trips == 0:
+    total = profile.total_trips
+    if total == 0:
         raise CorruptInputError(f"profile {profile.traveller_id!r} has no trips")
     from_zone = profile.per_origin.get(current_zone, 0)
     terms = []
     for slot in partition:
-        cp = profile.slot_total(slot.slot_id) / profile.total_trips
-        if from_zone == 0:
-            cop = 0.0
-        else:
-            by_origin = profile.slot_origin_counts.get(slot.slot_id, {})
-            cop = by_origin.get(current_zone, 0) / from_zone
+        by_origin = profile.slot_origin_counts.get(slot.slot_id, {})
+        cp = sum(by_origin.values()) / total
+        cop = by_origin.get(current_zone, 0) / from_zone if from_zone else 0.0
         terms.append(cp * (1.0 + cop) + EPSILON)
     return terms
 
@@ -216,11 +220,15 @@ def slot_weights(
     """
     total = counts.total or 1  # an empty ledger's shares are all 0.0
     generated, expected, ref_total = counts.slot, ref.slot, ref.total
-    weights = []
-    for sid in range(first, len(partition) + 1):
-        x = generated[sid] / total - expected[sid] / ref_total
-        cs = 1.0 if sid <= last_active else KAPPA
-        weights.append(cs * balance_weight(x) * terms[sid - 1])
+    cut, stop = last_active + 1, len(partition) + 1
+    # A logic factor of 1.0 leaves the product's bits unchanged, so the
+    # active slots are weighted without it.
+    active = zip(generated[first:cut], expected[first:cut], terms[first - 1:])
+    reserved = zip(generated[cut:stop], expected[cut:stop], terms[cut - 1:])
+    weights = [balance_weight(g / total - e / ref_total) * t for g, e, t in active]
+    weights += [
+        KAPPA * balance_weight(g / total - e / ref_total) * t for g, e, t in reserved
+    ]
     return weights
 
 
@@ -232,16 +240,11 @@ def _cumulative_draw(labels, cum: list, rng: random.Random):
     return labels[bisect_right(cum, rng.random() * (cum[-1] + 0.0), 0, len(cum) - 1)]
 
 
-def weighted_draw(labels, weights, rng: random.Random, k=None):
-    """Inverse-CDF draw from `labels` by non-negative `weights`.
+def _checked_cumulative(labels, weights) -> list:
+    """The running sums of `weights`, as _cumulative_draw takes them.
 
-    Draws through _cumulative_draw over the running sums of `weights`, so
-    the labels drawn and the RNG state left are those of
-    rng.choices(labels, weights, k=...). A zero weight repeats a cumulative
-    entry and is never drawn. With k=None returns a single label;
-    otherwise a list of k draws. Raises ValueError for mismatched lengths,
-    no labels, a negative weight, or a total that is not positive and
-    finite.
+    Raises ValueError for mismatched lengths, no labels, a negative weight,
+    or a total that is not positive and finite.
     """
     n = len(labels)
     if n != len(weights):
@@ -253,6 +256,19 @@ def weighted_draw(labels, weights, rng: random.Random, k=None):
     cum = list(accumulate(weights))
     if not 0.0 < cum[-1] + 0.0 < inf:
         raise ValueError("weights must have a positive, finite sum")
+    return cum
+
+
+def weighted_draw(labels, weights, rng: random.Random, k=None):
+    """Inverse-CDF draw from `labels` by non-negative `weights`.
+
+    Draws through _cumulative_draw over _checked_cumulative(labels,
+    weights), so the labels drawn and the RNG state left are those of
+    rng.choices(labels, weights, k=...), and the same ValueErrors are
+    raised. A zero weight repeats a cumulative entry and is never drawn.
+    With k=None returns a single label; otherwise a list of k draws.
+    """
+    cum = _checked_cumulative(labels, weights)
     if k is None:
         return _cumulative_draw(labels, cum, rng)
     return [_cumulative_draw(labels, cum, rng) for _ in range(k)]
@@ -266,13 +282,13 @@ def select_time_slot(weights: list, first: int, rng: random.Random) -> int:
 
 def period_weights(
     slot: TimeSlot,
-    clock: GenClock,
+    minute: int,
     counts: TypeCounts,
     ref: TypeCounts,
 ):
     """Departure minutes inside `slot` that can be drawn, with their weights.
 
-    Candidates run from max(slot start, clock minute) to the slot end. A
+    Candidates run from max(slot start, clock `minute`) to the slot end. A
     minute's share is its count over the total, in `counts` (the type's
     trips generated so far) and in `ref` (its reference departures). Where
     some candidates still trail their reference share, only those are
@@ -285,9 +301,9 @@ def period_weights(
     reference share, all candidates are listed, weighted by inverse
     overshoots, floored at DELTA_FLOOR.
     """
-    start = max(slot.start, clock.minute)
+    start = max(slot.start, minute)
     if start > slot.end:
-        raise ValueError(f"slot {slot.slot_id} has no minutes left at {clock.minute}")
+        raise ValueError(f"slot {slot.slot_id} has no minutes left at {minute}")
     generated = counts.minute
     total = counts.total or 1  # an empty ledger's shares are all 0.0
     listed, shares = counts.deficit_minutes(ref)
@@ -297,19 +313,18 @@ def period_weights(
     if lo < hi:
         minutes = listed[lo:hi]
         return minutes, [shares[m] - generated[m] / total for m in minutes]
-    ref_total = ref.total
     # No candidate trails its share here, so the overshoot x is never
     # negative and equals the absolute share difference.
     weights = [
-        1.0 / (x if (x := n / total - r / ref_total) > DELTA_FLOOR else DELTA_FLOOR)
-        for r, n in zip(ref.minute[start:stop], generated[start:stop])
+        1.0 / (x if (x := n / total - r) > DELTA_FLOOR else DELTA_FLOOR)
+        for r, n in zip(shares[start:stop], generated[start:stop])
     ]
     return list(range(start, stop)), weights
 
 
 def select_time_period(
     slot: TimeSlot,
-    clock: GenClock,
+    minute: int,
     counts: TypeCounts,
     ref: TypeCounts,
     rng: random.Random,
@@ -324,7 +339,7 @@ def select_time_period(
     cumulative entries the search never stops at, so leaving them out
     changes neither the minute drawn nor the RNG state.
     """
-    minutes, weights = period_weights(slot, clock, counts, ref)
+    minutes, weights = period_weights(slot, minute, counts, ref)
     return _cumulative_draw(minutes, list(accumulate(weights)), rng)
 
 
@@ -347,22 +362,36 @@ def destination_weights(profile: IndividualProfile, origin: str):
 def select_destination(cursor: GenCursor, rng: random.Random):
     """Sample a destination proportionally to the individual's historical
     OD counts from the cursor's location, relocating as destination_weights
-    does; the weights are cached on the cursor per location.
-    Returns (origin_used, destination, relocated)."""
+    does. Each location's weights are checked and accumulated once and
+    cached on the cursor, so a draw is the one _cumulative_draw that
+    weighted_draw would make. Returns (origin_used, destination,
+    relocated)."""
     found = cursor.destinations.get(cursor.location)
     if found is None:
-        found = destination_weights(cursor.profile, cursor.location)
+        origin, dests, weights, relocated = destination_weights(
+            cursor.profile, cursor.location
+        )
+        found = origin, dests, _checked_cumulative(dests, weights), relocated
         cursor.destinations[cursor.location] = found
-    origin, dests, weights, relocated = found
-    return origin, weighted_draw(dests, weights, rng), relocated
+    origin, dests, cum, relocated = found
+    return origin, _cumulative_draw(dests, cum, rng), relocated
 
 
 def select_path(catalog: PathCatalog, o_zone: str, d_zone: str, rng: random.Random):
-    """Sample a pooled route for the OD pair proportionally to crowd counts."""
-    entries = catalog.get(o_zone, d_zone)
-    if not entries:
-        raise CorruptInputError(f"no pooled path for OD pair ({o_zone}, {d_zone})")
-    return weighted_draw(entries, catalog.crowd_counts(o_zone, d_zone), rng)
+    """Sample a pooled route for the OD pair proportionally to crowd counts.
+
+    The counts are checked and accumulated on the OD pair's first draw and
+    kept in catalog.route_draws, so a draw is the one _cumulative_draw that
+    weighted_draw would make."""
+    od = (o_zone, d_zone)
+    found = catalog.route_draws.get(od)
+    if found is None:
+        entries = catalog.get(o_zone, d_zone)
+        if not entries:
+            raise CorruptInputError(f"no pooled path for OD pair ({o_zone}, {d_zone})")
+        cum = _checked_cumulative(entries, [e.crowd_count for e in entries])
+        found = catalog.route_draws[od] = entries, cum
+    return _cumulative_draw(*found, rng)
 
 
 def sample_duration(
@@ -403,16 +432,21 @@ def generate_trip(
     remaining = cursor.daily_quota - cursor.generated_today
     if remaining < 1:
         raise ValueError("no remaining quota today")
-    first, last_active = subsequent_slots(partition, cursor.clock, remaining)
+    first, last_active = subsequent_slots(partition, cursor.minute, remaining)
     terms = cursor.terms.get(cursor.location)
     if terms is None:
         terms = preference_terms(profile, cursor.location, partition)
         cursor.terms[cursor.location] = terms
     ttype = profile.traveller_type
-    ref = reference.departures(ttype)
-    counts = ledger.counts(ttype)
+    ref = cursor.ref
+    if ref is None:
+        # The individual's first trip: a type without reference departures
+        # is corrupt input, refused here before any draw.
+        ref = cursor.ref = reference.departures(ttype)
+        cursor.counts = ledger.counts(ttype)
+    counts = cursor.counts
     weights = slot_weights(partition, terms, counts, ref, first, last_active)
-    if any(w > 0.0 for w in weights):
+    if max(weights) > 0.0:
         slot_id = select_time_slot(weights, first, rng)
     else:
         # Degenerate corner: the clock is in the last slot (with two or more
@@ -423,7 +457,7 @@ def generate_trip(
         slot_id = first
         cursor.degenerate_slot_draws += 1
     slot = partition.by_id(slot_id)
-    departure = select_time_period(slot, cursor.clock, counts, ref, rng)
+    departure = select_time_period(slot, cursor.minute, counts, ref, rng)
     origin, destination, relocated = select_destination(cursor, rng)
     if relocated:
         cursor.relocations += 1
@@ -434,24 +468,17 @@ def generate_trip(
     cursor.duration_fallbacks += fell_back
 
     trip = TripRecord(
-        traveller_id=profile.traveller_id,
-        traveller_type=ttype,
-        date=cursor.clock.day,
-        departure=departure,
-        o_zone=origin,
-        d_zone=destination,
-        path=entry.path,
-        duration=duration,
+        profile.traveller_id, ttype, cursor.day, departure, origin, destination,
+        entry.path, duration,
     )
     ledger.record(ttype, slot_id, departure)
 
     minute = departure + duration + params.min_gap
-    day = cursor.clock.day
     while minute > MINUTES_PER_DAY:
         minute -= MINUTES_PER_DAY
-        day += 1
+        cursor.day += 1
+    cursor.minute = minute
     cursor.location = destination
-    cursor.clock = GenClock(day, minute)
     cursor.generated_today += 1
     cursor.trips += 1
     return trip
@@ -464,26 +491,29 @@ def _generate_individual(
     their counts into `stats` once the last one is drawn."""
     cursor = GenCursor(
         profile=profile,
-        clock=GenClock(params.start_day, 1),
+        day=params.start_day,
+        minute=1,
         location=initial_location(profile),
         daily_quota=daily_quota(profile, rng),
     )
     trips = []
     spills = dropped = 0
-    while cursor.clock.day < params.start_day + params.horizon_days:
+    end_day = params.start_day + params.horizon_days
+    while cursor.day < end_day:
         if cursor.generated_today >= cursor.daily_quota:
             # Today's quota is done: jump to the start of the next day.
-            cursor.clock = GenClock(cursor.clock.day + 1, 1)
+            cursor.day += 1
+            cursor.minute = 1
             cursor.daily_quota = daily_quota(profile, rng)
             cursor.generated_today = 0
             continue
-        day_before = cursor.clock.day
+        day_before = cursor.day
         trips.append(
             generate_trip(
                 cursor, partition, ledger, reference, catalog, pools, params, rng
             )
         )
-        if cursor.clock.day != day_before:
+        if cursor.day != day_before:
             # Trip spilled past midnight; the old day's unmet quota is dropped.
             spills += 1
             dropped += cursor.daily_quota - cursor.generated_today

@@ -351,20 +351,13 @@ class PathCatalog:
 
     def __init__(self, entries):
         self.entries = {od: tuple(paths) for od, paths in entries.items()}
-        self._crowd_counts = {}
+        # (entries, cumulative crowd counts) per OD pair, filled by
+        # generator.select_path on the pair's first draw and kept as long
+        # as the catalog.
+        self.route_draws = {}
 
     def get(self, o_zone: str, d_zone: str):
         return self.entries.get((o_zone, d_zone), ())
-
-    def crowd_counts(self, o_zone: str, d_zone: str) -> tuple:
-        """The crowd counts of get(o_zone, d_zone), in the same order;
-        derived on first use and kept as long as the catalog."""
-        od = (o_zone, d_zone)
-        counts = self._crowd_counts.get(od)
-        if counts is None:
-            counts = tuple(e.crowd_count for e in self.entries.get(od, ()))
-            self._crowd_counts[od] = counts
-        return counts
 
     def __contains__(self, od) -> bool:
         return od in self.entries

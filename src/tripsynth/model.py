@@ -154,18 +154,6 @@ class TimeSlotPartition:
         return list(self._starts)
 
 
-@dataclass(frozen=True, order=True)
-class GenClock:
-    """Generation-time position: (day index, minute of day). Orders lexically."""
-
-    day: int
-    minute: int
-
-    def __post_init__(self):
-        if not 1 <= self.minute <= MINUTES_PER_DAY:
-            raise ValueError(f"clock minute out of range: {self.minute}")
-
-
 @dataclass(frozen=True)
 class Zone:
     """A traffic zone with a representative point and its bounding roads."""
@@ -176,9 +164,14 @@ class Zone:
     roads: frozenset = frozenset()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TripRecord:
-    """One observed or synthesized trip."""
+    """One observed or synthesized trip.
+
+    Not frozen: a frozen dataclass sets each field through
+    object.__setattr__, and a record is built for every parsed row and
+    every generated trip. Nothing mutates a record once built.
+    """
 
     traveller_id: str
     traveller_type: TravellerType
@@ -229,10 +222,6 @@ class IndividualProfile:
         object.__setattr__(self, "total_trips", sum(per_origin.values()))
         object.__setattr__(self, "per_origin", per_origin)
         object.__setattr__(self, "per_destination", per_destination)
-
-    def slot_total(self, slot_id: int) -> int:
-        """Trips departing within one slot (sum over origins)."""
-        return sum(self.slot_origin_counts.get(slot_id, {}).values())
 
 
 # Below this product of the two totals, the integer deficit rule of

@@ -61,11 +61,11 @@ def oracle_slot_probabilities(
     current_zone: str,
     ledger,
     reference,
-    clock,
+    minute: int,
     remaining: int,
 ) -> dict:
     """Exact slot-selection distribution over the slots still reachable at
-    `clock`: the slot under it and every later one."""
+    the clock `minute`: the slot under it and every later one."""
     ttype = profile.traveller_type
     ref_minutes = reference.by_type[ttype].minute
     ref_total = sum(ref_minutes)
@@ -76,7 +76,7 @@ def oracle_slot_probabilities(
 
     first = None
     for slot in partition.slots:
-        if slot.start <= clock.minute <= slot.end:
+        if slot.start <= minute <= slot.end:
             first = slot.slot_id
             break
     reachable = [s.slot_id for s in partition.slots if s.slot_id >= first]
@@ -119,7 +119,7 @@ def oracle_slot_probabilities(
 
 def oracle_period_probabilities(
     slot,
-    clock,
+    minute: int,
     ledger,
     reference,
     ttype: TravellerType,
@@ -133,7 +133,7 @@ def oracle_period_probabilities(
     gen_minutes = ledger.counts(ttype).minute
     gen_total = sum(gen_minutes)
 
-    start = max(slot.start, clock.minute)
+    start = max(slot.start, minute)
     if start > slot.end:
         raise ValueError("slot has no selectable minutes")
     minutes = range(start, slot.end + 1)

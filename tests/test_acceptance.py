@@ -36,7 +36,7 @@ from tripsynth.ingest import (
     build_reference_aggregates,
     reference_from_minutes,
 )
-from tripsynth.model import TYPE_ORDER, GenClock, TravellerType
+from tripsynth.model import TYPE_ORDER, TravellerType
 from tripsynth.validator import (
     Distribution,
     build_report,
@@ -171,13 +171,13 @@ def _slot_state(meta, world, rng):
         for sid in meta.choices(slot_ids, weights=skew, k=meta.randint(20, 4000)):
             slot = partition.by_id(sid)
             ledger.record(profile.traveller_type, sid, meta.randint(slot.start, slot.end))
-    clock = GenClock(0, meta.randint(1, 1440))
+    minute = meta.randint(1, 1440)
     remaining = meta.randint(1, 4)
 
     oracle = oracle_slot_probabilities(
-        partition, profile, zone, ledger, world.reference, clock, remaining
+        partition, profile, zone, ledger, world.reference, minute, remaining
     )
-    first, last_active = subsequent_slots(partition, clock, remaining)
+    first, last_active = subsequent_slots(partition, minute, remaining)
     terms = preference_terms(profile, zone, partition)
     ttype = profile.traveller_type
     weights = slot_weights(
@@ -200,7 +200,6 @@ def _period_state(meta, world, rng, shape):
     slot = meta.choice(partition.slots)
     width = meta.randint(8, 30 if shape == 2 else 40)
     start = max(slot.start, slot.end - width)
-    clock = GenClock(0, start)
     k_ref = meta.randint(4, 12)
     supported = sorted(meta.sample(range(start, slot.end + 1), k_ref))
     if shape == 2:
@@ -218,11 +217,11 @@ def _period_state(meta, world, rng, shape):
             for _ in range(counts[m]):
                 ledger.record(ttype, slot.slot_id, m)
 
-    oracle = oracle_period_probabilities(slot, clock, ledger, reference, ttype)
+    oracle = oracle_period_probabilities(slot, start, ledger, reference, ttype)
     from tripsynth.generator import period_weights
 
     minutes, weights = period_weights(
-        slot, clock, ledger.counts(ttype), reference.departures(ttype)
+        slot, start, ledger.counts(ttype), reference.departures(ttype)
     )
     draws = weighted_draw(minutes, weights, rng, k=DRAWS)
     return _tv(oracle, draws)
@@ -448,6 +447,24 @@ def test_criterion_10_byte_identical_reruns(cli_runs):
 def test_desk_bytes_pinned(cli_runs, table):
     digest = hashlib.sha256((cli_runs[0]["base"] / table).read_bytes()).hexdigest()
     assert digest == DESK_SHA256[table]
+
+
+# generated.csv of the same CLI run under the product's default hourly
+# partition, whose 24 slots cut the day in more places than desk's six.
+HOURLY_GENERATED_SHA256 = (
+    "74694bef79979bac4a5c36e60f67ec46c83912444f0b322611cba184ae90f5da"
+)
+
+
+def test_hourly_generated_bytes_pinned(tmp_path):
+    cfg = tmp_path / "run.yaml"
+    desk_partition = "partition: [1, 241, 481, 721, 961, 1201]\n"
+    assert desk_partition in CONFIG
+    cfg.write_text(CONFIG.replace(desk_partition, "partition: hourly\n"))
+    for command in ("corpus", "ingest", "generate"):
+        assert main([command, "-c", str(cfg)]) == 0, command
+    generated = (tmp_path / "out" / "generated.csv").read_bytes()
+    assert hashlib.sha256(generated).hexdigest() == HOURLY_GENERATED_SHA256
 
 
 def test_midnight_spills_counted(world):

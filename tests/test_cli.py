@@ -144,6 +144,14 @@ corpus:
             ("validation: {topk_zones: [0]}\n", "top-k"),
             ("corpus: {individuals: {wizard: 3}}\n", "wizard"),
             ("csv_delimiter: '::'\n", "single character"),
+            # a quoted list is a string, not the list of its characters
+            ("validation: {holiday_days: \"12\"}\n", "'holiday_days' in validation"),
+            ("validation: {holiday_weekdays: \"56\"}\n", "'holiday_weekdays' in validation"),
+            ("validation: {topk_zones: \"1\"}\n", "'topk_zones' in validation"),
+            ("validation: {topk_od: \"0.5\"}\n", "'topk_od' in validation"),
+            ("partition: [1, x]\n", "'partition': 'x'"),
+            ("partition: [1, 241.5]\n", "'partition': 241.5"),
+            ("partition: [1, true]\n", "'partition': True"),
         ],
     )
     def test_rejects(self, tmp_path, body, fragment):
@@ -453,6 +461,12 @@ class TestPipeline:
         assert main(["corpus", "-c", bad]) == 2
         mistyped = write_config(tmp_path, "window_days: abc\n", name="mistyped.yaml")
         assert main(["corpus", "-c", mistyped]) == 2
+        quoted = write_config(
+            tmp_path, 'validation: {holiday_days: "12"}\n', name="quoted.yaml"
+        )
+        assert main(["corpus", "-c", quoted]) == 2
+        entry = write_config(tmp_path, "partition: [1, x]\n", name="entry.yaml")
+        assert main(["corpus", "-c", entry]) == 2
         # store not built yet
         assert main(["generate", "-c", cfg]) == 1
         # reference trips missing

@@ -11,7 +11,6 @@ from tripsynth.ingest import (
     build_reference_aggregates,
 )
 from tripsynth.model import (
-    GenClock,
     IndividualProfile,
     TimeSlot,
     TimeSlotPartition,
@@ -166,7 +165,7 @@ class TestOracles:
     def test_slot_probabilities_match_hand_arithmetic(self):
         halves, p, reference = self.hand_state()
         probs = oracle_slot_probabilities(
-            halves, p, "A", AggregationLedger(), reference, GenClock(0, 1), 2
+            halves, p, "A", AggregationLedger(), reference, 1, 2
         )
         # kappa 1e-9, blowup 1e9, epsilon 1e-6
         w1 = 1e9 ** 0.75 * (0.75 * 2.0 + 1e-6)
@@ -181,14 +180,14 @@ class TestOracles:
         empty.counts(TravellerType.COMMUTER)
         with pytest.raises(ValueError):
             oracle_slot_probabilities(
-                halves, p, "A", AggregationLedger(), empty, GenClock(0, 1), 1
+                halves, p, "A", AggregationLedger(), empty, 1, 1
             )
 
     def test_period_probabilities_deficit(self):
         _, _, reference = self.hand_state()
         # nothing generated yet: all mass sits on the two reference minutes
         probs = oracle_period_probabilities(
-            TimeSlot(1, 1, 720), GenClock(0, 1), AggregationLedger(), reference,
+            TimeSlot(1, 1, 720), 1, AggregationLedger(), reference,
             TravellerType.COMMUTER,
         )
         assert probs[400] == pytest.approx(1.0)
@@ -203,7 +202,7 @@ class TestOracles:
             ledger.record(t, 1, 400)
         ledger.record(t, 2, 1000)
         probs = oracle_period_probabilities(
-            TimeSlot(1, 399, 400), GenClock(0, 399), ledger, reference, t
+            TimeSlot(1, 399, 400), 399, ledger, reference, t
         )
         # deltas: minute 399 level at 0, minute 400 at 0.75 - 0.9
         assert probs[399] / probs[400] == pytest.approx(0.15 / 1e-12, rel=1e-6)
@@ -237,7 +236,7 @@ class TestOracles:
             ledger.record(p.traveller_type, slot, small.partition.by_id(slot).start)
         probs = oracle_slot_probabilities(
             small.partition, p, small.planted[tid].home, ledger, reference,
-            GenClock(0, 300), 2,
+            300, 2,
         )
         # only the slot under the clock and later ones are reachable
         assert set(probs) == {s.slot_id for s in small.partition if s.end >= 300}

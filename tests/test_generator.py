@@ -33,6 +33,8 @@ from tripsynth.generator import (
     weighted_draw,
 )
 from tripsynth.ingest import (
+    PathCatalog,
+    PathEntry,
     build_duration_pools,
     build_path_catalog,
     build_profiles,
@@ -41,7 +43,6 @@ from tripsynth.ingest import (
 )
 from tripsynth.model import (
     CorruptInputError,
-    GenClock,
     IndividualProfile,
     TimeSlot,
     TimeSlotPartition,
@@ -125,34 +126,30 @@ class TestDailyQuota:
 class TestSubsequentSlots:
     def test_mid_day_with_reservation(self):
         # clock in slot 10 of 24, three trips left today: 23 and 24 reserved
-        clock = GenClock(0, 9 * 60 + 30)
-        assert subsequent_slots(HOURLY, clock, remaining=3) == (10, 22)
+        assert subsequent_slots(HOURLY, 9 * 60 + 30, remaining=3) == (10, 22)
 
     def test_last_slot_single_trip(self):
-        clock = GenClock(0, 1400)
-        assert subsequent_slots(HOURLY, clock, remaining=1) == (24, 24)
+        assert subsequent_slots(HOURLY, 1400, remaining=1) == (24, 24)
 
     def test_reservation_capped_by_reachable(self):
         # more trips left than slots: active still keeps one slot
-        clock = GenClock(0, 1400)
-        assert subsequent_slots(HOURLY, clock, remaining=99) == (24, 24)
+        assert subsequent_slots(HOURLY, 1400, remaining=99) == (24, 24)
 
     def test_four_hour_partition(self):
         # minute 300 lies in slot 2 of 6
-        clock = GenClock(0, 300)
-        assert subsequent_slots(FOUR_HOUR, clock, remaining=2) == (2, 5)
-        assert subsequent_slots(FOUR_HOUR, clock, remaining=6) == (2, 2)
+        assert subsequent_slots(FOUR_HOUR, 300, remaining=2) == (2, 5)
+        assert subsequent_slots(FOUR_HOUR, 300, remaining=6) == (2, 2)
 
     def test_remaining_must_be_positive(self):
         with pytest.raises(ValueError):
-            subsequent_slots(HOURLY, GenClock(0, 1), remaining=0)
+            subsequent_slots(HOURLY, 1, remaining=0)
 
     @given(
         minute=st.integers(min_value=1, max_value=1440),
         remaining=st.integers(min_value=1, max_value=40),
     )
     def test_partition_invariants(self, minute, remaining):
-        first, last_active = subsequent_slots(HOURLY, GenClock(0, minute), remaining)
+        first, last_active = subsequent_slots(HOURLY, minute, remaining)
         assert HOURLY.by_id(first).start <= minute <= HOURLY.by_id(first).end
         # slots first..last_active are active, the rest of first..n reserved
         reachable = len(HOURLY) - first + 1
@@ -361,7 +358,7 @@ def test_aggregation_factor_full_deficit():
             ref.departures(ttype)
         cursor = GenCursor(
             profile=profile(od={"A": {"B": 1}}, slot_origin={7: {"A": 1}}, ttype=ttype),
-            clock=GenClock(0, 1), location="A", daily_quota=1,
+            day=0, minute=1, location="A", daily_quota=1,
         )
         rng = random.Random(0)
         with pytest.raises(CorruptInputError):
@@ -405,7 +402,7 @@ def test_slot_weights_multiplicative_structure():
         ],
         halves,
     )
-    first, last_active = subsequent_slots(halves, GenClock(0, 1), 2)
+    first, last_active = subsequent_slots(halves, 1, 2)
     terms = preference_terms(p, "A", halves)
     w = slot_weights(
         halves, terms, TypeCounts(), ref.departures(p.traveller_type), first,
@@ -500,13 +497,13 @@ class TestPeriodWeights:
         ledger.record(TravellerType.COMMUTER, 1, 10)
         slot = TimeSlot(1, 1, 60)
         counts, ref = commuters(ledger), commuters(ref)
-        minutes, weights = period_weights(slot, GenClock(0, 1), counts, ref)
+        minutes, weights = period_weights(slot, 1, counts, ref)
         # minute 10 overshot (1.0 generated vs 0.25 reference), minute 20
         # still owed 0.75; everything else level at zero and left out
         assert minutes == [20]
         assert weights == [3 / 4 - 0 / 1]
         rng = random.Random(0)
-        assert select_time_period(slot, GenClock(0, 1), counts, ref, rng) == 20
+        assert select_time_period(slot, 1, counts, ref, rng) == 20
 
     def test_overshoot_branch_inverts_excess(self):
         ref = self.ref({1: 2, 2: 3, 100: 5})
@@ -515,7 +512,7 @@ class TestPeriodWeights:
             for _ in range(n):
                 ledger.record(TravellerType.COMMUTER, HOURLY.slot_of(minute).slot_id, minute)
         minutes, weights = period_weights(
-            TimeSlot(1, 1, 2), GenClock(0, 1), commuters(ledger), commuters(ref)
+            TimeSlot(1, 1, 2), 1, commuters(ledger), commuters(ref)
         )
         assert minutes == [1, 2]
         assert weights == pytest.approx([10.0, 5.0])  # inverse of |-0.1|, |-0.2|
@@ -526,7 +523,7 @@ class TestPeriodWeights:
         ledger.record(TravellerType.COMMUTER, 1, 1)
         ledger.record(TravellerType.COMMUTER, 1, 2)
         minutes, weights = period_weights(
-            TimeSlot(1, 1, 2), GenClock(0, 1), commuters(ledger), commuters(ref)
+            TimeSlot(1, 1, 2), 1, commuters(ledger), commuters(ref)
         )
         # generated shares match the reference exactly: floored inverses, equal
         assert minutes == [1, 2]
@@ -535,7 +532,7 @@ class TestPeriodWeights:
     def test_clock_trims_candidates(self):
         ref = self.ref({10: 1})
         minutes, _ = period_weights(
-            TimeSlot(1, 1, 60), GenClock(0, 30), TypeCounts(), commuters(ref)
+            TimeSlot(1, 1, 60), 30, TypeCounts(), commuters(ref)
         )
         assert minutes == list(range(30, 61))
 
@@ -543,7 +540,7 @@ class TestPeriodWeights:
         ref = self.ref({10: 1})
         with pytest.raises(ValueError):
             period_weights(
-                TimeSlot(1, 1, 60), GenClock(0, 61), TypeCounts(), commuters(ref)
+                TimeSlot(1, 1, 60), 61, TypeCounts(), commuters(ref)
             )
 
 
@@ -592,7 +589,7 @@ def period_states(draw):
 
 @st.composite
 def slot_states(draw):
-    """(partition, profile, zone, clock, remaining, reference counts,
+    """(partition, profile, zone, clock minute, remaining, reference counts,
     generated minutes) with a random individual history over zones A-C."""
     partition = draw(st.sampled_from([HOURLY, FOUR_HOUR]))
     slot_ids = st.integers(1, len(partition))
@@ -610,12 +607,12 @@ def slot_states(draw):
     prof = profile(od={o: {"D": n} for o, n in per_origin.items()},
                    slot_origin=by_slot)
     zone = draw(st.sampled_from("ABCZ"))
-    clock = GenClock(0, draw(st.integers(1, 1440)))
+    minute = draw(st.integers(1, 1440))
     remaining = draw(st.integers(1, 5))
     ref = draw(st.dictionaries(st.integers(1, 1440), st.integers(1, 60),
                                min_size=1, max_size=30))
     generated = draw(st.lists(st.integers(1, 1440), max_size=200))
-    return partition, prof, zone, clock, remaining, ref, generated
+    return partition, prof, zone, minute, remaining, ref, generated
 
 
 def _full_period_weights(slot, minute, ref, generated):
@@ -638,9 +635,8 @@ class TestExactFloats:
     @given(period_states())
     def test_period_weights(self, state):
         partition, slot, minute, ref, generated = state
-        clock = GenClock(0, minute)
         minutes, weights = period_weights(
-            slot, clock, _ledger_of(generated, partition), _reference_of(ref, partition)
+            slot, minute, _ledger_of(generated, partition), _reference_of(ref, partition)
         )
 
         candidates, full = _full_period_weights(slot, minute, ref, generated)
@@ -668,7 +664,7 @@ class TestExactFloats:
         old_rng, new_rng = make(seed), make(seed)
         expect = old_rng.choices(candidates, weights=full)[0]
         got = select_time_period(
-            slot, GenClock(0, minute), _ledger_of(generated, partition),
+            slot, minute, _ledger_of(generated, partition),
             _reference_of(ref, partition), new_rng,
         )
         assert got == expect
@@ -676,8 +672,8 @@ class TestExactFloats:
 
     @given(slot_states(), st.integers(0, 2**32))
     def test_slot_weights(self, state, seed):
-        partition, prof, zone, clock, remaining, ref, generated = state
-        first, last_active = subsequent_slots(partition, clock, remaining)
+        partition, prof, zone, minute, remaining, ref, generated = state
+        first, last_active = subsequent_slots(partition, minute, remaining)
         weights = slot_weights(
             partition, preference_terms(prof, zone, partition),
             _ledger_of(generated, partition), _reference_of(ref, partition), first,
@@ -688,7 +684,7 @@ class TestExactFloats:
         for m, n in ref.items():
             ref_slots[partition.slot_of(m).slot_id] += n
         gen_slots = Counter(partition.slot_of(m).slot_id for m in generated)
-        first = partition.slot_of(clock.minute).slot_id
+        first = partition.slot_of(minute).slot_id
         reachable = list(range(first, len(partition) + 1))
         held = min(remaining - 1, len(reachable) - 1)
         expect_active = reachable[: len(reachable) - held] if held > 0 else reachable
@@ -711,7 +707,7 @@ class TestExactFloats:
         # the draw never goes back to a slot the clock has passed
         if any(w > 0.0 for w in weights):
             slot_id = select_time_slot(weights, first, random.Random(seed))
-            assert partition.by_id(slot_id).end >= clock.minute
+            assert partition.by_id(slot_id).end >= minute
 
 
 class TestDestination:
@@ -720,7 +716,7 @@ class TestDestination:
         origin, dests, weights, relocated = destination_weights(p, "A")
         assert (origin, dests, weights, relocated) == ("A", ["B", "C"], [3, 1], False)
         rng = random.Random(5)
-        cursor = GenCursor(profile=p, clock=GenClock(0, 1), location="A", daily_quota=1)
+        cursor = GenCursor(profile=p, day=0, minute=1, location="A", daily_quota=1)
         picks = [select_destination(cursor, rng)[1] for _ in range(100_000)]
         assert picks.count("B") / len(picks) == pytest.approx(0.75, abs=0.01)
 
@@ -728,10 +724,26 @@ class TestDestination:
         p = profile(od={"A": {"B": 3}, "B": {"A": 1}})
         origin, dests, _, relocated = destination_weights(p, "Z99")
         assert relocated and origin == "A" and dests == ["B"]
-        cursor = GenCursor(profile=p, clock=GenClock(0, 1), location="Z99", daily_quota=1)
+        cursor = GenCursor(
+            profile=p, day=0, minute=1, location="Z99", daily_quota=1
+        )
         used, dest, flagged = select_destination(cursor, random.Random(1))
         assert used == "A" and dest == "B" and flagged
+        # cached with the cumulative weights, here the single count 3
         assert cursor.destinations == {"Z99": ("A", ["B"], [3], True)}
+
+    @pytest.mark.parametrize("row", [{"B": -1, "C": 2}, {"B": 0}, {"B": 0, "C": 0}])
+    def test_bad_row_refused_on_first_draw(self, row):
+        # A stored OD row can carry counts the draw must refuse; the checks
+        # run when the cache entry is filled, and nothing is cached.
+        p = profile(od={"A": row, "B": {"A": 1}})
+        cursor = GenCursor(profile=p, day=0, minute=1, location="A", daily_quota=1)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                select_destination(cursor, random.Random(0))
+        assert cursor.destinations == {}
+        cursor.location = "B"
+        assert select_destination(cursor, random.Random(0)) == ("B", "A", False)
 
 
 def small_world():
@@ -764,6 +776,21 @@ def test_select_path_and_duration():
         sample_duration(pools, "r9", 8, rng)
 
 
+@pytest.mark.parametrize("counts", [(-1, 2), (0,), (0, 0)])
+def test_bad_route_pool_refused_on_first_draw(counts):
+    # A stored route pool can carry counts the draw must refuse; the checks
+    # run when the catalog's cache entry is filled, and nothing is cached.
+    bad = tuple(PathEntry(f"r{i}", (f"r{i}",), n) for i, n in enumerate(counts))
+    good = (PathEntry("r9", ("r9",), 4),)
+    catalog = PathCatalog({("A", "B"): bad, ("B", "A"): good})
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            select_path(catalog, "A", "B", random.Random(0))
+    assert catalog.route_draws == {}
+    assert select_path(catalog, "B", "A", random.Random(0)) is good[0]
+    assert catalog.route_draws == {("B", "A"): (good, [4])}
+
+
 def test_select_path_prefers_crowd_counts():
     t = TravellerType.COMMUTER
     trips = [TripRecord("V1", t, 0, 452, "A", "B", ("r1", "r2"), 10)] * 9
@@ -781,7 +808,8 @@ class TestGenerateTrip:
         ledger = AggregationLedger()
         cursor = GenCursor(
             profile=profiles["V1"],
-            clock=GenClock(0, 1),
+            day=0,
+            minute=1,
             location=initial_location(profiles["V1"]),
             daily_quota=2,
         )
@@ -790,7 +818,7 @@ class TestGenerateTrip:
         assert trip.o_zone == "A" and trip.d_zone == "B"
         assert cursor.location == "B"
         assert cursor.generated_today == 1
-        assert cursor.clock == GenClock(0, trip.departure + trip.duration + 1)
+        assert (cursor.day, cursor.minute) == (0, trip.departure + trip.duration + 1)
         counts = ledger.counts(TravellerType.COMMUTER)
         assert counts.total == counts.slot[HOURLY.slot_of(trip.departure).slot_id] == 1
         second = generate_trip(cursor, HOURLY, ledger, ref, catalog, pools, params, rng)
@@ -801,7 +829,8 @@ class TestGenerateTrip:
         profiles, ref, catalog, pools = small_world()
         cursor = GenCursor(
             profile=profiles["V1"],
-            clock=GenClock(0, 1435),
+            day=0,
+            minute=1435,
             location="A",
             daily_quota=2,
             generated_today=1,
@@ -811,7 +840,59 @@ class TestGenerateTrip:
             GenParams(), random.Random(0),
         )
         assert trip.date == 0 and trip.departure >= 1435
-        assert cursor.clock.day == 1
+        assert cursor.day == 1
+
+    @example(
+        history=[(1430, 3000), (100, 30)], min_gap=0, start=1440, quota=4,
+        four_hour=False, seed=0,
+    )
+    @given(
+        history=st.lists(
+            st.tuples(st.integers(1, 1440), st.integers(1, 4000)), min_size=1,
+            max_size=6,
+        ),
+        min_gap=st.integers(0, 90),
+        start=st.integers(1, 1440),
+        quota=st.integers(1, 12),
+        four_hour=st.booleans(),
+        seed=st.integers(0, 2**32),
+    )
+    def test_cursor_clock_stays_in_day(
+        self, history, min_gap, start, quota, four_hour, seed
+    ):
+        # After every trip the clock minute is a minute of day and the day
+        # never falls; the clock sits exactly departure + duration + min_gap
+        # minutes after the trip's day began, so durations over 1,440 minutes
+        # roll over more than one day.
+        partition = FOUR_HOUR if four_hour else HOURLY
+        t = TravellerType.COMMUTER
+        trips = [
+            TripRecord("V1", t, day, departure, *zones, ("r1",), duration)
+            for day in range(7)
+            for i, (departure, duration) in enumerate(history)
+            for zones in [("A", "B") if i % 2 == 0 else ("B", "A")]
+        ]
+        profiles = build_profiles(trips, partition, window_days=7)
+        reference = build_reference_aggregates(trips, partition)
+        catalog = build_path_catalog(trips)
+        pools = build_duration_pools(trips, partition)
+        cursor = GenCursor(
+            profile=profiles["V1"], day=0, minute=start, location="A",
+            daily_quota=quota,
+        )
+        ledger, params = AggregationLedger(), GenParams(min_gap=min_gap)
+        rng = random.Random(seed)
+        for _ in range(quota):
+            day, minute = cursor.day, cursor.minute
+            trip = generate_trip(
+                cursor, partition, ledger, reference, catalog, pools, params, rng
+            )
+            assert trip.date == day and trip.departure >= minute
+            assert 1 <= cursor.minute <= 1440
+            assert cursor.day >= day
+            assert (cursor.day - day) * 1440 + cursor.minute == (
+                trip.departure + trip.duration + min_gap
+            )
 
     def test_degenerate_slot_draw(self, monkeypatch):
         # The clock is in the last slot, every generated commuter departure
@@ -822,7 +903,7 @@ class TestGenerateTrip:
         ledger = AggregationLedger()
         ledger.record(TravellerType.COMMUTER, 24, 1420)
         cursor = GenCursor(
-            profile=profiles["V1"], clock=GenClock(0, 1400), location="A",
+            profile=profiles["V1"], day=0, minute=1400, location="A",
             daily_quota=1,
         )
         terms = preference_terms(profiles["V1"], "A", HOURLY)
@@ -835,9 +916,9 @@ class TestGenerateTrip:
         states = []
         draw_minute = generator.select_time_period
 
-        def spy(slot, clock, counts, ref, rng):
+        def spy(slot, minute, counts, ref, rng):
             states.append(rng.getstate())
-            return draw_minute(slot, clock, counts, ref, rng)
+            return draw_minute(slot, minute, counts, ref, rng)
 
         monkeypatch.setattr(generator, "select_time_slot", refuse)
         monkeypatch.setattr(generator, "select_time_period", spy)
@@ -855,7 +936,7 @@ class TestGenerateTrip:
     def test_requires_quota(self):
         profiles, ref, catalog, pools = small_world()
         cursor = GenCursor(
-            profile=profiles["V1"], clock=GenClock(0, 1), location="A",
+            profile=profiles["V1"], day=0, minute=1, location="A",
             daily_quota=1, generated_today=1,
         )
         with pytest.raises(ValueError):

@@ -266,7 +266,7 @@ class TestBuildProfiles:
             in_slot = sum(
                 1 for t in history if t.traveller_id == "V1" and t.departure in slot
             )
-            assert p.slot_total(slot.slot_id) == in_slot
+            assert sum(p.slot_origin_counts.get(slot.slot_id, {}).values()) == in_slot
         assert p.slot_origin_counts[8] == {"Z3": 2}
 
     def test_first_seen_type_wins(self, history):

@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 import tripsynth
 from tripsynth.model import (
     MINUTES_PER_DAY,
-    GenClock,
     TimeSlot,
     TimeSlotPartition,
     TravellerType,
@@ -136,16 +135,6 @@ class TestTimeSlotPartition:
         assert part.slots[-1].end == MINUTES_PER_DAY
         assert sum(s.width() for s in part) == MINUTES_PER_DAY
         assert [s.slot_id for s in part] == list(range(1, len(part) + 1))
-
-
-def test_gen_clock_orders_lexically():
-    assert GenClock(0, 100) < GenClock(0, 101)
-    assert GenClock(0, 1440) < GenClock(1, 1)
-    assert GenClock(2, 1) > GenClock(1, 1440)
-    with pytest.raises(ValueError):
-        GenClock(0, 0)
-    with pytest.raises(ValueError):
-        GenClock(0, 1441)
 
 
 class TestTripRecord:
