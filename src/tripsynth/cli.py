@@ -14,7 +14,6 @@ import csv
 import dataclasses
 import datetime as dt
 import functools
-import json
 import logging
 import sys
 from dataclasses import dataclass
@@ -29,45 +28,26 @@ from .generator import (
     InvalidParams,
     generate_all,
 )
+# Each name the commands call is imported by name and called through this
+# module's globals, so a caller can wrap it here.
 from .ingest import (
-    DurationPool,
-    PathCatalog,
-    PathEntry,
     build_duration_pools,
     build_path_catalog,
     build_profiles,
     build_reference_aggregates,
+    load_store,
     parse_network,
     parse_trips,
     parse_zones,
-    reference_from_minutes,
+    save_store,
+    write_network_csv,
+    write_trips_csv,
+    write_zones_csv,
 )
-from .model import (
-    MINUTES_PER_DAY,
-    TYPE_ORDER,
-    AggregationLedger,
-    IndividualProfile,
-    TimeSlotPartition,
-    TravellerType,
-    minute_to_hhmm,
-)
+from .model import MINUTES_PER_DAY, TYPE_ORDER, TimeSlotPartition
 from .validator import build_report, day_class
 
 log = logging.getLogger(__name__)
-
-STORE_VERSION = 2
-
-TRIP_HEADER = (
-    "traveller_ID",
-    "traveller_type",
-    "Date",
-    "Departure_time",
-    "Time_slot",
-    "O_zone",
-    "D_zone",
-    "Path",
-    "Duration",
-)
 
 
 class ConfigError(ValueError):
@@ -125,8 +105,15 @@ def _list(values):
     return values
 
 
+def _int(value) -> int:
+    # int() would read 7.9 as 7 and True as 1.
+    if type(value) is not int:
+        raise TypeError(repr(value))
+    return value
+
+
 def _ints(values) -> tuple:
-    return tuple(int(v) for v in _list(values))
+    return tuple(_int(v) for v in _list(values))
 
 
 def _floats(values) -> tuple:
@@ -181,7 +168,7 @@ def load_config(path) -> Config:
     if not isinstance(epoch, dt.date):
         raise ConfigError("epoch must be an ISO date")
 
-    window_days = _value(doc, "window_days", 7, int, "config root")
+    window_days = _value(doc, "window_days", 7, _int, "config root")
     if window_days < 1:
         raise ConfigError("window_days must be >= 1")
 
@@ -198,26 +185,23 @@ def load_config(path) -> Config:
         if part_cfg == "hourly":
             partition = TimeSlotPartition.hourly()
         elif isinstance(part_cfg, list):
-            for start in part_cfg:
-                if type(start) is not int:  # also refuses a bool
-                    raise ValueError(f"bad slot start in 'partition': {start!r}")
-            partition = TimeSlotPartition.from_boundaries(part_cfg)
+            partition = TimeSlotPartition.from_boundaries(_ints(part_cfg))
         else:
             raise ValueError(f"partition must be 'hourly' or a list of slot starts")
+    except TypeError as exc:
+        raise ConfigError(f"bad slot start in 'partition': {exc}") from None
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
     gen = _section(doc, "generation")
     _check_keys(gen, {"min_gap", "seed", "horizon_days", "start_day"}, "generation")
-    horizon_days = _value(gen, "horizon_days", 7, int, "generation")
-    if horizon_days < 0:
+    params = GenParams()
+    params.min_gap = _value(gen, "min_gap", params.min_gap, _int, "generation")
+    params.start_day = _value(gen, "start_day", params.start_day, _int, "generation")
+    params.horizon_days = _value(gen, "horizon_days", params.horizon_days, _int, "generation")
+    params.rng_seed = _value(gen, "seed", params.rng_seed, _int, "generation")
+    if params.horizon_days < 0:
         raise ConfigError("horizon_days must be >= 0")
-    params = GenParams(
-        min_gap=_value(gen, "min_gap", 1, int, "generation"),
-        start_day=_value(gen, "start_day", 0, int, "generation"),
-        horizon_days=horizon_days,
-        rng_seed=_value(gen, "seed", 0, int, "generation"),
-    )
     try:
         params.check()
     except InvalidParams as exc:
@@ -229,10 +213,12 @@ def load_config(path) -> Config:
         {"granularity", "holiday_weekdays", "holiday_days", "topk_zones", "topk_od"},
         "validation",
     )
-    granularity = _value(val, "granularity", 15, int, "validation")
+    granularity = _value(val, "granularity", 15, _int, "validation")
     if granularity < 1 or MINUTES_PER_DAY % granularity:
         raise ConfigError("granularity must divide 1440")
     holiday_weekdays = _value(val, "holiday_weekdays", (5, 6), _ints, "validation")
+    if not all(0 <= d <= 6 for d in holiday_weekdays):
+        raise ConfigError("holiday_weekdays must be weekdays 0-6 (Monday = 0)")
     holiday_days = _value(val, "holiday_days", (), _ints, "validation")
     topk_zones = _value(val, "topk_zones", (0.10,), _floats, "validation")
     topk_od = _value(val, "topk_od", (0.50,), _floats, "validation")
@@ -243,23 +229,21 @@ def load_config(path) -> Config:
     cor = _section(doc, "corpus")
     _check_keys(cor, {"grid_side", "days", "seed", "individuals"}, "corpus")
     corpus_spec = CorpusSpec()
-    corpus_spec.grid_side = _value(cor, "grid_side", corpus_spec.grid_side, int, "corpus")
-    corpus_spec.days = _value(cor, "days", corpus_spec.days, int, "corpus")
-    corpus_spec.rng_seed = _value(cor, "seed", corpus_spec.rng_seed, int, "corpus")
+    corpus_spec.grid_side = _value(cor, "grid_side", corpus_spec.grid_side, _int, "corpus")
+    corpus_spec.days = _value(cor, "days", corpus_spec.days, _int, "corpus")
+    corpus_spec.rng_seed = _value(cor, "seed", corpus_spec.rng_seed, _int, "corpus")
     if "individuals" in cor:
         raw = cor["individuals"]
         if not isinstance(raw, dict):
             raise ConfigError("corpus individuals must map type name to count")
-        counts = []
-        for ttype in TYPE_ORDER:
-            if ttype.value in raw:
-                counts.append(
-                    (ttype, _value(raw, ttype.value, None, int, "corpus individuals"))
-                )
         leftover = set(raw) - {t.value for t in TYPE_ORDER}
         if leftover:
             raise ConfigError(f"unknown traveller type in corpus individuals: {sorted(leftover)[0]!r}")
-        corpus_spec.individuals = tuple(counts)
+        corpus_spec.individuals = tuple(
+            (ttype, _value(raw, ttype.value, None, _int, "corpus individuals"))
+            for ttype in TYPE_ORDER
+            if ttype.value in raw
+        )
 
     return Config(
         paths=paths,
@@ -275,165 +259,6 @@ def load_config(path) -> Config:
         topk_zone_fractions=topk_zones,
         topk_od_fractions=topk_od,
         corpus_spec=corpus_spec,
-    )
-
-
-# ---------------------------------------------------------------------------
-# CSV writers (the exact shapes `ingest` parses back).
-
-
-class _LineFeedRows:
-    """Stream adapter for a csv writer that ends rows with "\r\n".
-
-    With a "\n" terminator the csv module before Python 3.13 leaves a field
-    holding "\r" unquoted, and the row cannot be read back. Ending rows with
-    "\r\n" makes the writer quote it; each row still reaches `stream`
-    ending "\n"."""
-
-    def __init__(self, stream):
-        self.stream = stream
-
-    def write(self, row: str):
-        return self.stream.write(row[:-2] + "\n")
-
-
-def write_trips_csv(records, stream, epoch: dt.date, partition: TimeSlotPartition,
-                    delimiter: str = ",") -> int:
-    """Write `records` as a trip table; returns the number of rows.
-
-    The slot label is that of the departure's slot under `partition`. Each
-    date, departure time and slot label is rendered once per call.
-    """
-    writer = csv.writer(_LineFeedRows(stream), delimiter=delimiter, lineterminator="\r\n")
-    writer.writerow(TRIP_HEADER)
-    date_text = functools.cache(lambda day: (epoch + dt.timedelta(days=day)).isoformat())
-    time_text = functools.cache(minute_to_hhmm)
-    slot_label = functools.cache(lambda minute: partition.slot_of(minute).label())
-    n = 0
-    for trip in records:
-        writer.writerow(
-            (
-                trip.traveller_id,
-                trip.traveller_type.value,
-                date_text(trip.date),
-                time_text(trip.departure),
-                slot_label(trip.departure),
-                trip.o_zone,
-                trip.d_zone,
-                "-".join(trip.path),
-                trip.duration,
-            )
-        )
-        n += 1
-    return n
-
-
-def write_zones_csv(zones, stream, delimiter: str = ",") -> None:
-    writer = csv.writer(_LineFeedRows(stream), delimiter=delimiter, lineterminator="\r\n")
-    writer.writerow(("Zone_ID", "Longitude", "Latitude", "Roads"))
-    for zone in zones:
-        writer.writerow(
-            (zone.zone_id, zone.longitude, zone.latitude, ";".join(sorted(zone.roads)))
-        )
-
-
-def write_network_csv(edges, stream) -> None:
-    """Write (road, neighbor) pairs as a network edge list, in the order given."""
-    stream.write("road_id,neighbor_id\n")
-    for road, neighbor in edges:
-        stream.write(f"{road},{neighbor}\n")
-
-
-# ---------------------------------------------------------------------------
-# Intermediate store: versioned, deterministic JSON.
-
-
-def save_store(path, *, partition, window_days, profiles, catalog, pools,
-               reference) -> None:
-    """Persist only what `generate` cannot derive: per-individual OD and
-    slot x origin counts, the route catalog, per-(route, slot) durations
-    and the per-type reference departures. Ids are stored as JSON strings
-    and lists, never joined with a delimiter."""
-    doc = {
-        "version": STORE_VERSION,
-        "window_days": window_days,
-        "partition": partition.boundaries(),
-        "profiles": {
-            tid: {
-                "type": p.traveller_type.value,
-                "od": p.od_counts,
-                "slot_origin": {
-                    str(s): by_o for s, by_o in p.slot_origin_counts.items()
-                },
-            }
-            for tid, p in profiles.items()
-        },
-        "catalog": [
-            [o, d, [[e.path_id, e.crowd_count] for e in catalog.get(o, d)]]
-            for o, d in catalog.od_pairs()
-        ],
-        "pools": [
-            [pid, slot, list(v)] for (pid, slot), v in sorted(pools.samples.items())
-        ],
-        "reference": {
-            ttype.value: {str(m): n for m, n in enumerate(counts.minute) if n}
-            for ttype, counts in reference.by_type.items()
-        },
-    }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
-
-
-@dataclass
-class Store:
-    """Everything `generate` needs, as rebuilt from the persisted form."""
-
-    partition: TimeSlotPartition
-    window_days: int
-    profiles: dict
-    catalog: PathCatalog
-    pools: DurationPool
-    reference: AggregationLedger
-
-
-def load_store(path) -> Store:
-    doc = json.loads(Path(path).read_text())
-    version = doc.get("version")
-    if version != STORE_VERSION:
-        raise ValueError(f"unsupported store version: {version!r}")
-    partition = TimeSlotPartition.from_boundaries(doc["partition"])
-    window_days = doc["window_days"]
-
-    profiles = {
-        tid: IndividualProfile(
-            traveller_id=tid,
-            traveller_type=TravellerType(raw["type"]),
-            od_counts=raw["od"],
-            slot_origin_counts={int(s): by_o for s, by_o in raw["slot_origin"].items()},
-            observed_days=window_days,
-        )
-        for tid, raw in doc["profiles"].items()
-    }
-    catalog = PathCatalog(
-        {
-            (o, d): [PathEntry(pid, tuple(pid.split("-")), n) for pid, n in rows]
-            for o, d, rows in doc["catalog"]
-        }
-    )
-    pools = DurationPool({(pid, slot): tuple(v) for pid, slot, v in doc["pools"]})
-    reference = reference_from_minutes(
-        {
-            TravellerType(name): {int(m): n for m, n in counts.items()}
-            for name, counts in doc["reference"].items()
-        },
-        partition,
-    )
-    return Store(
-        partition=partition,
-        window_days=window_days,
-        profiles=profiles,
-        catalog=catalog,
-        pools=pools,
-        reference=reference,
     )
 
 
@@ -459,9 +284,7 @@ def cmd_corpus(config: Config) -> int:
     trips_path = config.path("trips")
     trips_path.parent.mkdir(parents=True, exist_ok=True)
     with open(trips_path, "w", newline="") as fh:
-        n = write_trips_csv(
-            built.trips, fh, config.epoch, built.partition, config.csv_delimiter
-        )
+        n = write_trips_csv(built.trips, fh, config.epoch, built.partition, config.csv_delimiter)
     zones_path = config.path("zones")
     with open(zones_path, "w", newline="") as fh:
         write_zones_csv(built.zones, fh, config.csv_delimiter)
@@ -549,9 +372,7 @@ def cmd_generate(config: Config, seed=None) -> int:
     out_path = config.path("generated")
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", newline="") as fh:
-        n = write_trips_csv(
-            records, fh, config.epoch, store.partition, config.csv_delimiter
-        )
+        n = write_trips_csv(records, fh, config.epoch, store.partition, config.csv_delimiter)
     log.info(
         "generate: %d trips, %d relocations (%d chain breaks / %d pairs), "
         "%d midnight spills (%d quota dropped), %d degenerate slot draws, "
@@ -579,14 +400,14 @@ def cmd_validate(config: Config, reference=None, generated=None) -> int:
     # `generate` writes durations in minutes whatever the input unit.
     with _read_table(gen_path) as fh:
         gen = parse_trips(fh, config.epoch, delimiter=config.csv_delimiter)
+    # day_class reads day % 7, and day 0 falls on the epoch's calendar weekday.
+    weekdays = tuple((d - config.epoch.weekday()) % 7 for d in config.holiday_weekdays)
     report = build_report(
         ref.records,
         gen.records,
         granularity=config.granularity,
         day_class=functools.partial(
-            day_class,
-            holiday_weekdays=config.holiday_weekdays,
-            holiday_days=config.holiday_days,
+            day_class, holiday_weekdays=weekdays, holiday_days=config.holiday_days
         ),
         topk_zone_fractions=config.topk_zone_fractions,
         topk_od_fractions=config.topk_od_fractions,

@@ -1,19 +1,23 @@
-"""Parse historical trip tables and build the aggregates generation needs.
+"""Read and write the on-disk formats; build the aggregates generation needs.
 
-Input formats are flat CSV: a trip table, a zone table, and an optional road
+The tables are flat CSV: a trip table, a zone table, and an optional road
 network edge list, of which only the road ids are read: generation draws
 whole observed routes, so adjacency is never checked. Malformed trip rows are
 collected, not fatal; a parse returns both the accepted records and per-row
-errors.
+errors. Each table's writer sits next to its parser and shares its header
+and separator constants; the JSON store sits next to the types it holds.
 """
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import functools
+import json
 import logging
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .model import (
     AggregationLedger,
@@ -23,26 +27,31 @@ from .model import (
     TripRecord,
     Zone,
     hhmm_to_minute,
+    minute_to_hhmm,
 )
 
 log = logging.getLogger(__name__)
 
-TRIP_COLUMNS = (
-    "traveller_id",
+# Headers as written; the parsers match column names case-insensitively.
+TRIP_HEADER = (
+    "traveller_ID",
     "traveller_type",
-    "date",
-    "departure_time",
-    "time_slot",
-    "o_zone",
-    "d_zone",
-    "path",
-    "duration",
+    "Date",
+    "Departure_time",
+    "Time_slot",
+    "O_zone",
+    "D_zone",
+    "Path",
+    "Duration",
 )
-
-ZONE_COLUMNS = ("zone_id", "longitude", "latitude", "roads")
+ZONE_HEADER = ("Zone_ID", "Longitude", "Latitude", "Roads")
+NETWORK_HEADER = ("road_id", "neighbor_id")
 
 PATH_SEPARATOR = "-"
 ROAD_LIST_SEPARATOR = ";"
+NETWORK_SEPARATOR = ","
+
+STORE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -64,17 +73,18 @@ class ParseResult:
         return Counter(err.reason for err in self.errors)
 
 
-def _header_index(header, wanted, what="trip"):
-    """Map canonical column names to indices, case-insensitively.
+def _header_index(header, wanted, what) -> list:
+    """The index of each column named in `wanted`, case-insensitively.
 
     A missing column is a hard error: nothing row-level can recover it.
     """
     lookup = {name.strip().lower(): i for i, name in enumerate(header)}
-    index = {}
+    index = []
     for name in wanted:
+        name = name.lower()
         if name not in lookup:
             raise ValueError(f"{what} table is missing column {name!r}")
-        index[name] = lookup[name]
+        index.append(lookup[name])
     return index
 
 
@@ -133,13 +143,9 @@ def parse_trips(
         raise ValueError("trip table is empty") from None
     except csv.Error as exc:
         raise _at_line(reader, exc) from None
-    col = _header_index(header, TRIP_COLUMNS)
-    width = max(col.values()) + 1
-    c_id, c_type, c_date, c_time, c_o, c_d, c_path, c_dur = (
-        col[name]
-        for name in ("traveller_id", "traveller_type", "date", "departure_time",
-                     "o_zone", "d_zone", "path", "duration")
-    )
+    columns = _header_index(header, TRIP_HEADER, "trip")
+    width = max(columns) + 1
+    c_id, c_type, c_date, c_time, _, c_o, c_d, c_path, c_dur = columns
 
     def parse_day(text):
         return parse_day_index(text, epoch)
@@ -226,6 +232,52 @@ def parse_trips(
     return result
 
 
+class _LineFeedRows:
+    """Stream adapter for a csv writer that ends rows with "\r\n".
+
+    With a "\n" terminator the csv module before Python 3.13 leaves a field
+    holding "\r" unquoted, and the row cannot be read back. Ending rows with
+    "\r\n" makes the writer quote it; each row still reaches `stream`
+    ending "\n"."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def write(self, row: str):
+        return self.stream.write(row[:-2] + "\n")
+
+
+def write_trips_csv(records, stream, epoch: dt.date, partition: TimeSlotPartition,
+                    delimiter: str = ",") -> int:
+    """Write `records` as a trip table; returns the number of rows.
+
+    The slot label is that of the departure's slot under `partition`. Each
+    date, departure time and slot label is rendered once per call.
+    """
+    writer = csv.writer(_LineFeedRows(stream), delimiter=delimiter, lineterminator="\r\n")
+    writer.writerow(TRIP_HEADER)
+    date_text = functools.cache(lambda day: (epoch + dt.timedelta(days=day)).isoformat())
+    time_text = functools.cache(minute_to_hhmm)
+    slot_label = functools.cache(lambda minute: partition.slot_of(minute).label())
+    n = 0
+    for trip in records:
+        writer.writerow(
+            (
+                trip.traveller_id,
+                trip.traveller_type.value,
+                date_text(trip.date),
+                time_text(trip.departure),
+                slot_label(trip.departure),
+                trip.o_zone,
+                trip.d_zone,
+                PATH_SEPARATOR.join(trip.path),
+                trip.duration,
+            )
+        )
+        n += 1
+    return n
+
+
 def parse_zones(stream, *, delimiter: str = ",") -> list:
     """Parse the zone table. A short row, a missing or duplicate zone id and
     a coordinate that is not a number are hard errors; each, like a
@@ -237,8 +289,9 @@ def parse_zones(stream, *, delimiter: str = ",") -> list:
         raise ValueError("zone table is empty") from None
     except csv.Error as exc:
         raise _at_line(reader, exc) from None
-    col = _header_index(header, ZONE_COLUMNS, what="zone")
-    width = max(col.values()) + 1
+    columns = _header_index(header, ZONE_HEADER, "zone")
+    width = max(columns) + 1
+    c_id, c_lon, c_lat, c_roads = columns
     zones = []
     seen = set()
     try:
@@ -248,19 +301,19 @@ def parse_zones(stream, *, delimiter: str = ",") -> list:
             line = reader.line_num
             if len(row) < width:
                 raise ValueError(f"line {line}: short row, {len(row)} fields")
-            zone_id = row[col["zone_id"]].strip()
+            zone_id = row[c_id].strip()
             if not zone_id:
                 raise ValueError(f"line {line}: missing zone id")
             if zone_id in seen:
                 raise ValueError(f"line {line}: duplicate zone id {zone_id!r}")
             seen.add(zone_id)
             try:
-                longitude = float(row[col["longitude"]])
-                latitude = float(row[col["latitude"]])
+                longitude = float(row[c_lon])
+                latitude = float(row[c_lat])
             except ValueError as exc:
                 raise ValueError(f"line {line}: {exc}") from None
             roads = frozenset(
-                r for r in row[col["roads"]].split(ROAD_LIST_SEPARATOR) if r.strip()
+                r for r in row[c_roads].split(ROAD_LIST_SEPARATOR) if r.strip()
             )
             zones.append(
                 Zone(zone_id=zone_id, longitude=longitude, latitude=latitude, roads=roads)
@@ -270,22 +323,38 @@ def parse_zones(stream, *, delimiter: str = ",") -> list:
     return zones
 
 
+def write_zones_csv(zones, stream, delimiter: str = ",") -> None:
+    writer = csv.writer(_LineFeedRows(stream), delimiter=delimiter, lineterminator="\r\n")
+    writer.writerow(ZONE_HEADER)
+    for zone in zones:
+        roads = ROAD_LIST_SEPARATOR.join(sorted(zone.roads))
+        writer.writerow((zone.zone_id, zone.longitude, zone.latitude, roads))
+
+
 def parse_network(stream) -> frozenset:
     """The road ids of a road network edge list: one `road_id,neighbor_id`
     per line. Adjacency is not kept; a leading header line is skipped.
     """
+    expected = NETWORK_SEPARATOR.join(NETWORK_HEADER)
     roads = set()
     for i, raw in enumerate(stream, start=1):
         line = raw.strip()
         if not line:
             continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 2 or not all(parts):
-            raise ValueError(f"line {i}: expected 'road_id,neighbor_id', got {raw!r}")
-        if i == 1 and parts[0].lower() == "road_id":
+        parts = [p.strip() for p in line.split(NETWORK_SEPARATOR)]
+        if len(parts) != len(NETWORK_HEADER) or not all(parts):
+            raise ValueError(f"line {i}: expected {expected!r}, got {raw!r}")
+        if i == 1 and parts[0].lower() == NETWORK_HEADER[0]:
             continue
         roads.update(parts)
     return frozenset(roads)
+
+
+def write_network_csv(edges, stream) -> None:
+    """Write (road, neighbor) pairs as a network edge list, in the order given."""
+    stream.write(NETWORK_SEPARATOR.join(NETWORK_HEADER) + "\n")
+    for road, neighbor in edges:
+        stream.write(f"{road}{NETWORK_SEPARATOR}{neighbor}\n")
 
 
 def build_profiles(trips, partition: TimeSlotPartition, window_days: int) -> dict:
@@ -432,3 +501,109 @@ def reference_from_minutes(
         for minute, n in minutes.items():
             counts.add(partition.slot_of(minute).slot_id, minute, n)
     return reference
+
+
+# ---------------------------------------------------------------------------
+# Store: versioned, deterministic JSON.
+
+
+def save_store(path, *, partition, window_days, profiles, catalog, pools,
+               reference) -> None:
+    """Persist only what `generate` cannot derive: per-individual OD and
+    slot x origin counts, the route catalog, per-(route, slot) durations
+    and the per-type reference departures. Ids are stored as JSON strings
+    and lists, never joined with a delimiter."""
+    doc = {
+        "version": STORE_VERSION,
+        "window_days": window_days,
+        "partition": partition.boundaries(),
+        "profiles": {
+            tid: {
+                "type": p.traveller_type.value,
+                "od": p.od_counts,
+                "slot_origin": {
+                    str(s): by_o for s, by_o in p.slot_origin_counts.items()
+                },
+            }
+            for tid, p in profiles.items()
+        },
+        "catalog": [
+            [o, d, [[e.path_id, e.crowd_count] for e in catalog.get(o, d)]]
+            for o, d in catalog.od_pairs()
+        ],
+        "pools": [
+            [pid, slot, list(v)] for (pid, slot), v in sorted(pools.samples.items())
+        ],
+        "reference": {
+            ttype.value: {str(m): n for m, n in enumerate(counts.minute) if n}
+            for ttype, counts in reference.by_type.items()
+        },
+    }
+    Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+@dataclass
+class Store:
+    """Everything `generate` needs, as rebuilt from the persisted form."""
+
+    partition: TimeSlotPartition
+    window_days: int
+    profiles: dict
+    catalog: PathCatalog
+    pools: DurationPool
+    reference: AggregationLedger
+
+
+def load_store(path) -> Store:
+    """The store saved at `path`. A file that is not JSON, not a store of
+    this version or malformed inside is a ValueError naming the file."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: store is not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: store is not a JSON object")
+    version = doc.get("version")
+    if version != STORE_VERSION:
+        raise ValueError(f"{path}: unsupported store version: {version!r}")
+    try:
+        partition = TimeSlotPartition.from_boundaries(doc["partition"])
+        window_days = doc["window_days"]
+        profiles = {
+            tid: IndividualProfile(
+                traveller_id=tid,
+                traveller_type=TravellerType(raw["type"]),
+                od_counts=raw["od"],
+                slot_origin_counts={int(s): by_o for s, by_o in raw["slot_origin"].items()},
+                observed_days=window_days,
+            )
+            for tid, raw in doc["profiles"].items()
+        }
+        catalog = PathCatalog(
+            {
+                (o, d): [
+                    PathEntry(pid, tuple(pid.split(PATH_SEPARATOR)), n) for pid, n in rows
+                ]
+                for o, d, rows in doc["catalog"]
+            }
+        )
+        pools = DurationPool({(pid, slot): tuple(v) for pid, slot, v in doc["pools"]})
+        reference = reference_from_minutes(
+            {
+                TravellerType(name): {int(m): n for m, n in counts.items()}
+                for name, counts in doc["reference"].items()
+            },
+            partition,
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: store has no key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed store: {exc}") from None
+    return Store(
+        partition=partition,
+        window_days=window_days,
+        profiles=profiles,
+        catalog=catalog,
+        pools=pools,
+        reference=reference,
+    )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from tripsynth.cli import load_config, load_store, main, write_trips_csv
+from tripsynth.cli import load_config, main
 from tripsynth.corpus import CorpusSpec, synth_corpus
 from tripsynth.generator import (
     AggregationLedger,
@@ -34,7 +34,9 @@ from tripsynth.ingest import (
     build_path_catalog,
     build_profiles,
     build_reference_aggregates,
+    load_store,
     reference_from_minutes,
+    write_trips_csv,
 )
 from tripsynth.model import TYPE_ORDER, TravellerType
 from tripsynth.validator import (

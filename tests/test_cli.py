@@ -1,31 +1,29 @@
 import datetime as dt
 import io
 import json
+import logging
 import subprocess
 import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tripsynth.cli import (
-    ConfigError,
-    load_config,
-    load_store,
-    main,
-    save_store,
-    write_network_csv,
-    write_trips_csv,
-    write_zones_csv,
-)
+from tripsynth import cli
+from tripsynth.cli import ConfigError, load_config, main
 from tripsynth.corpus import CorpusSpec, synth_corpus
 from tripsynth.ingest import (
     build_duration_pools,
     build_path_catalog,
     build_profiles,
     build_reference_aggregates,
+    load_store,
     parse_network,
     parse_trips,
     parse_zones,
+    save_store,
+    write_network_csv,
+    write_trips_csv,
+    write_zones_csv,
 )
 from tripsynth.model import (
     TimeSlotPartition,
@@ -152,6 +150,18 @@ corpus:
             ("partition: [1, x]\n", "'partition': 'x'"),
             ("partition: [1, 241.5]\n", "'partition': 241.5"),
             ("partition: [1, true]\n", "'partition': True"),
+            # int() would truncate a fraction and read a boolean as 0 or 1
+            ("window_days: 7.9\n", "'window_days' in config root"),
+            ("generation: {seed: true}\n", "'seed' in generation"),
+            ("generation: {min_gap: 2.5}\n", "'min_gap' in generation"),
+            ("generation: {horizon_days: false}\n", "'horizon_days' in generation"),
+            ("generation: {start_day: 1.0}\n", "'start_day' in generation"),
+            ("corpus: {days: 3.5}\n", "'days' in corpus"),
+            ("corpus: {individuals: {passby: 2.5}}\n", "'passby' in corpus individuals"),
+            ("validation: {holiday_days: [1.5]}\n", "'holiday_days' in validation"),
+            ("validation: {holiday_weekdays: [true]}\n", "'holiday_weekdays' in validation"),
+            ("validation: {granularity: 15.0}\n", "'granularity' in validation"),
+            ("validation: {holiday_weekdays: [7]}\n", "Monday = 0"),
         ],
     )
     def test_rejects(self, tmp_path, body, fragment):
@@ -415,6 +425,11 @@ def test_zones_csv_round_trips_any_legal_ids(zones, delimiter):
     assert parse_zones(io.StringIO(buf.getvalue()), delimiter=delimiter) == zones
 
 
+def _with_profile_type(doc, name):
+    next(iter(doc["profiles"].values()))["type"] = name
+    return doc
+
+
 class TestPipeline:
     @pytest.fixture()
     def cfg(self, tmp_path):
@@ -467,6 +482,10 @@ class TestPipeline:
         assert main(["corpus", "-c", quoted]) == 2
         entry = write_config(tmp_path, "partition: [1, x]\n", name="entry.yaml")
         assert main(["corpus", "-c", entry]) == 2
+        fraction = write_config(tmp_path, "window_days: 7.9\n", name="fraction.yaml")
+        assert main(["corpus", "-c", fraction]) == 2
+        boolean = write_config(tmp_path, "generation: {seed: true}\n", name="boolean.yaml")
+        assert main(["corpus", "-c", boolean]) == 2
         # store not built yet
         assert main(["generate", "-c", cfg]) == 1
         # reference trips missing
@@ -515,6 +534,68 @@ class TestPipeline:
         store.write_text(json.dumps(doc))
         assert main(["generate", "-c", cfg]) == 1
         assert "unsupported store version" in caplog.text
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda doc: "[]",
+            lambda doc: json.dumps({"version": 2}),
+            lambda doc: json.dumps(_with_profile_type(doc, "wizard")),
+            lambda doc: "store: not JSON\n",
+        ],
+        ids=["list", "version-only", "wizard-type", "not-json"],
+    )
+    def test_malformed_store_fails_generate(self, cfg, tmp_path, caplog, damage):
+        assert main(["corpus", "-c", cfg]) == 0
+        assert main(["ingest", "-c", cfg]) == 0
+        store = tmp_path / "build" / "store.json"
+        store.write_text(damage(json.loads(store.read_text())))
+        caplog.clear()
+        assert main(["generate", "-c", cfg]) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and str(store) in errors[0]
+
+    @pytest.mark.parametrize(
+        "epoch,holidays",
+        [("2019-08-12", [5, 6]), ("2019-08-14", [3, 4])],  # a Monday, a Wednesday
+    )
+    def test_holiday_weekdays_are_calendar_weekdays(
+        self, tmp_path, monkeypatch, epoch, holidays
+    ):
+        cfg = write_config(tmp_path, PATHS + SMALL_CORPUS + f"epoch: {epoch}\n")
+        assert main(["corpus", "-c", cfg]) == 0
+        seen = {}
+        build_report = cli.build_report
+
+        def record(*args, **kwargs):
+            seen.update(kwargs)
+            return build_report(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_report", record)
+        trips = str(tmp_path / "data" / "trips.csv")
+        assert main(["validate", "-c", cfg, "--generated", trips]) == 0
+        rule = seen["day_class"]
+        assert [d for d in range(14) if rule(d) == "holiday"] == holidays + [
+            d + 7 for d in holidays
+        ]
+
+    def test_commands_call_wrapped_names_through_cli(self, cfg, monkeypatch):
+        # A caller that wraps these names on the cli module sees every call.
+        wrapped = (
+            "parse_trips", "parse_zones", "parse_network", "build_profiles",
+            "build_path_catalog", "build_duration_pools", "build_reference_aggregates",
+            "save_store", "load_store", "write_trips_csv", "build_report", "generate_all",
+        )
+        called = set()
+        for name in wrapped:
+            def record(*args, _name=name, _original=getattr(cli, name), **kwargs):
+                called.add(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, record)
+        for command in ("corpus", "ingest", "generate", "validate"):
+            assert main([command, "-c", cfg]) == 0
+        assert called == set(wrapped)
 
     def test_seconds_input_validates_every_generated_row(self, tmp_path, caplog):
         cfg = write_config(tmp_path, PATHS + SMALL_CORPUS + "duration_unit: seconds\n")
