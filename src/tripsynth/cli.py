@@ -116,8 +116,15 @@ def _ints(values) -> tuple:
     return tuple(_int(v) for v in _list(values))
 
 
+def _float(value) -> float:
+    # float() would read True as 1.0 and "0.5" as 0.5.
+    if type(value) not in (int, float):
+        raise TypeError(repr(value))
+    return float(value)
+
+
 def _floats(values) -> tuple:
-    return tuple(float(v) for v in _list(values))
+    return tuple(_float(v) for v in _list(values))
 
 
 def _section(doc, name) -> dict:
@@ -335,6 +342,9 @@ def cmd_ingest(config: Config) -> int:
     catalog = build_path_catalog(parsed.records)
     pools = build_duration_pools(parsed.records, config.partition)
     reference = build_reference_aggregates(parsed.records, config.partition)
+    # The store holds only the aggregates: free the rows before it is built.
+    n_trips, n_rejected = len(parsed.records), len(parsed.errors)
+    del parsed
 
     store_path = config.path("store")
     store_path.parent.mkdir(parents=True, exist_ok=True)
@@ -349,7 +359,7 @@ def cmd_ingest(config: Config) -> int:
     )
     log.info(
         "ingest: %d trips from %d individuals (%d rows rejected) -> %s",
-        len(parsed.records), len(profiles), len(parsed.errors), store_path,
+        n_trips, len(profiles), n_rejected, store_path,
     )
     return 0
 

@@ -99,18 +99,18 @@ def parse_day_index(text: str, epoch: dt.date) -> int:
 
 
 def _memo(cache: dict, text: str, parse):
-    """parse(text), computed once per distinct text and kept in `cache`;
-    None when parse raises ValueError."""
-    try:
-        return cache[text]
-    except KeyError:
-        pass
+    """parse(text), stored in `cache` under `text`; None when parse raises
+    ValueError. Callers look `text` up first and call this on a miss."""
     try:
         value = parse(text)
     except ValueError:
         value = None
     cache[text] = value
     return value
+
+
+# Marks a text not yet in a memo, whose values include None.
+_MISSING = object()
 
 
 def _at_line(reader, exc: csv.Error) -> csv.Error:
@@ -133,8 +133,9 @@ def parse_trips(
     whole minutes. Bad rows become RowErrors and parsing continues.
 
     Each distinct type, date, time, duration and path text is parsed once per
-    call; rows with the same path text share one path tuple. A csv.Error
-    names the line it stopped at.
+    call; rows with the same path text share one path tuple, and rows with
+    the same id or zone text one str. A csv.Error names the line it
+    stopped at.
     """
     reader = csv.reader(stream, delimiter=delimiter)
     try:
@@ -165,35 +166,47 @@ def parse_trips(
     times: dict = {}
     durations: dict = {}
     paths: dict = {}
+    # raw id or zone text -> its stripped value, one str per distinct text
+    names: dict = {}
 
     result = ParseResult()
     errors = result.errors
     records = result.records
     try:
         for row in reader:
-            if not "".join(row).strip():
-                continue
             line = reader.line_num
             if len(row) < width:
-                errors.append(RowError(line, "short row", f"{len(row)} fields"))
+                # A blank row is short or, at full width, fails the type
+                # check, so it is only looked for on these two paths.
+                if "".join(row).strip():
+                    errors.append(RowError(line, "short row", f"{len(row)} fields"))
                 continue
             text = row[c_type]
-            ttype = _memo(types, text, TravellerType.parse)
+            ttype = types.get(text, _MISSING)
+            if ttype is _MISSING:
+                ttype = _memo(types, text, TravellerType.parse)
             if ttype is None:
-                errors.append(RowError(line, "unknown traveller type", text))
+                if "".join(row).strip():
+                    errors.append(RowError(line, "unknown traveller type", text))
                 continue
             text = row[c_date]
-            day = _memo(days, text, parse_day)
+            day = days.get(text, _MISSING)
+            if day is _MISSING:
+                day = _memo(days, text, parse_day)
             if day is None:
                 errors.append(RowError(line, "bad date", text))
                 continue
             text = row[c_time]
-            departure = _memo(times, text, hhmm_to_minute)
+            departure = times.get(text, _MISSING)
+            if departure is _MISSING:
+                departure = _memo(times, text, hhmm_to_minute)
             if departure is None:
                 errors.append(RowError(line, "bad departure time", text))
                 continue
             text = row[c_dur]
-            duration = _memo(durations, text, parse_duration)
+            duration = durations.get(text, _MISSING)
+            if duration is _MISSING:
+                duration = _memo(durations, text, parse_duration)
             if duration is None:
                 errors.append(RowError(line, "bad duration", text))
                 continue
@@ -204,14 +217,27 @@ def parse_trips(
             if not path:
                 errors.append(RowError(line, "empty path"))
                 continue
-            o_zone = row[c_o].strip()
-            d_zone = row[c_d].strip()
+            text = row[c_o]
+            o_zone = names.get(text)
+            if o_zone is None:
+                o_zone = names[text] = text.strip()
+            text = row[c_d]
+            d_zone = names.get(text)
+            if d_zone is None:
+                d_zone = names[text] = text.strip()
             if not o_zone or not d_zone:
                 errors.append(RowError(line, "missing zone"))
                 continue
+            text = row[c_id]
+            traveller_id = names.get(text)
+            if traveller_id is None:
+                traveller_id = names[text] = text.strip()
+            if not traveller_id:
+                errors.append(RowError(line, "missing traveller id"))
+                continue
             records.append(
                 TripRecord(
-                    traveller_id=row[c_id].strip(),
+                    traveller_id=traveller_id,
                     traveller_type=ttype,
                     date=day,
                     departure=departure,

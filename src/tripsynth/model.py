@@ -5,7 +5,7 @@ Calendar dates only exist at the CSV boundary; see `ingest` and `cli`.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
@@ -110,7 +110,8 @@ class TimeSlotPartition:
             if slot.slot_id != i:
                 raise ValueError("slot ids must run 1..n in order")
         self.slots = slots
-        self._starts = [s.start for s in slots]
+        # The slot of each minute of day, by index (index 0 unused).
+        self._by_minute = (None,) + tuple(s for s in slots for _ in range(s.width()))
 
     @classmethod
     def from_boundaries(cls, starts) -> "TimeSlotPartition":
@@ -133,8 +134,7 @@ class TimeSlotPartition:
         """The unique slot containing a 1-based minute of day."""
         if not 1 <= minute <= MINUTES_PER_DAY:
             raise ValueError(f"minute out of range: {minute}")
-        idx = bisect_right(self._starts, minute) - 1
-        return self.slots[idx]
+        return self._by_minute[minute]
 
     def by_id(self, slot_id: int) -> TimeSlot:
         if not 1 <= slot_id <= len(self.slots):
@@ -151,7 +151,7 @@ class TimeSlotPartition:
         return isinstance(other, TimeSlotPartition) and self.slots == other.slots
 
     def boundaries(self) -> list[int]:
-        return list(self._starts)
+        return [s.start for s in self.slots]
 
 
 @dataclass(frozen=True)

@@ -162,6 +162,9 @@ corpus:
             ("validation: {holiday_weekdays: [true]}\n", "'holiday_weekdays' in validation"),
             ("validation: {granularity: 15.0}\n", "'granularity' in validation"),
             ("validation: {holiday_weekdays: [7]}\n", "Monday = 0"),
+            # float() would read a boolean as 0.0 or 1.0 and parse a string
+            ("validation: {topk_zones: [true]}\n", "'topk_zones' in validation"),
+            ("validation: {topk_od: [\"0.5\"]}\n", "'topk_od' in validation"),
         ],
     )
     def test_rejects(self, tmp_path, body, fragment):
@@ -486,10 +489,31 @@ class TestPipeline:
         assert main(["corpus", "-c", fraction]) == 2
         boolean = write_config(tmp_path, "generation: {seed: true}\n", name="boolean.yaml")
         assert main(["corpus", "-c", boolean]) == 2
+        # With paths, so only the float entry can fail the run.
+        for name, body in (("flag.yaml", "validation: {topk_zones: [true]}\n"),
+                           ("text.yaml", 'validation: {topk_od: ["0.5"]}\n')):
+            full = write_config(tmp_path, PATHS + SMALL_CORPUS + body, name=name)
+            assert main(["corpus", "-c", full]) == 2
         # store not built yet
         assert main(["generate", "-c", cfg]) == 1
         # reference trips missing
         assert main(["validate", "-c", cfg]) == 1
+
+    def test_ingest_log_counts_rows_and_individuals(self, cfg, tmp_path, caplog):
+        # ingest frees the parsed rows before writing the store; the log
+        # line still counts them.
+        assert main(["corpus", "-c", cfg]) == 0
+        trips = tmp_path / "data" / "trips.csv"
+        rows = trips.read_text().splitlines()[1:]
+        with trips.open("a") as fh:
+            fh.write("V999,wizard,2019-08-12,07:31,,Z01,Z02,R01_02,14\n")
+        individuals = {row.split(",")[0] for row in rows}
+        caplog.set_level(logging.INFO)
+        assert main(["ingest", "-c", cfg]) == 0
+        assert (
+            f"ingest: {len(rows)} trips from {len(individuals)} individuals "
+            "(1 rows rejected)"
+        ) in caplog.text
 
     def test_window_shorter_than_trip_dates_fails_ingest(self, tmp_path, caplog):
         cfg = write_config(

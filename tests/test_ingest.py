@@ -1,6 +1,7 @@
 import csv
 import datetime as dt
 import io
+import tracemalloc
 
 import pytest
 
@@ -144,8 +145,68 @@ def test_repeated_texts_keep_their_row_errors():
 
 
 def test_blank_lines_skipped():
-    result = parse(["", "V1,commuter,0,07:31,,Z3,Z9,r1,14", " , , "])
+    # " , , " is short; the last row is full width but whitespace only.
+    result = parse(["", "V1,commuter,0,07:31,,Z3,Z9,r1,14", " , , ", " , \t, , , , , , , "])
     assert len(result.records) == 1 and not result.errors
+
+
+def test_same_id_and_zone_texts_share_one_string():
+    a, b, c = parse(
+        [
+            "V1,commuter,0,07:31,,Z3,Z9,r1,14",
+            "V1,commuter,1,08:31,,Z3,Z9,r2,15",
+            "V1,commuter,1,09:31,,Z9,Z3,r2,15",
+        ]
+    ).records
+    assert a.traveller_id is b.traveller_id is c.traveller_id
+    assert a.o_zone is b.o_zone is c.d_zone
+    assert a.d_zone is b.d_zone is c.o_zone
+
+
+def test_padded_zone_text_parses_to_the_bare_id():
+    a, b = parse(
+        [
+            "V1,commuter,0,07:31,, Z01,Z02 ,r1,14",
+            "V1,commuter,0,08:31,,Z01,Z02,r1,14",
+        ]
+    ).records
+    assert (a.o_zone, a.d_zone) == (b.o_zone, b.d_zone) == ("Z01", "Z02")
+
+
+def test_blank_traveller_id_rejected(caplog):
+    result = parse(
+        [
+            " ,commuter,2019-08-12,07:52,x,Z02,Z01,R01_02,19",
+            "V1,commuter,2019-08-12,07:52,x,Z02,Z01,R01_02,19",
+            ",commuter,2019-08-12,07:52,x,Z02,Z01,R01_02,19",
+        ]
+    )
+    assert [(e.line, e.reason) for e in result.errors] == [
+        (2, "missing traveller id"),
+        (4, "missing traveller id"),
+    ]
+    assert [t.traveller_id for t in result.records] == ["V1"]
+    assert "rejected 2 trip rows" in caplog.text
+
+
+def test_parsed_records_hold_under_160_bytes_per_row():
+    # 20,000 rows of 50 ids over 9 zones: a row's record, not fresh copies
+    # of its id and zone texts, is what the result holds.
+    rows = []
+    for i in range(20_000):
+        o, d = i % 9, (i // 9) % 9
+        hhmm = f"{(i // 7) % 24:02d}:{i % 60:02d}"
+        rows.append(f"V{i % 50},commuter,{i % 7},{hhmm},,Z{o},Z{d},r{o}-r{d},{i % 30 + 1}")
+    stream = io.StringIO(HEADER + "\n" + "\n".join(rows) + "\n")
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        result = parse_trips(stream, EPOCH)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(result.records) == 20_000 and not result.errors
+    assert held / len(result.records) < 160
 
 
 def test_missing_column_is_fatal():
