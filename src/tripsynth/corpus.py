@@ -309,6 +309,8 @@ def synth_corpus(spec: CorpusSpec | None = None) -> SynthCorpus:
     zone_index = {z.zone_id: i for i, z in enumerate(zones)}
 
     planted = _plant_individuals(rng, spec)
+    # One path tuple per (origin, destination, row-first), shared by trips.
+    routes = {}
     trips = []
     for tid in sorted(planted):
         ind = planted[tid]
@@ -325,8 +327,12 @@ def synth_corpus(spec: CorpusSpec | None = None) -> SynthCorpus:
                 if minutes[i] <= minutes[i - 1]:
                     minutes[i] = min(minutes[i - 1] + 1, 1440)
             for (o_zone, d_zone), minute in zip(legs, minutes):
-                row_first = rng.random() < ROUTE_SPLIT
-                path = _route(side, zone_index[o_zone], zone_index[d_zone], row_first)
+                key = o_zone, d_zone, rng.random() < ROUTE_SPLIT
+                path = routes.get(key)
+                if path is None:
+                    path = routes[key] = _route(
+                        side, zone_index[o_zone], zone_index[d_zone], key[2]
+                    )
                 duration = 9 * len(path) + rng.randint(0, 14)
                 trips.append(
                     TripRecord(

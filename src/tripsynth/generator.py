@@ -25,11 +25,11 @@ from .model import (
     TYPE_ORDER,
     AggregationLedger,
     CorruptInputError,
+    FeedbackCounts,
     IndividualProfile,
     TimeSlot,
     TimeSlotPartition,
     TripRecord,
-    TypeCounts,
 )
 
 log = logging.getLogger(__name__)
@@ -81,9 +81,9 @@ class GenCursor:
     """Mutable per-individual generation state.
 
     `day` and `minute` are the clock: the day index and the 1-based minute
-    of day before which no further departure may fall. `ref` and `counts`
-    are the type's reference departures and its generated counts, resolved
-    by the first generate_trip. `terms` and `destinations` cache
+    of day before which no further departure may fall. `counts` are the
+    type's generated counts, bound to its reference departures (see
+    FeedbackCounts). `terms` and `destinations` cache
     preference_terms and the checked cumulative destination weights by
     current zone. All caches live as long as the cursor, which is one
     individual of one run. `trips`, `relocations`, `chain_breaks`,
@@ -102,8 +102,7 @@ class GenCursor:
     chain_breaks: int = 0
     degenerate_slot_draws: int = 0
     duration_fallbacks: int = 0
-    ref: TypeCounts | None = field(default=None, repr=False)
-    counts: TypeCounts | None = field(default=None, repr=False)
+    counts: FeedbackCounts | None = field(default=None, repr=False)
     terms: dict = field(default_factory=dict, repr=False)
     destinations: dict = field(default_factory=dict, repr=False)
 
@@ -204,8 +203,7 @@ def preference_terms(
 def slot_weights(
     partition: TimeSlotPartition,
     terms: list,
-    counts: TypeCounts,
-    ref: TypeCounts,
+    counts: FeedbackCounts,
     first: int,
     last_active: int,
 ) -> list:
@@ -214,11 +212,12 @@ def slot_weights(
     Each weight is logic factor * feedback factor * preference term: logic
     is 1 up to `last_active` and KAPPA for the reserved slots after it (see
     subsequent_slots), feedback pushes the slot's share of `counts` (the
-    type's trips generated so far) minus its share of `ref` (the type's
-    reference departures) through the balance curve, and `terms` are the
-    individual's preference_terms at its current zone.
+    type's trips generated so far) minus its share of `counts.ref` (the
+    type's reference departures) through the balance curve, and `terms`
+    are the individual's preference_terms at its current zone.
     """
     total = counts.total or 1  # an empty ledger's shares are all 0.0
+    ref = counts.ref
     generated, expected, ref_total = counts.slot, ref.slot, ref.total
     cut, stop = last_active + 1, len(partition) + 1
     # A logic factor of 1.0 leaves the product's bits unchanged, so the
@@ -283,19 +282,18 @@ def select_time_slot(weights: list, first: int, rng: random.Random) -> int:
 def period_weights(
     slot: TimeSlot,
     minute: int,
-    counts: TypeCounts,
-    ref: TypeCounts,
+    counts: FeedbackCounts,
 ):
     """Departure minutes inside `slot` that can be drawn, with their weights.
 
     Candidates run from max(slot start, clock `minute`) to the slot end. A
     minute's share is its count over the total, in `counts` (the type's
-    trips generated so far) and in `ref` (its reference departures). Where
-    some candidates still trail their reference share, only those are
-    listed, each weighted by its shortfall share - n / total
+    trips generated so far) and in `counts.ref` (its reference
+    departures). Where some candidates still trail their reference share,
+    only those are listed, each weighted by its shortfall share - n / total
     (deficit-proportional). They are the candidates' slice of the list of
     minutes in deficit that `counts` keeps current on every add (see
-    TypeCounts), cut out with two bisections, so no other minute is
+    FeedbackCounts), cut out with two bisections, so no other minute is
     visited; that list is exact while ref.total * total < 2**52, so every
     listed weight is positive. Once every candidate is at or past its
     reference share, all candidates are listed, weighted by inverse
@@ -306,7 +304,7 @@ def period_weights(
         raise ValueError(f"slot {slot.slot_id} has no minutes left at {minute}")
     generated = counts.minute
     total = counts.total or 1  # an empty ledger's shares are all 0.0
-    listed, shares = counts.deficit_minutes(ref)
+    listed, shares = counts.deficit_minutes(), counts.shares
     stop = slot.end + 1
     lo = bisect_left(listed, start)
     hi = bisect_left(listed, stop, lo)
@@ -325,8 +323,7 @@ def period_weights(
 def select_time_period(
     slot: TimeSlot,
     minute: int,
-    counts: TypeCounts,
-    ref: TypeCounts,
+    counts: FeedbackCounts,
     rng: random.Random,
 ) -> int:
     """Sample a departure minute inside the chosen slot.
@@ -339,7 +336,7 @@ def select_time_period(
     cumulative entries the search never stops at, so leaving them out
     changes neither the minute drawn nor the RNG state.
     """
-    minutes, weights = period_weights(slot, minute, counts, ref)
+    minutes, weights = period_weights(slot, minute, counts)
     return _cumulative_draw(minutes, list(accumulate(weights)), rng)
 
 
@@ -413,7 +410,6 @@ def generate_trip(
     cursor: GenCursor,
     partition: TimeSlotPartition,
     ledger: AggregationLedger,
-    reference: AggregationLedger,
     catalog: PathCatalog,
     pools: DurationPool,
     params: GenParams,
@@ -426,26 +422,18 @@ def generate_trip(
     since no departure minute inside it could respect the clock. Records
     the trip in the ledger, moves the location to the destination and
     pushes the clock past arrival plus the minimum gap, rolling over
-    midnight if needed.
+    midnight if needed. A cursor with no quota left today is refused by
+    subsequent_slots (ValueError) before any draw.
     """
     profile = cursor.profile
     remaining = cursor.daily_quota - cursor.generated_today
-    if remaining < 1:
-        raise ValueError("no remaining quota today")
     first, last_active = subsequent_slots(partition, cursor.minute, remaining)
     terms = cursor.terms.get(cursor.location)
     if terms is None:
         terms = preference_terms(profile, cursor.location, partition)
         cursor.terms[cursor.location] = terms
-    ttype = profile.traveller_type
-    ref = cursor.ref
-    if ref is None:
-        # The individual's first trip: a type without reference departures
-        # is corrupt input, refused here before any draw.
-        ref = cursor.ref = reference.departures(ttype)
-        cursor.counts = ledger.counts(ttype)
     counts = cursor.counts
-    weights = slot_weights(partition, terms, counts, ref, first, last_active)
+    weights = slot_weights(partition, terms, counts, first, last_active)
     if max(weights) > 0.0:
         slot_id = select_time_slot(weights, first, rng)
     else:
@@ -457,7 +445,7 @@ def generate_trip(
         slot_id = first
         cursor.degenerate_slot_draws += 1
     slot = partition.by_id(slot_id)
-    departure = select_time_period(slot, cursor.minute, counts, ref, rng)
+    departure = select_time_period(slot, cursor.minute, counts, rng)
     origin, destination, relocated = select_destination(cursor, rng)
     if relocated:
         cursor.relocations += 1
@@ -467,6 +455,7 @@ def generate_trip(
     duration, fell_back = sample_duration(pools, entry.path_id, slot_id, rng)
     cursor.duration_fallbacks += fell_back
 
+    ttype = profile.traveller_type
     trip = TripRecord(
         profile.traveller_id, ttype, cursor.day, departure, origin, destination,
         entry.path, duration,
@@ -485,15 +474,17 @@ def generate_trip(
 
 
 def _generate_individual(
-    profile, partition, ledger, reference, catalog, pools, params, rng, stats
+    profile, partition, ledger, catalog, pools, params, rng, stats
 ) -> list:
     """All trips of one individual over the horizon, chronological; folds
-    their counts into `stats` once the last one is drawn."""
+    their counts into `stats` once the last one is drawn. A type without
+    reference departures is refused (CorruptInputError) before any draw."""
     cursor = GenCursor(
         profile=profile,
         day=params.start_day,
         minute=1,
         location=initial_location(profile),
+        counts=ledger.counts(profile.traveller_type),
         daily_quota=daily_quota(profile, rng),
     )
     trips = []
@@ -509,9 +500,7 @@ def _generate_individual(
             continue
         day_before = cursor.day
         trips.append(
-            generate_trip(
-                cursor, partition, ledger, reference, catalog, pools, params, rng
-            )
+            generate_trip(cursor, partition, ledger, catalog, pools, params, rng)
         )
         if cursor.day != day_before:
             # Trip spilled past midnight; the old day's unmet quota is dropped.
@@ -560,12 +549,11 @@ def generate_all(
         if not by_type[ttype]:
             continue
         rng = random.Random(f"{params.rng_seed}:{ttype.value}")
-        ledger = AggregationLedger()
+        ledger = AggregationLedger(reference)
         for profile in by_type[ttype]:
             try:
                 trips = _generate_individual(
-                    profile, partition, ledger, reference, catalog, pools, params,
-                    rng, stats,
+                    profile, partition, ledger, catalog, pools, params, rng, stats
                 )
             except CorruptInputError:
                 stats.quarantined.append(profile.traveller_id)

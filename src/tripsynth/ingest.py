@@ -595,6 +595,8 @@ def load_store(path) -> Store:
     try:
         partition = TimeSlotPartition.from_boundaries(doc["partition"])
         window_days = doc["window_days"]
+        if type(window_days) is not int or window_days < 1:
+            raise ValueError(f"window_days is not an integer >= 1: {window_days!r}")
         profiles = {
             tid: IndividualProfile(
                 traveller_id=tid,

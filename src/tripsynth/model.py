@@ -225,57 +225,68 @@ class IndividualProfile:
 
 
 # Below this product of the two totals, the integer deficit rule of
-# TypeCounts decides exactly as the float test it replaces (see there).
+# FeedbackCounts decides exactly as the float test it replaces (see there).
 EXACT_SHARE_BOUND = 2**52
 
 
 class TypeCounts:
     """Departure counts of one traveller type as dense lists indexed by
-    minute of day and by slot id (index 0 unused), plus their total.
+    minute of day and by slot id (index 0 unused), plus their total."""
 
-    The generated side of the feedback factor also keeps the ascending list
-    of its minutes in deficit against one bound reference TypeCounts (see
-    deficit_minutes). With r and n a minute's count in the reference and
-    here, R the reference total and T = total or 1 (an empty ledger's
-    shares are all 0.0), a minute is in deficit when r * T > n * R. That
-    integer rule equals the float test r / R - n / T > 0.0 while
-    R * T < 2**52: two distinct shares then differ by at least 1 / (R * T),
-    more than the rounding of both quotients (at most 2**-53 each, the
-    shares being at most 1). Larger products are refused.
-
-    A minute's status changes only when its own count or T changes, so
-    add(n=1) keeps the list current: T rises by one, the minutes due back at
-    the new T re-enter, and the recorded minute is re-tested. A minute that
-    leaves waits in `_waiting`, keyed by the least T that puts it back in
-    deficit (n * R // r + 1), and `_due[m]` holds that key (0 while listed);
-    an entry whose key no longer matches `_due` is stale and skipped. An
-    add with n != 1 drops the binding, and so does a reference whose
-    identity or total changed; the list is then rebuilt on the next query.
-    """
-
-    __slots__ = (
-        "minute", "slot", "total",
-        "_ref", "_ref_total", "_shares", "_deficit", "_due", "_waiting",
-    )
+    __slots__ = ("minute", "slot", "total")
 
     def __init__(self):
         # A slot spans at least one minute, so slot ids never exceed 1440.
         self.minute = [0] * (MINUTES_PER_DAY + 1)
         self.slot = [0] * (MINUTES_PER_DAY + 1)
         self.total = 0
-        self._ref = None
 
     def add(self, slot_id: int, minute: int, n: int = 1) -> None:
         self.slot[slot_id] += n
         self.minute[minute] += n
         self.total += n
-        ref = self._ref
-        if ref is None:
-            return
-        if n != 1 or ref.total != self._ref_total:
-            self._ref = None
-            return
-        total = self.total
+
+
+class FeedbackCounts(TypeCounts):
+    """The generated side of the feedback factor: counts of one type, made
+    one departure at a time against its fixed, non-empty reference `ref`.
+
+    Keeps `ref`'s share r / R of every minute of the day in `shares`, and
+    the ascending list of minutes in deficit (see deficit_minutes). With r
+    and n a minute's count in the reference and here, R the reference total
+    and T = total or 1 (an empty ledger's shares are all 0.0), a minute is
+    in deficit when r * T > n * R. That integer rule equals the float test
+    r / R - n / T > 0.0 while R * T < 2**52: two distinct shares then
+    differ by at least 1 / (R * T), more than the rounding of both
+    quotients (at most 2**-53 each, the shares being at most 1). Larger
+    products are refused.
+
+    A minute's status changes only when its own count or T changes, so add
+    keeps the list current: T rises by one, the minutes due back at the new
+    T re-enter, and the recorded minute is re-tested. A minute that leaves
+    waits in `_waiting`, keyed by the least T that puts it back in deficit
+    (n * R // r + 1), and `_due[m]` holds that key (0 while listed); an
+    entry whose key no longer matches `_due` is stale and skipped.
+    """
+
+    __slots__ = ("ref", "shares", "_deficit", "_due", "_waiting")
+
+    def __init__(self, ref: TypeCounts):
+        super().__init__()
+        ref_total = ref.total
+        if not ref_total:
+            raise ValueError("feedback counts need a non-empty reference")
+        self.ref = ref
+        self.shares = [r / ref_total for r in ref.minute]
+        # Empty, so every minute the reference saw trails its share.
+        self._deficit = [m for m in range(1, MINUTES_PER_DAY + 1) if ref.minute[m]]
+        self._due = [0] * (MINUTES_PER_DAY + 1)
+        self._waiting = defaultdict(list)
+
+    def add(self, slot_id: int, minute: int) -> None:
+        self.slot[slot_id] += 1
+        self.minute[minute] += 1
+        self.total = total = self.total + 1
         listed, due = self._deficit, self._due
         back = self._waiting.pop(total, None)
         if back:
@@ -283,9 +294,10 @@ class TypeCounts:
                 if due[m] == total:
                     due[m] = 0
                     insort(listed, m)
+        ref = self.ref
         r = ref.minute[minute]
         if r:
-            count, ref_total = self.minute[minute], self._ref_total
+            count, ref_total = self.minute[minute], ref.total
             if r * total > count * ref_total:
                 if due[minute]:
                     due[minute] = 0
@@ -296,58 +308,43 @@ class TypeCounts:
                 due[minute] = at = count * ref_total // r + 1
                 self._waiting[at].append(minute)
 
-    def deficit_minutes(self, ref: "TypeCounts") -> tuple:
-        """(minutes, shares): the ascending minutes in deficit against
-        `ref`, and `ref`'s share r / R of every minute of the day (None
-        when `ref` is empty, which leaves no minute in deficit).
-
-        Binds `ref` on first use and rebuilds both whenever the binding was
-        dropped. Raises ValueError once ref.total * (total or 1) reaches
-        EXACT_SHARE_BOUND, where the integer rule could part from the float
-        shares the weights are made of.
-        """
-        ref_total = ref.total
+    def deficit_minutes(self) -> list:
+        """The ascending minutes in deficit against `ref`. Raises
+        ValueError once ref.total * (total or 1) reaches EXACT_SHARE_BOUND,
+        where the integer rule could part from the float shares the
+        weights are made of."""
+        ref_total = self.ref.total
         if ref_total * (self.total or 1) >= EXACT_SHARE_BOUND:
             raise ValueError(
                 f"share totals {ref_total} x {self.total} reach 2**52; "
                 "minute deficits would no longer be exact"
             )
-        if ref is not self._ref or ref_total != self._ref_total:
-            self._bind(ref)
-        return self._deficit, self._shares
-
-    def _bind(self, ref: "TypeCounts") -> None:
-        ref_minute, minute = ref.minute, self.minute
-        ref_total, total = ref.total, self.total or 1
-        self._ref, self._ref_total = ref, ref_total
-        self._shares = [r / ref_total for r in ref_minute] if ref_total else None
-        listed, due, waiting = [], [0] * (MINUTES_PER_DAY + 1), defaultdict(list)
-        for m in range(1, MINUTES_PER_DAY + 1):
-            r = ref_minute[m]
-            if r:
-                if r * total > minute[m] * ref_total:
-                    listed.append(m)
-                else:
-                    due[m] = at = minute[m] * ref_total // r + 1
-                    waiting[at].append(m)
-        self._deficit, self._due, self._waiting = listed, due, waiting
+        return self._deficit
 
 
 class AggregationLedger:
     """Per-type departure counts by minute of day and by slot id.
 
-    One ledger holds the source reference, and one per type run holds the
-    trips generated so far; the feedback factor compares the two.
+    One ledger holds the source reference. One per type run, built over
+    that `reference`, holds the trips generated so far as FeedbackCounts,
+    which the feedback factor compares with the reference.
     """
 
-    def __init__(self):
+    def __init__(self, reference: "AggregationLedger | None" = None):
         self.by_type = {}
+        self.reference = reference
 
     def counts(self, ttype: TravellerType) -> TypeCounts:
-        """The live dense counts of one type, created empty on first use."""
+        """The live dense counts of one type, created empty on first use.
+        Over a reference they are FeedbackCounts against the type's
+        reference departures; CorruptInputError when it has none."""
         counts = self.by_type.get(ttype)
         if counts is None:
-            counts = self.by_type[ttype] = TypeCounts()
+            reference = self.reference
+            counts = self.by_type[ttype] = (
+                TypeCounts() if reference is None
+                else FeedbackCounts(reference.departures(ttype))
+            )
         return counts
 
     def departures(self, ttype: TravellerType) -> TypeCounts:

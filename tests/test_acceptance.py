@@ -166,7 +166,7 @@ def _slot_state(meta, world, rng):
         zone = meta.choice(sorted(profile.per_origin))
     else:
         zone = meta.choice(world.zone_ids)
-    ledger = AggregationLedger()
+    ledger = AggregationLedger(world.reference)
     if meta.random() < 0.7:
         slot_ids = [s.slot_id for s in partition]
         skew = [meta.random() + 0.05 for _ in slot_ids]
@@ -182,10 +182,7 @@ def _slot_state(meta, world, rng):
     first, last_active = subsequent_slots(partition, minute, remaining)
     terms = preference_terms(profile, zone, partition)
     ttype = profile.traveller_type
-    weights = slot_weights(
-        partition, terms, ledger.counts(ttype), world.reference.departures(ttype),
-        first, last_active,
-    )
+    weights = slot_weights(partition, terms, ledger.counts(ttype), first, last_active)
     draws = weighted_draw(range(first, first + len(weights)), weights, rng, k=DRAWS)
     return _tv(oracle, draws)
 
@@ -209,7 +206,7 @@ def _period_state(meta, world, rng, shape):
     else:
         counts = {m: meta.randint(5, 120) for m in supported}
     reference = reference_from_minutes({ttype: counts}, partition)
-    ledger = AggregationLedger()
+    ledger = AggregationLedger(reference)
     if shape == 1:
         for m in supported[: k_ref // 2]:
             for _ in range(3 * counts[m]):
@@ -222,9 +219,7 @@ def _period_state(meta, world, rng, shape):
     oracle = oracle_period_probabilities(slot, start, ledger, reference, ttype)
     from tripsynth.generator import period_weights
 
-    minutes, weights = period_weights(
-        slot, start, ledger.counts(ttype), reference.departures(ttype)
-    )
+    minutes, weights = period_weights(slot, start, ledger.counts(ttype))
     draws = weighted_draw(minutes, weights, rng, k=DRAWS)
     return _tv(oracle, draws)
 

@@ -433,6 +433,11 @@ def _with_profile_type(doc, name):
     return doc
 
 
+def _with_window_days(doc, value):
+    doc["window_days"] = value
+    return doc
+
+
 class TestPipeline:
     @pytest.fixture()
     def cfg(self, tmp_path):
@@ -566,8 +571,17 @@ class TestPipeline:
             lambda doc: json.dumps({"version": 2}),
             lambda doc: json.dumps(_with_profile_type(doc, "wizard")),
             lambda doc: "store: not JSON\n",
+            # 0 used to end in ZeroDivisionError, "7" and 2.5 in TypeError,
+            # and -1 in exit 0 with no trips.
+            lambda doc: json.dumps(_with_window_days(doc, 0)),
+            lambda doc: json.dumps(_with_window_days(doc, "7")),
+            lambda doc: json.dumps(_with_window_days(doc, 2.5)),
+            lambda doc: json.dumps(_with_window_days(doc, -1)),
+            lambda doc: json.dumps(_with_window_days(doc, True)),
         ],
-        ids=["list", "version-only", "wizard-type", "not-json"],
+        ids=["list", "version-only", "wizard-type", "not-json", "window-days-0",
+             "window-days-text", "window-days-fraction", "window-days-negative",
+             "window-days-bool"],
     )
     def test_malformed_store_fails_generate(self, cfg, tmp_path, caplog, damage):
         assert main(["corpus", "-c", cfg]) == 0

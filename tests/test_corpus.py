@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter, defaultdict
 
 import pytest
@@ -69,6 +70,28 @@ def test_spec_validation():
         synth_corpus(CorpusSpec(grid_side=1))
     with pytest.raises(ValueError):
         synth_corpus(CorpusSpec(days=0))
+
+
+def test_trips_share_route_tuples():
+    # Trips of one (origin, destination, route) share one path tuple, so
+    # the corpus holds about one TripRecord per trip. The bound is on the
+    # memory each further trip holds: the held bytes of a 28-day corpus
+    # less those of its 7-day prefix, over the trips the 21 days add. A
+    # fresh tuple per trip held about 420 bytes per trip, sharing about 140
+    # (Python 3.11).
+    population = tuple((t, 20) for t in TravellerType)
+
+    def held(days):
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            corpus = synth_corpus(CorpusSpec(days=days, individuals=population))
+            return tracemalloc.get_traced_memory()[0] - before, len(corpus.trips)
+        finally:
+            tracemalloc.stop()
+
+    (held_7, trips_7), (held_28, trips_28) = held(7), held(28)
+    assert (held_28 - held_7) / (trips_28 - trips_7) < 250
 
 
 def test_grid_zones(small):

@@ -43,6 +43,7 @@ from tripsynth.ingest import (
 )
 from tripsynth.model import (
     CorruptInputError,
+    FeedbackCounts,
     IndividualProfile,
     TimeSlot,
     TimeSlotPartition,
@@ -240,39 +241,47 @@ def test_deficit_list_follows_add():
     ref = TypeCounts()
     for minute, n in {10: 3, 20: 1, 30: 1}.items():
         ref.add(1, minute, n)
-    counts = TypeCounts()
-    listed, shares = counts.deficit_minutes(ref)
+    counts = FeedbackCounts(ref)
+    listed = counts.deficit_minutes()
     # the empty ledger trails every reference minute
-    assert listed == [10, 20, 30]
+    assert counts.ref is ref and listed == [10, 20, 30]
+    shares = counts.shares
     assert shares[10] == 3 / 5 and shares[20] == 1 / 5 and shares[40] == 0.0
     counts.add(1, 10)  # 1/1 against 3/5: past its share
-    assert counts.deficit_minutes(ref)[0] is listed == [20, 30]
+    assert counts.deficit_minutes() is listed == [20, 30]
     counts.add(1, 20)  # 1/2 against 1/5; 10 is at 1/2 < 3/5 again
     assert listed == [10, 30]
     counts.add(1, 40)  # a minute the reference never saw is never listed
     assert listed == [10, 30]
-    counts.add(1, 30, 2)  # an add of n != 1 drops the list
-    assert counts.deficit_minutes(ref)[0] == [10]
-    ref.add(1, 50, 1)  # so does a grown reference, even before a query
-    counts.add(1, 50)
-    counts.add(1, 50)  # 2/7 against 1/6
-    assert counts.deficit_minutes(ref)[0] == [10, 20]
-    ref.add(1, 60, 100)  # or a query after the reference grew
-    assert counts.deficit_minutes(ref)[0] == [60]
-    other = TypeCounts()
-    other.add(1, 30)
-    assert counts.deficit_minutes(other)[0] == [30]  # 1/1 against 2/7
+    counts.add(1, 30)  # 1/4 against 1/5: 30 waits, as 20 does, for total 6
+    assert listed == [10]
+    counts.add(1, 10)
+    counts.add(1, 10)  # at total 6, 1/6 trails 1/5 again
+    assert listed == [10, 20, 30]
+
+
+def test_feedback_counts_take_one_nonempty_reference():
+    with pytest.raises(ValueError):
+        FeedbackCounts(TypeCounts())
+    ref = TypeCounts()
+    ref.add(1, 10)
+    counts = FeedbackCounts(ref)
+    # generated departures are recorded one at a time
+    with pytest.raises(TypeError):
+        counts.add(1, 10, 2)
+    assert counts.total == 0 and counts.deficit_minutes() == [10]
 
 
 def test_deficit_minutes_refuses_inexact_totals():
     # The integer rule is exact only while ref.total * total < 2**52.
-    ref, counts = TypeCounts(), TypeCounts()
-    ref.add(1, 10, 2**20)
-    counts.add(1, 20, 2**32 - 1)
-    assert counts.deficit_minutes(ref)[0] == [10]
+    ref = TypeCounts()
+    ref.add(1, 10, 2**51)
+    counts = FeedbackCounts(ref)
+    counts.add(1, 20)
+    assert counts.deficit_minutes() == [10]
     counts.add(1, 20)
     with pytest.raises(ValueError, match="2\\*\\*52"):
-        counts.deficit_minutes(ref)
+        counts.deficit_minutes()
 
 
 def _deficit_filter(counts, ref):
@@ -287,50 +296,34 @@ def _deficit_filter(counts, ref):
 
 @given(st.data())
 def test_deficit_list_matches_filter(data):
-    # Random add() sequences against a bound reference: after every step
+    # Random add() sequences against the bound reference: after every step
     # the kept list must equal the filter built from scratch, or the query
-    # must refuse once the totals' product reaches 2**52.
+    # must refuse once the totals' product reaches 2**52, which the largest
+    # scale makes within a run.
     near = st.integers(1, 12)
     ref = TypeCounts()
-    big = data.draw(st.booleans())
+    scale = data.draw(st.sampled_from([1, 2**20, 2**45]))
     for m, n in data.draw(st.dictionaries(near, st.integers(1, 60), min_size=1)).items():
-        ref.add(1, m, n * 2**20 if big else n)
-    counts = TypeCounts()
+        ref.add(1, m, n * scale)
+    counts = FeedbackCounts(ref)
     minute = 1
     for _ in range(data.draw(st.integers(1, 60))):
         listed = set(_deficit_filter(counts, ref))
         past = [m for m in range(1, 13) if ref.minute[m] and m not in listed]
         unseen = [m for m in range(1, 13) if not ref.minute[m]]
-        # Steps that drop the binding are rarer, so runs of add(n=1) grow
-        # long enough for the waiting minutes to come due. "again" records
-        # the last minute once more, so a minute that just left the list
-        # waits for a later total than the one it was due at.
-        step = data.draw(st.sampled_from(
-            ["deficit", "past", "unseen", "again", "any"] * 3 + ["bulk", "ref", "bound"]
-        ))
+        # "again" records the last minute once more, so a minute that just
+        # left the list waits for a later total than the one it was due at.
+        step = data.draw(st.sampled_from(["deficit", "past", "unseen", "again", "any"]))
         pool = {"deficit": sorted(listed), "past": past, "unseen": unseen,
-                "again": [minute], "ref": list(range(1, 13))}.get(step)
+                "again": [minute]}.get(step)
         minute = data.draw(st.sampled_from(pool) if pool else st.integers(1, 1440))
-        if step == "bulk":
-            counts.add(1, minute, data.draw(st.integers(2, 50)))
-        elif step == "ref":
-            # the add meets the grown reference before any query
-            ref.add(1, minute, data.draw(st.integers(1, 50)))
-            counts.add(1, minute)
-        elif step == "bound":
-            # land the product just below or at 2**52 through one add(n)
-            n = (2**52 - 1) // ref.total - counts.total + data.draw(st.integers(-3, 1))
-            if n > 0:
-                counts.add(1, minute, n)
-        else:
-            counts.add(1, minute)
-        if ref.total * (counts.total or 1) >= 2**52:
+        counts.add(1, minute)
+        if ref.total * counts.total >= 2**52:
             with pytest.raises(ValueError):
-                counts.deficit_minutes(ref)
+                counts.deficit_minutes()
             continue
-        got, shares = counts.deficit_minutes(ref)
-        assert got == _deficit_filter(counts, ref)
-        assert all(shares[m] == ref.minute[m] / ref.total for m in got)
+        assert counts.deficit_minutes() == _deficit_filter(counts, ref)
+        assert counts.shares == [r / ref.total for r in ref.minute]
 
 
 def test_aggregation_factor_full_deficit():
@@ -339,33 +332,23 @@ def test_aggregation_factor_full_deficit():
         for _ in range(3)
     ] + [TripRecord("V1", TravellerType.COMMUTER, 0, 1000, "B", "A", ("r1",), 10)]
     ref = build_reference_aggregates(trips, HOURLY)
-    params = GenParams()
     # logic and preference factors of 1 leave the feedback factor alone
     ones = [1.0] * len(HOURLY)
     n = len(HOURLY)
-    expected = ref.departures(TravellerType.COMMUTER)
-    w = slot_weights(HOURLY, ones, TypeCounts(), expected, 1, n)
+    w = slot_weights(HOURLY, ones, commuters(AggregationLedger(ref)), 1, n)
     assert len(w) == n
     assert w[7 - 1] == pytest.approx(BLOWUP ** 0.75)
     # a type without reference departures, absent or present but empty, is
-    # corrupt input; asking, even through generate_trip, does not add it to
-    # the reference
+    # corrupt input; asking, even through a generation ledger, does not add
+    # it to the reference
     ref.counts(TravellerType.STABLE)
-    catalog = build_path_catalog(trips)
-    pools = build_duration_pools(trips, HOURLY)
     for ttype in (TravellerType.PASSBY, TravellerType.STABLE):
         with pytest.raises(CorruptInputError):
             ref.departures(ttype)
-        cursor = GenCursor(
-            profile=profile(od={"A": {"B": 1}}, slot_origin={7: {"A": 1}}, ttype=ttype),
-            day=0, minute=1, location="A", daily_quota=1,
-        )
-        rng = random.Random(0)
+        ledger = AggregationLedger(ref)
         with pytest.raises(CorruptInputError):
-            generate_trip(
-                cursor, HOURLY, AggregationLedger(), ref, catalog, pools, params, rng
-            )
-        assert rng.getstate() == random.Random(0).getstate()
+            ledger.counts(ttype)
+        assert not ledger.by_type
     assert set(ref.by_type) == {TravellerType.COMMUTER, TravellerType.STABLE}
 
 
@@ -405,7 +388,7 @@ def test_slot_weights_multiplicative_structure():
     first, last_active = subsequent_slots(halves, 1, 2)
     terms = preference_terms(p, "A", halves)
     w = slot_weights(
-        halves, terms, TypeCounts(), ref.departures(p.traveller_type), first,
+        halves, terms, FeedbackCounts(ref.departures(p.traveller_type)), first,
         last_active,
     )
     assert len(w) == 2
@@ -492,56 +475,45 @@ class TestPeriodWeights:
         return build_reference_aggregates(trips, HOURLY)
 
     def test_deficit_branch_targets_shortfall(self):
-        ref = self.ref({10: 1, 20: 3})
-        ledger = AggregationLedger()
+        ledger = AggregationLedger(self.ref({10: 1, 20: 3}))
         ledger.record(TravellerType.COMMUTER, 1, 10)
         slot = TimeSlot(1, 1, 60)
-        counts, ref = commuters(ledger), commuters(ref)
-        minutes, weights = period_weights(slot, 1, counts, ref)
+        counts = commuters(ledger)
+        minutes, weights = period_weights(slot, 1, counts)
         # minute 10 overshot (1.0 generated vs 0.25 reference), minute 20
         # still owed 0.75; everything else level at zero and left out
         assert minutes == [20]
         assert weights == [3 / 4 - 0 / 1]
         rng = random.Random(0)
-        assert select_time_period(slot, 1, counts, ref, rng) == 20
+        assert select_time_period(slot, 1, counts, rng) == 20
 
     def test_overshoot_branch_inverts_excess(self):
-        ref = self.ref({1: 2, 2: 3, 100: 5})
-        ledger = AggregationLedger()
+        ledger = AggregationLedger(self.ref({1: 2, 2: 3, 100: 5}))
         for minute, n in {1: 3, 2: 5, 100: 2}.items():
             for _ in range(n):
                 ledger.record(TravellerType.COMMUTER, HOURLY.slot_of(minute).slot_id, minute)
-        minutes, weights = period_weights(
-            TimeSlot(1, 1, 2), 1, commuters(ledger), commuters(ref)
-        )
+        minutes, weights = period_weights(TimeSlot(1, 1, 2), 1, commuters(ledger))
         assert minutes == [1, 2]
         assert weights == pytest.approx([10.0, 5.0])  # inverse of |-0.1|, |-0.2|
 
     def test_all_level_is_uniform(self):
-        ref = self.ref({1: 1, 2: 1})
-        ledger = AggregationLedger()
+        ledger = AggregationLedger(self.ref({1: 1, 2: 1}))
         ledger.record(TravellerType.COMMUTER, 1, 1)
         ledger.record(TravellerType.COMMUTER, 1, 2)
-        minutes, weights = period_weights(
-            TimeSlot(1, 1, 2), 1, commuters(ledger), commuters(ref)
-        )
+        minutes, weights = period_weights(TimeSlot(1, 1, 2), 1, commuters(ledger))
         # generated shares match the reference exactly: floored inverses, equal
         assert minutes == [1, 2]
         assert weights[0] == weights[1] > 0
 
     def test_clock_trims_candidates(self):
-        ref = self.ref({10: 1})
-        minutes, _ = period_weights(
-            TimeSlot(1, 1, 60), 30, TypeCounts(), commuters(ref)
-        )
+        ledger = AggregationLedger(self.ref({10: 1}))
+        minutes, _ = period_weights(TimeSlot(1, 1, 60), 30, commuters(ledger))
         assert minutes == list(range(30, 61))
 
     def test_clock_past_slot_end(self):
-        ref = self.ref({10: 1})
+        ledger = AggregationLedger(self.ref({10: 1}))
         with pytest.raises(ValueError):
-            period_weights(
-                TimeSlot(1, 1, 60), 61, TypeCounts(), commuters(ref)
-            )
+            period_weights(TimeSlot(1, 1, 60), 61, commuters(ledger))
 
 
 # Exact-float properties: the weights must equal, float for float, the
@@ -554,8 +526,9 @@ def _reference_of(counts, partition):
     return reference_from_minutes({ttype: counts}, partition).departures(ttype)
 
 
-def _ledger_of(minutes, partition):
-    counts = TypeCounts()
+def _ledger_of(minutes, ref, partition):
+    """Feedback counts of `minutes` against the reference counts `ref`."""
+    counts = FeedbackCounts(_reference_of(ref, partition))
     for m in minutes:
         counts.add(partition.slot_of(m).slot_id, m)
     return counts
@@ -635,9 +608,7 @@ class TestExactFloats:
     @given(period_states())
     def test_period_weights(self, state):
         partition, slot, minute, ref, generated = state
-        minutes, weights = period_weights(
-            slot, minute, _ledger_of(generated, partition), _reference_of(ref, partition)
-        )
+        minutes, weights = period_weights(slot, minute, _ledger_of(generated, ref, partition))
 
         candidates, full = _full_period_weights(slot, minute, ref, generated)
         if any(w > 0.0 for w in full):
@@ -664,8 +635,7 @@ class TestExactFloats:
         old_rng, new_rng = make(seed), make(seed)
         expect = old_rng.choices(candidates, weights=full)[0]
         got = select_time_period(
-            slot, minute, _ledger_of(generated, partition),
-            _reference_of(ref, partition), new_rng,
+            slot, minute, _ledger_of(generated, ref, partition), new_rng
         )
         assert got == expect
         assert new_rng.getstate() == old_rng.getstate()
@@ -676,8 +646,7 @@ class TestExactFloats:
         first, last_active = subsequent_slots(partition, minute, remaining)
         weights = slot_weights(
             partition, preference_terms(prof, zone, partition),
-            _ledger_of(generated, partition), _reference_of(ref, partition), first,
-            last_active,
+            _ledger_of(generated, ref, partition), first, last_active,
         )
 
         ref_slots = Counter()
@@ -805,28 +774,30 @@ class TestGenerateTrip:
     def test_advances_cursor_and_records(self):
         profiles, ref, catalog, pools = small_world()
         params = GenParams(rng_seed=3)
-        ledger = AggregationLedger()
+        ledger = AggregationLedger(ref)
         cursor = GenCursor(
             profile=profiles["V1"],
             day=0,
             minute=1,
             location=initial_location(profiles["V1"]),
             daily_quota=2,
+            counts=commuters(ledger),
         )
         rng = random.Random(3)
-        trip = generate_trip(cursor, HOURLY, ledger, ref, catalog, pools, params, rng)
+        trip = generate_trip(cursor, HOURLY, ledger, catalog, pools, params, rng)
         assert trip.o_zone == "A" and trip.d_zone == "B"
         assert cursor.location == "B"
         assert cursor.generated_today == 1
         assert (cursor.day, cursor.minute) == (0, trip.departure + trip.duration + 1)
         counts = ledger.counts(TravellerType.COMMUTER)
         assert counts.total == counts.slot[HOURLY.slot_of(trip.departure).slot_id] == 1
-        second = generate_trip(cursor, HOURLY, ledger, ref, catalog, pools, params, rng)
+        second = generate_trip(cursor, HOURLY, ledger, catalog, pools, params, rng)
         assert second.o_zone == "B" and second.d_zone == "A"
         assert second.departure >= trip.departure + trip.duration + 1
 
     def test_midnight_rollover(self):
         profiles, ref, catalog, pools = small_world()
+        ledger = AggregationLedger(ref)
         cursor = GenCursor(
             profile=profiles["V1"],
             day=0,
@@ -834,10 +805,10 @@ class TestGenerateTrip:
             location="A",
             daily_quota=2,
             generated_today=1,
+            counts=commuters(ledger),
         )
         trip = generate_trip(
-            cursor, HOURLY, AggregationLedger(), ref, catalog, pools,
-            GenParams(), random.Random(0),
+            cursor, HOURLY, ledger, catalog, pools, GenParams(), random.Random(0)
         )
         assert trip.date == 0 and trip.departure >= 1435
         assert cursor.day == 1
@@ -876,17 +847,15 @@ class TestGenerateTrip:
         reference = build_reference_aggregates(trips, partition)
         catalog = build_path_catalog(trips)
         pools = build_duration_pools(trips, partition)
+        ledger, params = AggregationLedger(reference), GenParams(min_gap=min_gap)
         cursor = GenCursor(
             profile=profiles["V1"], day=0, minute=start, location="A",
-            daily_quota=quota,
+            daily_quota=quota, counts=commuters(ledger),
         )
-        ledger, params = AggregationLedger(), GenParams(min_gap=min_gap)
         rng = random.Random(seed)
         for _ in range(quota):
             day, minute = cursor.day, cursor.minute
-            trip = generate_trip(
-                cursor, partition, ledger, reference, catalog, pools, params, rng
-            )
+            trip = generate_trip(cursor, partition, ledger, catalog, pools, params, rng)
             assert trip.date == day and trip.departure >= minute
             assert 1 <= cursor.minute <= 1440
             assert cursor.day >= day
@@ -900,14 +869,14 @@ class TestGenerateTrip:
         # the only reachable weight, so that slot is taken without a draw
         # instead of through select_time_slot.
         profiles, ref, catalog, pools = small_world()
-        ledger = AggregationLedger()
+        ledger = AggregationLedger(ref)
         ledger.record(TravellerType.COMMUTER, 24, 1420)
         cursor = GenCursor(
             profile=profiles["V1"], day=0, minute=1400, location="A",
-            daily_quota=1,
+            daily_quota=1, counts=commuters(ledger),
         )
         terms = preference_terms(profiles["V1"], "A", HOURLY)
-        weights = slot_weights(HOURLY, terms, commuters(ledger), commuters(ref), 24, 24)
+        weights = slot_weights(HOURLY, terms, commuters(ledger), 24, 24)
         assert weights == [0.0]
 
         def refuse(*args):
@@ -916,14 +885,14 @@ class TestGenerateTrip:
         states = []
         draw_minute = generator.select_time_period
 
-        def spy(slot, minute, counts, ref, rng):
+        def spy(slot, minute, counts, rng):
             states.append(rng.getstate())
-            return draw_minute(slot, minute, counts, ref, rng)
+            return draw_minute(slot, minute, counts, rng)
 
         monkeypatch.setattr(generator, "select_time_slot", refuse)
         monkeypatch.setattr(generator, "select_time_period", spy)
         trip = generate_trip(
-            cursor, HOURLY, ledger, ref, catalog, pools, GenParams(), random.Random(5)
+            cursor, HOURLY, ledger, catalog, pools, GenParams(), random.Random(5)
         )
         # nothing was drawn before the minute
         assert states == [random.Random(5).getstate()]
@@ -935,14 +904,14 @@ class TestGenerateTrip:
 
     def test_requires_quota(self):
         profiles, ref, catalog, pools = small_world()
+        ledger = AggregationLedger(ref)
         cursor = GenCursor(
             profile=profiles["V1"], day=0, minute=1, location="A",
-            daily_quota=1, generated_today=1,
+            daily_quota=1, generated_today=1, counts=commuters(ledger),
         )
         with pytest.raises(ValueError):
             generate_trip(
-                cursor, HOURLY, AggregationLedger(), ref, catalog, pools,
-                GenParams(), random.Random(0),
+                cursor, HOURLY, ledger, catalog, pools, GenParams(), random.Random(0)
             )
 
 
@@ -1023,6 +992,31 @@ class TestGenerateAll:
         assert stats.quarantined == ["V0"]
         assert {t.traveller_id for t in trips} == {"V1"}
         assert len(trips) == stats.trips == 14
+
+    def test_type_without_reference_is_quarantined(self, monkeypatch):
+        # The reference holds commuters only. Every stable individual is
+        # refused before its first daily quota is drawn, also S2, whose
+        # one trip in a million days gives it a quota of 0 on every day.
+        profiles, ref, catalog, pools = small_world()
+        t = TravellerType.STABLE
+        for tid, n, days in (("S1", 7, 7), ("S2", 1, 10**6)):
+            profiles[tid] = IndividualProfile(tid, t, {"A": {"B": n}}, {8: {"A": n}}, days)
+        drawn = []
+        quota = generator.daily_quota
+
+        def spy(profile, rng):
+            drawn.append(profile.traveller_id)
+            return quota(profile, rng)
+
+        monkeypatch.setattr(generator, "daily_quota", spy)
+        stats = GenStats()
+        params = GenParams(rng_seed=5, horizon_days=1)
+        trips = list(
+            generate_all(profiles, ref, catalog, pools, params, HOURLY, stats=stats)
+        )
+        assert stats.quarantined == ["S1", "S2"]
+        assert set(drawn) == {"V1"}
+        assert {t.traveller_id for t in trips} == {"V1"}
 
     def test_programming_error_propagates(self, monkeypatch):
         profiles, ref, catalog, pools = small_world()
