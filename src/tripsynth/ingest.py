@@ -17,6 +17,7 @@ import logging
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 from .model import (
@@ -132,6 +133,9 @@ def parse_trips(
     divided by `duration_divisor` (60.0 for input in seconds) and rounded to
     whole minutes. Bad rows become RowErrors and parsing continues.
 
+    Each accepted row takes the type of its traveller's first accepted
+    row; a warning counts the travellers whose rows named several types.
+
     Each distinct type, date, time, duration and path text is parsed once per
     call; rows with the same path text share one path tuple, and rows with
     the same id or zone text one str. A csv.Error names the line it
@@ -168,6 +172,9 @@ def parse_trips(
     paths: dict = {}
     # raw id or zone text -> its stripped value, one str per distinct text
     names: dict = {}
+    # traveller id -> the type of its first accepted row
+    first_types: dict = {}
+    retyped = set()
 
     result = ParseResult()
     errors = result.errors
@@ -235,10 +242,13 @@ def parse_trips(
             if not traveller_id:
                 errors.append(RowError(line, "missing traveller id"))
                 continue
+            first = first_types.setdefault(traveller_id, ttype)
+            if first is not ttype:
+                retyped.add(traveller_id)
             records.append(
                 TripRecord(
                     traveller_id=traveller_id,
-                    traveller_type=ttype,
+                    traveller_type=first,
                     date=day,
                     departure=departure,
                     o_zone=o_zone,
@@ -254,6 +264,11 @@ def parse_trips(
             "rejected %d trip rows: %s",
             len(result.errors),
             dict(result.error_counts),
+        )
+    if retyped:
+        log.warning(
+            "retyped %d travellers seen under several types to their first type",
+            len(retyped),
         )
     return result
 
@@ -386,25 +401,21 @@ def write_network_csv(edges, stream) -> None:
 def build_profiles(trips, partition: TimeSlotPartition, window_days: int) -> dict:
     """Fold trips into per-individual history profiles.
 
-    Returns {traveller_id: IndividualProfile}. If an individual appears under
-    more than one traveller type, the first-seen type wins and a warning is
-    logged. Trip dates spanning more days than `window_days` are an error:
-    every daily rate would be inflated by the ratio.
+    Returns {traveller_id: IndividualProfile}. Expects one type per
+    traveller, as parse_trips gives; otherwise the first-seen type is kept.
+    Trip dates spanning more days than `window_days` are an error: every
+    daily rate would be inflated by the ratio.
     """
     if window_days < 1:
         raise ValueError("window_days must be >= 1")
     types: dict = {}
     od_counts: dict = defaultdict(lambda: defaultdict(Counter))
     slot_origin: dict = defaultdict(lambda: defaultdict(Counter))
-    conflicted = set()
     dates = set()
 
     for trip in trips:
         tid = trip.traveller_id
-        if tid not in types:
-            types[tid] = trip.traveller_type
-        elif types[tid] is not trip.traveller_type:
-            conflicted.add(tid)
+        types.setdefault(tid, trip.traveller_type)
         dates.add(trip.date)
         od_counts[tid][trip.o_zone][trip.d_zone] += 1
         slot_origin[tid][partition.slot_of(trip.departure).slot_id][trip.o_zone] += 1
@@ -413,11 +424,6 @@ def build_profiles(trips, partition: TimeSlotPartition, window_days: int) -> dic
         raise ValueError(
             f"trip dates span {max(dates) - min(dates) + 1} days, "
             f"more than window_days = {window_days}"
-        )
-    if conflicted:
-        log.warning(
-            "%d individuals appear under multiple traveller types; keeping first-seen",
-            len(conflicted),
         )
 
     return {
@@ -580,9 +586,24 @@ class Store:
     reference: AggregationLedger
 
 
+def _counts(values, what: str) -> None:
+    """ValueError unless every one of `values` is an int >= 1 and not a bool."""
+    values = tuple(values)
+    if values and (set(map(type, values)) != {int} or min(values) < 1):
+        bad = next(v for v in values if type(v) is not int or v < 1)
+        raise ValueError(f"{what} is not an integer >= 1: {bad!r}")
+
+
+def _row_values(tables):
+    """Every value of every row of `tables`, each {key: {key: value}}."""
+    return chain.from_iterable(row.values() for table in tables for row in table.values())
+
+
 def load_store(path) -> Store:
     """The store saved at `path`. A file that is not JSON, not a store of
-    this version or malformed inside is a ValueError naming the file."""
+    this version or malformed inside is a ValueError naming the file.
+    Malformed includes a count or a pooled duration that is not an int of
+    at least 1, and a slot id outside the partition."""
     try:
         doc = json.loads(Path(path).read_text())
     except ValueError as exc:
@@ -595,18 +616,23 @@ def load_store(path) -> Store:
     try:
         partition = TimeSlotPartition.from_boundaries(doc["partition"])
         window_days = doc["window_days"]
-        if type(window_days) is not int or window_days < 1:
-            raise ValueError(f"window_days is not an integer >= 1: {window_days!r}")
+        _counts([window_days], "window_days")
         profiles = {
             tid: IndividualProfile(
                 traveller_id=tid,
                 traveller_type=TravellerType(raw["type"]),
                 od_counts=raw["od"],
-                slot_origin_counts={int(s): by_o for s, by_o in raw["slot_origin"].items()},
+                slot_origin_counts={
+                    partition.by_id(int(s)).slot_id: by_o
+                    for s, by_o in raw["slot_origin"].items()
+                },
                 observed_days=window_days,
             )
             for tid, raw in doc["profiles"].items()
         }
+        kept = profiles.values()
+        _counts(_row_values(p.od_counts for p in kept), "OD count")
+        _counts(_row_values(p.slot_origin_counts for p in kept), "slot-origin count")
         catalog = PathCatalog(
             {
                 (o, d): [
@@ -615,14 +641,18 @@ def load_store(path) -> Store:
                 for o, d, rows in doc["catalog"]
             }
         )
-        pools = DurationPool({(pid, slot): tuple(v) for pid, slot, v in doc["pools"]})
-        reference = reference_from_minutes(
-            {
-                TravellerType(name): {int(m): n for m, n in counts.items()}
-                for name, counts in doc["reference"].items()
-            },
-            partition,
-        )
+        _counts((n for _, _, rows in doc["catalog"] for _, n in rows), "catalog count")
+        _counts((slot for _, slot, _ in doc["pools"]), "slot id")
+        pools = DurationPool({
+            (pid, partition.by_id(slot).slot_id): tuple(v) for pid, slot, v in doc["pools"]
+        })
+        _counts(chain.from_iterable(pools.samples.values()), "pooled duration")
+        minutes = {
+            TravellerType(name): {int(m): n for m, n in counts.items()}
+            for name, counts in doc["reference"].items()
+        }
+        _counts(_row_values((minutes,)), "reference count")
+        reference = reference_from_minutes(minutes, partition)
     except KeyError as exc:
         raise ValueError(f"{path}: store has no key {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:

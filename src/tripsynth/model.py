@@ -263,10 +263,12 @@ class FeedbackCounts(TypeCounts):
 
     A minute's status changes only when its own count or T changes, so add
     keeps the list current: T rises by one, the minutes due back at the new
-    T re-enter, and the recorded minute is re-tested. A minute that leaves
-    waits in `_waiting`, keyed by the least T that puts it back in deficit
-    (n * R // r + 1), and `_due[m]` holds that key (0 while listed); an
-    entry whose key no longer matches `_due` is stale and skipped.
+    T re-enter, and the recorded minute is re-tested, which can only take
+    it off the list: a minute still waiting has r * T <= n * R < (n + 1) * R.
+    A minute that leaves waits in `_waiting`, keyed by the least T that
+    puts it back in deficit (n * R // r + 1), and `_due[m]` holds that key
+    (0 while listed); an entry whose key no longer matches `_due` is stale
+    and skipped.
     """
 
     __slots__ = ("ref", "shares", "_deficit", "_due", "_waiting")
@@ -298,11 +300,7 @@ class FeedbackCounts(TypeCounts):
         r = ref.minute[minute]
         if r:
             count, ref_total = self.minute[minute], ref.total
-            if r * total > count * ref_total:
-                if due[minute]:
-                    due[minute] = 0
-                    insort(listed, minute)
-            else:
+            if r * total <= count * ref_total:
                 if not due[minute]:
                     del listed[bisect_left(listed, minute)]
                 due[minute] = at = count * ref_total // r + 1

@@ -97,19 +97,10 @@ def _topk(counts: Counter, k_fraction: float, universe=None) -> set:
     return set(ranked[:n])
 
 
-def _by_individual(trips) -> dict:
-    grouped: dict = defaultdict(list)
-    for t in trips:
-        grouped[t.traveller_id].append(t)
-    for seq in grouped.values():
-        seq.sort(key=_TIME_ORDER)
-    return grouped
-
-
 def _by_type_and_individual(trips) -> dict:
     """{traveller type: {traveller id: trips}} from one scan. Each sequence
     is in (date, departure) order, and individuals keep their first-seen
-    order within a type, as `_by_individual` over that type's trips gives."""
+    order within a type."""
     grouped: dict = defaultdict(lambda: defaultdict(list))
     for t in trips:
         grouped[t.traveller_type][t.traveller_id].append(t)
@@ -117,22 +108,6 @@ def _by_type_and_individual(trips) -> dict:
         for seq in by_id.values():
             seq.sort(key=_TIME_ORDER)
     return grouped
-
-
-def _continuity(sequences) -> dict:
-    """Per-type continuity ratio over time-ordered per-individual sequences;
-    a sequence counts under the type of its first trip."""
-    pairs: Counter = Counter()
-    continuous: Counter = Counter()
-    for seq in sequences:
-        if len(seq) < 2:
-            continue
-        ttype = seq[0].traveller_type
-        pairs[ttype] += len(seq) - 1
-        continuous[ttype] += sum(
-            cur.o_zone == prev.d_zone for prev, cur in zip(seq, seq[1:])
-        )
-    return {t: continuous[t] / pairs[t] for t in pairs}
 
 
 def destination_entropy(trips) -> float:
@@ -222,6 +197,13 @@ class _TypeCounts:
     days: set  # days with a trip
     entropies: dict  # traveller id -> destination entropy
     frequencies: dict  # traveller id -> trips per day in `days`
+    pairs: int  # consecutive trip pairs within an individual's sequence
+    continuous: int  # pairs whose next origin is the previous destination
+
+    def continuity(self) -> float:
+        if not self.pairs:
+            raise ValueError("no consecutive trip pairs")
+        return self.continuous / self.pairs
 
 
 def _count_type(individuals: dict, granularity: int) -> _TypeCounts:
@@ -248,26 +230,13 @@ def _count_type(individuals: dict, granularity: int) -> _TypeCounts:
         days=days,
         entropies={tid: destination_entropy(seq) for tid, seq in individuals.items()},
         frequencies={tid: len(seq) / len(days) for tid, seq in individuals.items()},
+        pairs=len(trips) - len(individuals),
+        continuous=sum(
+            cur.o_zone == prev.d_zone
+            for seq in individuals.values()
+            for prev, cur in zip(seq, seq[1:])
+        ),
     )
-
-
-def _individual_sequences(groups: dict, trips) -> list:
-    """Every individual's time-ordered trips across types. An individual seen
-    under one type reuses that type's sequence; only individuals seen under
-    several types are grouped again from `trips`."""
-    seen = Counter(tid for by_id in groups.values() for tid in by_id)
-    mixed = {tid for tid, n in seen.items() if n > 1}
-    sequences = [
-        seq
-        for by_id in groups.values()
-        for tid, seq in by_id.items()
-        if tid not in mixed
-    ]
-    if mixed:
-        sequences.extend(
-            _by_individual(t for t in trips if t.traveller_id in mixed).values()
-        )
-    return sequences
 
 
 def _window_distribution(windows: Counter, n_windows: int, days=None) -> Distribution:
@@ -295,8 +264,11 @@ def build_report(
     summaries. Cells that cannot be computed carry the error text instead of
     a number. A granularity that does not divide the day is a ValueError.
 
-    Each table is grouped by type and individual once; every cell reads the
-    integer counts of that one scan, and the all-type cells sum the per-type
+    A row counts under its own type, and continuity runs within each (type,
+    traveller) sequence: pass records with one type per traveller, as
+    parse_trips returns them, for per-traveller figures. Each table is
+    grouped by type and individual once; every cell reads the integer
+    counts of that one scan, and the all-type cells sum the per-type
     counts.
     """
     n_windows = _window_count(granularity)
@@ -342,9 +314,6 @@ def build_report(
     _cell(report, "js_road", "", "",
           lambda: js_road(total(ref, "roads"), total(gen, "roads")))
 
-    cont_ref = _continuity(_individual_sequences(ref_groups, reference_trips))
-    cont_gen = _continuity(_individual_sequences(gen_groups, generated_trips))
-
     for ttype in types:
         name = ttype.value
         r, g = ref[ttype], gen[ttype]
@@ -364,8 +333,8 @@ def build_report(
             _cell(report, "od_overlap", name, f"{k:g}",
                   lambda: _overlap_cell(r.ods, g.ods, k))
         _cell(report, "js_road", name, "", lambda: js_road(r.roads, g.roads))
-        _cell(report, "continuity", name, "reference", lambda: _require(cont_ref, ttype))
-        _cell(report, "continuity", name, "generated", lambda: _require(cont_gen, ttype))
+        _cell(report, "continuity", name, "reference", r.continuity)
+        _cell(report, "continuity", name, "generated", g.continuity)
         _cell(report, "entropy_mean", name, "reference", lambda: _mean(r.entropies))
         _cell(report, "entropy_mean", name, "generated", lambda: _mean(g.entropies))
         _cell(report, "js_frequency", name, "",
@@ -373,12 +342,6 @@ def build_report(
         _cell(report, "js_entropy", name, "",
               lambda: _js_histograms(r.entropies, g.entropies, 0.25, 4.0))
     return report
-
-
-def _require(mapping, ttype):
-    if ttype not in mapping:
-        raise ValueError("no consecutive trip pairs")
-    return mapping[ttype]
 
 
 def _overlap_cell(ref_counts: Counter, gen_counts: Counter, k: float) -> float:

@@ -11,19 +11,15 @@ only the per-minute counts, and sum slot counts and totals from those.
 
 The per-metric oracles compute each report metric from the trip list on
 its own, one metric per scan; build_report computes them all from one scan.
+They do their own grouping, ranking and entropy, and take from the
+validator only the Distribution they return.
 """
-from collections import Counter
+import math
+from collections import Counter, defaultdict
 
 from tripsynth.corpus import CORPUS_SLOT_STARTS, LEG_WINDOWS
 from tripsynth.model import TimeSlotPartition, TravellerType
-from tripsynth.validator import (
-    Distribution,
-    _by_individual,
-    _continuity,
-    _topk,
-    _window_count,
-    destination_entropy,
-)
+from tripsynth.validator import Distribution
 
 # The generator's slot weights: reserved-slot scale, full-deficit feedback
 # and preference floor.
@@ -190,13 +186,30 @@ def _filtered(trips, ttype=None, day_filter=None):
         yield trip
 
 
+def _grouped(trips, key) -> dict:
+    """{key(trip): trips} in first-seen key order, each list stably sorted
+    by (date, departure)."""
+    groups: dict = defaultdict(list)
+    for t in trips:
+        groups[key(t)].append(t)
+    return {
+        k: sorted(seq, key=lambda t: (t.date, t.departure)) for k, seq in groups.items()
+    }
+
+
+def _traveller(trip):
+    return trip.traveller_id
+
+
 def temporal_distribution(
     trips, granularity: int = 15, ttype=None, day_filter=None
 ) -> Distribution:
     """Departure-time distribution over fixed windows of `granularity`
     minutes (which must divide the day). Bin labels are 1-based window
     indices and always cover the whole day."""
-    n_bins = _window_count(granularity)
+    if granularity < 1 or 1440 % granularity:
+        raise ValueError("granularity must divide 1440")
+    n_bins = 1440 // granularity
     counts = Counter(
         (t.departure - 1) // granularity + 1
         for t in _filtered(trips, ttype, day_filter)
@@ -215,6 +228,21 @@ def zone_visit_counts(trips, ttype=None) -> Counter:
 
 def od_pair_counts(trips, ttype=None) -> Counter:
     return Counter((t.o_zone, t.d_zone) for t in _filtered(trips, ttype))
+
+
+def _topk(counts: Counter, k_fraction: float, universe=None) -> set:
+    """The ceil(k * base) labels with the largest counts, ties to the
+    smaller label; base is the number of labels unless `universe` is given.
+    Errors carry the report's texts."""
+    if not 0.0 < k_fraction <= 1.0:
+        raise ValueError(f"k fraction out of (0, 1]: {k_fraction}")
+    if not counts:
+        raise ValueError("empty distribution")
+    n = math.ceil(k_fraction * (len(counts) if universe is None else universe))
+    if n > len(counts):
+        raise ValueError(f"only {len(counts)} ranked labels for top-{n} request")
+    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    return {label for label, _ in ranked[:n]}
 
 
 def topk_zones(trips, k_fraction: float, ttype=None, universe=None) -> set:
@@ -240,16 +268,34 @@ def road_access_counts(trips, ttype=None) -> Counter:
 
 
 def continuity_ratio(trips) -> dict:
-    """Per-type share of consecutive same-individual trip pairs whose next
-    origin equals the previous destination. Individuals with fewer than two
-    trips contribute no pairs; types without pairs are omitted."""
-    return _continuity(_by_individual(trips).values())
+    """Per-type share of consecutive trip pairs whose next origin equals the
+    previous destination, each type's pairs taken from an individual's
+    trips of that type in time order. Individuals with fewer than two trips
+    of a type contribute no pairs; types without pairs are omitted."""
+    pairs: Counter = Counter()
+    continuous: Counter = Counter()
+    by_type_and_id = _grouped(trips, lambda t: (t.traveller_type, t.traveller_id))
+    for (ttype, _), seq in by_type_and_id.items():
+        for prev, cur in zip(seq, seq[1:]):
+            pairs[ttype] += 1
+            continuous[ttype] += cur.o_zone == prev.d_zone
+    return {t: continuous[t] / pairs[t] for t in pairs}
+
+
+def destination_entropy(trips) -> float:
+    """Shannon entropy (nats) of the destinations of `trips`, summed over
+    the destinations in first-seen order."""
+    zones = [t.d_zone for t in trips]
+    if not zones:
+        raise ValueError("empty distribution")
+    total = len(zones)
+    shares = (zones.count(z) / total for z in dict.fromkeys(zones))
+    return -sum(share * math.log(share) for share in shares)
 
 
 def entropy_by_individual(trips) -> dict:
-    return {
-        tid: destination_entropy(seq) for tid, seq in sorted(_by_individual(trips).items())
-    }
+    grouped = _grouped(trips, _traveller)
+    return {tid: destination_entropy(seq) for tid, seq in sorted(grouped.items())}
 
 
 def daily_frequency_by_individual(trips) -> dict:
@@ -258,5 +304,5 @@ def daily_frequency_by_individual(trips) -> dict:
     days = {t.date for t in trips}
     if not days:
         return {}
-    grouped = _by_individual(trips)
+    grouped = _grouped(trips, _traveller)
     return {tid: len(seq) / len(days) for tid, seq in sorted(grouped.items())}

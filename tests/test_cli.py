@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import io
 import json
@@ -12,6 +13,7 @@ from tripsynth import cli
 from tripsynth.cli import ConfigError, load_config, main
 from tripsynth.corpus import CorpusSpec, synth_corpus
 from tripsynth.ingest import (
+    TRIP_HEADER,
     build_duration_pools,
     build_path_catalog,
     build_profiles,
@@ -387,7 +389,13 @@ def test_trips_csv_round_trips_any_legal_ids(table, delimiter):
     write_trips_csv(trips, buf, epoch, partition, delimiter)
     parsed = parse_trips(io.StringIO(buf.getvalue()), epoch, delimiter=delimiter)
     assert not parsed.errors
-    assert parsed.records == trips
+    # A traveller keeps the type of its first written row.
+    first_types = {}
+    for t in trips:
+        first_types.setdefault(t.traveller_id, t.traveller_type)
+    assert parsed.records == [
+        dataclasses.replace(t, traveller_type=first_types[t.traveller_id]) for t in trips
+    ]
 
 
 # Road ids in the zone table may not contain the road-list separator ";" and
@@ -436,6 +444,23 @@ def _with_profile_type(doc, name):
 def _with_window_days(doc, value):
     doc["window_days"] = value
     return doc
+
+
+def _with_entry(doc, steps, value):
+    """Set the entry of `doc` at `steps` to `value`; a None step stands for
+    the first key of a dict."""
+    *parents, last = steps
+    for step in parents:
+        doc = doc[next(iter(doc)) if step is None else step]
+    doc[next(iter(doc)) if last is None else last] = value
+
+
+# A traveller typed commuter, then random twice; the parser keeps commuter.
+MIXED_ROWS = (
+    "X,commuter,2019-08-12,07:00,,Z01,Z02,R01_02,10\n"
+    "X,random,2019-08-12,09:00,,Z02,Z01,R01_02,10\n"
+    "X,random,2019-08-13,07:00,,Z03,Z02,R01_02,10\n"
+)
 
 
 class TestPipeline:
@@ -592,6 +617,72 @@ class TestPipeline:
         assert main(["generate", "-c", cfg]) == 1
         errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
         assert len(errors) == 1 and str(store) in errors[0]
+
+    @pytest.mark.parametrize(
+        "steps,value",
+        [
+            (("reference", "commuter", None), -1_000_000),
+            (("profiles", None, "od", None, None), -50),
+            (("profiles", None, "od", None, None), True),
+            (("profiles", None, "od", None, None), 2.5),
+            (("profiles", None, "slot_origin", None, None), -3),
+            (("profiles", None, "slot_origin", "99"), {"Z01": 1}),
+            (("catalog", 0, 2, 0, 1), -4),
+            (("pools", 0, 2, 0), 2.5),
+            (("pools", 0, 2, 0), -5),
+            (("pools", 0, 1), 99),
+            (("pools", 0, 1), True),
+        ],
+        ids=["reference-count-negative", "od-count-negative", "od-count-bool",
+             "od-count-fraction", "slot-origin-count-negative", "slot-origin-slot-99",
+             "catalog-count-negative", "pooled-duration-fraction",
+             "pooled-duration-negative", "pool-slot-99", "pool-slot-bool"],
+    )
+    def test_bad_store_value_fails_generate(self, cfg, tmp_path, caplog, steps, value):
+        # Refused on load, before any row is written, in one line naming
+        # the store.
+        assert main(["corpus", "-c", cfg]) == 0
+        assert main(["ingest", "-c", cfg]) == 0
+        store = tmp_path / "build" / "store.json"
+        doc = json.loads(store.read_text())
+        _with_entry(doc, steps, value)
+        store.write_text(json.dumps(doc))
+        caplog.clear()
+        assert main(["generate", "-c", cfg]) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and f"{store}: malformed store" in errors[0]
+        assert not (tmp_path / "out" / "generated.csv").exists()
+
+    def test_mixed_types_reference_matches_profiles(self, cfg, tmp_path, caplog):
+        # Per type, the reference's slot totals are the profiles' slot
+        # counts summed: both come from the same rows under one type each.
+        assert main(["corpus", "-c", cfg]) == 0
+        with (tmp_path / "data" / "trips.csv").open("a") as fh:
+            fh.write(MIXED_ROWS)
+        assert main(["ingest", "-c", cfg]) == 0
+        assert "retyped 1 travellers" in caplog.text
+        store = load_store(tmp_path / "build" / "store.json")
+        assert store.profiles["X"].traveller_type is TravellerType.COMMUTER
+        assert store.profiles["X"].total_trips == 3
+        for ttype, counts in store.reference.by_type.items():
+            slots = [0] * len(counts.slot)
+            for profile in store.profiles.values():
+                if profile.traveller_type is ttype:
+                    for slot_id, by_origin in profile.slot_origin_counts.items():
+                        slots[slot_id] += sum(by_origin.values())
+            assert counts.slot == slots, ttype
+
+    def test_validate_counts_retyped_rows_under_first_type(self, cfg, tmp_path):
+        mixed = tmp_path / "mixed.csv"
+        mixed.write_text(",".join(TRIP_HEADER) + "\n" + MIXED_ROWS)
+        assert main(["validate", "-c", cfg, "--reference", str(mixed),
+                     "--generated", str(mixed)]) == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "out" / "report.csv").read_text().splitlines()[3:]]
+        assert {row[1] for row in rows} == {"", "commuter"}
+        # X's three trips form two pairs; the Z03 origin breaks the second.
+        assert ["continuity", "commuter", "reference", "0.5"] in rows
+        assert ["entropy_mean", "commuter", "reference", "0.6365141683"] in rows
 
     @pytest.mark.parametrize(
         "epoch,holidays",

@@ -150,6 +150,30 @@ def test_blank_lines_skipped():
     assert len(result.records) == 1 and not result.errors
 
 
+def test_traveller_keeps_its_first_accepted_type(caplog):
+    result = parse(
+        [
+            "X,commuter,0,07:00,,Z1,Z2,r1,10",
+            "X,random,0,09:00,,Z2,Z1,r1,10",
+            "W,stable,bad,07:00,,Z1,Z2,r1,10",  # rejected: fixes no type
+            "W,high_freq,0,08:00,,Z1,Z2,r1,10",
+            "X,random,1,07:00,,Z1,Z2,r1,10",
+            "W,passby,1,08:00,,Z2,Z1,r1,10",
+            "Y,random,0,10:00,,Z1,Z2,r1,10",
+        ]
+    )
+    assert [(t.traveller_id, t.traveller_type.value) for t in result.records] == [
+        ("X", "commuter"),
+        ("X", "commuter"),
+        ("W", "high_freq"),
+        ("X", "commuter"),
+        ("W", "high_freq"),
+        ("Y", "random"),
+    ]
+    assert [e.reason for e in result.errors] == ["bad date"]
+    assert "retyped 2 travellers seen under several types" in caplog.text
+
+
 def test_same_id_and_zone_texts_share_one_string():
     a, b, c = parse(
         [
@@ -187,6 +211,7 @@ def test_blank_traveller_id_rejected(caplog):
     ]
     assert [t.traveller_id for t in result.records] == ["V1"]
     assert "rejected 2 trip rows" in caplog.text
+    assert "retyped" not in caplog.text
 
 
 def test_parsed_records_hold_under_160_bytes_per_row():

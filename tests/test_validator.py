@@ -19,6 +19,7 @@ from tripsynth.validator import (
 from oracles import (
     continuity_ratio,
     daily_frequency_by_individual,
+    destination_entropy as oracle_entropy,
     entropy_by_individual,
     od_pair_counts,
     road_access_counts,
@@ -378,7 +379,7 @@ def oracle_report(ref, gen, granularity, day_class_of, zone_ks, od_ks) -> list:
     def mean_entropy(trips, ttype):
         mine = only(trips, ttype)
         values = [
-            destination_entropy(
+            oracle_entropy(
                 sorted((t for t in mine if t.traveller_id == tid),
                        key=lambda t: (t.date, t.departure))
             )
