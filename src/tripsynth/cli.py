@@ -310,19 +310,15 @@ def cmd_ingest(config: Config) -> int:
             duration_divisor=config.duration_divisor(),
             delimiter=config.csv_delimiter,
         )
-    if not parsed.records:
+    table = parsed.records
+    if not table:
         log.error("no usable trip rows (rejected: %d)", len(parsed.errors))
         return 1
     # Zones and network are checked here but not stored: generate reads
     # neither.
     with _read_table(config.path("zones")) as fh:
         zone_ids = {z.zone_id for z in parse_zones(fh, delimiter=config.csv_delimiter)}
-    unknown_zones = {
-        zone
-        for t in parsed.records
-        for zone in (t.o_zone, t.d_zone)
-        if zone not in zone_ids
-    }
+    unknown_zones = {table.names[z] for z in {*table.o_zone, *table.d_zone}} - zone_ids
     if unknown_zones:
         log.warning("%d trip zones missing from zone table", len(unknown_zones))
     if "network" in config.paths:
@@ -332,19 +328,17 @@ def cmd_ingest(config: Config) -> int:
             return 1
         with _read_table(network_path) as fh:
             roads = parse_network(fh)
-        unknown_roads = {
-            road for t in parsed.records for road in t.path if road not in roads
-        }
+        unknown_roads = {road for p in set(table.path) for road in table.paths[p]} - roads
         if unknown_roads:
             log.warning("%d roads in paths missing from network", len(unknown_roads))
 
-    profiles = build_profiles(parsed.records, config.partition, config.window_days)
-    catalog = build_path_catalog(parsed.records)
-    pools = build_duration_pools(parsed.records, config.partition)
-    reference = build_reference_aggregates(parsed.records, config.partition)
-    # The store holds only the aggregates: free the rows before it is built.
-    n_trips, n_rejected = len(parsed.records), len(parsed.errors)
-    del parsed
+    profiles = build_profiles(table, config.partition, config.window_days)
+    catalog = build_path_catalog(table)
+    pools = build_duration_pools(table, config.partition)
+    reference = build_reference_aggregates(table, config.partition)
+    # The store holds only the aggregates: free the rows before it is written.
+    n_trips, n_rejected = len(table), len(parsed.errors)
+    del parsed, table
 
     store_path = config.path("store")
     store_path.parent.mkdir(parents=True, exist_ok=True)

@@ -3,9 +3,10 @@
 The tables are flat CSV: a trip table, a zone table, and an optional road
 network edge list, of which only the road ids are read: generation draws
 whole observed routes, so adjacency is never checked. Malformed trip rows are
-collected, not fatal; a parse returns both the accepted records and per-row
-errors. Each table's writer sits next to its parser and shares its header
-and separator constants; the JSON store sits next to the types it holds.
+collected, not fatal; a parse returns both the accepted rows, as the
+columns of a TripTable that the builders fold, and per-row errors. Each
+table's writer sits next to its parser and shares its header and separator
+constants; the JSON store sits next to the types it holds.
 """
 from __future__ import annotations
 
@@ -15,17 +16,20 @@ import functools
 import json
 import logging
 import math
+from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress
+from operator import ne
 from pathlib import Path
 
 from .model import (
     AggregationLedger,
     IndividualProfile,
     TimeSlotPartition,
+    TYPE_ORDER,
     TravellerType,
-    TripRecord,
+    TripTable,
     Zone,
     hhmm_to_minute,
     minute_to_hhmm,
@@ -66,7 +70,7 @@ class RowError:
 
 @dataclass
 class ParseResult:
-    records: list = field(default_factory=list)
+    records: TripTable = field(default_factory=TripTable)
     errors: list = field(default_factory=list)
 
     @property
@@ -99,19 +103,19 @@ def parse_day_index(text: str, epoch: dt.date) -> int:
     return (dt.date.fromisoformat(text) - epoch).days
 
 
-def _memo(cache: dict, text: str, parse):
-    """parse(text), stored in `cache` under `text`; None when parse raises
-    ValueError. Callers look `text` up first and call this on a miss."""
-    try:
-        value = parse(text)
-    except ValueError:
-        value = None
-    cache[text] = value
-    return value
+class _Memo(dict):
+    """parse(text) of each text looked up, None where it raises ValueError."""
 
+    def __init__(self, parse):
+        self.parse = parse
 
-# Marks a text not yet in a memo, whose values include None.
-_MISSING = object()
+    def __missing__(self, text):
+        try:
+            value = self.parse(text)
+        except ValueError:
+            value = None
+        self[text] = value
+        return value
 
 
 def _at_line(reader, exc: csv.Error) -> csv.Error:
@@ -126,7 +130,7 @@ def parse_trips(
     duration_divisor: float = 1.0,
     delimiter: str = ",",
 ) -> ParseResult:
-    """Parse a historical trip CSV into TripRecords.
+    """Parse a historical trip CSV into a TripTable.
 
     The textual time-slot column is not read: a slot is always derived from
     the departure minute under the partition in use. Durations are
@@ -136,10 +140,10 @@ def parse_trips(
     Each accepted row takes the type of its traveller's first accepted
     row; a warning counts the travellers whose rows named several types.
 
-    Each distinct type, date, time, duration and path text is parsed once per
-    call; rows with the same path text share one path tuple, and rows with
-    the same id or zone text one str. A csv.Error names the line it
-    stopped at.
+    Each distinct type, date, time, duration, path, id and zone text is
+    parsed once per call; rows go straight into the table's columns, and
+    texts that strip or split to the same id, zone or path share one code.
+    A csv.Error names the line it stopped at.
     """
     reader = csv.reader(stream, delimiter=delimiter)
     try:
@@ -152,9 +156,6 @@ def parse_trips(
     width = max(columns) + 1
     c_id, c_type, c_date, c_time, _, c_o, c_d, c_path, c_dur = columns
 
-    def parse_day(text):
-        return parse_day_index(text, epoch)
-
     def parse_duration(text):
         minutes = float(text) / duration_divisor
         if not math.isfinite(minutes):  # round() raises OverflowError on inf
@@ -164,21 +165,31 @@ def parse_trips(
             raise ValueError(text)
         return duration
 
-    # text -> parsed value, or None for a text that is rejected
-    types: dict = {}
-    days: dict = {}
-    times: dict = {}
-    durations: dict = {}
-    paths: dict = {}
-    # raw id or zone text -> its stripped value, one str per distinct text
-    names: dict = {}
-    # traveller id -> the type of its first accepted row
-    first_types: dict = {}
-    retyped = set()
-
     result = ParseResult()
     errors = result.errors
-    records = result.records
+    table = result.records
+    name_codes, path_codes = {}, {}  # name or path -> its code, in first-seen order
+
+    def parse_name(text):
+        name = text.strip()
+        if not name:
+            raise ValueError(text)
+        return name_codes.setdefault(name, len(name_codes))
+
+    def parse_path(text):
+        path = tuple(p for p in text.split(PATH_SEPARATOR) if p)
+        if not path:
+            raise ValueError(text)
+        return path_codes.setdefault(path, len(path_codes))
+
+    # text -> parsed value or code, None for a rejected text
+    types = _Memo(lambda text: TYPE_ORDER.index(TravellerType.parse(text)))
+    days = _Memo(lambda text: parse_day_index(text, epoch))
+    times = _Memo(hhmm_to_minute)
+    durations = _Memo(parse_duration)
+    paths = _Memo(parse_path)
+    names = _Memo(parse_name)
+    append = table.append
     try:
         for row in reader:
             line = reader.line_num
@@ -188,77 +199,43 @@ def parse_trips(
                 if "".join(row).strip():
                     errors.append(RowError(line, "short row", f"{len(row)} fields"))
                 continue
-            text = row[c_type]
-            ttype = types.get(text, _MISSING)
-            if ttype is _MISSING:
-                ttype = _memo(types, text, TravellerType.parse)
+            ttype = types[row[c_type]]
             if ttype is None:
                 if "".join(row).strip():
-                    errors.append(RowError(line, "unknown traveller type", text))
+                    errors.append(RowError(line, "unknown traveller type", row[c_type]))
                 continue
-            text = row[c_date]
-            day = days.get(text, _MISSING)
-            if day is _MISSING:
-                day = _memo(days, text, parse_day)
+            day = days[row[c_date]]
             if day is None:
-                errors.append(RowError(line, "bad date", text))
+                errors.append(RowError(line, "bad date", row[c_date]))
                 continue
-            text = row[c_time]
-            departure = times.get(text, _MISSING)
-            if departure is _MISSING:
-                departure = _memo(times, text, hhmm_to_minute)
+            departure = times[row[c_time]]
             if departure is None:
-                errors.append(RowError(line, "bad departure time", text))
+                errors.append(RowError(line, "bad departure time", row[c_time]))
                 continue
-            text = row[c_dur]
-            duration = durations.get(text, _MISSING)
-            if duration is _MISSING:
-                duration = _memo(durations, text, parse_duration)
+            duration = durations[row[c_dur]]
             if duration is None:
-                errors.append(RowError(line, "bad duration", text))
+                errors.append(RowError(line, "bad duration", row[c_dur]))
                 continue
-            text = row[c_path]
-            path = paths.get(text)
+            path = paths[row[c_path]]
             if path is None:
-                path = paths[text] = tuple(p for p in text.split(PATH_SEPARATOR) if p)
-            if not path:
                 errors.append(RowError(line, "empty path"))
                 continue
-            text = row[c_o]
-            o_zone = names.get(text)
-            if o_zone is None:
-                o_zone = names[text] = text.strip()
-            text = row[c_d]
-            d_zone = names.get(text)
-            if d_zone is None:
-                d_zone = names[text] = text.strip()
-            if not o_zone or not d_zone:
+            o_zone, d_zone = names[row[c_o]], names[row[c_d]]
+            if o_zone is None or d_zone is None:
                 errors.append(RowError(line, "missing zone"))
                 continue
-            text = row[c_id]
-            traveller_id = names.get(text)
-            if traveller_id is None:
-                traveller_id = names[text] = text.strip()
-            if not traveller_id:
+            traveller = names[row[c_id]]
+            if traveller is None:
                 errors.append(RowError(line, "missing traveller id"))
                 continue
-            first = first_types.setdefault(traveller_id, ttype)
-            if first is not ttype:
-                retyped.add(traveller_id)
-            records.append(
-                TripRecord(
-                    traveller_id=traveller_id,
-                    traveller_type=first,
-                    date=day,
-                    departure=departure,
-                    o_zone=o_zone,
-                    d_zone=d_zone,
-                    path=path,
-                    duration=duration,
-                )
-            )
+            append(traveller, ttype, day, departure, o_zone, d_zone, path, duration)
     except csv.Error as exc:
         raise _at_line(reader, exc) from None
+    table.names, table.paths = list(name_codes), list(path_codes)
+    first_types = table.first_types()
+    ttype = array("b", map(first_types.__getitem__, table.traveller))
+    retyped = len(set(compress(table.traveller, map(ne, table.ttype, ttype))))
+    table.ttype = ttype
     if result.errors:
         log.warning(
             "rejected %d trip rows: %s",
@@ -268,7 +245,7 @@ def parse_trips(
     if retyped:
         log.warning(
             "retyped %d travellers seen under several types to their first type",
-            len(retyped),
+            retyped,
         )
     return result
 
@@ -408,33 +385,28 @@ def build_profiles(trips, partition: TimeSlotPartition, window_days: int) -> dic
     """
     if window_days < 1:
         raise ValueError("window_days must be >= 1")
-    types: dict = {}
-    od_counts: dict = defaultdict(lambda: defaultdict(Counter))
-    slot_origin: dict = defaultdict(lambda: defaultdict(Counter))
-    dates = set()
-
-    for trip in trips:
-        tid = trip.traveller_id
-        types.setdefault(tid, trip.traveller_type)
-        dates.add(trip.date)
-        od_counts[tid][trip.o_zone][trip.d_zone] += 1
-        slot_origin[tid][partition.slot_of(trip.departure).slot_id][trip.o_zone] += 1
-
-    if dates and max(dates) - min(dates) + 1 > window_days:
-        raise ValueError(
-            f"trip dates span {max(dates) - min(dates) + 1} days, "
-            f"more than window_days = {window_days}"
-        )
-
+    table = TripTable.of(trips)
+    names = table.names
+    if table.date and max(table.date) - min(table.date) + 1 > window_days:
+        raise ValueError(f"trip dates span {max(table.date) - min(table.date) + 1} days, "
+                         f"more than window_days = {window_days}")
+    types = table.first_types()
+    od_counts: dict = defaultdict(lambda: defaultdict(dict))
+    for (tid, o, d), n in Counter(zip(table.traveller, table.o_zone, table.d_zone)).items():
+        od_counts[tid][names[o]][names[d]] = n
+    slots = map(partition.slot_ids().__getitem__, table.departure)
+    slot_origin: dict = defaultdict(lambda: defaultdict(dict))
+    for (tid, slot, o), n in Counter(zip(table.traveller, slots, table.o_zone)).items():
+        slot_origin[tid][slot][names[o]] = n
     return {
-        tid: IndividualProfile(
-            traveller_id=tid,
-            traveller_type=types[tid],
-            od_counts={o: dict(dst) for o, dst in od_counts[tid].items()},
-            slot_origin_counts={s: dict(by_o) for s, by_o in slot_origin[tid].items()},
+        names[tid]: IndividualProfile(
+            traveller_id=names[tid],
+            traveller_type=TYPE_ORDER[types[tid]],
+            od_counts=dict(od_counts[tid]),
+            slot_origin_counts=dict(slot_origin[tid]),
             observed_days=window_days,
         )
-        for tid in sorted(types)
+        for tid in sorted(types, key=names.__getitem__)
     }
 
 
@@ -477,12 +449,14 @@ def path_id_of(path) -> str:
 
 def build_path_catalog(trips) -> PathCatalog:
     """Pool paths across all individuals per OD pair, counting occurrences."""
+    table = TripTable.of(trips)
+    names, paths = table.names, table.paths
     counts: dict = defaultdict(Counter)
     paths_by_id: dict = {}
-    for trip in trips:
-        pid = path_id_of(trip.path)
-        counts[(trip.o_zone, trip.d_zone)][pid] += 1
-        paths_by_id[pid] = trip.path
+    for (o, d, p), n in Counter(zip(table.o_zone, table.d_zone, table.path)).items():
+        pid = path_id_of(paths[p])
+        counts[(names[o], names[d])][pid] += n
+        paths_by_id[pid] = paths[p]
     entries = {}
     for od in sorted(counts):
         entries[od] = tuple(
@@ -508,18 +482,25 @@ class DurationPool:
 
 
 def build_duration_pools(trips, partition: TimeSlotPartition) -> DurationPool:
+    table = TripTable.of(trips)
+    path_ids = [path_id_of(p) for p in table.paths]
+    keys = zip(map(path_ids.__getitem__, table.path),
+               map(partition.slot_ids().__getitem__, table.departure))
     samples: dict = defaultdict(list)
-    for trip in trips:
-        slot_id = partition.slot_of(trip.departure).slot_id
-        samples[(path_id_of(trip.path), slot_id)].append(trip.duration)
+    for key, duration in zip(keys, table.duration):
+        samples[key].append(duration)
     return DurationPool({k: tuple(sorted(v)) for k, v in samples.items()})
 
 
 def build_reference_aggregates(trips, partition: TimeSlotPartition) -> AggregationLedger:
-    """Count departures per minute and per slot, keyed by traveller type."""
-    per_type_minutes: dict = defaultdict(Counter)
-    for trip in trips:
-        per_type_minutes[trip.traveller_type][trip.departure] += 1
+    """Count departures per minute and per slot, keyed by traveller type:
+    the type of each traveller's first row, the one build_profiles keeps."""
+    table = TripTable.of(trips)
+    types = table.first_types()
+    per_type_minutes: dict = defaultdict(dict)
+    row_types = map(types.__getitem__, table.traveller)
+    for (t, minute), n in Counter(zip(row_types, table.departure)).items():
+        per_type_minutes[TYPE_ORDER[t]][minute] = n
     return reference_from_minutes(per_type_minutes, partition)
 
 
@@ -539,39 +520,48 @@ def reference_from_minutes(
 # Store: versioned, deterministic JSON.
 
 
+def _joined(texts):
+    """`texts` separated by commas."""
+    for i, text in enumerate(texts):
+        yield "," + text if i else text
+
+
 def save_store(path, *, partition, window_days, profiles, catalog, pools,
                reference) -> None:
     """Persist only what `generate` cannot derive: per-individual OD and
     slot x origin counts, the route catalog, per-(route, slot) durations
     and the per-type reference departures. Ids are stored as JSON strings
-    and lists, never joined with a delimiter."""
-    doc = {
-        "version": STORE_VERSION,
-        "window_days": window_days,
-        "partition": partition.boundaries(),
-        "profiles": {
-            tid: {
+    and lists, never joined with a delimiter.
+
+    The document is written one section and one element at a time, its
+    keys in sorted order: the file holds json.dumps(document,
+    sort_keys=True, separators=(",", ":")) and a newline, never whole."""
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    with open(path, "w") as fh:
+        fh.write('{"catalog":[')
+        fh.writelines(_joined(
+            encode([o, d, [[e.path_id, e.crowd_count] for e in catalog.get(o, d)]])
+            for o, d in catalog.od_pairs()
+        ))
+        fh.write(f'],"partition":{encode(partition.boundaries())},"pools":[')
+        fh.writelines(_joined(
+            encode([pid, slot, list(v)]) for (pid, slot), v in sorted(pools.samples.items())
+        ))
+        fh.write('],"profiles":{')
+        fh.writelines(_joined(
+            encode(tid) + ":" + encode({
                 "type": p.traveller_type.value,
                 "od": p.od_counts,
-                "slot_origin": {
-                    str(s): by_o for s, by_o in p.slot_origin_counts.items()
-                },
-            }
-            for tid, p in profiles.items()
-        },
-        "catalog": [
-            [o, d, [[e.path_id, e.crowd_count] for e in catalog.get(o, d)]]
-            for o, d in catalog.od_pairs()
-        ],
-        "pools": [
-            [pid, slot, list(v)] for (pid, slot), v in sorted(pools.samples.items())
-        ],
-        "reference": {
-            ttype.value: {str(m): n for m, n in enumerate(counts.minute) if n}
-            for ttype, counts in reference.by_type.items()
-        },
-    }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+                "slot_origin": {str(s): by_o for s, by_o in p.slot_origin_counts.items()},
+            })
+            for tid, p in sorted(profiles.items())
+        ))
+        fh.write('},"reference":{')
+        fh.writelines(_joined(
+            encode(name) + ":" + encode({str(m): n for m, n in enumerate(counts.minute) if n})
+            for name, counts in sorted((t.value, c) for t, c in reference.by_type.items())
+        ))
+        fh.write(f'}},"version":{STORE_VERSION},"window_days":{encode(window_days)}}}\n')
 
 
 @dataclass
@@ -603,7 +593,9 @@ def load_store(path) -> Store:
     """The store saved at `path`. A file that is not JSON, not a store of
     this version or malformed inside is a ValueError naming the file.
     Malformed includes a count or a pooled duration that is not an int of
-    at least 1, and a slot id outside the partition."""
+    at least 1, a slot id outside the partition, a profile whose slot x
+    origin counts do not sum to its OD counts per origin, and a type whose
+    reference slot totals are not the sums of its profiles' slot counts."""
     try:
         doc = json.loads(Path(path).read_text())
     except ValueError as exc:
@@ -653,6 +645,23 @@ def load_store(path) -> Store:
         }
         _counts(_row_values((minutes,)), "reference count")
         reference = reference_from_minutes(minutes, partition)
+        zero = [0] * (len(partition) + 1)
+        by_type: dict = {}  # type -> profile trips by slot id
+        for p in kept:
+            slots = by_type.setdefault(p.traveller_type, zero.copy())
+            by_origin: dict = {}
+            for slot, by_o in p.slot_origin_counts.items():
+                slots[slot] += sum(by_o.values())
+                for o, n in by_o.items():
+                    by_origin[o] = by_origin.get(o, 0) + n
+            if by_origin != p.per_origin:
+                raise ValueError(f"profile {p.traveller_id!r}: slot x origin counts "
+                                 "differ from its OD counts per origin")
+        for ttype in TYPE_ORDER:
+            counts = reference.by_type.get(ttype)
+            if (counts.slot[:len(zero)] if counts else zero) != by_type.get(ttype, zero):
+                raise ValueError(f"reference {ttype.value!r}: slot totals differ from "
+                                 "the sums of its profiles' slot counts")
     except KeyError as exc:
         raise ValueError(f"{path}: store has no key {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:

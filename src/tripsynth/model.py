@@ -5,6 +5,7 @@ Calendar dates only exist at the CSV boundary; see `ingest` and `cli`.
 """
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, insort
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -136,6 +137,10 @@ class TimeSlotPartition:
             raise ValueError(f"minute out of range: {minute}")
         return self._by_minute[minute]
 
+    def slot_ids(self) -> tuple:
+        """The slot id of each minute of day, by index (index 0 unused)."""
+        return (0,) + tuple(s.slot_id for s in self._by_minute[1:])
+
     def by_id(self, slot_id: int) -> TimeSlot:
         if not 1 <= slot_id <= len(self.slots):
             raise ValueError(f"unknown slot id: {slot_id}")
@@ -169,8 +174,8 @@ class TripRecord:
     """One observed or synthesized trip.
 
     Not frozen: a frozen dataclass sets each field through
-    object.__setattr__, and a record is built for every parsed row and
-    every generated trip. Nothing mutates a record once built.
+    object.__setattr__, and a record is built for every generated trip.
+    Nothing mutates a record once built.
     """
 
     traveller_id: str
@@ -191,6 +196,62 @@ class TripRecord:
             raise ValueError("empty path")
         if not self.o_zone or not self.d_zone:
             raise ValueError("missing zone id")
+
+
+class TripTable:
+    """Trips as parallel columns. Traveller ids and zones are int codes
+    into `names`, shared by both roles, and paths are codes into `paths`;
+    `ttype` holds TYPE_ORDER indexes. Dates and durations are lists, as
+    their ints have no fixed width. Iteration yields TripRecords."""
+
+    __slots__ = ("names", "paths", "traveller", "ttype", "date", "departure",
+                 "o_zone", "d_zone", "path", "duration")
+
+    def __init__(self):
+        self.names, self.paths, self.date, self.duration = [], [], [], []
+        self.traveller, self.o_zone, self.d_zone, self.path = (array("i") for _ in range(4))
+        self.ttype, self.departure = array("b"), array("h")
+
+    @classmethod
+    def of(cls, trips) -> "TripTable":
+        """`trips` itself if it is a table, else its TripRecords packed
+        into a new one."""
+        if isinstance(trips, cls):
+            return trips
+        table = cls()
+        names, paths = {}, {}  # name or path -> its code, in first-seen order
+        for t in trips:
+            table.append(names.setdefault(t.traveller_id, len(names)),
+                         TYPE_ORDER.index(t.traveller_type), t.date, t.departure,
+                         names.setdefault(t.o_zone, len(names)),
+                         names.setdefault(t.d_zone, len(names)),
+                         paths.setdefault(t.path, len(paths)), t.duration)
+        table.names, table.paths = list(names), list(paths)
+        return table
+
+    def append(self, traveller, ttype, date, departure, o_zone, d_zone, path, duration):
+        """Add one row, its names, type and path given as codes."""
+        self.traveller.append(traveller)
+        self.ttype.append(ttype)
+        self.date.append(date)
+        self.departure.append(departure)
+        self.o_zone.append(o_zone)
+        self.d_zone.append(d_zone)
+        self.path.append(path)
+        self.duration.append(duration)
+
+    def first_types(self) -> dict:
+        """{traveller code: the type index of its first row}."""
+        return dict(zip(reversed(self.traveller), reversed(self.ttype)))
+
+    def __len__(self):
+        return len(self.date)
+
+    def __iter__(self):
+        name = self.names.__getitem__
+        return map(TripRecord, map(name, self.traveller), map(TYPE_ORDER.__getitem__, self.ttype),
+                   self.date, self.departure, map(name, self.o_zone), map(name, self.d_zone),
+                   map(self.paths.__getitem__, self.path), self.duration)
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,12 @@ each other must be built over an identical, explicitly shared bin set.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter, defaultdict
-from dataclasses import dataclass
-from operator import attrgetter
+from dataclasses import dataclass, field
+from operator import eq
 
-from .model import MINUTES_PER_DAY, TYPE_ORDER
+from .model import MINUTES_PER_DAY, TYPE_ORDER, TripTable
 
 
 @dataclass(frozen=True)
@@ -75,9 +76,6 @@ def overlap_ratio(observed: set, generated: set) -> float:
     return len(observed & generated) / len(observed)
 
 
-_TIME_ORDER = attrgetter("date", "departure")
-
-
 def _window_count(granularity: int) -> int:
     if granularity < 1 or MINUTES_PER_DAY % granularity:
         raise ValueError(f"granularity must divide {MINUTES_PER_DAY}")
@@ -97,22 +95,12 @@ def _topk(counts: Counter, k_fraction: float, universe=None) -> set:
     return set(ranked[:n])
 
 
-def _by_type_and_individual(trips) -> dict:
-    """{traveller type: {traveller id: trips}} from one scan. Each sequence
-    is in (date, departure) order, and individuals keep their first-seen
-    order within a type."""
-    grouped: dict = defaultdict(lambda: defaultdict(list))
-    for t in trips:
-        grouped[t.traveller_type][t.traveller_id].append(t)
-    for by_id in grouped.values():
-        for seq in by_id.values():
-            seq.sort(key=_TIME_ORDER)
-    return grouped
-
-
 def destination_entropy(trips) -> float:
     """Shannon entropy (nats) of one individual's destination distribution."""
-    counts = Counter(t.d_zone for t in trips)
+    return _entropy(Counter(t.d_zone for t in trips))
+
+
+def _entropy(counts: Counter) -> float:
     total = sum(counts.values())
     if total == 0:
         raise ValueError("empty distribution")
@@ -190,15 +178,16 @@ class _TypeCounts:
     """One traveller type's trips in one table, reduced to what the report
     cells read."""
 
-    windows: Counter  # (day, window of the day) -> departures
-    roads: Counter  # road -> trips touching it
-    visits: Counter  # zone -> trip ends
-    ods: Counter  # (origin, destination) -> trips
-    days: set  # days with a trip
-    entropies: dict  # traveller id -> destination entropy
-    frequencies: dict  # traveller id -> trips per day in `days`
-    pairs: int  # consecutive trip pairs within an individual's sequence
-    continuous: int  # pairs whose next origin is the previous destination
+    windows: Counter = field(default_factory=Counter)  # (day, window) -> departures
+    roads: Counter = field(default_factory=Counter)  # road -> trips touching it
+    visits: Counter = field(default_factory=Counter)  # zone -> trip ends
+    ods: Counter = field(default_factory=Counter)  # (origin, destination) -> trips
+    days: set = field(default_factory=set)  # days with a trip
+    # traveller -> destination entropy, and trips per day in `days`
+    entropies: dict = field(default_factory=dict)
+    frequencies: dict = field(default_factory=dict)
+    pairs: int = 0  # consecutive trip pairs within an individual's sequence
+    continuous: int = 0  # pairs whose next origin is the previous destination
 
     def continuity(self) -> float:
         if not self.pairs:
@@ -206,37 +195,42 @@ class _TypeCounts:
         return self.continuous / self.pairs
 
 
-def _count_type(individuals: dict, granularity: int) -> _TypeCounts:
-    """Count one type's per-individual sequences. Roads are counted once per
-    distinct path, and zone visits come from the OD counts."""
-    trips = [t for seq in individuals.values() for t in seq]
-    windows = Counter([(t.date, (t.departure - 1) // granularity + 1) for t in trips])
-    paths = Counter([t.path for t in trips])
-    ods = Counter([(t.o_zone, t.d_zone) for t in trips])
-    days = {day for day, _ in windows}
-    roads: Counter = Counter()
-    for path, n in paths.items():
-        for road in set(path):
+def _count_types(table: TripTable, granularity: int) -> dict:
+    """{traveller type: _TypeCounts} of one table. Each (type, traveller)
+    sequence is taken in (date, departure) order, ties in row order, with
+    travellers in first-seen order; roads count once per distinct path,
+    and zone visits come from the OD counts."""
+    names, ttype, date, departure = table.names, table.ttype, table.date, table.departure
+    o_zone, d_zone = table.o_zone, table.d_zone
+    window_of = [0] + [(m - 1) // granularity + 1 for m in range(1, MINUTES_PER_DAY + 1)]
+    by_type: dict = defaultdict(_TypeCounts)
+    windows = zip(ttype, date, map(window_of.__getitem__, departure))
+    for (t, day, window), n in Counter(windows).items():
+        counts = by_type[TYPE_ORDER[t]]
+        counts.windows[(day, window)] = n
+        counts.days.add(day)
+    for (t, p), n in Counter(zip(ttype, table.path)).items():
+        roads = by_type[TYPE_ORDER[t]].roads
+        for road in set(table.paths[p]):
             roads[road] += n
-    visits: Counter = Counter()
-    for (o, d), n in ods.items():
-        visits[o] += n
-        visits[d] += n
-    return _TypeCounts(
-        windows=windows,
-        roads=roads,
-        visits=visits,
-        ods=ods,
-        days=days,
-        entropies={tid: destination_entropy(seq) for tid, seq in individuals.items()},
-        frequencies={tid: len(seq) / len(days) for tid, seq in individuals.items()},
-        pairs=len(trips) - len(individuals),
-        continuous=sum(
-            cur.o_zone == prev.d_zone
-            for seq in individuals.values()
-            for prev, cur in zip(seq, seq[1:])
-        ),
-    )
+    for (t, o, d), n in Counter(zip(ttype, o_zone, d_zone)).items():
+        counts = by_type[TYPE_ORDER[t]]
+        o, d = names[o], names[d]
+        counts.ods[(o, d)] = n
+        counts.visits[o] += n
+        counts.visits[d] += n
+    rows: dict = defaultdict(lambda: array("i"))  # (type, traveller) -> rows
+    for i, key in enumerate(zip(ttype, table.traveller)):
+        rows[key].append(i)
+    for (t, tid), seq in rows.items():
+        seq = sorted(seq, key=lambda i: date[i] * MINUTES_PER_DAY + departure[i])
+        counts = by_type[TYPE_ORDER[t]]
+        counts.entropies[tid] = _entropy(Counter(map(d_zone.__getitem__, seq)))
+        counts.frequencies[tid] = len(seq) / len(counts.days)
+        counts.pairs += len(seq) - 1
+        counts.continuous += sum(map(eq, map(o_zone.__getitem__, seq[1:]),
+                                     map(d_zone.__getitem__, seq)))
+    return by_type
 
 
 def _window_distribution(windows: Counter, n_windows: int, days=None) -> Distribution:
@@ -264,31 +258,30 @@ def build_report(
     summaries. Cells that cannot be computed carry the error text instead of
     a number. A granularity that does not divide the day is a ValueError.
 
-    A row counts under its own type, and continuity runs within each (type,
-    traveller) sequence: pass records with one type per traveller, as
-    parse_trips returns them, for per-traveller figures. Each table is
-    grouped by type and individual once; every cell reads the integer
-    counts of that one scan, and the all-type cells sum the per-type
-    counts.
+    Each table is a TripTable, or TripRecords packed into one. A row
+    counts under its own type, and continuity runs within each (type,
+    traveller) sequence: pass one type per traveller, as parse_trips
+    gives, for per-traveller figures. Each table's columns are counted
+    once; every cell reads those integer counts, and the all-type cells
+    sum the per-type counts.
     """
     n_windows = _window_count(granularity)
-    reference_trips = list(reference_trips)
-    generated_trips = list(generated_trips)
+    reference = TripTable.of(reference_trips)
+    generated = TripTable.of(generated_trips)
     report = ValidationReport()
 
-    report.add("trips", "", "reference", float(len(reference_trips)))
-    report.add("trips", "", "generated", float(len(generated_trips)))
+    report.add("trips", "", "reference", float(len(reference)))
+    report.add("trips", "", "generated", float(len(generated)))
 
-    ref_groups = _by_type_and_individual(reference_trips)
-    gen_groups = _by_type_and_individual(generated_trips)
-    types = [t for t in TYPE_ORDER if t in ref_groups or t in gen_groups]
-    ref = {t: _count_type(ref_groups.get(t, {}), granularity) for t in types}
-    gen = {t: _count_type(gen_groups.get(t, {}), granularity) for t in types}
+    # Both map each type to its counts, empty ones made on first lookup.
+    ref = _count_types(reference, granularity)
+    gen = _count_types(generated, granularity)
+    types = [t for t in TYPE_ORDER if t in ref or t in gen]
 
-    def total(side, field) -> Counter:
+    def total(side, name) -> Counter:
         counts: Counter = Counter()
         for type_counts in side.values():
-            counts.update(getattr(type_counts, field))
+            counts.update(getattr(type_counts, name))
         return counts
 
     day_classes = ("weekday", "holiday") if day_class is not None else ()

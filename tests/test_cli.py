@@ -205,7 +205,7 @@ def test_trips_csv_round_trip(small):
     assert n == len(small.trips)
     parsed = parse_trips(io.StringIO(buf.getvalue()), epoch)
     assert not parsed.errors
-    assert parsed.records == small.trips
+    assert list(parsed.records) == small.trips
 
 
 def test_zone_and_network_round_trip(small):
@@ -314,6 +314,34 @@ def trip_tables(draw):
     return partition, trips
 
 
+def _one_shot_store(partition, profiles, catalog, pools, reference) -> str:
+    """The store document of these aggregates, encoded in one json.dumps
+    call."""
+    doc = {
+        "version": 2,
+        "window_days": 7,
+        "partition": partition.boundaries(),
+        "profiles": {
+            tid: {
+                "type": p.traveller_type.value,
+                "od": p.od_counts,
+                "slot_origin": {str(s): by_o for s, by_o in p.slot_origin_counts.items()},
+            }
+            for tid, p in profiles.items()
+        },
+        "catalog": [
+            [o, d, [[e.path_id, e.crowd_count] for e in catalog.get(o, d)]]
+            for o, d in catalog.od_pairs()
+        ],
+        "pools": [[pid, slot, list(v)] for (pid, slot), v in sorted(pools.samples.items())],
+        "reference": {
+            ttype.value: {str(m): n for m, n in enumerate(counts.minute) if n}
+            for ttype, counts in reference.by_type.items()
+        },
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 @settings(max_examples=150, deadline=None)
 @given(table=trip_tables())
 @example(table=(FOUR_HOUR_PARTITION, [
@@ -329,6 +357,9 @@ def test_store_round_trips_any_legal_ids(table, tmp_path_factory):
     reference = build_reference_aggregates(trips, partition)
     save_store(path, partition=partition, window_days=7, profiles=profiles,
                catalog=catalog, pools=pools, reference=reference)
+    assert path.read_text() == _one_shot_store(
+        partition, profiles, catalog, pools, reference
+    )
     store = load_store(path)
     assert store.partition == partition
     assert store.profiles == profiles
@@ -393,7 +424,7 @@ def test_trips_csv_round_trips_any_legal_ids(table, delimiter):
     first_types = {}
     for t in trips:
         first_types.setdefault(t.traveller_id, t.traveller_type)
-    assert parsed.records == [
+    assert list(parsed.records) == [
         dataclasses.replace(t, traveller_type=first_types[t.traveller_id]) for t in trips
     ]
 
@@ -632,11 +663,17 @@ class TestPipeline:
             (("pools", 0, 2, 0), -5),
             (("pools", 0, 1), 99),
             (("pools", 0, 1), True),
+            # Legal values that break a derived total: a profile's slot x
+            # origin counts no longer sum to its OD row, and a type's
+            # reference slot totals no longer sum its profiles' slot counts.
+            (("profiles", None, "slot_origin", None, None), 1_000),
+            (("reference", "commuter", None), 1_000),
         ],
         ids=["reference-count-negative", "od-count-negative", "od-count-bool",
              "od-count-fraction", "slot-origin-count-negative", "slot-origin-slot-99",
              "catalog-count-negative", "pooled-duration-fraction",
-             "pooled-duration-negative", "pool-slot-99", "pool-slot-bool"],
+             "pooled-duration-negative", "pool-slot-99", "pool-slot-bool",
+             "slot-origin-off-od", "reference-off-profiles"],
     )
     def test_bad_store_value_fails_generate(self, cfg, tmp_path, caplog, steps, value):
         # Refused on load, before any row is written, in one line naming

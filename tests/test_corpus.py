@@ -7,9 +7,11 @@ import pytest
 from tripsynth.corpus import CorpusSpec, synth_corpus
 from tripsynth.generator import AggregationLedger
 from tripsynth.ingest import (
+    build_duration_pools,
     build_path_catalog,
     build_profiles,
     build_reference_aggregates,
+    save_store,
 )
 from tripsynth.model import (
     IndividualProfile,
@@ -155,6 +157,28 @@ def test_desk_corpus_shape(desk):
     for ttype, count in spec.individuals:
         assert per_type[ttype] == count * LEGS_PER_DAY[ttype] * spec.days
     assert len(desk.trips) == 19250
+
+
+def test_save_store_peak_stays_under_twice_its_bytes(desk, tmp_path):
+    # The document is written one element at a time, so neither its text
+    # nor a copy of the aggregates is ever held whole.
+    aggregates = dict(
+        partition=desk.partition,
+        window_days=desk.spec.days,
+        profiles=build_profiles(desk.trips, desk.partition, desk.spec.days),
+        catalog=build_path_catalog(desk.trips),
+        pools=build_duration_pools(desk.trips, desk.partition),
+        reference=build_reference_aggregates(desk.trips, desk.partition),
+    )
+    path = tmp_path / "store.json"
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        save_store(path, **aggregates)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * path.stat().st_size
 
 
 def test_planted_shares_recovered(desk):
