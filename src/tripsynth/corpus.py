@@ -299,6 +299,8 @@ def synth_corpus(spec: CorpusSpec | None = None) -> SynthCorpus:
     spec = spec or CorpusSpec()
     if spec.grid_side < 2:
         raise ValueError("grid_side must be >= 2")
+    if spec.grid_side < 3 and dict(spec.individuals).get(TravellerType.RANDOM):
+        raise ValueError("random travellers visit 5 zones: grid_side must be >= 3")
     if spec.days < 1:
         raise ValueError("days must be >= 1")
     rng = random.Random(spec.rng_seed)

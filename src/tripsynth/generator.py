@@ -286,31 +286,26 @@ def period_weights(
 ):
     """Departure minutes inside `slot` that can be drawn, with their weights.
 
-    Candidates run from max(slot start, clock `minute`) to the slot end. A
-    minute's share is its count over the total, in `counts` (the type's
-    trips generated so far) and in `counts.ref` (its reference
-    departures). Where some candidates still trail their reference share,
-    only those are listed, each weighted by its shortfall share - n / total
-    (deficit-proportional). They are the candidates' slice of the list of
-    minutes in deficit that `counts` keeps current on every add (see
-    FeedbackCounts), cut out with two bisections, so no other minute is
-    visited; that list is exact while ref.total * total < 2**52, so every
-    listed weight is positive. Once every candidate is at or past its
-    reference share, all candidates are listed, weighted by inverse
-    overshoots, floored at DELTA_FLOOR.
+    Candidates run from max(slot start, clock `minute`) to the slot end.
+    With r, n, R and T as in FeedbackCounts, where some candidates are in
+    deficit only those are listed: their slice of `counts.deficit`, cut out
+    with two bisections, so no other minute is visited. Each is weighted by
+    the int r * T - n * R, at least 1. Otherwise all candidates are listed,
+    weighted by inverse overshoots n / T - r / R, floored at DELTA_FLOOR.
     """
     start = max(slot.start, minute)
     if start > slot.end:
         raise ValueError(f"slot {slot.slot_id} has no minutes left at {minute}")
-    generated = counts.minute
     total = counts.total or 1  # an empty ledger's shares are all 0.0
-    listed, shares = counts.deficit_minutes(), counts.shares
+    listed = counts.deficit
     stop = slot.end + 1
     lo = bisect_left(listed, start)
     hi = bisect_left(listed, stop, lo)
     if lo < hi:
         minutes = listed[lo:hi]
-        return minutes, [shares[m] - generated[m] / total for m in minutes]
+        expected, scaled = counts.ref.minute, counts.scaled
+        return minutes, [expected[m] * total - scaled[m] for m in minutes]
+    shares, generated = counts.shares, counts.minute
     # No candidate trails its share here, so the overshoot x is never
     # negative and equals the absolute share difference.
     weights = [

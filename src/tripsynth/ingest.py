@@ -589,13 +589,23 @@ def _row_values(tables):
     return chain.from_iterable(row.values() for table in tables for row in table.values())
 
 
+def _same_totals(expected: dict, found: dict, what: str) -> None:
+    """ValueError naming, through `what`, the least key whose total differs
+    between the two; a key missing on either side differs."""
+    if expected != found:
+        key = min(k for k in expected.keys() | found.keys() if expected.get(k) != found.get(k))
+        raise ValueError(what.format(key))
+
+
 def load_store(path) -> Store:
     """The store saved at `path`. A file that is not JSON, not a store of
     this version or malformed inside is a ValueError naming the file.
     Malformed includes a count or a pooled duration that is not an int of
     at least 1, a slot id outside the partition, a profile whose slot x
-    origin counts do not sum to its OD counts per origin, and a type whose
-    reference slot totals are not the sums of its profiles' slot counts."""
+    origin counts do not sum to its OD counts per origin, a type whose
+    reference slot totals are not the sums of its profiles' slot counts,
+    an OD pair whose catalog counts do not sum its profiles' OD counts, and
+    a route with other than one pooled duration per catalog count."""
     try:
         doc = json.loads(Path(path).read_text())
     except ValueError as exc:
@@ -647,6 +657,7 @@ def load_store(path) -> Store:
         reference = reference_from_minutes(minutes, partition)
         zero = [0] * (len(partition) + 1)
         by_type: dict = {}  # type -> profile trips by slot id
+        od_trips: dict = {}  # OD pair -> profile trips
         for p in kept:
             slots = by_type.setdefault(p.traveller_type, zero.copy())
             by_origin: dict = {}
@@ -657,11 +668,22 @@ def load_store(path) -> Store:
             if by_origin != p.per_origin:
                 raise ValueError(f"profile {p.traveller_id!r}: slot x origin counts "
                                  "differ from its OD counts per origin")
+            for o, row in p.od_counts.items():
+                for d, n in row.items():
+                    od_trips[o, d] = od_trips.get((o, d), 0) + n
         for ttype in TYPE_ORDER:
             counts = reference.by_type.get(ttype)
             if (counts.slot[:len(zero)] if counts else zero) != by_type.get(ttype, zero):
                 raise ValueError(f"reference {ttype.value!r}: slot totals differ from "
                                  "the sums of its profiles' slot counts")
+        _same_totals(od_trips, {od: sum(e.crowd_count for e in entries)
+                                for od, entries in catalog.entries.items()},
+                     "catalog pair {}: crowd counts differ from the profiles' OD counts")
+        route_trips: dict = {}  # route -> catalog trips
+        for e in chain.from_iterable(catalog.entries.values()):
+            route_trips[e.path_id] = route_trips.get(e.path_id, 0) + e.crowd_count
+        _same_totals(route_trips, {pid: len(v) for pid, v in pools.fallback.items()},
+                     "route {!r}: pooled durations differ from its catalog counts")
     except KeyError as exc:
         raise ValueError(f"{path}: store has no key {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:

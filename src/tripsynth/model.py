@@ -285,11 +285,6 @@ class IndividualProfile:
         object.__setattr__(self, "per_destination", per_destination)
 
 
-# Below this product of the two totals, the integer deficit rule of
-# FeedbackCounts decides exactly as the float test it replaces (see there).
-EXACT_SHARE_BOUND = 2**52
-
-
 class TypeCounts:
     """Departure counts of one traveller type as dense lists indexed by
     minute of day and by slot id (index 0 unused), plus their total."""
@@ -312,15 +307,10 @@ class FeedbackCounts(TypeCounts):
     """The generated side of the feedback factor: counts of one type, made
     one departure at a time against its fixed, non-empty reference `ref`.
 
-    Keeps `ref`'s share r / R of every minute of the day in `shares`, and
-    the ascending list of minutes in deficit (see deficit_minutes). With r
-    and n a minute's count in the reference and here, R the reference total
-    and T = total or 1 (an empty ledger's shares are all 0.0), a minute is
-    in deficit when r * T > n * R. That integer rule equals the float test
-    r / R - n / T > 0.0 while R * T < 2**52: two distinct shares then
-    differ by at least 1 / (R * T), more than the rounding of both
-    quotients (at most 2**-53 each, the shares being at most 1). Larger
-    products are refused.
+    With r and n a minute's count in the reference and here, R the
+    reference total and T = total or 1, keeps r / R of every minute in
+    `shares`, n * R of every minute the reference saw in `scaled`, and the
+    ascending list `deficit` of the minutes where r * T > n * R.
 
     A minute's status changes only when its own count or T changes, so add
     keeps the list current: T rises by one, the minutes due back at the new
@@ -332,7 +322,7 @@ class FeedbackCounts(TypeCounts):
     and skipped.
     """
 
-    __slots__ = ("ref", "shares", "_deficit", "_due", "_waiting")
+    __slots__ = ("ref", "shares", "scaled", "deficit", "_due", "_waiting")
 
     def __init__(self, ref: TypeCounts):
         super().__init__()
@@ -341,8 +331,9 @@ class FeedbackCounts(TypeCounts):
             raise ValueError("feedback counts need a non-empty reference")
         self.ref = ref
         self.shares = [r / ref_total for r in ref.minute]
+        self.scaled = [0] * (MINUTES_PER_DAY + 1)
         # Empty, so every minute the reference saw trails its share.
-        self._deficit = [m for m in range(1, MINUTES_PER_DAY + 1) if ref.minute[m]]
+        self.deficit = [m for m in range(1, MINUTES_PER_DAY + 1) if ref.minute[m]]
         self._due = [0] * (MINUTES_PER_DAY + 1)
         self._waiting = defaultdict(list)
 
@@ -350,7 +341,7 @@ class FeedbackCounts(TypeCounts):
         self.slot[slot_id] += 1
         self.minute[minute] += 1
         self.total = total = self.total + 1
-        listed, due = self._deficit, self._due
+        listed, due = self.deficit, self._due
         back = self._waiting.pop(total, None)
         if back:
             for m in back:
@@ -360,25 +351,12 @@ class FeedbackCounts(TypeCounts):
         ref = self.ref
         r = ref.minute[minute]
         if r:
-            count, ref_total = self.minute[minute], ref.total
-            if r * total <= count * ref_total:
+            self.scaled[minute] = scaled = self.minute[minute] * ref.total
+            if r * total <= scaled:
                 if not due[minute]:
                     del listed[bisect_left(listed, minute)]
-                due[minute] = at = count * ref_total // r + 1
+                due[minute] = at = scaled // r + 1
                 self._waiting[at].append(minute)
-
-    def deficit_minutes(self) -> list:
-        """The ascending minutes in deficit against `ref`. Raises
-        ValueError once ref.total * (total or 1) reaches EXACT_SHARE_BOUND,
-        where the integer rule could part from the float shares the
-        weights are made of."""
-        ref_total = self.ref.total
-        if ref_total * (self.total or 1) >= EXACT_SHARE_BOUND:
-            raise ValueError(
-                f"share totals {ref_total} x {self.total} reach 2**52; "
-                "minute deficits would no longer be exact"
-            )
-        return self._deficit
 
 
 class AggregationLedger:

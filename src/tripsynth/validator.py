@@ -284,11 +284,9 @@ def build_report(
             counts.update(getattr(type_counts, name))
         return counts
 
-    day_classes = ("weekday", "holiday") if day_class is not None else ()
     class_days: dict = defaultdict(set)
-    if day_class is not None:
-        for day in set().union(*(c.days for side in (ref, gen) for c in side.values())):
-            class_days[day_class(day)].add(day)
+    for day in set().union(*(c.days for side in (ref, gen) for c in side.values())):
+        class_days[day_class(day)].add(day)
 
     def js_time(ref_windows, gen_windows, days=None):
         p = _window_distribution(ref_windows, n_windows, days)
@@ -311,7 +309,7 @@ def build_report(
         name = ttype.value
         r, g = ref[ttype], gen[ttype]
         _cell(report, "js_time", name, "all", lambda: js_time(r.windows, g.windows))
-        for cls in day_classes:
+        for cls in ("weekday", "holiday"):
             _cell(
                 report,
                 "js_time",

@@ -446,22 +446,52 @@ def test_desk_bytes_pinned(cli_runs, table):
     assert digest == DESK_SHA256[table]
 
 
-# generated.csv of the same CLI run under the product's default hourly
-# partition, whose 24 slots cut the day in more places than desk's six.
-HOURLY_GENERATED_SHA256 = (
-    "74694bef79979bac4a5c36e60f67ec46c83912444f0b322611cba184ae90f5da"
-)
+# The benchmark's workloads as edits of the desk run above (corpus seed 7,
+# generation seed 11, min_gap 1, granularity 15 for all): hourly runs under
+# the product's default partition, whose 24 slots cut the day in more
+# places than desk's six, and long_window folds 28 source days and
+# generates one.
+WORKLOAD_CONFIGS = {
+    "desk": (),
+    "hourly": (("partition: [1, 241, 481, 721, 961, 1201]\n", "partition: hourly\n"),),
+    "long_window": (
+        ("generation:\n", "window_days: 28\ngeneration:\n  horizon_days: 1\n"),
+        ("corpus:\n", "corpus:\n  days: 28\n"),
+    ),
+}
+WORKLOAD_SHA256 = {
+    "desk": {
+        table: DESK_SHA256[table]
+        for table in ("build/store.json", "out/generated.csv", "out/report.csv")
+    },
+    "hourly": {
+        "build/store.json": "c0d787dbb4fc8e241170b126c38e35db117d11553705549b7b41451474b10eab",
+        "out/generated.csv": "74694bef79979bac4a5c36e60f67ec46c83912444f0b322611cba184ae90f5da",
+        "out/report.csv": "53fa3c0045c658ec561ed581a9dfda183a4e299b141b4359868344a4012d19fe",
+    },
+    "long_window": {
+        "build/store.json": "511954def0a5587a892dcb3197ce156551b70e42736d0a9eb101ca7c55490390",
+        "out/generated.csv": "6c1934529c6680b9c8338815c59fcf963d62bbdaea82f1f85f8997b88453730d",
+        "out/report.csv": "d1f518a7e25801aef6a3546a7283542ba2dd044bbd8bffcb3952ecb175146301",
+    },
+}
 
 
-def test_hourly_generated_bytes_pinned(tmp_path):
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_SHA256))
+def test_workload_bytes_pinned(tmp_path, workload):
+    config = CONFIG
+    for old, new in WORKLOAD_CONFIGS[workload]:
+        assert config.count(old) == 1, old
+        config = config.replace(old, new)
     cfg = tmp_path / "run.yaml"
-    desk_partition = "partition: [1, 241, 481, 721, 961, 1201]\n"
-    assert desk_partition in CONFIG
-    cfg.write_text(CONFIG.replace(desk_partition, "partition: hourly\n"))
-    for command in ("corpus", "ingest", "generate"):
+    cfg.write_text(config)
+    for command in ("corpus", "ingest", "generate", "validate"):
         assert main([command, "-c", str(cfg)]) == 0, command
-    generated = (tmp_path / "out" / "generated.csv").read_bytes()
-    assert hashlib.sha256(generated).hexdigest() == HOURLY_GENERATED_SHA256
+    digests = {
+        table: hashlib.sha256((tmp_path / table).read_bytes()).hexdigest()
+        for table in WORKLOAD_SHA256[workload]
+    }
+    assert digests == WORKLOAD_SHA256[workload]
 
 
 def test_midnight_spills_counted(world):

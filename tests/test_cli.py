@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tripsynth import cli
 from tripsynth.cli import ConfigError, load_config, main
@@ -368,6 +368,53 @@ def test_store_round_trips_any_legal_ids(table, tmp_path_factory):
     assert reference_counts(store.reference) == reference_counts(reference)
 
 
+@st.composite
+def corpus_stores(draw):
+    """(corpus spec, partition): a small corpus, and hourly slots, a
+    one-slot day or random slot starts to build its store under."""
+    side = draw(st.integers(2, 4))
+    # A random traveller visits five zones, more than a 2x2 grid has.
+    counts = {t: draw(st.integers(0, 0 if side < 3 and t is TravellerType.RANDOM else 3))
+              for t in TravellerType}
+    assume(any(counts.values()))
+    spec = CorpusSpec(
+        grid_side=side,
+        days=draw(st.integers(1, 7)),
+        rng_seed=draw(st.integers(0, 2**16)),
+        individuals=tuple(counts.items()),
+    )
+    partition = draw(st.one_of(
+        st.just(HOURLY_PARTITION),
+        st.just(TimeSlotPartition.from_boundaries([1])),
+        st.lists(st.integers(2, 1440), max_size=8).map(
+            lambda starts: TimeSlotPartition.from_boundaries([1, *starts])
+        ),
+    ))
+    return spec, partition
+
+
+@settings(max_examples=100, deadline=None)
+@given(state=corpus_stores())
+def test_corpus_store_round_trips_and_loads_clean(state, tmp_path_factory):
+    # Every store the four builders make passes every load check, and
+    # loads back equal.
+    spec, partition = state
+    trips = synth_corpus(spec).trips
+    path = tmp_path_factory.mktemp("store") / "store.json"
+    profiles = build_profiles(trips, partition, spec.days)
+    catalog = build_path_catalog(trips)
+    pools = build_duration_pools(trips, partition)
+    reference = build_reference_aggregates(trips, partition)
+    save_store(path, partition=partition, window_days=spec.days, profiles=profiles,
+               catalog=catalog, pools=pools, reference=reference)
+    store = load_store(path)
+    assert store.partition == partition and store.window_days == spec.days
+    assert store.profiles == profiles
+    assert store.catalog.entries == catalog.entries
+    assert store.pools.samples == pools.samples
+    assert reference_counts(store.reference) == reference_counts(reference)
+
+
 # Python 3.10's csv module can neither write nor read a NUL character.
 CSV_ID_CHARS = ID_CHARS if sys.version_info >= (3, 11) else ID_CHARS.filter(
     lambda c: c != "\x00"
@@ -590,18 +637,12 @@ class TestPipeline:
         main(["ingest", "-c", cfg])
         store = tmp_path / "build" / "store.json"
         doc = json.loads(store.read_text())
-        # The OD pair that makes up the largest share of one individual's
-        # trips and that nobody else travels: that individual draws it.
-        users = {}
-        for tid, raw in doc["profiles"].items():
-            total = sum(n for row in raw["od"].values() for n in row.values())
-            for o, row in raw["od"].items():
-                for d, n in row.items():
-                    users.setdefault((o, d), []).append((n / total, tid))
-        (_, victim), od = max(
-            (found[0], od) for od, found in users.items() if len(found) == 1
-        )
-        doc["catalog"] = [e for e in doc["catalog"] if tuple(e[:2]) != od]
+        # A profile with no trips adds to no total, so the store loads, but
+        # the individual has no zone to start from. (Dropping an OD pair's
+        # routes, say, is refused on load: its catalog counts no longer sum
+        # its profiles' OD counts.)
+        victim = "ZZ-no-trips"
+        doc["profiles"][victim] = {"type": "commuter", "od": {}, "slot_origin": {}}
         store.write_text(json.dumps(doc))
 
         caplog.clear()
@@ -668,12 +709,20 @@ class TestPipeline:
             # reference slot totals no longer sum its profiles' slot counts.
             (("profiles", None, "slot_origin", None, None), 1_000),
             (("reference", "commuter", None), 1_000),
+            # An OD pair's catalog counts no longer sum its profiles' OD
+            # counts, a catalog pair no profile travels replaces one they
+            # do, and a route's pooled durations outnumber its catalog
+            # counts.
+            (("catalog", 0, 2, 0, 1), 1_000),
+            (("catalog", 0, 0), "Z99"),
+            (("pools", 0, 2), [500] * 1_000),
         ],
         ids=["reference-count-negative", "od-count-negative", "od-count-bool",
              "od-count-fraction", "slot-origin-count-negative", "slot-origin-slot-99",
              "catalog-count-negative", "pooled-duration-fraction",
              "pooled-duration-negative", "pool-slot-99", "pool-slot-bool",
-             "slot-origin-off-od", "reference-off-profiles"],
+             "slot-origin-off-od", "reference-off-profiles", "catalog-off-profiles",
+             "catalog-pair-unknown", "pool-off-catalog"],
     )
     def test_bad_store_value_fails_generate(self, cfg, tmp_path, caplog, steps, value):
         # Refused on load, before any row is written, in one line naming

@@ -70,6 +70,13 @@ def test_rebuild_is_identical(small):
 def test_spec_validation():
     with pytest.raises(ValueError):
         synth_corpus(CorpusSpec(grid_side=1))
+    # A random traveller's home and four anchors are distinct zones, more
+    # than a 2x2 grid has; other types fit on it.
+    with pytest.raises(ValueError, match="grid_side must be >= 3"):
+        synth_corpus(CorpusSpec(grid_side=2))
+    assert synth_corpus(CorpusSpec(grid_side=2, individuals=(
+        (TravellerType.HIGH_FREQ, 2), (TravellerType.PASSBY, 2),
+        (TravellerType.RANDOM, 0)))).trips
     with pytest.raises(ValueError):
         synth_corpus(CorpusSpec(days=0))
 

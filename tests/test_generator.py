@@ -242,13 +242,13 @@ def test_deficit_list_follows_add():
     for minute, n in {10: 3, 20: 1, 30: 1}.items():
         ref.add(1, minute, n)
     counts = FeedbackCounts(ref)
-    listed = counts.deficit_minutes()
+    listed = counts.deficit
     # the empty ledger trails every reference minute
     assert counts.ref is ref and listed == [10, 20, 30]
     shares = counts.shares
     assert shares[10] == 3 / 5 and shares[20] == 1 / 5 and shares[40] == 0.0
     counts.add(1, 10)  # 1/1 against 3/5: past its share
-    assert counts.deficit_minutes() is listed == [20, 30]
+    assert counts.deficit is listed == [20, 30]
     counts.add(1, 20)  # 1/2 against 1/5; 10 is at 1/2 < 3/5 again
     assert listed == [10, 30]
     counts.add(1, 40)  # a minute the reference never saw is never listed
@@ -269,37 +269,48 @@ def test_feedback_counts_take_one_nonempty_reference():
     # generated departures are recorded one at a time
     with pytest.raises(TypeError):
         counts.add(1, 10, 2)
-    assert counts.total == 0 and counts.deficit_minutes() == [10]
-
-
-def test_deficit_minutes_refuses_inexact_totals():
-    # The integer rule is exact only while ref.total * total < 2**52.
-    ref = TypeCounts()
-    ref.add(1, 10, 2**51)
-    counts = FeedbackCounts(ref)
-    counts.add(1, 20)
-    assert counts.deficit_minutes() == [10]
-    counts.add(1, 20)
-    with pytest.raises(ValueError, match="2\\*\\*52"):
-        counts.deficit_minutes()
+    assert counts.total == 0 and counts.deficit == [10]
 
 
 def _deficit_filter(counts, ref):
     """Every minute whose reference share exceeds its generated share, as
-    the float test r / R - n / T > 0.0, from scratch."""
+    the integer test r * T > n * R, from scratch."""
     total = counts.total or 1
     return [
         m for m in range(1, 1441)
-        if ref.minute[m] / ref.total - counts.minute[m] / total > 0.0
+        if ref.minute[m] * total > counts.minute[m] * ref.total
     ]
+
+
+def test_deficit_weights_stay_exact_past_float_precision():
+    # A reference scaled by 2**45, recorded against until R * T >= 2**52,
+    # where two distinct float shares r / R and n / T may round together:
+    # the int weights r * T - n * R still list exactly the minutes in
+    # deficit, and the draw stays on them.
+    ref = TypeCounts()
+    for m, n in {10: 3, 20: 1, 30: 1}.items():
+        ref.add(1, m, n * 2**45)
+    counts = FeedbackCounts(ref)
+    recorded = iter([10, 20, 30, 10, 40] * 10)
+    while ref.total * counts.total < 2**52:
+        counts.add(1, next(recorded))
+    slot = TimeSlot(1, 1, 60)
+    rng = random.Random(3)
+    minutes, weights = period_weights(slot, 1, counts)
+    assert minutes == _deficit_filter(counts, ref)
+    assert weights == [
+        ref.minute[m] * counts.total - counts.minute[m] * ref.total for m in minutes
+    ]
+    assert all(type(w) is int and w >= 1 for w in weights)
+    for _ in range(50):
+        assert select_time_period(slot, 1, counts, rng) in minutes
 
 
 @given(st.data())
 def test_deficit_list_matches_filter(data):
     # Random add() sequences against the bound reference: after every step
-    # the kept list must equal the filter built from scratch, or the query
-    # must refuse once the totals' product reaches 2**52, which the largest
-    # scale makes within a run.
+    # the kept list must equal the filter built from scratch, at every
+    # scale, the largest able to take R * T past 2**52 within a run.
     near = st.integers(1, 12)
     ref = TypeCounts()
     scale = data.draw(st.sampled_from([1, 2**20, 2**45]))
@@ -318,11 +329,9 @@ def test_deficit_list_matches_filter(data):
                 "again": [minute]}.get(step)
         minute = data.draw(st.sampled_from(pool) if pool else st.integers(1, 1440))
         counts.add(1, minute)
-        if ref.total * counts.total >= 2**52:
-            with pytest.raises(ValueError):
-                counts.deficit_minutes()
-            continue
-        assert counts.deficit_minutes() == _deficit_filter(counts, ref)
+        assert counts.deficit == _deficit_filter(counts, ref)
+        assert all(counts.scaled[m] == counts.minute[m] * ref.total
+                   for m in range(1, 1441) if ref.minute[m])
         assert counts.shares == [r / ref.total for r in ref.minute]
 
 
@@ -483,7 +492,7 @@ class TestPeriodWeights:
         # minute 10 overshot (1.0 generated vs 0.25 reference), minute 20
         # still owed 0.75; everything else level at zero and left out
         assert minutes == [20]
-        assert weights == [3 / 4 - 0 / 1]
+        assert weights == [3 * 1 - 0 * 4]  # r * T - n * R
         rng = random.Random(0)
         assert select_time_period(slot, 1, counts, rng) == 20
 
@@ -590,17 +599,19 @@ def slot_states(draw):
 
 def _full_period_weights(slot, minute, ref, generated):
     """The minute weights over every candidate minute, zero weights included:
-    deficits where any minute trails its reference share, else floored
-    inverse overshoots."""
+    the int deficits max(r * T - n * R, 0) where any is positive, else
+    floored inverse overshoots."""
     ref_total = sum(ref.values())
     gen = Counter(generated)
+    total = len(generated) or 1
     candidates = list(range(max(slot.start, minute), slot.end + 1))
+    deficits = [ref.get(m, 0) * total - gen[m] * ref_total for m in candidates]
+    if any(d > 0 for d in deficits):
+        return candidates, [max(d, 0) for d in deficits]
     deltas = [
         ref.get(m, 0) / ref_total - (gen[m] / len(generated) if generated else 0.0)
         for m in candidates
     ]
-    if any(d > 0.0 for d in deltas):
-        return candidates, [max(0.0, d) for d in deltas]
     return candidates, [1.0 / max(abs(d), 1e-12) for d in deltas]
 
 
