@@ -457,11 +457,10 @@ def generate_trip(
     )
     ledger.record(ttype, slot_id, departure)
 
-    minute = departure + duration + params.min_gap
-    while minute > MINUTES_PER_DAY:
-        minute -= MINUTES_PER_DAY
-        cursor.day += 1
-    cursor.minute = minute
+    # The clock is 1-based, so a minute of MINUTES_PER_DAY stays on its day.
+    days, minute = divmod(departure + duration + params.min_gap - 1, MINUTES_PER_DAY)
+    cursor.day += days
+    cursor.minute = minute + 1
     cursor.location = destination
     cursor.generated_today += 1
     cursor.trips += 1

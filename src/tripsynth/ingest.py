@@ -469,19 +469,22 @@ def build_path_catalog(trips) -> PathCatalog:
 @dataclass
 class DurationPool:
     """Historical trip durations pooled by (path, slot), with a path-only
-    fallback pool derived from them on construction."""
+    fallback pool derived from them on first use."""
 
     samples: dict = field(default_factory=dict)  # (path_id, slot_id) -> tuple
-    fallback: dict = field(init=False)  # path_id -> tuple
 
-    def __post_init__(self):
+    @functools.cached_property
+    def fallback(self) -> dict:
+        """path_id -> the sorted durations of all its slots."""
         pooled: dict = defaultdict(list)
         for (pid, _), values in self.samples.items():
             pooled[pid].extend(values)
-        self.fallback = {pid: tuple(sorted(v)) for pid, v in pooled.items()}
+        return {pid: tuple(sorted(v)) for pid, v in pooled.items()}
 
 
 def build_duration_pools(trips, partition: TimeSlotPartition) -> DurationPool:
+    """Durations by (path id, slot id), each pool a sorted tuple; each list
+    gives way to its tuple before the next one is built."""
     table = TripTable.of(trips)
     path_ids = [path_id_of(p) for p in table.paths]
     keys = zip(map(path_ids.__getitem__, table.path),
@@ -489,7 +492,10 @@ def build_duration_pools(trips, partition: TimeSlotPartition) -> DurationPool:
     samples: dict = defaultdict(list)
     for key, duration in zip(keys, table.duration):
         samples[key].append(duration)
-    return DurationPool({k: tuple(sorted(v)) for k, v in samples.items()})
+    for key, values in samples.items():
+        values.sort()
+        samples[key] = tuple(values)
+    return DurationPool(dict(samples))
 
 
 def build_reference_aggregates(trips, partition: TimeSlotPartition) -> AggregationLedger:
@@ -578,9 +584,15 @@ class Store:
 
 def _counts(values, what: str) -> None:
     """ValueError unless every one of `values` is an int >= 1 and not a bool."""
-    values = tuple(values)
-    if values and (set(map(type, values)) != {int} or min(values) < 1):
-        bad = next(v for v in values if type(v) is not int or v < 1)
+    _counts_in((tuple(values),), what)
+
+
+def _counts_in(groups, what: str) -> None:
+    """_counts over the values of every one of `groups`, a re-iterable of
+    collections, without copying them into one."""
+    values = chain.from_iterable
+    if set(map(type, values(groups))) - {int} or min(values(groups), default=1) < 1:
+        bad = next(v for v in values(groups) if type(v) is not int or v < 1)
         raise ValueError(f"{what} is not an integer >= 1: {bad!r}")
 
 
@@ -601,11 +613,16 @@ def load_store(path) -> Store:
     """The store saved at `path`. A file that is not JSON, not a store of
     this version or malformed inside is a ValueError naming the file.
     Malformed includes a count or a pooled duration that is not an int of
-    at least 1, a slot id outside the partition, a profile whose slot x
-    origin counts do not sum to its OD counts per origin, a type whose
-    reference slot totals are not the sums of its profiles' slot counts,
-    an OD pair whose catalog counts do not sum its profiles' OD counts, and
-    a route with other than one pooled duration per catalog count."""
+    at least 1, a slot id outside the partition, a profile with no trips, a
+    profile whose slot x origin counts do not sum to its OD counts per
+    origin, a type whose reference slot totals are not the sums of its
+    profiles' slot counts, an OD pair whose catalog counts do not sum its
+    profiles' OD counts, and a route with other than one pooled duration
+    per catalog count.
+
+    Each section is popped from the parsed document and released once it
+    is converted, each pooled list as soon as its tuple exists. Equal zone,
+    path and road texts of the catalog and the pools share one str."""
     try:
         doc = json.loads(Path(path).read_text())
     except ValueError as exc:
@@ -630,28 +647,37 @@ def load_store(path) -> Store:
                 },
                 observed_days=window_days,
             )
-            for tid, raw in doc["profiles"].items()
+            for tid, raw in doc.pop("profiles").items()
         }
         kept = profiles.values()
         _counts(_row_values(p.od_counts for p in kept), "OD count")
         _counts(_row_values(p.slot_origin_counts for p in kept), "slot-origin count")
+        one = {}.setdefault  # one(text, text): the one str kept for equal texts
+
+        def route(pid):
+            roads = pid.split(PATH_SEPARATOR)
+            return one(pid, pid), tuple(map(one, roads, roads))
+
         catalog = PathCatalog(
             {
-                (o, d): [
-                    PathEntry(pid, tuple(pid.split(PATH_SEPARATOR)), n) for pid, n in rows
-                ]
-                for o, d, rows in doc["catalog"]
+                (one(o, o), one(d, d)): [PathEntry(*route(pid), n) for pid, n in rows]
+                for o, d, rows in doc.pop("catalog")
             }
         )
-        _counts((n for _, _, rows in doc["catalog"] for _, n in rows), "catalog count")
-        _counts((slot for _, slot, _ in doc["pools"]), "slot id")
-        pools = DurationPool({
-            (pid, partition.by_id(slot).slot_id): tuple(v) for pid, slot, v in doc["pools"]
-        })
-        _counts(chain.from_iterable(pools.samples.values()), "pooled duration")
+        _counts((e.crowd_count for e in chain.from_iterable(catalog.entries.values())),
+                "catalog count")
+        rows = doc.pop("pools")
+        _counts((slot for _, slot, _ in rows), "slot id")
+        rows.reverse()
+        samples = {}
+        while rows:
+            pid, slot, values = rows.pop()
+            samples[one(pid, pid), partition.by_id(slot).slot_id] = tuple(values)
+        _counts_in(samples.values(), "pooled duration")
+        pools = DurationPool(samples)
         minutes = {
             TravellerType(name): {int(m): n for m, n in counts.items()}
-            for name, counts in doc["reference"].items()
+            for name, counts in doc.pop("reference").items()
         }
         _counts(_row_values((minutes,)), "reference count")
         reference = reference_from_minutes(minutes, partition)
@@ -659,6 +685,8 @@ def load_store(path) -> Store:
         by_type: dict = {}  # type -> profile trips by slot id
         od_trips: dict = {}  # OD pair -> profile trips
         for p in kept:
+            if not p.total_trips:
+                raise ValueError(f"profile {p.traveller_id!r} has no trips")
             slots = by_type.setdefault(p.traveller_type, zero.copy())
             by_origin: dict = {}
             for slot, by_o in p.slot_origin_counts.items():
@@ -682,7 +710,10 @@ def load_store(path) -> Store:
         route_trips: dict = {}  # route -> catalog trips
         for e in chain.from_iterable(catalog.entries.values()):
             route_trips[e.path_id] = route_trips.get(e.path_id, 0) + e.crowd_count
-        _same_totals(route_trips, {pid: len(v) for pid, v in pools.fallback.items()},
+        pooled: dict = {}  # route -> pooled durations over all slots
+        for (pid, _), values in samples.items():
+            pooled[pid] = pooled.get(pid, 0) + len(values)
+        _same_totals(route_trips, pooled,
                      "route {!r}: pooled durations differ from its catalog counts")
     except KeyError as exc:
         raise ValueError(f"{path}: store has no key {exc}") from None

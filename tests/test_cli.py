@@ -9,11 +9,12 @@ import sys
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from tripsynth import cli
+from tripsynth import cli, generator
 from tripsynth.cli import ConfigError, load_config, main
 from tripsynth.corpus import CorpusSpec, synth_corpus
 from tripsynth.ingest import (
     TRIP_HEADER,
+    DurationPool,
     build_duration_pools,
     build_path_catalog,
     build_profiles,
@@ -28,6 +29,7 @@ from tripsynth.ingest import (
     write_zones_csv,
 )
 from tripsynth.model import (
+    CorruptInputError,
     TimeSlotPartition,
     TravellerType,
     TripRecord,
@@ -270,6 +272,49 @@ class TestStore:
         self.build(small, tmp_path / "a.json")
         self.build(small, tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_load_shares_one_str_per_path_id_and_road(self, small, tmp_path):
+        path = tmp_path / "store.json"
+        self.build(small, path)
+        store = load_store(path)
+        ids, roads = {}, {}
+        for entries in store.catalog.entries.values():
+            for e in entries:
+                assert ids.setdefault(e.path_id, e.path_id) is e.path_id
+                assert all(roads.setdefault(r, r) is r for r in e.path)
+        assert all(pid is ids[pid] for pid, _ in store.pools.samples)
+
+    def test_path_only_pool_is_built_on_first_use(self, small, tmp_path):
+        pools = self.build(small, tmp_path / "store.json")[2]
+        assert "fallback" not in vars(pools)
+        pools = load_store(tmp_path / "store.json").pools
+        assert "fallback" not in vars(pools)
+        assert pools.fallback == DurationPool(pools.samples).fallback
+        assert "fallback" in vars(pools)
+
+    def test_pool_off_catalog_refused_without_path_only_pool(
+        self, small, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "store.json"
+        self.build(small, path)
+        doc = json.loads(path.read_text())
+        doc["pools"][0][2] += [500] * 50
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr(DurationPool, "fallback", property(
+            lambda pools: pytest.fail("the path-only pool was built")))
+        with pytest.raises(ValueError, match="pooled durations differ"):
+            load_store(path)
+
+    def test_profile_without_trips_refused_by_name(self, small, tmp_path):
+        path = tmp_path / "store.json"
+        self.build(small, path)
+        doc = json.loads(path.read_text())
+        doc["profiles"]["ZZ-no-trips"] = {"type": "commuter", "od": {},
+                                          "slot_origin": {}}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError,
+                           match="malformed store: profile 'ZZ-no-trips' has no trips"):
+            load_store(path)
 
     def test_version_guard(self, small, tmp_path):
         path = tmp_path / "store.json"
@@ -632,19 +677,21 @@ class TestPipeline:
         assert "span 14 days" in caplog.text and "window_days = 7" in caplog.text
         assert not (tmp_path / "build" / "store.json").exists()
 
-    def test_quarantine_fails_generate(self, cfg, tmp_path, caplog):
+    def test_quarantine_fails_generate(self, cfg, tmp_path, caplog, monkeypatch):
         main(["corpus", "-c", cfg])
         main(["ingest", "-c", cfg])
         store = tmp_path / "build" / "store.json"
-        doc = json.loads(store.read_text())
-        # A profile with no trips adds to no total, so the store loads, but
-        # the individual has no zone to start from. (Dropping an OD pair's
-        # routes, say, is refused on load: its catalog counts no longer sum
-        # its profiles' OD counts.)
-        victim = "ZZ-no-trips"
-        doc["profiles"][victim] = {"type": "commuter", "od": {}, "slot_origin": {}}
-        store.write_text(json.dumps(doc))
+        # The load checks refuse the store edits that used to reach the
+        # quarantine path, so the first individual's start is made to fail.
+        victim = min(json.loads(store.read_text())["profiles"])
+        start = generator.initial_location
 
+        def corrupt(profile):
+            if profile.traveller_id == victim:
+                raise CorruptInputError(f"profile {victim!r} is corrupt")
+            return start(profile)
+
+        monkeypatch.setattr(generator, "initial_location", corrupt)
         caplog.clear()
         assert main(["generate", "-c", cfg]) == 1
         assert victim in caplog.text
@@ -716,13 +763,16 @@ class TestPipeline:
             (("catalog", 0, 2, 0, 1), 1_000),
             (("catalog", 0, 0), "Z99"),
             (("pools", 0, 2), [500] * 1_000),
+            # A profile with no trips adds to no total.
+            (("profiles", "ZZ-no-trips"), {"type": "commuter", "od": {},
+                                           "slot_origin": {}}),
         ],
         ids=["reference-count-negative", "od-count-negative", "od-count-bool",
              "od-count-fraction", "slot-origin-count-negative", "slot-origin-slot-99",
              "catalog-count-negative", "pooled-duration-fraction",
              "pooled-duration-negative", "pool-slot-99", "pool-slot-bool",
              "slot-origin-off-od", "reference-off-profiles", "catalog-off-profiles",
-             "catalog-pair-unknown", "pool-off-catalog"],
+             "catalog-pair-unknown", "pool-off-catalog", "profile-without-trips"],
     )
     def test_bad_store_value_fails_generate(self, cfg, tmp_path, caplog, steps, value):
         # Refused on load, before any row is written, in one line naming

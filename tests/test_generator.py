@@ -824,6 +824,25 @@ class TestGenerateTrip:
         assert trip.date == 0 and trip.departure >= 1435
         assert cursor.day == 1
 
+    def test_wide_duration_advances_clock_in_one_step(self):
+        # A parsed duration may have any width. A day-at-a-time clock would
+        # take about 6.9e8 steps to carry this one.
+        t = TravellerType.COMMUTER
+        trips = [TripRecord("V1", t, 0, 452, "A", "B", ("r1",), 10**12)]
+        profiles = build_profiles(trips, HOURLY, window_days=1)
+        ledger = AggregationLedger(build_reference_aggregates(trips, HOURLY))
+        cursor = GenCursor(
+            profile=profiles["V1"], day=3, minute=1, location="A", daily_quota=1,
+            counts=commuters(ledger),
+        )
+        trip = generate_trip(
+            cursor, HOURLY, ledger, build_path_catalog(trips),
+            build_duration_pools(trips, HOURLY), GenParams(), random.Random(0),
+        )
+        assert (trip.date, trip.departure, trip.duration) == (3, 452, 10**12)
+        # 452 + 10**12 + 1 minutes after day 3 began
+        assert (cursor.day, cursor.minute) == (3 + 694_444_444, 1_093)
+
     @example(
         history=[(1430, 3000), (100, 30)], min_gap=0, start=1440, quota=4,
         four_hour=False, seed=0,
