@@ -150,21 +150,6 @@ def _grid_zones(side: int) -> list:
     return zones
 
 
-def _grid_network(side: int) -> tuple:
-    """Sorted (road, neighbor) edges: roads sharing a grid cell are mutually
-    adjacent (both directions)."""
-    edges = set()
-    for idx in range(side * side):
-        r, c = divmod(idx, side)
-        here = []
-        for dr, dc in ((0, 1), (1, 0), (0, -1), (-1, 0)):
-            rr, cc = r + dr, c + dc
-            if 0 <= rr < side and 0 <= cc < side:
-                here.append(_road_id(idx, rr * side + cc, side))
-        edges.update((road, peer) for road in here for peer in here if peer != road)
-    return tuple(sorted(edges))
-
-
 def _cells_between(side: int, o_idx: int, d_idx: int, row_first: bool) -> list:
     """L-shaped cell walk from origin to destination cell."""
     r0, c0 = divmod(o_idx, side)
@@ -307,7 +292,8 @@ def synth_corpus(spec: CorpusSpec | None = None) -> SynthCorpus:
     side = spec.grid_side
     partition = TimeSlotPartition.from_boundaries(CORPUS_SLOT_STARTS)
     zones = _grid_zones(side)
-    network = _grid_network(side)
+    # Roads bounding one zone are mutually adjacent (both directions).
+    network = tuple(sorted({(a, b) for z in zones for a in z.roads for b in z.roads if a != b}))
     zone_index = {z.zone_id: i for i, z in enumerate(zones)}
 
     planted = _plant_individuals(rng, spec)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 import random
 from bisect import bisect_left, bisect_right
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import accumulate
 from math import inf
@@ -76,40 +76,9 @@ class GenParams:
             )
 
 
-@dataclass(slots=True)
-class GenCursor:
-    """Mutable per-individual generation state.
-
-    `day` and `minute` are the clock: the day index and the 1-based minute
-    of day before which no further departure may fall. `counts` are the
-    type's generated counts, bound to its reference departures (see
-    FeedbackCounts). `terms` and `destinations` cache
-    preference_terms and the checked cumulative destination weights by
-    current zone. All caches live as long as the cursor, which is one
-    individual of one run. `trips`, `relocations`, `chain_breaks`,
-    `degenerate_slot_draws` and `duration_fallbacks` count what
-    generate_trip has done so far, as GenStats defines them.
-    """
-
-    profile: IndividualProfile
-    day: int
-    minute: int
-    location: str
-    daily_quota: int
-    generated_today: int = 0
-    trips: int = 0
-    relocations: int = 0
-    chain_breaks: int = 0
-    degenerate_slot_draws: int = 0
-    duration_fallbacks: int = 0
-    counts: FeedbackCounts | None = field(default=None, repr=False)
-    terms: dict = field(default_factory=dict, repr=False)
-    destinations: dict = field(default_factory=dict, repr=False)
-
-
 @dataclass
 class GenStats:
-    """Bookkeeping for one generation run."""
+    """Bookkeeping for one generation run, or for one individual of it."""
 
     trips: int = 0
     relocations: int = 0  # trips whose origin was relocated off the cursor
@@ -122,11 +91,39 @@ class GenStats:
     quarantined: list = field(default_factory=list)
 
 
+@dataclass(slots=True)
+class GenCursor:
+    """Mutable per-individual generation state.
+
+    `day` and `minute` are the clock: the day index and the 1-based minute
+    of day before which no further departure may fall. `counts` are the
+    type's generated counts, bound to its reference departures (see
+    FeedbackCounts). `terms` and `destinations` cache
+    preference_terms and the checked cumulative destination weights by
+    current zone. All caches live as long as the cursor, which is one
+    individual of one run. `stats` counts what this individual's trips
+    have done so far.
+    """
+
+    profile: IndividualProfile
+    day: int
+    minute: int
+    location: str
+    daily_quota: int
+    generated_today: int = 0
+    stats: GenStats = field(default_factory=GenStats, repr=False)
+    counts: FeedbackCounts | None = field(default=None, repr=False)
+    terms: dict = field(default_factory=dict, repr=False)
+    destinations: dict = field(default_factory=dict, repr=False)
+
+
 def initial_location(profile: IndividualProfile) -> str:
     """The zone this individual most frequently touched (origins plus
     destinations); lexicographically smallest id wins ties."""
-    combined = Counter(profile.per_origin)
-    combined.update(profile.per_destination)
+    combined = dict(profile.per_origin)
+    for row in profile.od_counts.values():
+        for d, n in row.items():
+            combined[d] = combined.get(d, 0) + n
     if not combined:
         raise CorruptInputError(f"profile {profile.traveller_id!r} has no trips")
     return max(sorted(combined), key=combined.__getitem__)
@@ -420,7 +417,7 @@ def generate_trip(
     midnight if needed. A cursor with no quota left today is refused by
     subsequent_slots (ValueError) before any draw.
     """
-    profile = cursor.profile
+    profile, stats = cursor.profile, cursor.stats
     remaining = cursor.daily_quota - cursor.generated_today
     first, last_active = subsequent_slots(partition, cursor.minute, remaining)
     terms = cursor.terms.get(cursor.location)
@@ -438,17 +435,17 @@ def generate_trip(
         # overshoot zeroes its feedback factor. That slot is the only one
         # left, so it is taken without a draw.
         slot_id = first
-        cursor.degenerate_slot_draws += 1
+        stats.degenerate_slot_draws += 1
     slot = partition.by_id(slot_id)
     departure = select_time_period(slot, cursor.minute, counts, rng)
     origin, destination, relocated = select_destination(cursor, rng)
     if relocated:
-        cursor.relocations += 1
-        if cursor.trips:
-            cursor.chain_breaks += 1
+        stats.relocations += 1
+        if stats.trips:
+            stats.chain_breaks += 1
     entry = select_path(catalog, origin, destination, rng)
     duration, fell_back = sample_duration(pools, entry.path_id, slot_id, rng)
-    cursor.duration_fallbacks += fell_back
+    stats.duration_fallbacks += fell_back
 
     ttype = profile.traveller_type
     trip = TripRecord(
@@ -463,7 +460,7 @@ def generate_trip(
     cursor.minute = minute + 1
     cursor.location = destination
     cursor.generated_today += 1
-    cursor.trips += 1
+    stats.trips += 1
     return trip
 
 
@@ -482,7 +479,7 @@ def _generate_individual(
         daily_quota=daily_quota(profile, rng),
     )
     trips = []
-    spills = dropped = 0
+    counted = cursor.stats
     end_day = params.start_day + params.horizon_days
     while cursor.day < end_day:
         if cursor.generated_today >= cursor.daily_quota:
@@ -498,18 +495,14 @@ def _generate_individual(
         )
         if cursor.day != day_before:
             # Trip spilled past midnight; the old day's unmet quota is dropped.
-            spills += 1
-            dropped += cursor.daily_quota - cursor.generated_today
+            counted.midnight_spills += 1
+            counted.spill_dropped_quota += cursor.daily_quota - cursor.generated_today
             cursor.daily_quota = daily_quota(profile, rng)
             cursor.generated_today = 0
-    stats.trips += cursor.trips
-    stats.relocations += cursor.relocations
-    stats.chain_breaks += cursor.chain_breaks
-    stats.continuity_pairs += max(cursor.trips - 1, 0)
-    stats.degenerate_slot_draws += cursor.degenerate_slot_draws
-    stats.duration_fallbacks += cursor.duration_fallbacks
-    stats.midnight_spills += spills
-    stats.spill_dropped_quota += dropped
+    counted.continuity_pairs = max(counted.trips - 1, 0)
+    for name, n in vars(counted).items():
+        if name != "quarantined":
+            setattr(stats, name, getattr(stats, name) + n)
     return trips
 
 

@@ -177,10 +177,7 @@ def parse_trips(
         return name_codes.setdefault(name, len(name_codes))
 
     def parse_path(text):
-        path = tuple(p for p in text.split(PATH_SEPARATOR) if p)
-        if not path:
-            raise ValueError(text)
-        return path_codes.setdefault(path, len(path_codes))
+        return path_codes.setdefault(split_path(text), len(path_codes))
 
     # text -> parsed value or code, None for a rejected text
     types = _Memo(lambda text: TYPE_ORDER.index(TravellerType.parse(text)))
@@ -447,6 +444,14 @@ def path_id_of(path) -> str:
     return PATH_SEPARATOR.join(path)
 
 
+def split_path(text: str) -> tuple:
+    """The non-empty roads of a route text; ValueError when there are none."""
+    path = tuple(filter(None, text.split(PATH_SEPARATOR)))
+    if not path:
+        raise ValueError(f"route {text!r} has no roads")
+    return path
+
+
 def build_path_catalog(trips) -> PathCatalog:
     """Pool paths across all individuals per OD pair, counting occurrences."""
     table = TripTable.of(trips)
@@ -583,22 +588,11 @@ class Store:
 
 
 def _counts(values, what: str) -> None:
-    """ValueError unless every one of `values` is an int >= 1 and not a bool."""
-    _counts_in((tuple(values),), what)
-
-
-def _counts_in(groups, what: str) -> None:
-    """_counts over the values of every one of `groups`, a re-iterable of
-    collections, without copying them into one."""
-    values = chain.from_iterable
-    if set(map(type, values(groups))) - {int} or min(values(groups), default=1) < 1:
-        bad = next(v for v in values(groups) if type(v) is not int or v < 1)
-        raise ValueError(f"{what} is not an integer >= 1: {bad!r}")
-
-
-def _row_values(tables):
-    """Every value of every row of `tables`, each {key: {key: value}}."""
-    return chain.from_iterable(row.values() for table in tables for row in table.values())
+    """ValueError naming the first of `values` that is not an int >= 1, a
+    bool included; the values are streamed once."""
+    for v in values:
+        if type(v) is not int or v < 1:
+            raise ValueError(f"{what} is not an integer >= 1: {v!r}")
 
 
 def _same_totals(expected: dict, found: dict, what: str) -> None:
@@ -612,13 +606,14 @@ def _same_totals(expected: dict, found: dict, what: str) -> None:
 def load_store(path) -> Store:
     """The store saved at `path`. A file that is not JSON, not a store of
     this version or malformed inside is a ValueError naming the file.
-    Malformed includes a count or a pooled duration that is not an int of
-    at least 1, a slot id outside the partition, a profile with no trips, a
-    profile whose slot x origin counts do not sum to its OD counts per
-    origin, a type whose reference slot totals are not the sums of its
-    profiles' slot counts, an OD pair whose catalog counts do not sum its
-    profiles' OD counts, and a route with other than one pooled duration
-    per catalog count.
+    Malformed includes a count, a pooled duration or a partition start
+    that is not an int of at least 1, partition starts out of order, a
+    route id other than its split_path roads joined again, a slot id
+    outside the partition, a profile with no trips, a profile whose slot x
+    origin counts do not sum to its OD counts per origin, a type whose
+    reference slot totals are not the sums of its profiles' slot counts,
+    an OD pair whose catalog counts do not sum its profiles' OD counts,
+    and a route with other than one pooled duration per catalog count.
 
     Each section is popped from the parsed document and released once it
     is converted, each pooled list as soon as its tuple exists. Equal zone,
@@ -633,7 +628,11 @@ def load_store(path) -> Store:
     if version != STORE_VERSION:
         raise ValueError(f"{path}: unsupported store version: {version!r}")
     try:
-        partition = TimeSlotPartition.from_boundaries(doc["partition"])
+        starts = doc["partition"]
+        _counts(starts, "partition start")
+        partition = TimeSlotPartition.from_boundaries(starts)
+        if starts != partition.boundaries():
+            raise ValueError(f"partition starts are not ascending: {starts!r}")
         window_days = doc["window_days"]
         _counts([window_days], "window_days")
         profiles = {
@@ -650,12 +649,16 @@ def load_store(path) -> Store:
             for tid, raw in doc.pop("profiles").items()
         }
         kept = profiles.values()
-        _counts(_row_values(p.od_counts for p in kept), "OD count")
-        _counts(_row_values(p.slot_origin_counts for p in kept), "slot-origin count")
+        flat = chain.from_iterable  # flat(rows): the items of every row in turn
+        _counts(flat(r.values() for p in kept for r in p.od_counts.values()), "OD count")
+        _counts(flat(r.values() for p in kept for r in p.slot_origin_counts.values()),
+                "slot-origin count")
         one = {}.setdefault  # one(text, text): the one str kept for equal texts
 
         def route(pid):
-            roads = pid.split(PATH_SEPARATOR)
+            roads = split_path(pid)
+            if path_id_of(roads) != pid:
+                raise ValueError(f"route {pid!r} has an empty road")
             return one(pid, pid), tuple(map(one, roads, roads))
 
         catalog = PathCatalog(
@@ -664,8 +667,7 @@ def load_store(path) -> Store:
                 for o, d, rows in doc.pop("catalog")
             }
         )
-        _counts((e.crowd_count for e in chain.from_iterable(catalog.entries.values())),
-                "catalog count")
+        _counts((e.crowd_count for e in flat(catalog.entries.values())), "catalog count")
         rows = doc.pop("pools")
         _counts((slot for _, slot, _ in rows), "slot id")
         rows.reverse()
@@ -673,13 +675,13 @@ def load_store(path) -> Store:
         while rows:
             pid, slot, values = rows.pop()
             samples[one(pid, pid), partition.by_id(slot).slot_id] = tuple(values)
-        _counts_in(samples.values(), "pooled duration")
+        _counts(flat(samples.values()), "pooled duration")
         pools = DurationPool(samples)
         minutes = {
             TravellerType(name): {int(m): n for m, n in counts.items()}
             for name, counts in doc.pop("reference").items()
         }
-        _counts(_row_values((minutes,)), "reference count")
+        _counts(flat(r.values() for r in minutes.values()), "reference count")
         reference = reference_from_minutes(minutes, partition)
         zero = [0] * (len(partition) + 1)
         by_type: dict = {}  # type -> profile trips by slot id

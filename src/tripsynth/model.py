@@ -261,8 +261,8 @@ class IndividualProfile:
     All counters are plain dicts over observed keys only; missing keys mean
     zero. `od_counts` maps origin -> {destination: trips}; the per-slot
     origin breakdown `slot_origin_counts` maps slot id -> {origin: trips}.
-    `total_trips`, `per_origin` and `per_destination` are derived from
-    `od_counts` on construction.
+    `total_trips` and `per_origin` are derived from `od_counts` on
+    construction.
     """
 
     traveller_id: str
@@ -272,17 +272,11 @@ class IndividualProfile:
     observed_days: int = 1
     total_trips: int = field(init=False)
     per_origin: dict = field(init=False, repr=False)
-    per_destination: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        per_origin, per_destination = {}, {}
-        for o, row in self.od_counts.items():
-            for d, n in row.items():
-                per_origin[o] = per_origin.get(o, 0) + n
-                per_destination[d] = per_destination.get(d, 0) + n
+        per_origin = {o: sum(row.values()) for o, row in self.od_counts.items() if row}
         object.__setattr__(self, "total_trips", sum(per_origin.values()))
         object.__setattr__(self, "per_origin", per_origin)
-        object.__setattr__(self, "per_destination", per_destination)
 
 
 class TypeCounts:

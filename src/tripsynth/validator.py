@@ -233,12 +233,19 @@ def _count_types(table: TripTable, granularity: int) -> dict:
     return by_type
 
 
-def _window_distribution(windows: Counter, n_windows: int, days=None) -> Distribution:
+def _window_counts(windows: Counter, days=None) -> Counter:
+    """Departures per window, over the days in `days` (all when None)."""
     counts: Counter = Counter()
     for (day, window), n in windows.items():
         if days is None or day in days:
             counts[window] += n
-    return Distribution.from_counts(counts, bins=range(1, n_windows + 1))
+    return counts
+
+
+def _js(ref_counts, gen_counts, bins) -> float:
+    """JS divergence of two count mappings normalized over the shared `bins`."""
+    return js_divergence(Distribution.from_counts(ref_counts, bins=bins),
+                         Distribution.from_counts(gen_counts, bins=bins))
 
 
 def build_report(
@@ -289,16 +296,11 @@ def build_report(
         class_days[day_class(day)].add(day)
 
     def js_time(ref_windows, gen_windows, days=None):
-        p = _window_distribution(ref_windows, n_windows, days)
-        q = _window_distribution(gen_windows, n_windows, days)
-        return js_divergence(p, q)
+        return _js(_window_counts(ref_windows, days), _window_counts(gen_windows, days),
+                   range(1, n_windows + 1))
 
     def js_road(ref_counts, gen_counts):
-        bins = tuple(sorted(set(ref_counts) | set(gen_counts)))
-        return js_divergence(
-            Distribution.from_counts(ref_counts, bins=bins),
-            Distribution.from_counts(gen_counts, bins=bins),
-        )
+        return _js(ref_counts, gen_counts, sorted(set(ref_counts) | set(gen_counts)))
 
     _cell(report, "js_time", "", "all",
           lambda: js_time(total(ref, "windows"), total(gen, "windows")))
@@ -355,8 +357,5 @@ def _js_histograms(ref: dict, gen: dict, width: float, top: float) -> float:
     `width`, everything at or above `top` pooled in the last bin."""
     if not ref or not gen:
         raise ValueError("empty distribution")
-    bins = range(int(top / width) + 1)
-    return js_divergence(
-        Distribution.from_counts(_histogram(ref.values(), width, top), bins=bins),
-        Distribution.from_counts(_histogram(gen.values(), width, top), bins=bins),
-    )
+    return _js(_histogram(ref.values(), width, top), _histogram(gen.values(), width, top),
+               range(int(top / width) + 1))

@@ -578,6 +578,15 @@ def _with_entry(doc, steps, value):
     doc[next(iter(doc)) if last is None else last] = value
 
 
+def _with_route_renamed(doc, rename):
+    """Rename the first route of several roads to rename(its id), in the
+    catalog and in the pools."""
+    old = next(pid for _, _, rows in doc["catalog"] for pid, _ in rows if "-" in pid)
+    for row in [row for _, _, rows in doc["catalog"] for row in rows] + doc["pools"]:
+        if row[0] == old:
+            row[0] = rename(old)
+
+
 # A traveller typed commuter, then random twice; the parser keeps commuter.
 MIXED_ROWS = (
     "X,commuter,2019-08-12,07:00,,Z01,Z02,R01_02,10\n"
@@ -766,22 +775,46 @@ class TestPipeline:
             # A profile with no trips adds to no total.
             (("profiles", "ZZ-no-trips"), {"type": "commuter", "od": {},
                                            "slot_origin": {}}),
+            # Partition starts that read back as the hourly partition, but
+            # that save_store never writes.
+            (("partition", 1), "61"),
+            (("partition", 1), 61.9),
+            (("partition", 0), True),
+            (("partition",), [61, 1, *range(121, 1441, 60)]),
         ],
         ids=["reference-count-negative", "od-count-negative", "od-count-bool",
              "od-count-fraction", "slot-origin-count-negative", "slot-origin-slot-99",
              "catalog-count-negative", "pooled-duration-fraction",
              "pooled-duration-negative", "pool-slot-99", "pool-slot-bool",
              "slot-origin-off-od", "reference-off-profiles", "catalog-off-profiles",
-             "catalog-pair-unknown", "pool-off-catalog", "profile-without-trips"],
+             "catalog-pair-unknown", "pool-off-catalog", "profile-without-trips",
+             "partition-start-text", "partition-start-fraction", "partition-start-bool",
+             "partition-unsorted"],
     )
     def test_bad_store_value_fails_generate(self, cfg, tmp_path, caplog, steps, value):
+        self.assert_refused_on_load(cfg, tmp_path, caplog,
+                                    lambda doc: _with_entry(doc, steps, value))
+
+    @pytest.mark.parametrize(
+        "rename",
+        [lambda pid: "", lambda pid: pid.replace("-", "--", 1)],
+        ids=["route-empty", "route-empty-road"],
+    )
+    def test_bad_route_id_fails_generate(self, cfg, tmp_path, caplog, rename):
+        # Renamed everywhere, so every count and total still agrees; the
+        # trip parser would not give the id back.
+        self.assert_refused_on_load(cfg, tmp_path, caplog,
+                                    lambda doc: _with_route_renamed(doc, rename))
+
+    @staticmethod
+    def assert_refused_on_load(cfg, tmp_path, caplog, edit):
         # Refused on load, before any row is written, in one line naming
         # the store.
         assert main(["corpus", "-c", cfg]) == 0
         assert main(["ingest", "-c", cfg]) == 0
         store = tmp_path / "build" / "store.json"
         doc = json.loads(store.read_text())
-        _with_entry(doc, steps, value)
+        edit(doc)
         store.write_text(json.dumps(doc))
         caplog.clear()
         assert main(["generate", "-c", cfg]) == 1
@@ -861,6 +894,28 @@ class TestPipeline:
         for command in ("corpus", "ingest", "generate", "validate"):
             assert main([command, "-c", cfg]) == 0
         assert called == set(wrapped)
+
+    def test_generate_calls_wrapped_names_through_generator(self, cfg, monkeypatch):
+        # A caller that wraps these names on the generator module, or the
+        # ledger's record method, sees every one of them called.
+        wrapped = (
+            "generate_trip", "daily_quota", "slot_weights", "subsequent_slots",
+            "select_time_slot", "select_time_period", "period_weights",
+            "select_destination", "select_path", "sample_duration",
+        )
+        assert main(["corpus", "-c", cfg]) == 0
+        assert main(["ingest", "-c", cfg]) == 0
+        called = set()
+        for owner, name in [(generator, n) for n in wrapped] + [
+            (generator.AggregationLedger, "record")
+        ]:
+            def record(*args, _name=name, _original=getattr(owner, name), **kwargs):
+                called.add(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, record)
+        assert main(["generate", "-c", cfg]) == 0
+        assert called == {*wrapped, "record"}
 
     def test_seconds_input_validates_every_generated_row(self, tmp_path, caplog):
         cfg = write_config(tmp_path, PATHS + SMALL_CORPUS + "duration_unit: seconds\n")

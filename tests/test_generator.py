@@ -930,7 +930,7 @@ class TestGenerateTrip:
             "V1", TravellerType.COMMUTER, 0, 1425, "A", "B", ("r1", "r2"), 14
         )
         assert ledger.counts(TravellerType.COMMUTER).slot[24] == 2
-        assert cursor.degenerate_slot_draws == 1
+        assert cursor.stats.degenerate_slot_draws == 1
 
     def test_requires_quota(self):
         profiles, ref, catalog, pools = small_world()
@@ -1022,6 +1022,42 @@ class TestGenerateAll:
         assert stats.quarantined == ["V0"]
         assert {t.traveller_id for t in trips} == {"V1"}
         assert len(trips) == stats.trips == 14
+
+    def test_quarantine_mid_run_folds_none_of_its_counts(self, monkeypatch):
+        # V2 fails on its third duration draw, after two of its trips were
+        # drawn; the run's stats hold V1's and V3's counts only.
+        profiles, ref, catalog, pools = small_world()
+        v1 = profiles["V1"]
+        for tid in ("V2", "V3"):
+            profiles[tid] = IndividualProfile(
+                tid, v1.traveller_type, v1.od_counts, v1.slot_origin_counts, v1.observed_days
+            )
+        current, draws = [], Counter()
+        start, draw = generator.initial_location, generator.sample_duration
+
+        def enter(profile):
+            current.append(profile.traveller_id)
+            return start(profile)
+
+        def failing(pools, path_id, slot_id, rng):
+            draws[current[-1]] += 1
+            if (current[-1], draws[current[-1]]) == ("V2", 3):
+                raise CorruptInputError("durations lost")
+            return draw(pools, path_id, slot_id, rng)
+
+        monkeypatch.setattr(generator, "initial_location", enter)
+        monkeypatch.setattr(generator, "sample_duration", failing)
+        stats = GenStats()
+        trips = list(
+            generate_all(profiles, ref, catalog, pools, GenParams(rng_seed=5), HOURLY,
+                         stats=stats)
+        )
+        yielded = {t.traveller_id for t in trips}
+        assert current == ["V1", "V2", "V3"] and draws["V2"] == 3
+        assert yielded == {"V1", "V3"}
+        assert stats.quarantined == ["V2"]
+        assert stats.trips == len(trips)
+        assert stats.continuity_pairs == len(trips) - len(yielded)
 
     def test_type_without_reference_is_quarantined(self, monkeypatch):
         # The reference holds commuters only. Every stable individual is
