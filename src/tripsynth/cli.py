@@ -172,7 +172,8 @@ def load_config(path) -> Config:
             epoch = dt.date.fromisoformat(epoch)
         except ValueError:
             raise ConfigError(f"bad epoch date: {epoch!r}") from None
-    if not isinstance(epoch, dt.date):
+    # A YAML timestamp is a datetime, which is a date subclass.
+    if type(epoch) is not dt.date:
         raise ConfigError("epoch must be an ISO date")
 
     window_days = _value(doc, "window_days", 7, _int, "config root")
@@ -192,7 +193,7 @@ def load_config(path) -> Config:
         if part_cfg == "hourly":
             partition = TimeSlotPartition.hourly()
         elif isinstance(part_cfg, list):
-            partition = TimeSlotPartition.from_boundaries(_ints(part_cfg))
+            partition = TimeSlotPartition.from_boundaries(part_cfg)
         else:
             raise ValueError(f"partition must be 'hourly' or a list of slot starts")
     except TypeError as exc:

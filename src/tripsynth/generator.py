@@ -255,25 +255,13 @@ def _checked_cumulative(labels, weights) -> list:
     return cum
 
 
-def weighted_draw(labels, weights, rng: random.Random, k=None):
-    """Inverse-CDF draw from `labels` by non-negative `weights`.
-
-    Draws through _cumulative_draw over _checked_cumulative(labels,
-    weights), so the labels drawn and the RNG state left are those of
-    rng.choices(labels, weights, k=...), and the same ValueErrors are
-    raised. A zero weight repeats a cumulative entry and is never drawn.
-    With k=None returns a single label; otherwise a list of k draws.
-    """
-    cum = _checked_cumulative(labels, weights)
-    if k is None:
-        return _cumulative_draw(labels, cum, rng)
-    return [_cumulative_draw(labels, cum, rng) for _ in range(k)]
-
-
 def select_time_slot(weights: list, first: int, rng: random.Random) -> int:
     """Sample a slot id from `first, first + 1, ...` proportionally to
-    `weights` (as slot_weights returns them)."""
-    return weighted_draw(range(first, first + len(weights)), weights, rng)
+    `weights` (as slot_weights returns them): the id drawn and the RNG
+    state left are those of rng.choices(ids, weights), and the same
+    ValueErrors are raised. A zero weight is never drawn."""
+    ids = range(first, first + len(weights))
+    return _cumulative_draw(ids, _checked_cumulative(ids, weights), rng)
 
 
 def period_weights(
@@ -320,13 +308,13 @@ def select_time_period(
 ) -> int:
     """Sample a departure minute inside the chosen slot.
 
-    One inverse-CDF draw (_cumulative_draw, as weighted_draw makes it) over
-    period_weights: the minutes in deficit when there are any, otherwise
-    every candidate minute by inverse overshoot. Those weights are positive
-    and finite by construction, so weighted_draw's checks are skipped. The
-    full candidate list would add only zero weights, which repeat
-    cumulative entries the search never stops at, so leaving them out
-    changes neither the minute drawn nor the RNG state.
+    One inverse-CDF draw (_cumulative_draw, as random.choices makes it)
+    over period_weights: the minutes in deficit when there are any,
+    otherwise every candidate minute by inverse overshoot. Those weights
+    are positive and finite by construction, so _checked_cumulative is
+    skipped. The full candidate list would add only zero weights, which
+    repeat cumulative entries the search never stops at, so leaving them
+    out changes neither the minute drawn nor the RNG state.
     """
     minutes, weights = period_weights(slot, minute, counts)
     return _cumulative_draw(minutes, list(accumulate(weights)), rng)
@@ -352,9 +340,8 @@ def select_destination(cursor: GenCursor, rng: random.Random):
     """Sample a destination proportionally to the individual's historical
     OD counts from the cursor's location, relocating as destination_weights
     does. Each location's weights are checked and accumulated once and
-    cached on the cursor, so a draw is the one _cumulative_draw that
-    weighted_draw would make. Returns (origin_used, destination,
-    relocated)."""
+    cached on the cursor, so a draw is the one random.choices would make.
+    Returns (origin_used, destination, relocated)."""
     found = cursor.destinations.get(cursor.location)
     if found is None:
         origin, dests, weights, relocated = destination_weights(
@@ -370,8 +357,8 @@ def select_path(catalog: PathCatalog, o_zone: str, d_zone: str, rng: random.Rand
     """Sample a pooled route for the OD pair proportionally to crowd counts.
 
     The counts are checked and accumulated on the OD pair's first draw and
-    kept in catalog.route_draws, so a draw is the one _cumulative_draw that
-    weighted_draw would make."""
+    kept in catalog.route_draws, so a draw is the one random.choices would
+    make."""
     od = (o_zone, d_zone)
     found = catalog.route_draws.get(od)
     if found is None:

@@ -429,14 +429,8 @@ class PathCatalog:
     def get(self, o_zone: str, d_zone: str):
         return self.entries.get((o_zone, d_zone), ())
 
-    def __contains__(self, od) -> bool:
-        return od in self.entries
-
     def od_pairs(self):
         return sorted(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
 
 
 def path_id_of(path) -> str:
@@ -606,9 +600,9 @@ def _same_totals(expected: dict, found: dict, what: str) -> None:
 def load_store(path) -> Store:
     """The store saved at `path`. A file that is not JSON, not a store of
     this version or malformed inside is a ValueError naming the file.
-    Malformed includes a count, a pooled duration or a partition start
-    that is not an int of at least 1, partition starts out of order, a
-    route id other than its split_path roads joined again, a slot id
+    Malformed includes a count or a pooled duration that is not an int of
+    at least 1, partition starts that are not ints strictly ascending from
+    1, a route id other than its split_path roads joined again, a slot id
     outside the partition, a profile with no trips, a profile whose slot x
     origin counts do not sum to its OD counts per origin, a type whose
     reference slot totals are not the sums of its profiles' slot counts,
@@ -628,11 +622,7 @@ def load_store(path) -> Store:
     if version != STORE_VERSION:
         raise ValueError(f"{path}: unsupported store version: {version!r}")
     try:
-        starts = doc["partition"]
-        _counts(starts, "partition start")
-        partition = TimeSlotPartition.from_boundaries(starts)
-        if starts != partition.boundaries():
-            raise ValueError(f"partition starts are not ascending: {starts!r}")
+        partition = TimeSlotPartition.from_boundaries(doc["partition"])
         window_days = doc["window_days"]
         _counts([window_days], "window_days")
         profiles = {

@@ -10,6 +10,7 @@ from bisect import bisect_left, insort
 from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import ge
 
 MINUTES_PER_DAY = 1440
 
@@ -116,12 +117,16 @@ class TimeSlotPartition:
 
     @classmethod
     def from_boundaries(cls, starts) -> "TimeSlotPartition":
-        """Build from ascending slot start minutes; the first must be 1."""
-        starts = sorted(set(int(s) for s in starts))
-        if not starts or starts[0] != 1:
-            raise ValueError("slot starts must begin at minute 1")
-        if starts[-1] > MINUTES_PER_DAY:
-            raise ValueError("slot start beyond end of day")
+        """Build from slot start minutes, ints strictly ascending from 1 to
+        at most 1440. TypeError names an entry that is not an int (a bool
+        included), and ValueError refuses any other list."""
+        starts = list(starts)
+        for s in starts:
+            if type(s) is not int:
+                raise TypeError(repr(s))
+        if starts[:1] != [1] or starts[-1] > MINUTES_PER_DAY or any(map(ge, starts, starts[1:])):
+            raise ValueError(f"slot starts must be strictly ascending from minute 1 "
+                             f"to at most {MINUTES_PER_DAY}: {starts!r}")
         ends = [s - 1 for s in starts[1:]] + [MINUTES_PER_DAY]
         return cls(
             TimeSlot(i, a, b) for i, (a, b) in enumerate(zip(starts, ends), start=1)

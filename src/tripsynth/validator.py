@@ -46,9 +46,6 @@ class Distribution:
             raise ValueError("empty distribution")
         return cls(bins=bins, mass=tuple(counts.get(b, 0) / total for b in bins))
 
-    def as_dict(self) -> dict:
-        return dict(zip(self.bins, self.mass))
-
 
 def js_divergence(p: Distribution, q: Distribution) -> float:
     """Jensen-Shannon divergence in nats: the mean KL of each side against
@@ -93,11 +90,6 @@ def _topk(counts: Counter, k_fraction: float, universe=None) -> set:
     if n > len(ranked):
         raise ValueError(f"only {len(ranked)} ranked labels for top-{n} request")
     return set(ranked[:n])
-
-
-def destination_entropy(trips) -> float:
-    """Shannon entropy (nats) of one individual's destination distribution."""
-    return _entropy(Counter(t.d_zone for t in trips))
 
 
 def _entropy(counts: Counter) -> float:

@@ -27,7 +27,6 @@ from tripsynth.generator import (
     preference_terms,
     slot_weights,
     subsequent_slots,
-    weighted_draw,
 )
 from tripsynth.ingest import (
     build_duration_pools,
@@ -38,11 +37,10 @@ from tripsynth.ingest import (
     reference_from_minutes,
     write_trips_csv,
 )
-from tripsynth.model import TYPE_ORDER, TravellerType
+from tripsynth.model import TYPE_ORDER, TravellerType, TripRecord
 from tripsynth.validator import (
     Distribution,
     build_report,
-    destination_entropy,
     js_divergence,
 )
 
@@ -183,7 +181,7 @@ def _slot_state(meta, world, rng):
     terms = preference_terms(profile, zone, partition)
     ttype = profile.traveller_type
     weights = slot_weights(partition, terms, ledger.counts(ttype), first, last_active)
-    draws = weighted_draw(range(first, first + len(weights)), weights, rng, k=DRAWS)
+    draws = rng.choices(range(first, first + len(weights)), weights, k=DRAWS)
     return _tv(oracle, draws)
 
 
@@ -220,7 +218,7 @@ def _period_state(meta, world, rng, shape):
     from tripsynth.generator import period_weights
 
     minutes, weights = period_weights(slot, start, ledger.counts(ttype))
-    draws = weighted_draw(minutes, weights, rng, k=DRAWS)
+    draws = rng.choices(minutes, weights, k=DRAWS)
     return _tv(oracle, draws)
 
 
@@ -235,7 +233,7 @@ def _destination_state(meta, world, rng):
     )
     used, dests, weights, flagged = destination_weights(profile, origin)
     assert (used, flagged) == (origin_used, relocated)
-    draws = weighted_draw(dests, weights, rng, k=DRAWS)
+    draws = rng.choices(dests, weights, k=DRAWS)
     return _tv(oracle, draws)
 
 
@@ -243,10 +241,8 @@ def _path_state(meta, world, rng):
     o, d = meta.choice(world.catalog.od_pairs())
     oracle = oracle_path_probabilities(world.catalog, o, d)
     entries = world.catalog.get(o, d)
-    picks = weighted_draw(
-        range(len(entries)), [e.crowd_count for e in entries], rng, k=DRAWS
-    )
-    return _tv(oracle, [entries[i].path_id for i in picks])
+    picks = rng.choices(entries, [e.crowd_count for e in entries], k=DRAWS)
+    return _tv(oracle, [e.path_id for e in picks])
 
 
 def test_criterion_01_samplers_match_oracles(world):
@@ -411,13 +407,11 @@ def test_criterion_09_metric_self_checks():
         abs(js_divergence(p, u) - 0.75 * math.log(4 / 3)) <= 1e-12,
     ]
     for k in (2, 5, 24):
-
-        class FakeTrip:
-            def __init__(self, d):
-                self.d_zone = d
-
-        uniform = [FakeTrip(f"Z{i}") for i in range(k)]
-        checks.append(abs(destination_entropy(uniform) - math.log(k)) <= 1e-12)
+        # One traveller who visits k distinct zones, one trip each.
+        uniform = [TripRecord("V1", TravellerType.COMMUTER, 0, i + 1, "Z0", f"Z{i}", ("r1",), 5)
+                   for i in range(k)]
+        entropy = build_report(uniform, uniform).numeric("entropy_mean", "commuter", "generated")
+        checks.append(abs(entropy - math.log(k)) <= 1e-12)
     verdict(
         9,
         all(checks),

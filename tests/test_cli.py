@@ -128,8 +128,11 @@ corpus:
             ("bogus: 1\n", "unknown key"),
             ("paths: {nowhere: x}\n", "unknown key"),
             ("epoch: not-a-date\n", "bad epoch"),
+            # an unquoted timestamp is a datetime, not a date
+            ("epoch: 2019-08-12 00:00:00\n", "epoch must be an ISO date"),
             ("duration_unit: hours\n", "duration_unit"),
             ("partition: [2, 100]\n", "minute 1"),
+            ("partition: [1, 481, 241, 241]\n", "ascending"),
             ("partition: nonsense\n", "partition"),
             ("generation: {horizon_days: -1}\n", "horizon_days"),
             ("generation: {epsilon: 1.0e-10}\n", "epsilon"),
@@ -432,7 +435,7 @@ def corpus_stores(draw):
         st.just(HOURLY_PARTITION),
         st.just(TimeSlotPartition.from_boundaries([1])),
         st.lists(st.integers(2, 1440), max_size=8).map(
-            lambda starts: TimeSlotPartition.from_boundaries([1, *starts])
+            lambda starts: TimeSlotPartition.from_boundaries([1, *sorted(set(starts))])
         ),
     ))
     return spec, partition
@@ -647,6 +650,10 @@ class TestPipeline:
         assert main(["corpus", "-c", quoted]) == 2
         entry = write_config(tmp_path, "partition: [1, x]\n", name="entry.yaml")
         assert main(["corpus", "-c", entry]) == 2
+        unsorted = write_config(tmp_path, "partition: [1, 481, 241, 241]\n", name="unsorted.yaml")
+        assert main(["corpus", "-c", unsorted]) == 2
+        stamp = write_config(tmp_path, "epoch: 2019-08-12 00:00:00\n", name="stamp.yaml")
+        assert main(["corpus", "-c", stamp]) == 2
         fraction = write_config(tmp_path, "window_days: 7.9\n", name="fraction.yaml")
         assert main(["corpus", "-c", fraction]) == 2
         boolean = write_config(tmp_path, "generation: {seed: true}\n", name="boolean.yaml")

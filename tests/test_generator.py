@@ -30,7 +30,6 @@ from tripsynth.generator import (
     select_time_slot,
     slot_weights,
     subsequent_slots,
-    weighted_draw,
 )
 from tripsynth.ingest import (
     PathCatalog,
@@ -408,31 +407,33 @@ def test_slot_weights_multiplicative_structure():
     assert w[1] == pytest.approx(KAPPA * BLOWUP ** 0.25 * (0.25 + EPSILON))
 
 
+def slot_draws(weights, rng, k):
+    """k slot ids drawn from 1, 2, ... by `weights`, one checked draw each."""
+    return [select_time_slot(weights, 1, rng) for _ in range(k)]
+
+
 class TestWeightedDraw:
     def test_validation(self):
         rng = random.Random(0)
         with pytest.raises(ValueError):
-            weighted_draw([], [], rng)
+            select_time_slot([], 1, rng)
         with pytest.raises(ValueError):
-            weighted_draw(["a"], [1.0, 2.0], rng)
+            generator._checked_cumulative(["a"], [1.0, 2.0])
         with pytest.raises(ValueError):
-            weighted_draw(["a", "b"], [-1.0, 2.0], rng)
+            select_time_slot([-1.0, 2.0], 1, rng)
         with pytest.raises(ValueError):
-            weighted_draw(["a", "b"], [0.0, 0.0], rng)
+            select_time_slot([0.0, 0.0], 1, rng)
 
     def test_proportions(self):
-        rng = random.Random(7)
-        draws = weighted_draw(["a", "b"], [3.0, 1.0], rng, k=100_000)
-        assert draws.count("a") / len(draws) == pytest.approx(0.75, abs=0.01)
+        drawn = slot_draws([3.0, 1.0], random.Random(7), 100_000)
+        assert drawn.count(1) / len(drawn) == pytest.approx(0.75, abs=0.01)
 
     def test_zero_weight_never_drawn(self):
-        rng = random.Random(7)
-        assert set(weighted_draw(["a", "b"], [0.0, 1.0], rng, k=1000)) == {"b"}
+        assert set(slot_draws([0.0, 1.0], random.Random(7), 1000)) == {2}
 
     def test_deterministic_for_seed(self):
-        a = weighted_draw([1, 2, 3], [1, 1, 1], random.Random(42), k=50)
-        b = weighted_draw([1, 2, 3], [1, 1, 1], random.Random(42), k=50)
-        assert a == b
+        a = slot_draws([1, 1, 1], random.Random(42), 50)
+        assert a == slot_draws([1, 1, 1], random.Random(42), 50)
 
     @example([1.0], None, random.Random, 0)
     @example([1.0], 3, random.Random, 0)
@@ -451,14 +452,12 @@ class TestWeightedDraw:
         # Same labels and same RNG state as random.choices over the same
         # weights, zero weights and single labels included; the stub RNGs
         # pin both ends of the unit interval.
-        labels = [f"L{i}" for i in range(len(weights))]
+        labels = range(1, len(weights) + 1)
         ours, theirs = make(seed), make(seed)
         if k is None:
-            assert weighted_draw(labels, weights, ours) == theirs.choices(labels, weights)[0]
+            assert select_time_slot(weights, 1, ours) == theirs.choices(labels, weights)[0]
         else:
-            assert weighted_draw(labels, weights, ours, k=k) == theirs.choices(
-                labels, weights, k=k
-            )
+            assert slot_draws(weights, ours, k) == theirs.choices(labels, weights, k=k)
         assert ours.getstate() == theirs.getstate()
 
 
@@ -981,7 +980,7 @@ class TestGenerateAll:
             generate_all(profiles, ref, catalog, pools, GenParams(rng_seed=5), HOURLY)
         )
         for t in trips:
-            assert (t.o_zone, t.d_zone) in catalog
+            assert (t.o_zone, t.d_zone) in catalog.entries
             assert any(
                 e.path == t.path for e in catalog.get(t.o_zone, t.d_zone)
             )

@@ -415,10 +415,10 @@ class TestPathCatalog:
         assert entries[0].path_id == "r1-r4"
         assert entries[0].path == ("r1", "r4")
         assert entries[0].crowd_count == 2
-        assert ("Z3", "Z9") in catalog
+        assert ("Z3", "Z9") in catalog.entries
         assert catalog.get("Z9", "Z1") == ()
         assert catalog.od_pairs() == [("Z1", "Z2"), ("Z3", "Z9"), ("Z9", "Z3")]
-        assert len(catalog) == 3
+        assert len(catalog.entries) == 3
 
     def test_path_id_of(self):
         assert path_id_of(("r1", "r4", "r7")) == "r1-r4-r7"

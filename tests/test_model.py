@@ -94,6 +94,22 @@ class TestTimeSlotPartition:
         with pytest.raises(ValueError):
             TimeSlotPartition.from_boundaries([1, 2000])
 
+    @pytest.mark.parametrize(
+        "starts,error,fragment",
+        [
+            ([1, 481, 241], ValueError, "ascending"),
+            ([1, 241, 241], ValueError, "ascending"),
+            ([True, 241], TypeError, "True"),
+            ([1, "241"], TypeError, "'241'"),
+            ([1, 241.0], TypeError, "241.0"),
+        ],
+    )
+    def test_from_boundaries_reads_starts_as_given(self, starts, error, fragment):
+        # Out of order or repeated is refused, not sorted and deduplicated,
+        # and an entry that is not an int is refused, not converted.
+        with pytest.raises(error, match=fragment):
+            TimeSlotPartition.from_boundaries(starts)
+
     def test_round_trips_boundaries(self):
         starts = [1, 241, 481, 721, 961, 1201]
         part = TimeSlotPartition.from_boundaries(starts)
@@ -117,7 +133,7 @@ class TestTimeSlotPartition:
         minute=st.integers(min_value=1, max_value=MINUTES_PER_DAY),
     )
     def test_each_minute_in_exactly_one_slot(self, starts, minute):
-        part = TimeSlotPartition.from_boundaries([1] + starts)
+        part = TimeSlotPartition.from_boundaries([1] + sorted(set(starts)))
         holders = [s for s in part if minute in s]
         assert len(holders) == 1
         assert part.slot_of(minute) == holders[0]
@@ -130,7 +146,7 @@ class TestTimeSlotPartition:
         )
     )
     def test_slots_tile_the_day(self, starts):
-        part = TimeSlotPartition.from_boundaries([1] + starts)
+        part = TimeSlotPartition.from_boundaries([1] + sorted(set(starts)))
         assert part.slots[0].start == 1
         assert part.slots[-1].end == MINUTES_PER_DAY
         assert sum(s.width() for s in part) == MINUTES_PER_DAY
