@@ -193,7 +193,7 @@ def load_config(path) -> Config:
         if part_cfg == "hourly":
             partition = TimeSlotPartition.hourly()
         elif isinstance(part_cfg, list):
-            partition = TimeSlotPartition.from_boundaries(part_cfg)
+            partition = TimeSlotPartition(part_cfg)
         else:
             raise ValueError(f"partition must be 'hourly' or a list of slot starts")
     except TypeError as exc:
@@ -288,7 +288,10 @@ def _read_table(path):
 
 
 def cmd_corpus(config: Config) -> int:
-    built = synth_corpus(config.corpus_spec)
+    try:
+        built = synth_corpus(config.corpus_spec)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     trips_path = config.path("trips")
     trips_path.parent.mkdir(parents=True, exist_ok=True)
     with open(trips_path, "w", newline="") as fh:

@@ -288,9 +288,11 @@ def synth_corpus(spec: CorpusSpec | None = None) -> SynthCorpus:
         raise ValueError("random travellers visit 5 zones: grid_side must be >= 3")
     if spec.days < 1:
         raise ValueError("days must be >= 1")
+    if any(n < 0 for _, n in spec.individuals):
+        raise ValueError("individual counts must be >= 0")
     rng = random.Random(spec.rng_seed)
     side = spec.grid_side
-    partition = TimeSlotPartition.from_boundaries(CORPUS_SLOT_STARTS)
+    partition = TimeSlotPartition(CORPUS_SLOT_STARTS)
     zones = _grid_zones(side)
     # Roads bounding one zone are mutually adjacent (both directions).
     network = tuple(sorted({(a, b) for z in zones for a in z.roads for b in z.roads if a != b}))

@@ -495,7 +495,7 @@ def _generate_individual(
 
 def generate_all(
     profiles: dict,
-    reference: AggregationLedger,
+    reference: dict,
     catalog: PathCatalog,
     pools: DurationPool,
     params: GenParams,

@@ -24,12 +24,12 @@ from operator import ne
 from pathlib import Path
 
 from .model import (
-    AggregationLedger,
     IndividualProfile,
     TimeSlotPartition,
     TYPE_ORDER,
     TravellerType,
     TripTable,
+    TypeCounts,
     Zone,
     hhmm_to_minute,
     minute_to_hhmm,
@@ -497,9 +497,9 @@ def build_duration_pools(trips, partition: TimeSlotPartition) -> DurationPool:
     return DurationPool(dict(samples))
 
 
-def build_reference_aggregates(trips, partition: TimeSlotPartition) -> AggregationLedger:
-    """Count departures per minute and per slot, keyed by traveller type:
-    the type of each traveller's first row, the one build_profiles keeps."""
+def build_reference_aggregates(trips, partition: TimeSlotPartition) -> dict:
+    """{traveller type: TypeCounts} of the departures, each row under its
+    traveller's first type, the one build_profiles keeps."""
     table = TripTable.of(trips)
     types = table.first_types()
     per_type_minutes: dict = defaultdict(dict)
@@ -509,13 +509,11 @@ def build_reference_aggregates(trips, partition: TimeSlotPartition) -> Aggregati
     return reference_from_minutes(per_type_minutes, partition)
 
 
-def reference_from_minutes(
-    per_type_minutes: dict, partition: TimeSlotPartition
-) -> AggregationLedger:
-    """A reference ledger from {traveller type: {minute: departures}}."""
-    reference = AggregationLedger()
+def reference_from_minutes(per_type_minutes: dict, partition: TimeSlotPartition) -> dict:
+    """{traveller type: TypeCounts} from {traveller type: {minute: departures}}."""
+    reference = {}
     for ttype, minutes in per_type_minutes.items():
-        counts = reference.counts(ttype)
+        counts = reference[ttype] = TypeCounts()
         for minute, n in minutes.items():
             counts.add(partition.slot_of(minute).slot_id, minute, n)
     return reference
@@ -564,7 +562,7 @@ def save_store(path, *, partition, window_days, profiles, catalog, pools,
         fh.write('},"reference":{')
         fh.writelines(_joined(
             encode(name) + ":" + encode({str(m): n for m, n in enumerate(counts.minute) if n})
-            for name, counts in sorted((t.value, c) for t, c in reference.by_type.items())
+            for name, counts in sorted((t.value, c) for t, c in reference.items())
         ))
         fh.write(f'}},"version":{STORE_VERSION},"window_days":{encode(window_days)}}}\n')
 
@@ -578,7 +576,7 @@ class Store:
     profiles: dict
     catalog: PathCatalog
     pools: DurationPool
-    reference: AggregationLedger
+    reference: dict  # {TravellerType: TypeCounts}
 
 
 def _counts(values, what: str) -> None:
@@ -587,6 +585,13 @@ def _counts(values, what: str) -> None:
     for v in values:
         if type(v) is not int or v < 1:
             raise ValueError(f"{what} is not an integer >= 1: {v!r}")
+
+
+def _int_key(text: str) -> int:
+    """The int a key spells as str() writes it; ValueError on any other spelling."""
+    if str(n := int(text)) != text:
+        raise ValueError(f"key is not an integer as written: {text!r}")
+    return n
 
 
 def _same_totals(expected: dict, found: dict, what: str) -> None:
@@ -601,13 +606,14 @@ def load_store(path) -> Store:
     """The store saved at `path`. A file that is not JSON, not a store of
     this version or malformed inside is a ValueError naming the file.
     Malformed includes a count or a pooled duration that is not an int of
-    at least 1, partition starts that are not ints strictly ascending from
-    1, a route id other than its split_path roads joined again, a slot id
-    outside the partition, a profile with no trips, a profile whose slot x
-    origin counts do not sum to its OD counts per origin, a type whose
-    reference slot totals are not the sums of its profiles' slot counts,
-    an OD pair whose catalog counts do not sum its profiles' OD counts,
-    and a route with other than one pooled duration per catalog count.
+    at least 1, a slot or minute key not spelled as str() writes its int,
+    partition starts that are not ints strictly ascending from 1, a route
+    id other than its split_path roads joined again, a slot id outside the
+    partition, a profile with no trips, a profile whose slot x origin
+    counts do not sum to its OD counts per origin, a type whose reference
+    slot totals are not the sums of its profiles' slot counts, an OD pair
+    whose catalog counts do not sum its profiles' OD counts, and a route
+    with other than one pooled duration per catalog count.
 
     Each section is popped from the parsed document and released once it
     is converted, each pooled list as soon as its tuple exists. Equal zone,
@@ -622,7 +628,7 @@ def load_store(path) -> Store:
     if version != STORE_VERSION:
         raise ValueError(f"{path}: unsupported store version: {version!r}")
     try:
-        partition = TimeSlotPartition.from_boundaries(doc["partition"])
+        partition = TimeSlotPartition(doc["partition"])
         window_days = doc["window_days"]
         _counts([window_days], "window_days")
         profiles = {
@@ -631,7 +637,7 @@ def load_store(path) -> Store:
                 traveller_type=TravellerType(raw["type"]),
                 od_counts=raw["od"],
                 slot_origin_counts={
-                    partition.by_id(int(s)).slot_id: by_o
+                    partition.by_id(_int_key(s)).slot_id: by_o
                     for s, by_o in raw["slot_origin"].items()
                 },
                 observed_days=window_days,
@@ -668,7 +674,7 @@ def load_store(path) -> Store:
         _counts(flat(samples.values()), "pooled duration")
         pools = DurationPool(samples)
         minutes = {
-            TravellerType(name): {int(m): n for m, n in counts.items()}
+            TravellerType(name): {_int_key(m): n for m, n in counts.items()}
             for name, counts in doc.pop("reference").items()
         }
         _counts(flat(r.values() for r in minutes.values()), "reference count")
@@ -692,7 +698,7 @@ def load_store(path) -> Store:
                 for d, n in row.items():
                     od_trips[o, d] = od_trips.get((o, d), 0) + n
         for ttype in TYPE_ORDER:
-            counts = reference.by_type.get(ttype)
+            counts = reference.get(ttype)
             if (counts.slot[:len(zero)] if counts else zero) != by_type.get(ttype, zero):
                 raise ValueError(f"reference {ttype.value!r}: slot totals differ from "
                                  "the sums of its profiles' slot counts")

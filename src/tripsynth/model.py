@@ -91,35 +91,12 @@ class TimeSlot:
 
 
 class TimeSlotPartition:
-    """An ordered partition of the 1440-minute day into disjoint slots.
+    """An ordered partition of the 1440-minute day into disjoint slots,
+    built from their start minutes, ints strictly ascending from 1 to at
+    most 1440; slot ids run 1..n by start. TypeError names an entry that
+    is not an int (a bool included); ValueError refuses any other list."""
 
-    Every minute belongs to exactly one slot; slot ids are 1-based and
-    ordered by start minute.
-    """
-
-    def __init__(self, slots):
-        slots = tuple(slots)
-        if not slots:
-            raise ValueError("empty partition")
-        if slots[0].start != 1 or slots[-1].end != MINUTES_PER_DAY:
-            raise ValueError("partition must cover minutes 1..1440")
-        for prev, cur in zip(slots, slots[1:]):
-            if cur.start != prev.end + 1:
-                raise ValueError(
-                    f"partition gap/overlap between slot {prev.slot_id} and {cur.slot_id}"
-                )
-        for i, slot in enumerate(slots, start=1):
-            if slot.slot_id != i:
-                raise ValueError("slot ids must run 1..n in order")
-        self.slots = slots
-        # The slot of each minute of day, by index (index 0 unused).
-        self._by_minute = (None,) + tuple(s for s in slots for _ in range(s.width()))
-
-    @classmethod
-    def from_boundaries(cls, starts) -> "TimeSlotPartition":
-        """Build from slot start minutes, ints strictly ascending from 1 to
-        at most 1440. TypeError names an entry that is not an int (a bool
-        included), and ValueError refuses any other list."""
+    def __init__(self, starts):
         starts = list(starts)
         for s in starts:
             if type(s) is not int:
@@ -128,13 +105,15 @@ class TimeSlotPartition:
             raise ValueError(f"slot starts must be strictly ascending from minute 1 "
                              f"to at most {MINUTES_PER_DAY}: {starts!r}")
         ends = [s - 1 for s in starts[1:]] + [MINUTES_PER_DAY]
-        return cls(
+        self.slots = tuple(
             TimeSlot(i, a, b) for i, (a, b) in enumerate(zip(starts, ends), start=1)
         )
+        # The slot of each minute of day, by index (index 0 unused).
+        self._by_minute = (None,) + tuple(s for s in self.slots for _ in range(s.width()))
 
     @classmethod
     def hourly(cls) -> "TimeSlotPartition":
-        return cls.from_boundaries(range(1, MINUTES_PER_DAY + 1, 60))
+        return cls(range(1, MINUTES_PER_DAY + 1, 60))
 
     def slot_of(self, minute: int) -> TimeSlot:
         """The unique slot containing a 1-based minute of day."""
@@ -325,11 +304,8 @@ class FeedbackCounts(TypeCounts):
 
     def __init__(self, ref: TypeCounts):
         super().__init__()
-        ref_total = ref.total
-        if not ref_total:
-            raise ValueError("feedback counts need a non-empty reference")
         self.ref = ref
-        self.shares = [r / ref_total for r in ref.minute]
+        self.shares = [r / ref.total for r in ref.minute]
         self.scaled = [0] * (MINUTES_PER_DAY + 1)
         # Empty, so every minute the reference saw trails its share.
         self.deficit = [m for m in range(1, MINUTES_PER_DAY + 1) if ref.minute[m]]
@@ -359,36 +335,23 @@ class FeedbackCounts(TypeCounts):
 
 
 class AggregationLedger:
-    """Per-type departure counts by minute of day and by slot id.
+    """The departures generated so far in one type run, per traveller type,
+    as FeedbackCounts against the type's departures in `reference`, a
+    {TravellerType: TypeCounts}; the feedback factor compares the two."""
 
-    One ledger holds the source reference. One per type run, built over
-    that `reference`, holds the trips generated so far as FeedbackCounts,
-    which the feedback factor compares with the reference.
-    """
-
-    def __init__(self, reference: "AggregationLedger | None" = None):
+    def __init__(self, reference: dict):
         self.by_type = {}
         self.reference = reference
 
-    def counts(self, ttype: TravellerType) -> TypeCounts:
-        """The live dense counts of one type, created empty on first use.
-        Over a reference they are FeedbackCounts against the type's
-        reference departures; CorruptInputError when it has none."""
+    def counts(self, ttype: TravellerType) -> FeedbackCounts:
+        """The live counts of one type, created empty on first use;
+        CorruptInputError when the reference has no departures of it."""
         counts = self.by_type.get(ttype)
         if counts is None:
-            reference = self.reference
-            counts = self.by_type[ttype] = (
-                TypeCounts() if reference is None
-                else FeedbackCounts(reference.departures(ttype))
-            )
-        return counts
-
-    def departures(self, ttype: TravellerType) -> TypeCounts:
-        """The counts of one type; CorruptInputError when it has none.
-        Unlike counts(), never adds the type."""
-        counts = self.by_type.get(ttype)
-        if counts is None or counts.total == 0:
-            raise CorruptInputError(f"no departures for type {ttype.value!r}")
+            ref = self.reference.get(ttype)
+            if ref is None or not ref.total:
+                raise CorruptInputError(f"no departures for type {ttype.value!r}")
+            counts = self.by_type[ttype] = FeedbackCounts(ref)
         return counts
 
     def record(self, ttype: TravellerType, slot_id: int, minute: int) -> None:

@@ -34,7 +34,7 @@ def planted_slot_shares(ttype: TravellerType) -> dict:
     A window straddling a slot boundary contributes to each slot in
     proportion to the overlapping minute span.
     """
-    partition = TimeSlotPartition.from_boundaries(CORPUS_SLOT_STARTS)
+    partition = TimeSlotPartition(CORPUS_SLOT_STARTS)
     windows = LEG_WINDOWS[ttype]
     shares: dict = {}
     for window in windows:
@@ -63,7 +63,7 @@ def oracle_slot_probabilities(
     """Exact slot-selection distribution over the slots still reachable at
     the clock `minute`: the slot under it and every later one."""
     ttype = profile.traveller_type
-    ref_minutes = reference.by_type[ttype].minute
+    ref_minutes = reference[ttype].minute
     ref_total = sum(ref_minutes)
     if ref_total <= 0:
         raise ValueError("reference aggregate is empty")
@@ -122,7 +122,7 @@ def oracle_period_probabilities(
     floor: float = 1e-12,
 ) -> dict:
     """Exact departure-minute distribution inside one chosen slot."""
-    ref_minutes = reference.by_type[ttype].minute
+    ref_minutes = reference[ttype].minute
     ref_total = sum(ref_minutes)
     if ref_total <= 0:
         raise ValueError("reference aggregate is empty")

@@ -471,6 +471,30 @@ WORKLOAD_SHA256 = {
 }
 
 
+# The same workloads over the corpus of seed 3 (generation seed 11).
+WORKLOAD_CONFIGS.update({
+    f"{name}-seed-3": edits + (("  seed: 7\n", "  seed: 3\n"),)
+    for name, edits in list(WORKLOAD_CONFIGS.items())
+})
+WORKLOAD_SHA256.update({
+    "desk-seed-3": {
+        "build/store.json": "51a57cfe34b7d9ba033bceb7b2d4232a93f230762fe46fa241c6fbc7c30b0282",
+        "out/generated.csv": "f8382db3d49b3e7bc4017dac768424095b5b2a31e576cd950d0ef7b24e77a894",
+        "out/report.csv": "31aa6a5963d355edbc9b44ed9c9f418149db848db701923004e80ef94e060b47",
+    },
+    "hourly-seed-3": {
+        "build/store.json": "6c873c2abfdeae143aedf39565279d2b5dfd1ec1f9a5c4c5f4b961b7103b3736",
+        "out/generated.csv": "f669520b4ed4917539dc238844ec936665fbcbc81a2ea0f234f45fa4a7a30474",
+        "out/report.csv": "9763c38ae3a843f12b973563e2105132d213613b7b4b55217a70fbc8a4547e79",
+    },
+    "long_window-seed-3": {
+        "build/store.json": "86ae5baf5d28c3ddbc52b51396b01f58a25b98772f7695676fe02c45fafd8172",
+        "out/generated.csv": "d45f145e71824c3c1a1e90ccccbcd33656ca0b46e48b60a681228d84e49b42ba",
+        "out/report.csv": "341aed24a9f81d1d1850f3051705173d4a1ffd13324db3a19e11549ee4b2ab1b",
+    },
+})
+
+
 @pytest.mark.parametrize("workload", sorted(WORKLOAD_SHA256))
 def test_workload_bytes_pinned(tmp_path, workload):
     config = CONFIG

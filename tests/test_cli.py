@@ -227,8 +227,8 @@ def test_zone_and_network_round_trip(small):
 
 
 def reference_counts(reference) -> dict:
-    """{type: (minute counts, slot counts, total)} of a reference ledger."""
-    return {t: (c.minute, c.slot, c.total) for t, c in reference.by_type.items()}
+    """{type: (minute counts, slot counts, total)} of a reference."""
+    return {t: (c.minute, c.slot, c.total) for t, c in reference.items()}
 
 
 class TestStore:
@@ -330,7 +330,7 @@ class TestStore:
 
 
 HOURLY_PARTITION = TimeSlotPartition.hourly()
-FOUR_HOUR_PARTITION = TimeSlotPartition.from_boundaries([1, 241, 481, 721, 961, 1201])
+FOUR_HOUR_PARTITION = TimeSlotPartition([1, 241, 481, 721, 961, 1201])
 
 
 # Legal ids: non-empty; delimiters and non-ASCII allowed, except that a
@@ -384,7 +384,7 @@ def _one_shot_store(partition, profiles, catalog, pools, reference) -> str:
         "pools": [[pid, slot, list(v)] for (pid, slot), v in sorted(pools.samples.items())],
         "reference": {
             ttype.value: {str(m): n for m, n in enumerate(counts.minute) if n}
-            for ttype, counts in reference.by_type.items()
+            for ttype, counts in reference.items()
         },
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
@@ -433,9 +433,9 @@ def corpus_stores(draw):
     )
     partition = draw(st.one_of(
         st.just(HOURLY_PARTITION),
-        st.just(TimeSlotPartition.from_boundaries([1])),
+        st.just(TimeSlotPartition([1])),
         st.lists(st.integers(2, 1440), max_size=8).map(
-            lambda starts: TimeSlotPartition.from_boundaries([1, *sorted(set(starts))])
+            lambda starts: TimeSlotPartition([1, *sorted(set(starts))])
         ),
     ))
     return spec, partition
@@ -581,6 +581,25 @@ def _with_entry(doc, steps, value):
     doc[next(iter(doc)) if last is None else last] = value
 
 
+def _with_key_respelled(doc, steps, respell):
+    """Respell the first key of the dict at `steps` as respell(key), keeping
+    its value; a None step stands for the first key of a dict."""
+    for step in steps:
+        doc = doc[next(iter(doc)) if step is None else step]
+    key = next(iter(doc))
+    doc[respell(key)] = doc.pop(key)
+
+
+# Spellings that int() reads back as the key's int but that str() never
+# writes.
+KEY_RESPELLINGS = {
+    "padded": lambda key: f" {key} ",
+    "zero-led": lambda key: "0" + key,
+    "underscore": lambda key: "0_" + key,
+    "arabic-indic": lambda key: key.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+}
+
+
 def _with_route_renamed(doc, rename):
     """Rename the first route of several roads to rename(its id), in the
     catalog and in the pools."""
@@ -663,6 +682,12 @@ class TestPipeline:
                            ("text.yaml", 'validation: {topk_od: ["0.5"]}\n')):
             full = write_config(tmp_path, PATHS + SMALL_CORPUS + body, name=name)
             assert main(["corpus", "-c", full]) == 2
+        # Read without complaint, but refused by synth_corpus.
+        for name, body in (("negative.yaml", "corpus: {individuals: {commuter: -3, passby: 2}}\n"),
+                           ("no-days.yaml", "corpus: {days: 0}\n")):
+            refused = write_config(tmp_path, PATHS + body, name=name)
+            assert main(["corpus", "-c", refused]) == 2
+            assert not (tmp_path / "data" / "trips.csv").exists()
         # store not built yet
         assert main(["generate", "-c", cfg]) == 1
         # reference trips missing
@@ -802,6 +827,17 @@ class TestPipeline:
         self.assert_refused_on_load(cfg, tmp_path, caplog,
                                     lambda doc: _with_entry(doc, steps, value))
 
+    @pytest.mark.parametrize("spelling", sorted(KEY_RESPELLINGS))
+    @pytest.mark.parametrize(
+        "steps",
+        [("profiles", None, "slot_origin"), ("reference", "commuter")],
+        ids=["slot-key", "minute-key"],
+    )
+    def test_bad_store_key_fails_generate(self, cfg, tmp_path, caplog, steps, spelling):
+        respell = KEY_RESPELLINGS[spelling]
+        self.assert_refused_on_load(cfg, tmp_path, caplog,
+                                    lambda doc: _with_key_respelled(doc, steps, respell))
+
     @pytest.mark.parametrize(
         "rename",
         [lambda pid: "", lambda pid: pid.replace("-", "--", 1)],
@@ -840,7 +876,7 @@ class TestPipeline:
         store = load_store(tmp_path / "build" / "store.json")
         assert store.profiles["X"].traveller_type is TravellerType.COMMUTER
         assert store.profiles["X"].total_trips == 3
-        for ttype, counts in store.reference.by_type.items():
+        for ttype, counts in store.reference.items():
             slots = [0] * len(counts.slot)
             for profile in store.profiles.values():
                 if profile.traveller_type is ttype:

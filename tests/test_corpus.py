@@ -19,6 +19,7 @@ from tripsynth.model import (
     TimeSlotPartition,
     TravellerType,
     TripRecord,
+    TypeCounts,
 )
 
 from oracles import (
@@ -193,7 +194,7 @@ def test_planted_shares_recovered(desk):
     for ttype, _ in desk.spec.individuals:
         expected = planted_slot_shares(ttype)
         assert sum(expected.values()) == pytest.approx(1.0)
-        counts = reference.by_type[ttype]
+        counts = reference[ttype]
         for slot in desk.partition:
             got = counts.slot[slot.slot_id] / counts.total
             assert got == pytest.approx(expected.get(slot.slot_id, 0.0), abs=0.02)
@@ -202,7 +203,7 @@ def test_planted_shares_recovered(desk):
 class TestOracles:
     def hand_state(self):
         """Two-slot world small enough to verify every factor by hand."""
-        halves = TimeSlotPartition.from_boundaries([1, 721])
+        halves = TimeSlotPartition([1, 721])
         p = IndividualProfile(
             traveller_id="V1",
             traveller_type=TravellerType.COMMUTER,
@@ -219,7 +220,7 @@ class TestOracles:
     def test_slot_probabilities_match_hand_arithmetic(self):
         halves, p, reference = self.hand_state()
         probs = oracle_slot_probabilities(
-            halves, p, "A", AggregationLedger(), reference, 1, 2
+            halves, p, "A", AggregationLedger(reference), reference, 1, 2
         )
         # kappa 1e-9, blowup 1e9, epsilon 1e-6
         w1 = 1e9 ** 0.75 * (0.75 * 2.0 + 1e-6)
@@ -229,19 +230,18 @@ class TestOracles:
         assert sum(probs.values()) == pytest.approx(1.0)
 
     def test_slot_probabilities_empty_reference(self):
-        halves, p, _ = self.hand_state()
-        empty = AggregationLedger()
-        empty.counts(TravellerType.COMMUTER)
+        halves, p, reference = self.hand_state()
+        empty = {TravellerType.COMMUTER: TypeCounts()}
         with pytest.raises(ValueError):
             oracle_slot_probabilities(
-                halves, p, "A", AggregationLedger(), empty, 1, 1
+                halves, p, "A", AggregationLedger(reference), empty, 1, 1
             )
 
     def test_period_probabilities_deficit(self):
         _, _, reference = self.hand_state()
         # nothing generated yet: all mass sits on the two reference minutes
         probs = oracle_period_probabilities(
-            TimeSlot(1, 1, 720), 1, AggregationLedger(), reference,
+            TimeSlot(1, 1, 720), 1, AggregationLedger(reference), reference,
             TravellerType.COMMUTER,
         )
         assert probs[400] == pytest.approx(1.0)
@@ -249,7 +249,7 @@ class TestOracles:
 
     def test_period_probabilities_overshoot(self):
         _, _, reference = self.hand_state()
-        ledger = AggregationLedger()
+        ledger = AggregationLedger(reference)
         t = TravellerType.COMMUTER
         # overshoot minute 400 beyond its 0.75 reference share
         for _ in range(9):
@@ -284,7 +284,7 @@ class TestOracles:
         tid = sorted(profiles)[0]
         p = profiles[tid]
         rng = random.Random(0)
-        ledger = AggregationLedger()
+        ledger = AggregationLedger(reference)
         for _ in range(30):
             slot = rng.randrange(1, len(small.partition) + 1)
             ledger.record(p.traveller_type, slot, small.partition.by_id(slot).start)

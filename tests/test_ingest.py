@@ -19,6 +19,7 @@ from tripsynth.ingest import (
     reference_from_minutes,
 )
 from tripsynth.model import (
+    AggregationLedger,
     CorruptInputError,
     TimeSlotPartition,
     TravellerType,
@@ -262,8 +263,8 @@ def test_reference_counts_rows_under_the_travellers_first_type():
         TripRecord("X", TravellerType.RANDOM, 0, 540, "Z2", "Z1", ("r1",), 10),
     ]
     reference = build_reference_aggregates(trips, HOURLY)
-    assert list(reference.by_type) == [TravellerType.COMMUTER]
-    assert reference.by_type[TravellerType.COMMUTER].total == 2
+    assert list(reference) == [TravellerType.COMMUTER]
+    assert reference[TravellerType.COMMUTER].total == 2
     assert build_profiles(trips, HOURLY, 1)["X"].traveller_type is TravellerType.COMMUTER
 
 
@@ -438,7 +439,7 @@ def test_duration_pools(history):
 class TestReferenceAggregates:
     def test_shares(self, history):
         ref = build_reference_aggregates(history, HOURLY)
-        counts = ref.by_type[TravellerType.COMMUTER]
+        counts = ref[TravellerType.COMMUTER]
         assert counts.total == 3
         assert {s: n for s, n in enumerate(counts.slot) if n} == {8: 2, 18: 1}
         assert counts.slot[8] / counts.total == pytest.approx(2 / 3)
@@ -452,16 +453,16 @@ class TestReferenceAggregates:
 
     def test_missing_type(self, history):
         ref = build_reference_aggregates(history, HOURLY)
-        assert TravellerType.PASSBY not in ref.by_type
+        assert TravellerType.PASSBY not in ref
         with pytest.raises(CorruptInputError):
-            ref.departures(TravellerType.PASSBY)
-        assert TravellerType.PASSBY not in ref.by_type
-        assert ref.departures(TravellerType.COMMUTER).total == 3
+            AggregationLedger(ref).counts(TravellerType.PASSBY)
+        assert TravellerType.PASSBY not in ref
+        assert AggregationLedger(ref).counts(TravellerType.COMMUTER).ref.total == 3
 
     def test_zero_total_share(self):
         ref = reference_from_minutes({TravellerType.PASSBY: {}}, HOURLY)
-        counts = ref.counts(TravellerType.PASSBY)
+        counts = ref[TravellerType.PASSBY]
         assert counts.total == 0
         assert not any(counts.slot) and not any(counts.minute)
         with pytest.raises(CorruptInputError):
-            ref.departures(TravellerType.PASSBY)
+            AggregationLedger(ref).counts(TravellerType.PASSBY)

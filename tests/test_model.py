@@ -88,11 +88,11 @@ class TestTimeSlotPartition:
 
     def test_from_boundaries_requires_minute_one(self):
         with pytest.raises(ValueError):
-            TimeSlotPartition.from_boundaries([61, 121])
+            TimeSlotPartition([61, 121])
         with pytest.raises(ValueError):
-            TimeSlotPartition.from_boundaries([])
+            TimeSlotPartition([])
         with pytest.raises(ValueError):
-            TimeSlotPartition.from_boundaries([1, 2000])
+            TimeSlotPartition([1, 2000])
 
     @pytest.mark.parametrize(
         "starts,error,fragment",
@@ -108,13 +108,13 @@ class TestTimeSlotPartition:
         # Out of order or repeated is refused, not sorted and deduplicated,
         # and an entry that is not an int is refused, not converted.
         with pytest.raises(error, match=fragment):
-            TimeSlotPartition.from_boundaries(starts)
+            TimeSlotPartition(starts)
 
     def test_round_trips_boundaries(self):
         starts = [1, 241, 481, 721, 961, 1201]
-        part = TimeSlotPartition.from_boundaries(starts)
+        part = TimeSlotPartition(starts)
         assert part.boundaries() == starts
-        assert part == TimeSlotPartition.from_boundaries(starts)
+        assert part == TimeSlotPartition(starts)
 
     def test_by_id(self):
         part = TimeSlotPartition.hourly()
@@ -133,7 +133,7 @@ class TestTimeSlotPartition:
         minute=st.integers(min_value=1, max_value=MINUTES_PER_DAY),
     )
     def test_each_minute_in_exactly_one_slot(self, starts, minute):
-        part = TimeSlotPartition.from_boundaries([1] + sorted(set(starts)))
+        part = TimeSlotPartition([1] + sorted(set(starts)))
         holders = [s for s in part if minute in s]
         assert len(holders) == 1
         assert part.slot_of(minute) == holders[0]
@@ -146,7 +146,7 @@ class TestTimeSlotPartition:
         )
     )
     def test_slots_tile_the_day(self, starts):
-        part = TimeSlotPartition.from_boundaries([1] + sorted(set(starts)))
+        part = TimeSlotPartition([1] + sorted(set(starts)))
         assert part.slots[0].start == 1
         assert part.slots[-1].end == MINUTES_PER_DAY
         assert sum(s.width() for s in part) == MINUTES_PER_DAY
