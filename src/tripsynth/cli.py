@@ -185,8 +185,8 @@ def load_config(path) -> Config:
         raise ConfigError(f"duration_unit must be minutes or seconds, got {duration_unit!r}")
 
     delimiter = str(doc.get("csv_delimiter", ","))
-    if len(delimiter) != 1:
-        raise ConfigError("csv_delimiter must be a single character")
+    if len(delimiter) != 1 or delimiter in "\r\n":
+        raise ConfigError("csv_delimiter must be a single character other than a line break")
 
     part_cfg = doc.get("partition", "hourly")
     try:
@@ -252,6 +252,14 @@ def load_config(path) -> Config:
             for ttype in TYPE_ORDER
             if ttype.value in raw
         )
+
+    # The trip writers render each day as a date counted from the epoch.
+    lo, hi = 1 - epoch.toordinal(), dt.date.max.toordinal() - epoch.toordinal()
+    for key, first, n in (("'start_day' and 'horizon_days' in generation", params.start_day,
+                           params.horizon_days), ("'days' in corpus", 0, corpus_spec.days)):
+        if n > 0 and not lo <= first <= first + n - 1 <= hi:
+            raise ConfigError(f"{key} give a day outside the calendar from epoch {epoch} "
+                              f"(days {lo}..{hi})")
 
     return Config(
         paths=paths,

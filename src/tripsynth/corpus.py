@@ -290,6 +290,8 @@ def synth_corpus(spec: CorpusSpec | None = None) -> SynthCorpus:
         raise ValueError("days must be >= 1")
     if any(n < 0 for _, n in spec.individuals):
         raise ValueError("individual counts must be >= 0")
+    if not sum(n for _, n in spec.individuals):
+        raise ValueError("the corpus needs at least one individual")
     rng = random.Random(spec.rng_seed)
     side = spec.grid_side
     partition = TimeSlotPartition(CORPUS_SLOT_STARTS)

@@ -25,7 +25,6 @@ from .model import (
     TYPE_ORDER,
     AggregationLedger,
     CorruptInputError,
-    FeedbackCounts,
     IndividualProfile,
     TimeSlot,
     TimeSlotPartition,
@@ -96,13 +95,12 @@ class GenCursor:
     """Mutable per-individual generation state.
 
     `day` and `minute` are the clock: the day index and the 1-based minute
-    of day before which no further departure may fall. `counts` are the
-    type's generated counts, bound to its reference departures (see
-    FeedbackCounts). `terms` and `destinations` cache
-    preference_terms and the checked cumulative destination weights by
-    current zone. All caches live as long as the cursor, which is one
-    individual of one run. `stats` counts what this individual's trips
-    have done so far.
+    of day before which no further departure may fall. `terms` and
+    `destinations` cache preference_terms and the checked cumulative
+    destination weights by current zone. All caches live as long as the
+    cursor, which is one individual of one run. `stats` counts what this
+    individual's trips have done so far. The type's generated counts are
+    its AggregationLedger, passed to each trip beside the cursor.
     """
 
     profile: IndividualProfile
@@ -112,7 +110,6 @@ class GenCursor:
     daily_quota: int
     generated_today: int = 0
     stats: GenStats = field(default_factory=GenStats, repr=False)
-    counts: FeedbackCounts | None = field(default=None, repr=False)
     terms: dict = field(default_factory=dict, repr=False)
     destinations: dict = field(default_factory=dict, repr=False)
 
@@ -200,7 +197,7 @@ def preference_terms(
 def slot_weights(
     partition: TimeSlotPartition,
     terms: list,
-    counts: FeedbackCounts,
+    counts: AggregationLedger,
     first: int,
     last_active: int,
 ) -> list:
@@ -267,12 +264,12 @@ def select_time_slot(weights: list, first: int, rng: random.Random) -> int:
 def period_weights(
     slot: TimeSlot,
     minute: int,
-    counts: FeedbackCounts,
+    counts: AggregationLedger,
 ):
     """Departure minutes inside `slot` that can be drawn, with their weights.
 
     Candidates run from max(slot start, clock `minute`) to the slot end.
-    With r, n, R and T as in FeedbackCounts, where some candidates are in
+    With r, n, R and T as in AggregationLedger, where some candidates are in
     deficit only those are listed: their slice of `counts.deficit`, cut out
     with two bisections, so no other minute is visited. Each is weighted by
     the int r * T - n * R, at least 1. Otherwise all candidates are listed,
@@ -303,7 +300,7 @@ def period_weights(
 def select_time_period(
     slot: TimeSlot,
     minute: int,
-    counts: FeedbackCounts,
+    counts: AggregationLedger,
     rng: random.Random,
 ) -> int:
     """Sample a departure minute inside the chosen slot.
@@ -411,8 +408,7 @@ def generate_trip(
     if terms is None:
         terms = preference_terms(profile, cursor.location, partition)
         cursor.terms[cursor.location] = terms
-    counts = cursor.counts
-    weights = slot_weights(partition, terms, counts, first, last_active)
+    weights = slot_weights(partition, terms, ledger, first, last_active)
     if max(weights) > 0.0:
         slot_id = select_time_slot(weights, first, rng)
     else:
@@ -424,7 +420,7 @@ def generate_trip(
         slot_id = first
         stats.degenerate_slot_draws += 1
     slot = partition.by_id(slot_id)
-    departure = select_time_period(slot, cursor.minute, counts, rng)
+    departure = select_time_period(slot, cursor.minute, ledger, rng)
     origin, destination, relocated = select_destination(cursor, rng)
     if relocated:
         stats.relocations += 1
@@ -434,12 +430,11 @@ def generate_trip(
     duration, fell_back = sample_duration(pools, entry.path_id, slot_id, rng)
     stats.duration_fallbacks += fell_back
 
-    ttype = profile.traveller_type
     trip = TripRecord(
-        profile.traveller_id, ttype, cursor.day, departure, origin, destination,
-        entry.path, duration,
+        profile.traveller_id, profile.traveller_type, cursor.day, departure, origin,
+        destination, entry.path, duration,
     )
-    ledger.record(ttype, slot_id, departure)
+    ledger.record(slot_id, departure)
 
     # The clock is 1-based, so a minute of MINUTES_PER_DAY stays on its day.
     days, minute = divmod(departure + duration + params.min_gap - 1, MINUTES_PER_DAY)
@@ -455,14 +450,12 @@ def _generate_individual(
     profile, partition, ledger, catalog, pools, params, rng, stats
 ) -> list:
     """All trips of one individual over the horizon, chronological; folds
-    their counts into `stats` once the last one is drawn. A type without
-    reference departures is refused (CorruptInputError) before any draw."""
+    their counts into `stats` once the last one is drawn."""
     cursor = GenCursor(
         profile=profile,
         day=params.start_day,
         minute=1,
         location=initial_location(profile),
-        counts=ledger.counts(profile.traveller_type),
         daily_quota=daily_quota(profile, rng),
     )
     trips = []
@@ -512,6 +505,8 @@ def generate_all(
     inputs turn out inconsistent (CorruptInputError) is quarantined
     (dropped, logged, listed in stats) and the run continues; its ledger
     contributions up to the failure remain. Any other error propagates.
+    A type without reference departures has no ledger, so each of its
+    individuals is quarantined before any draw.
     """
     params.check(max((p.total_trips for p in profiles.values()), default=0))
     stats = stats if stats is not None else GenStats()
@@ -523,9 +518,10 @@ def generate_all(
         if not by_type[ttype]:
             continue
         rng = random.Random(f"{params.rng_seed}:{ttype.value}")
-        ledger = AggregationLedger(reference)
+        ledger = None
         for profile in by_type[ttype]:
             try:
+                ledger = ledger or AggregationLedger(reference, ttype)
                 trips = _generate_individual(
                     profile, partition, ledger, catalog, pools, params, rng, stats
                 )

@@ -281,16 +281,18 @@ class TypeCounts:
         self.total += n
 
 
-class FeedbackCounts(TypeCounts):
-    """The generated side of the feedback factor: counts of one type, made
-    one departure at a time against its fixed, non-empty reference `ref`.
+class AggregationLedger:
+    """The generated side of the feedback factor: the departures of one
+    type in one run, held as TypeCounts holds them and recorded one at a
+    time against its fixed reference `ref` = reference[ttype], which
+    CorruptInputError refuses when it has no departures.
 
     With r and n a minute's count in the reference and here, R the
     reference total and T = total or 1, keeps r / R of every minute in
     `shares`, n * R of every minute the reference saw in `scaled`, and the
     ascending list `deficit` of the minutes where r * T > n * R.
 
-    A minute's status changes only when its own count or T changes, so add
+    A minute's status changes only when its own count or T changes, so record
     keeps the list current: T rises by one, the minutes due back at the new
     T re-enter, and the recorded minute is re-tested, which can only take
     it off the list: a minute still waiting has r * T <= n * R < (n + 1) * R.
@@ -300,11 +302,16 @@ class FeedbackCounts(TypeCounts):
     and skipped.
     """
 
-    __slots__ = ("ref", "shares", "scaled", "deficit", "_due", "_waiting")
+    __slots__ = ("minute", "slot", "total", "ref", "shares", "scaled", "deficit", "_due", "_waiting")
 
-    def __init__(self, ref: TypeCounts):
-        super().__init__()
+    def __init__(self, reference: dict, ttype: TravellerType):
+        ref = reference.get(ttype)
+        if ref is None or not ref.total:
+            raise CorruptInputError(f"no departures for type {ttype.value!r}")
         self.ref = ref
+        self.minute = [0] * (MINUTES_PER_DAY + 1)
+        self.slot = [0] * (MINUTES_PER_DAY + 1)
+        self.total = 0
         self.shares = [r / ref.total for r in ref.minute]
         self.scaled = [0] * (MINUTES_PER_DAY + 1)
         # Empty, so every minute the reference saw trails its share.
@@ -312,7 +319,9 @@ class FeedbackCounts(TypeCounts):
         self._due = [0] * (MINUTES_PER_DAY + 1)
         self._waiting = defaultdict(list)
 
-    def add(self, slot_id: int, minute: int) -> None:
+    def record(self, slot_id: int, minute: int) -> None:
+        if not (1 <= minute <= MINUTES_PER_DAY and 1 <= slot_id <= MINUTES_PER_DAY):
+            raise ValueError(f"cannot record slot {slot_id}, minute {minute}")
         self.slot[slot_id] += 1
         self.minute[minute] += 1
         self.total = total = self.total + 1
@@ -332,29 +341,3 @@ class FeedbackCounts(TypeCounts):
                     del listed[bisect_left(listed, minute)]
                 due[minute] = at = scaled // r + 1
                 self._waiting[at].append(minute)
-
-
-class AggregationLedger:
-    """The departures generated so far in one type run, per traveller type,
-    as FeedbackCounts against the type's departures in `reference`, a
-    {TravellerType: TypeCounts}; the feedback factor compares the two."""
-
-    def __init__(self, reference: dict):
-        self.by_type = {}
-        self.reference = reference
-
-    def counts(self, ttype: TravellerType) -> FeedbackCounts:
-        """The live counts of one type, created empty on first use;
-        CorruptInputError when the reference has no departures of it."""
-        counts = self.by_type.get(ttype)
-        if counts is None:
-            ref = self.reference.get(ttype)
-            if ref is None or not ref.total:
-                raise CorruptInputError(f"no departures for type {ttype.value!r}")
-            counts = self.by_type[ttype] = FeedbackCounts(ref)
-        return counts
-
-    def record(self, ttype: TravellerType, slot_id: int, minute: int) -> None:
-        if not (1 <= minute <= MINUTES_PER_DAY and 1 <= slot_id <= MINUTES_PER_DAY):
-            raise ValueError(f"cannot record slot {slot_id}, minute {minute}")
-        self.counts(ttype).add(slot_id, minute)

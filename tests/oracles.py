@@ -67,7 +67,7 @@ def oracle_slot_probabilities(
     ref_total = sum(ref_minutes)
     if ref_total <= 0:
         raise ValueError("reference aggregate is empty")
-    gen_minutes = ledger.counts(ttype).minute
+    gen_minutes = ledger.minute
     gen_total = sum(gen_minutes)
 
     first = None
@@ -126,7 +126,7 @@ def oracle_period_probabilities(
     ref_total = sum(ref_minutes)
     if ref_total <= 0:
         raise ValueError("reference aggregate is empty")
-    gen_minutes = ledger.counts(ttype).minute
+    gen_minutes = ledger.minute
     gen_total = sum(gen_minutes)
 
     start = max(slot.start, minute)

@@ -164,13 +164,13 @@ def _slot_state(meta, world, rng):
         zone = meta.choice(sorted(profile.per_origin))
     else:
         zone = meta.choice(world.zone_ids)
-    ledger = AggregationLedger(world.reference)
+    ledger = AggregationLedger(world.reference, profile.traveller_type)
     if meta.random() < 0.7:
         slot_ids = [s.slot_id for s in partition]
         skew = [meta.random() + 0.05 for _ in slot_ids]
         for sid in meta.choices(slot_ids, weights=skew, k=meta.randint(20, 4000)):
             slot = partition.by_id(sid)
-            ledger.record(profile.traveller_type, sid, meta.randint(slot.start, slot.end))
+            ledger.record(sid, meta.randint(slot.start, slot.end))
     minute = meta.randint(1, 1440)
     remaining = meta.randint(1, 4)
 
@@ -179,8 +179,7 @@ def _slot_state(meta, world, rng):
     )
     first, last_active = subsequent_slots(partition, minute, remaining)
     terms = preference_terms(profile, zone, partition)
-    ttype = profile.traveller_type
-    weights = slot_weights(partition, terms, ledger.counts(ttype), first, last_active)
+    weights = slot_weights(partition, terms, ledger, first, last_active)
     draws = rng.choices(range(first, first + len(weights)), weights, k=DRAWS)
     return _tv(oracle, draws)
 
@@ -204,20 +203,20 @@ def _period_state(meta, world, rng, shape):
     else:
         counts = {m: meta.randint(5, 120) for m in supported}
     reference = reference_from_minutes({ttype: counts}, partition)
-    ledger = AggregationLedger(reference)
+    ledger = AggregationLedger(reference, ttype)
     if shape == 1:
         for m in supported[: k_ref // 2]:
             for _ in range(3 * counts[m]):
-                ledger.record(ttype, slot.slot_id, m)
+                ledger.record(slot.slot_id, m)
     elif shape == 2:
         for m in supported:
             for _ in range(counts[m]):
-                ledger.record(ttype, slot.slot_id, m)
+                ledger.record(slot.slot_id, m)
 
     oracle = oracle_period_probabilities(slot, start, ledger, reference, ttype)
     from tripsynth.generator import period_weights
 
-    minutes, weights = period_weights(slot, start, ledger.counts(ttype))
+    minutes, weights = period_weights(slot, start, ledger)
     draws = rng.choices(minutes, weights, k=DRAWS)
     return _tv(oracle, draws)
 

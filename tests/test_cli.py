@@ -149,6 +149,14 @@ corpus:
             ("validation: {topk_zones: [0]}\n", "top-k"),
             ("corpus: {individuals: {wizard: 3}}\n", "wizard"),
             ("csv_delimiter: '::'\n", "single character"),
+            # a line break would end the row it separates
+            ('csv_delimiter: "\\n"\n', "line break"),
+            ('csv_delimiter: "\\r"\n', "line break"),
+            # a day the trip writers could not render as a date
+            ("generation: {start_day: 3000000}\n", "'start_day' and 'horizon_days' in generation"),
+            ("generation: {start_day: -800000}\n", "'start_day' and 'horizon_days' in generation"),
+            ("epoch: 9999-12-28\n", "from epoch 9999-12-28"),
+            ("epoch: 9999-12-28\ngeneration: {horizon_days: 0}\n", "'days' in corpus"),
             # a quoted list is a string, not the list of its characters
             ("validation: {holiday_days: \"12\"}\n", "'holiday_days' in validation"),
             ("validation: {holiday_weekdays: \"56\"}\n", "'holiday_weekdays' in validation"),
@@ -684,10 +692,21 @@ class TestPipeline:
             assert main(["corpus", "-c", full]) == 2
         # Read without complaint, but refused by synth_corpus.
         for name, body in (("negative.yaml", "corpus: {individuals: {commuter: -3, passby: 2}}\n"),
-                           ("no-days.yaml", "corpus: {days: 0}\n")):
+                           ("no-days.yaml", "corpus: {days: 0}\n"),
+                           ("no-one.yaml", "corpus: {individuals: {commuter: 0}}\n"),
+                           ("no-types.yaml", "corpus: {individuals: {}}\n")):
             refused = write_config(tmp_path, PATHS + body, name=name)
             assert main(["corpus", "-c", refused]) == 2
             assert not (tmp_path / "data" / "trips.csv").exists()
+        # Refused by load_config: a day off the calendar, a line-break delimiter.
+        for name, body in (("late.yaml", "epoch: 9999-12-28\n"),
+                           ("far.yaml", "generation: {start_day: 3000000}\n"),
+                           ("newline.yaml", 'csv_delimiter: "\\n"\n')):
+            refused = write_config(tmp_path, PATHS + body, name=name)
+            assert main(["corpus", "-c", refused]) == 2
+            assert main(["generate", "-c", refused]) == 2
+            assert not (tmp_path / "data" / "trips.csv").exists()
+            assert not (tmp_path / "out" / "generated.csv").exists()
         # store not built yet
         assert main(["generate", "-c", cfg]) == 1
         # reference trips missing

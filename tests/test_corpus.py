@@ -220,7 +220,7 @@ class TestOracles:
     def test_slot_probabilities_match_hand_arithmetic(self):
         halves, p, reference = self.hand_state()
         probs = oracle_slot_probabilities(
-            halves, p, "A", AggregationLedger(reference), reference, 1, 2
+            halves, p, "A", AggregationLedger(reference, p.traveller_type), reference, 1, 2
         )
         # kappa 1e-9, blowup 1e9, epsilon 1e-6
         w1 = 1e9 ** 0.75 * (0.75 * 2.0 + 1e-6)
@@ -234,27 +234,27 @@ class TestOracles:
         empty = {TravellerType.COMMUTER: TypeCounts()}
         with pytest.raises(ValueError):
             oracle_slot_probabilities(
-                halves, p, "A", AggregationLedger(reference), empty, 1, 1
+                halves, p, "A", AggregationLedger(reference, p.traveller_type), empty, 1, 1
             )
 
     def test_period_probabilities_deficit(self):
         _, _, reference = self.hand_state()
         # nothing generated yet: all mass sits on the two reference minutes
         probs = oracle_period_probabilities(
-            TimeSlot(1, 1, 720), 1, AggregationLedger(reference), reference,
-            TravellerType.COMMUTER,
+            TimeSlot(1, 1, 720), 1, AggregationLedger(reference, TravellerType.COMMUTER),
+            reference, TravellerType.COMMUTER,
         )
         assert probs[400] == pytest.approx(1.0)
         assert sum(probs.values()) == pytest.approx(1.0)
 
     def test_period_probabilities_overshoot(self):
         _, _, reference = self.hand_state()
-        ledger = AggregationLedger(reference)
         t = TravellerType.COMMUTER
+        ledger = AggregationLedger(reference, t)
         # overshoot minute 400 beyond its 0.75 reference share
         for _ in range(9):
-            ledger.record(t, 1, 400)
-        ledger.record(t, 2, 1000)
+            ledger.record(1, 400)
+        ledger.record(2, 1000)
         probs = oracle_period_probabilities(
             TimeSlot(1, 399, 400), 399, ledger, reference, t
         )
@@ -284,10 +284,10 @@ class TestOracles:
         tid = sorted(profiles)[0]
         p = profiles[tid]
         rng = random.Random(0)
-        ledger = AggregationLedger(reference)
+        ledger = AggregationLedger(reference, p.traveller_type)
         for _ in range(30):
             slot = rng.randrange(1, len(small.partition) + 1)
-            ledger.record(p.traveller_type, slot, small.partition.by_id(slot).start)
+            ledger.record(slot, small.partition.by_id(slot).start)
         probs = oracle_slot_probabilities(
             small.partition, p, small.planted[tid].home, ledger, reference,
             300, 2,

@@ -42,7 +42,6 @@ from tripsynth.ingest import (
 )
 from tripsynth.model import (
     CorruptInputError,
-    FeedbackCounts,
     IndividualProfile,
     TimeSlot,
     TimeSlotPartition,
@@ -67,10 +66,6 @@ class ZeroRandom(random.Random):
 
     def random(self):
         return 0.0
-
-
-def commuters(ledger):
-    return ledger.counts(TravellerType.COMMUTER)
 
 
 def profile(od=None, slot_origin=None, ttype=TravellerType.COMMUTER, days=7):
@@ -211,28 +206,23 @@ def nonzero(counts: list) -> dict:
 
 def test_aggregation_ledger_shares():
     t = TravellerType.STABLE
-    ledger = AggregationLedger(
-        reference_from_minutes({t: {30: 1}, TravellerType.COMMUTER: {30: 1}}, HOURLY)
+    counts = AggregationLedger(
+        reference_from_minutes({t: {30: 1}, TravellerType.COMMUTER: {30: 1}}, HOURLY), t
     )
-    empty = ledger.counts(t)
-    assert empty.total == 0 and not any(empty.slot) and not any(empty.minute)
-    ledger.record(t, 1, 30)
-    ledger.record(t, 1, 30)
-    ledger.record(t, 2, 100)
-    counts = ledger.counts(t)
-    assert counts is empty
+    assert counts.total == 0 and not any(counts.slot) and not any(counts.minute)
+    counts.record(1, 30)
+    counts.record(1, 30)
+    counts.record(2, 100)
     assert counts.total == 3
     assert counts.slot[1] / counts.total == pytest.approx(2 / 3)
     assert counts.minute[30] / counts.total == pytest.approx(2 / 3)
     assert nonzero(counts.slot) == {1: 2, 2: 1}
     assert nonzero(counts.minute) == {30: 2, 100: 1}
     assert len(counts.slot) == len(counts.minute) == 1441
-    # other types unaffected
-    assert ledger.counts(TravellerType.COMMUTER).total == 0
     # out-of-range keys would alias other list entries
     for slot_id, minute in ((1, 0), (1, 1441), (0, 30), (-1, 30)):
         with pytest.raises(ValueError):
-            ledger.record(t, slot_id, minute)
+            counts.record(slot_id, minute)
     assert counts.total == 3
     assert nonzero(counts.slot) == {1: 2, 2: 1}
     assert nonzero(counts.minute) == {30: 2, 100: 1}
@@ -242,32 +232,32 @@ def test_deficit_list_follows_add():
     ref = TypeCounts()
     for minute, n in {10: 3, 20: 1, 30: 1}.items():
         ref.add(1, minute, n)
-    counts = FeedbackCounts(ref)
+    counts = AggregationLedger({TravellerType.COMMUTER: ref}, TravellerType.COMMUTER)
     listed = counts.deficit
     # the empty ledger trails every reference minute
     assert counts.ref is ref and listed == [10, 20, 30]
     shares = counts.shares
     assert shares[10] == 3 / 5 and shares[20] == 1 / 5 and shares[40] == 0.0
-    counts.add(1, 10)  # 1/1 against 3/5: past its share
+    counts.record(1, 10)  # 1/1 against 3/5: past its share
     assert counts.deficit is listed == [20, 30]
-    counts.add(1, 20)  # 1/2 against 1/5; 10 is at 1/2 < 3/5 again
+    counts.record(1, 20)  # 1/2 against 1/5; 10 is at 1/2 < 3/5 again
     assert listed == [10, 30]
-    counts.add(1, 40)  # a minute the reference never saw is never listed
+    counts.record(1, 40)  # a minute the reference never saw is never listed
     assert listed == [10, 30]
-    counts.add(1, 30)  # 1/4 against 1/5: 30 waits, as 20 does, for total 6
+    counts.record(1, 30)  # 1/4 against 1/5: 30 waits, as 20 does, for total 6
     assert listed == [10]
-    counts.add(1, 10)
-    counts.add(1, 10)  # at total 6, 1/6 trails 1/5 again
+    counts.record(1, 10)
+    counts.record(1, 10)  # at total 6, 1/6 trails 1/5 again
     assert listed == [10, 20, 30]
 
 
 def test_feedback_counts_take_one_nonempty_reference():
     ref = TypeCounts()
     ref.add(1, 10)
-    counts = FeedbackCounts(ref)
+    counts = AggregationLedger({TravellerType.COMMUTER: ref}, TravellerType.COMMUTER)
     # generated departures are recorded one at a time
     with pytest.raises(TypeError):
-        counts.add(1, 10, 2)
+        counts.record(1, 10, 2)
     assert counts.total == 0 and counts.deficit == [10]
 
 
@@ -289,10 +279,10 @@ def test_deficit_weights_stay_exact_past_float_precision():
     ref = TypeCounts()
     for m, n in {10: 3, 20: 1, 30: 1}.items():
         ref.add(1, m, n * 2**45)
-    counts = FeedbackCounts(ref)
+    counts = AggregationLedger({TravellerType.COMMUTER: ref}, TravellerType.COMMUTER)
     recorded = iter([10, 20, 30, 10, 40] * 10)
     while ref.total * counts.total < 2**52:
-        counts.add(1, next(recorded))
+        counts.record(1, next(recorded))
     slot = TimeSlot(1, 1, 60)
     rng = random.Random(3)
     minutes, weights = period_weights(slot, 1, counts)
@@ -307,7 +297,7 @@ def test_deficit_weights_stay_exact_past_float_precision():
 
 @given(st.data())
 def test_deficit_list_matches_filter(data):
-    # Random add() sequences against the bound reference: after every step
+    # Random record() sequences against the bound reference: after every step
     # the kept list must equal the filter built from scratch, at every
     # scale, the largest able to take R * T past 2**52 within a run.
     near = st.integers(1, 12)
@@ -315,7 +305,7 @@ def test_deficit_list_matches_filter(data):
     scale = data.draw(st.sampled_from([1, 2**20, 2**45]))
     for m, n in data.draw(st.dictionaries(near, st.integers(1, 60), min_size=1)).items():
         ref.add(1, m, n * scale)
-    counts = FeedbackCounts(ref)
+    counts = AggregationLedger({TravellerType.COMMUTER: ref}, TravellerType.COMMUTER)
     minute = 1
     for _ in range(data.draw(st.integers(1, 60))):
         listed = set(_deficit_filter(counts, ref))
@@ -327,7 +317,7 @@ def test_deficit_list_matches_filter(data):
         pool = {"deficit": sorted(listed), "past": past, "unseen": unseen,
                 "again": [minute]}.get(step)
         minute = data.draw(st.sampled_from(pool) if pool else st.integers(1, 1440))
-        counts.add(1, minute)
+        counts.record(1, minute)
         assert counts.deficit == _deficit_filter(counts, ref)
         assert all(counts.scaled[m] == counts.minute[m] * ref.total
                    for m in range(1, 1441) if ref.minute[m])
@@ -343,18 +333,16 @@ def test_aggregation_factor_full_deficit():
     # logic and preference factors of 1 leave the feedback factor alone
     ones = [1.0] * len(HOURLY)
     n = len(HOURLY)
-    w = slot_weights(HOURLY, ones, commuters(AggregationLedger(ref)), 1, n)
+    w = slot_weights(HOURLY, ones, AggregationLedger(ref, TravellerType.COMMUTER), 1, n)
     assert len(w) == n
     assert w[7 - 1] == pytest.approx(BLOWUP ** 0.75)
     # a type without reference departures, absent or present but empty, is
-    # corrupt input; asking through a generation ledger does not add it to
-    # the reference
+    # corrupt input; asking for a generation ledger does not add it to the
+    # reference
     ref[TravellerType.STABLE] = TypeCounts()
     for ttype in (TravellerType.PASSBY, TravellerType.STABLE):
-        ledger = AggregationLedger(ref)
         with pytest.raises(CorruptInputError):
-            ledger.counts(ttype)
-        assert not ledger.by_type
+            AggregationLedger(ref, ttype)
     assert set(ref) == {TravellerType.COMMUTER, TravellerType.STABLE}
 
 
@@ -394,7 +382,7 @@ def test_slot_weights_multiplicative_structure():
     first, last_active = subsequent_slots(halves, 1, 2)
     terms = preference_terms(p, "A", halves)
     w = slot_weights(
-        halves, terms, FeedbackCounts(ref[p.traveller_type]), first,
+        halves, terms, AggregationLedger(ref, p.traveller_type), first,
         last_active,
     )
     assert len(w) == 2
@@ -481,10 +469,9 @@ class TestPeriodWeights:
         return build_reference_aggregates(trips, HOURLY)
 
     def test_deficit_branch_targets_shortfall(self):
-        ledger = AggregationLedger(self.ref({10: 1, 20: 3}))
-        ledger.record(TravellerType.COMMUTER, 1, 10)
+        counts = AggregationLedger(self.ref({10: 1, 20: 3}), TravellerType.COMMUTER)
+        counts.record(1, 10)
         slot = TimeSlot(1, 1, 60)
-        counts = commuters(ledger)
         minutes, weights = period_weights(slot, 1, counts)
         # minute 10 overshot (1.0 generated vs 0.25 reference), minute 20
         # still owed 0.75; everything else level at zero and left out
@@ -494,32 +481,32 @@ class TestPeriodWeights:
         assert select_time_period(slot, 1, counts, rng) == 20
 
     def test_overshoot_branch_inverts_excess(self):
-        ledger = AggregationLedger(self.ref({1: 2, 2: 3, 100: 5}))
+        ledger = AggregationLedger(self.ref({1: 2, 2: 3, 100: 5}), TravellerType.COMMUTER)
         for minute, n in {1: 3, 2: 5, 100: 2}.items():
             for _ in range(n):
-                ledger.record(TravellerType.COMMUTER, HOURLY.slot_of(minute).slot_id, minute)
-        minutes, weights = period_weights(TimeSlot(1, 1, 2), 1, commuters(ledger))
+                ledger.record(HOURLY.slot_of(minute).slot_id, minute)
+        minutes, weights = period_weights(TimeSlot(1, 1, 2), 1, ledger)
         assert minutes == [1, 2]
         assert weights == pytest.approx([10.0, 5.0])  # inverse of |-0.1|, |-0.2|
 
     def test_all_level_is_uniform(self):
-        ledger = AggregationLedger(self.ref({1: 1, 2: 1}))
-        ledger.record(TravellerType.COMMUTER, 1, 1)
-        ledger.record(TravellerType.COMMUTER, 1, 2)
-        minutes, weights = period_weights(TimeSlot(1, 1, 2), 1, commuters(ledger))
+        ledger = AggregationLedger(self.ref({1: 1, 2: 1}), TravellerType.COMMUTER)
+        ledger.record(1, 1)
+        ledger.record(1, 2)
+        minutes, weights = period_weights(TimeSlot(1, 1, 2), 1, ledger)
         # generated shares match the reference exactly: floored inverses, equal
         assert minutes == [1, 2]
         assert weights[0] == weights[1] > 0
 
     def test_clock_trims_candidates(self):
-        ledger = AggregationLedger(self.ref({10: 1}))
-        minutes, _ = period_weights(TimeSlot(1, 1, 60), 30, commuters(ledger))
+        ledger = AggregationLedger(self.ref({10: 1}), TravellerType.COMMUTER)
+        minutes, _ = period_weights(TimeSlot(1, 1, 60), 30, ledger)
         assert minutes == list(range(30, 61))
 
     def test_clock_past_slot_end(self):
-        ledger = AggregationLedger(self.ref({10: 1}))
+        ledger = AggregationLedger(self.ref({10: 1}), TravellerType.COMMUTER)
         with pytest.raises(ValueError):
-            period_weights(TimeSlot(1, 1, 60), 61, commuters(ledger))
+            period_weights(TimeSlot(1, 1, 60), 61, ledger)
 
 
 # Exact-float properties: the weights must equal, float for float, the
@@ -534,9 +521,10 @@ def _reference_of(counts, partition):
 
 def _ledger_of(minutes, ref, partition):
     """Feedback counts of `minutes` against the reference counts `ref`."""
-    counts = FeedbackCounts(_reference_of(ref, partition))
+    ttype = TravellerType.COMMUTER
+    counts = AggregationLedger({ttype: _reference_of(ref, partition)}, ttype)
     for m in minutes:
-        counts.add(partition.slot_of(m).slot_id, m)
+        counts.record(partition.slot_of(m).slot_id, m)
     return counts
 
 
@@ -782,14 +770,13 @@ class TestGenerateTrip:
     def test_advances_cursor_and_records(self):
         profiles, ref, catalog, pools = small_world()
         params = GenParams(rng_seed=3)
-        ledger = AggregationLedger(ref)
+        ledger = AggregationLedger(ref, TravellerType.COMMUTER)
         cursor = GenCursor(
             profile=profiles["V1"],
             day=0,
             minute=1,
             location=initial_location(profiles["V1"]),
             daily_quota=2,
-            counts=commuters(ledger),
         )
         rng = random.Random(3)
         trip = generate_trip(cursor, HOURLY, ledger, catalog, pools, params, rng)
@@ -797,15 +784,14 @@ class TestGenerateTrip:
         assert cursor.location == "B"
         assert cursor.generated_today == 1
         assert (cursor.day, cursor.minute) == (0, trip.departure + trip.duration + 1)
-        counts = ledger.counts(TravellerType.COMMUTER)
-        assert counts.total == counts.slot[HOURLY.slot_of(trip.departure).slot_id] == 1
+        assert ledger.total == ledger.slot[HOURLY.slot_of(trip.departure).slot_id] == 1
         second = generate_trip(cursor, HOURLY, ledger, catalog, pools, params, rng)
         assert second.o_zone == "B" and second.d_zone == "A"
         assert second.departure >= trip.departure + trip.duration + 1
 
     def test_midnight_rollover(self):
         profiles, ref, catalog, pools = small_world()
-        ledger = AggregationLedger(ref)
+        ledger = AggregationLedger(ref, TravellerType.COMMUTER)
         cursor = GenCursor(
             profile=profiles["V1"],
             day=0,
@@ -813,7 +799,6 @@ class TestGenerateTrip:
             location="A",
             daily_quota=2,
             generated_today=1,
-            counts=commuters(ledger),
         )
         trip = generate_trip(
             cursor, HOURLY, ledger, catalog, pools, GenParams(), random.Random(0)
@@ -827,10 +812,9 @@ class TestGenerateTrip:
         t = TravellerType.COMMUTER
         trips = [TripRecord("V1", t, 0, 452, "A", "B", ("r1",), 10**12)]
         profiles = build_profiles(trips, HOURLY, window_days=1)
-        ledger = AggregationLedger(build_reference_aggregates(trips, HOURLY))
+        ledger = AggregationLedger(build_reference_aggregates(trips, HOURLY), t)
         cursor = GenCursor(
             profile=profiles["V1"], day=3, minute=1, location="A", daily_quota=1,
-            counts=commuters(ledger),
         )
         trip = generate_trip(
             cursor, HOURLY, ledger, build_path_catalog(trips),
@@ -874,10 +858,10 @@ class TestGenerateTrip:
         reference = build_reference_aggregates(trips, partition)
         catalog = build_path_catalog(trips)
         pools = build_duration_pools(trips, partition)
-        ledger, params = AggregationLedger(reference), GenParams(min_gap=min_gap)
+        ledger, params = AggregationLedger(reference, t), GenParams(min_gap=min_gap)
         cursor = GenCursor(
             profile=profiles["V1"], day=0, minute=start, location="A",
-            daily_quota=quota, counts=commuters(ledger),
+            daily_quota=quota,
         )
         rng = random.Random(seed)
         for _ in range(quota):
@@ -896,14 +880,14 @@ class TestGenerateTrip:
         # the only reachable weight, so that slot is taken without a draw
         # instead of through select_time_slot.
         profiles, ref, catalog, pools = small_world()
-        ledger = AggregationLedger(ref)
-        ledger.record(TravellerType.COMMUTER, 24, 1420)
+        ledger = AggregationLedger(ref, TravellerType.COMMUTER)
+        ledger.record(24, 1420)
         cursor = GenCursor(
             profile=profiles["V1"], day=0, minute=1400, location="A",
-            daily_quota=1, counts=commuters(ledger),
+            daily_quota=1,
         )
         terms = preference_terms(profiles["V1"], "A", HOURLY)
-        weights = slot_weights(HOURLY, terms, commuters(ledger), 24, 24)
+        weights = slot_weights(HOURLY, terms, ledger, 24, 24)
         assert weights == [0.0]
 
         def refuse(*args):
@@ -926,15 +910,15 @@ class TestGenerateTrip:
         assert trip == TripRecord(
             "V1", TravellerType.COMMUTER, 0, 1425, "A", "B", ("r1", "r2"), 14
         )
-        assert ledger.counts(TravellerType.COMMUTER).slot[24] == 2
+        assert ledger.slot[24] == 2
         assert cursor.stats.degenerate_slot_draws == 1
 
     def test_requires_quota(self):
         profiles, ref, catalog, pools = small_world()
-        ledger = AggregationLedger(ref)
+        ledger = AggregationLedger(ref, TravellerType.COMMUTER)
         cursor = GenCursor(
             profile=profiles["V1"], day=0, minute=1, location="A",
-            daily_quota=1, generated_today=1, counts=commuters(ledger),
+            daily_quota=1, generated_today=1,
         )
         with pytest.raises(ValueError):
             generate_trip(
@@ -1056,10 +1040,11 @@ class TestGenerateAll:
         assert stats.trips == len(trips)
         assert stats.continuity_pairs == len(trips) - len(yielded)
 
-    def test_type_without_reference_is_quarantined(self, monkeypatch):
+    def test_type_without_reference_is_quarantined(self, monkeypatch, caplog):
         # The reference holds commuters only. Every stable individual is
         # refused before its first daily quota is drawn, also S2, whose
-        # one trip in a million days gives it a quota of 0 on every day.
+        # one trip in a million days gives it a quota of 0 on every day,
+        # and each refusal logs one warning.
         profiles, ref, catalog, pools = small_world()
         t = TravellerType.STABLE
         for tid, n, days in (("S1", 7, 7), ("S2", 1, 10**6)):
@@ -1078,6 +1063,9 @@ class TestGenerateAll:
             generate_all(profiles, ref, catalog, pools, params, HOURLY, stats=stats)
         )
         assert stats.quarantined == ["S1", "S2"]
+        assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
+            "quarantined individual S1", "quarantined individual S2"
+        ]
         assert set(drawn) == {"V1"}
         assert {t.traveller_id for t in trips} == {"V1"}
 

@@ -455,9 +455,9 @@ class TestReferenceAggregates:
         ref = build_reference_aggregates(history, HOURLY)
         assert TravellerType.PASSBY not in ref
         with pytest.raises(CorruptInputError):
-            AggregationLedger(ref).counts(TravellerType.PASSBY)
+            AggregationLedger(ref, TravellerType.PASSBY)
         assert TravellerType.PASSBY not in ref
-        assert AggregationLedger(ref).counts(TravellerType.COMMUTER).ref.total == 3
+        assert AggregationLedger(ref, TravellerType.COMMUTER).ref.total == 3
 
     def test_zero_total_share(self):
         ref = reference_from_minutes({TravellerType.PASSBY: {}}, HOURLY)
@@ -465,4 +465,4 @@ class TestReferenceAggregates:
         assert counts.total == 0
         assert not any(counts.slot) and not any(counts.minute)
         with pytest.raises(CorruptInputError):
-            AggregationLedger(ref).counts(TravellerType.PASSBY)
+            AggregationLedger(ref, TravellerType.PASSBY)
