@@ -153,7 +153,7 @@ def subsequent_slots(partition: TimeSlotPartition, minute: int, remaining: int):
     """
     if remaining < 1:
         raise ValueError("remaining must be >= 1")
-    n = len(partition)
+    n = len(partition.slots)
     first = partition.slot_of(minute).slot_id
     return first, n - min(remaining - 1, n - first)
 
@@ -206,22 +206,20 @@ def slot_weights(
     Each weight is logic factor * feedback factor * preference term: logic
     is 1 up to `last_active` and KAPPA for the reserved slots after it (see
     subsequent_slots), feedback pushes the slot's share of `counts` (the
-    type's trips generated so far) minus its share of `counts.ref` (the
-    type's reference departures) through the balance curve, and `terms`
-    are the individual's preference_terms at its current zone.
+    type's trips generated so far) minus its reference share (kept in
+    `counts.slot_shares`) through the balance curve, and `terms` are the
+    individual's preference_terms at its current zone.
     """
     total = counts.total or 1  # an empty ledger's shares are all 0.0
-    ref = counts.ref
-    generated, expected, ref_total = counts.slot, ref.slot, ref.total
-    cut, stop = last_active + 1, len(partition) + 1
+    generated, expected = counts.slot, counts.slot_shares
+    cut, stop = last_active + 1, len(partition.slots) + 1
     # A logic factor of 1.0 leaves the product's bits unchanged, so the
     # active slots are weighted without it.
     active = zip(generated[first:cut], expected[first:cut], terms[first - 1:])
-    reserved = zip(generated[cut:stop], expected[cut:stop], terms[cut - 1:])
-    weights = [balance_weight(g / total - e / ref_total) * t for g, e, t in active]
-    weights += [
-        KAPPA * balance_weight(g / total - e / ref_total) * t for g, e, t in reserved
-    ]
+    weights = [balance_weight(g / total - e) * t for g, e, t in active]
+    if cut < stop:
+        reserved = zip(generated[cut:stop], expected[cut:stop], terms[cut - 1:])
+        weights += [KAPPA * balance_weight(g / total - e) * t for g, e, t in reserved]
     return weights
 
 
@@ -266,14 +264,15 @@ def period_weights(
     minute: int,
     counts: AggregationLedger,
 ):
-    """Departure minutes inside `slot` that can be drawn, with their weights.
+    """Departure minutes inside `slot` that can be drawn, with the running
+    sums of their weights, added left to right as itertools.accumulate adds.
 
     Candidates run from max(slot start, clock `minute`) to the slot end.
-    With r, n, R and T as in AggregationLedger, where some candidates are in
-    deficit only those are listed: their slice of `counts.deficit`, cut out
-    with two bisections, so no other minute is visited. Each is weighted by
-    the int r * T - n * R, at least 1. Otherwise all candidates are listed,
-    weighted by inverse overshoots n / T - r / R, floored at DELTA_FLOOR.
+    With r, n, R and T as in AggregationLedger, where some candidates are
+    in deficit only those are listed, their slice of `counts.deficit` cut
+    out with two bisections, each weighted by the int r * T - n * R >= 1.
+    Otherwise the candidates' range is listed, weighted by inverse
+    overshoots n / T - r / R, floored at DELTA_FLOOR.
     """
     start = max(slot.start, minute)
     if start > slot.end:
@@ -283,18 +282,18 @@ def period_weights(
     stop = slot.end + 1
     lo = bisect_left(listed, start)
     hi = bisect_left(listed, stop, lo)
+    acc = 0
     if lo < hi:
         minutes = listed[lo:hi]
         expected, scaled = counts.ref.minute, counts.scaled
-        return minutes, [expected[m] * total - scaled[m] for m in minutes]
+        return minutes, [acc := acc + expected[m] * total - scaled[m] for m in minutes]
     shares, generated = counts.shares, counts.minute
     # No candidate trails its share here, so the overshoot x is never
     # negative and equals the absolute share difference.
-    weights = [
-        1.0 / (x if (x := n / total - r) > DELTA_FLOOR else DELTA_FLOOR)
+    return range(start, stop), [
+        acc := acc + 1.0 / (x if (x := n / total - r) > DELTA_FLOOR else DELTA_FLOOR)
         for r, n in zip(shares[start:stop], generated[start:stop])
     ]
-    return list(range(start, stop)), weights
 
 
 def select_time_period(
@@ -305,16 +304,15 @@ def select_time_period(
 ) -> int:
     """Sample a departure minute inside the chosen slot.
 
-    One inverse-CDF draw (_cumulative_draw, as random.choices makes it)
-    over period_weights: the minutes in deficit when there are any,
-    otherwise every candidate minute by inverse overshoot. Those weights
-    are positive and finite by construction, so _checked_cumulative is
-    skipped. The full candidate list would add only zero weights, which
-    repeat cumulative entries the search never stops at, so leaving them
-    out changes neither the minute drawn nor the RNG state.
+    One inverse-CDF draw (_cumulative_draw, as random.choices makes it) over
+    the running sums of period_weights: the minutes in deficit when there
+    are any, otherwise every candidate minute by inverse overshoot. Those
+    sums are positive and finite by construction, so _checked_cumulative is
+    skipped. Every other candidate would add a zero weight, a repeated sum
+    the search never stops at, so leaving them out changes neither the
+    minute drawn nor the RNG state.
     """
-    minutes, weights = period_weights(slot, minute, counts)
-    return _cumulative_draw(minutes, list(accumulate(weights)), rng)
+    return _cumulative_draw(*period_weights(slot, minute, counts), rng)
 
 
 def destination_weights(profile: IndividualProfile, origin: str):

@@ -287,10 +287,10 @@ class AggregationLedger:
     time against its fixed reference `ref` = reference[ttype], which
     CorruptInputError refuses when it has no departures.
 
-    With r and n a minute's count in the reference and here, R the
-    reference total and T = total or 1, keeps r / R of every minute in
-    `shares`, n * R of every minute the reference saw in `scaled`, and the
-    ascending list `deficit` of the minutes where r * T > n * R.
+    With r and n a minute's count in the reference and here, R the reference
+    total and T = total or 1, keeps the reference's minute and slot shares in
+    `shares` and `slot_shares`, n * R of every minute the reference saw in
+    `scaled`, and the ascending list `deficit` of minutes with r * T > n * R.
 
     A minute's status changes only when its own count or T changes, so record
     keeps the list current: T rises by one, the minutes due back at the new
@@ -302,7 +302,8 @@ class AggregationLedger:
     and skipped.
     """
 
-    __slots__ = ("minute", "slot", "total", "ref", "shares", "scaled", "deficit", "_due", "_waiting")
+    __slots__ = ("minute", "slot", "total", "ref", "shares", "slot_shares", "scaled", "deficit",
+                 "_due", "_waiting")
 
     def __init__(self, reference: dict, ttype: TravellerType):
         ref = reference.get(ttype)
@@ -313,6 +314,7 @@ class AggregationLedger:
         self.slot = [0] * (MINUTES_PER_DAY + 1)
         self.total = 0
         self.shares = [r / ref.total for r in ref.minute]
+        self.slot_shares = [e / ref.total for e in ref.slot]
         self.scaled = [0] * (MINUTES_PER_DAY + 1)
         # Empty, so every minute the reference saw trails its share.
         self.deficit = [m for m in range(1, MINUTES_PER_DAY + 1) if ref.minute[m]]

@@ -216,8 +216,8 @@ def _period_state(meta, world, rng, shape):
     oracle = oracle_period_probabilities(slot, start, ledger, reference, ttype)
     from tripsynth.generator import period_weights
 
-    minutes, weights = period_weights(slot, start, ledger)
-    draws = rng.choices(minutes, weights, k=DRAWS)
+    minutes, cum = period_weights(slot, start, ledger)
+    draws = rng.choices(minutes, cum_weights=cum, k=DRAWS)
     return _tv(oracle, draws)
 
 

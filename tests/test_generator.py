@@ -1,5 +1,7 @@
 import random
 from collections import Counter
+from itertools import accumulate
+from math import isfinite
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -7,6 +9,7 @@ from hypothesis import example, given, strategies as st
 from tripsynth import generator
 from tripsynth.generator import (
     BLOWUP,
+    DELTA_FLOOR,
     EPSILON,
     KAPPA,
     AggregationLedger,
@@ -275,7 +278,7 @@ def test_deficit_weights_stay_exact_past_float_precision():
     # A reference scaled by 2**45, recorded against until R * T >= 2**52,
     # where two distinct float shares r / R and n / T may round together:
     # the int weights r * T - n * R still list exactly the minutes in
-    # deficit, and the draw stays on them.
+    # deficit, their int running sums are exact, and the draw stays on them.
     ref = TypeCounts()
     for m, n in {10: 3, 20: 1, 30: 1}.items():
         ref.add(1, m, n * 2**45)
@@ -285,12 +288,12 @@ def test_deficit_weights_stay_exact_past_float_precision():
         counts.record(1, next(recorded))
     slot = TimeSlot(1, 1, 60)
     rng = random.Random(3)
-    minutes, weights = period_weights(slot, 1, counts)
+    minutes, cum = period_weights(slot, 1, counts)
     assert minutes == _deficit_filter(counts, ref)
-    assert weights == [
-        ref.minute[m] * counts.total - counts.minute[m] * ref.total for m in minutes
-    ]
+    weights = [ref.minute[m] * counts.total - counts.minute[m] * ref.total for m in minutes]
     assert all(type(w) is int and w >= 1 for w in weights)
+    assert cum == list(accumulate(weights))
+    assert all(type(c) is int for c in cum)
     for _ in range(50):
         assert select_time_period(slot, 1, counts, rng) in minutes
 
@@ -485,23 +488,28 @@ class TestPeriodWeights:
         for minute, n in {1: 3, 2: 5, 100: 2}.items():
             for _ in range(n):
                 ledger.record(HOURLY.slot_of(minute).slot_id, minute)
-        minutes, weights = period_weights(TimeSlot(1, 1, 2), 1, ledger)
-        assert minutes == [1, 2]
-        assert weights == pytest.approx([10.0, 5.0])  # inverse of |-0.1|, |-0.2|
+        minutes, cum = period_weights(TimeSlot(1, 1, 2), 1, ledger)
+        assert list(minutes) == [1, 2]
+        # running sums of the inverses of |-0.1| and |-0.2|
+        assert cum == pytest.approx([10.0, 15.0])
+        assert cum == list(accumulate(1.0 / abs(n / 10 - r / 10) for r, n in [(2, 3), (3, 5)]))
 
     def test_all_level_is_uniform(self):
         ledger = AggregationLedger(self.ref({1: 1, 2: 1}), TravellerType.COMMUTER)
         ledger.record(1, 1)
         ledger.record(1, 2)
-        minutes, weights = period_weights(TimeSlot(1, 1, 2), 1, ledger)
+        minutes, cum = period_weights(TimeSlot(1, 1, 2), 1, ledger)
         # generated shares match the reference exactly: floored inverses, equal
-        assert minutes == [1, 2]
-        assert weights[0] == weights[1] > 0
+        assert list(minutes) == [1, 2]
+        assert cum == list(accumulate([1.0 / DELTA_FLOOR] * 2))
+        assert cum[1] - cum[0] == cum[0] > 0
 
     def test_clock_trims_candidates(self):
         ledger = AggregationLedger(self.ref({10: 1}), TravellerType.COMMUTER)
-        minutes, _ = period_weights(TimeSlot(1, 1, 60), 30, ledger)
-        assert minutes == list(range(30, 61))
+        minutes, cum = period_weights(TimeSlot(1, 1, 60), 30, ledger)
+        assert list(minutes) == list(range(30, 61))
+        # nothing generated: every candidate's overshoot 0 - 0 is floored
+        assert cum == list(accumulate([1.0 / DELTA_FLOOR] * 31))
 
     def test_clock_past_slot_end(self):
         ledger = AggregationLedger(self.ref({10: 1}), TravellerType.COMMUTER)
@@ -604,7 +612,7 @@ class TestExactFloats:
     @given(period_states())
     def test_period_weights(self, state):
         partition, slot, minute, ref, generated = state
-        minutes, weights = period_weights(slot, minute, _ledger_of(generated, ref, partition))
+        minutes, cum = period_weights(slot, minute, _ledger_of(generated, ref, partition))
 
         candidates, full = _full_period_weights(slot, minute, ref, generated)
         if any(w > 0.0 for w in full):
@@ -612,7 +620,40 @@ class TestExactFloats:
             expect = [(m, w) for m, w in zip(candidates, full) if w > 0.0]
         else:
             expect = list(zip(candidates, full))
-        assert list(zip(minutes, weights)) == expect
+        assert list(minutes) == [m for m, _ in expect]
+        assert cum == list(accumulate(w for _, w in expect))
+
+    @given(period_states())
+    def test_period_sums_are_drawable(self, state):
+        # Why select_time_period may skip _checked_cumulative: int sums
+        # strictly ascend over the minutes in deficit, float sums are
+        # positive, finite and never fall. The listed count is the one
+        # bench/run.py's count_minutes reads.
+        partition, slot, minute, ref, generated = state
+        minutes, cum = period_weights(slot, minute, _ledger_of(generated, ref, partition))
+        _, full = _full_period_weights(slot, minute, ref, generated)
+        # every weight is positive in the overshoot branch, so both branches
+        # list the candidates with a positive weight
+        assert len(minutes) == len(cum) == sum(w > 0 for w in full)
+        if type(full[0]) is int:  # the deficit branch
+            assert all(type(c) is int for c in cum)
+            assert all(a < b for a, b in zip([0] + cum, cum))
+        else:
+            assert all(type(c) is float and isfinite(c) for c in cum)
+            assert cum[0] > 0 and all(a <= b for a, b in zip(cum, cum[1:]))
+
+    @given(period_states())
+    def test_slot_shares(self, state):
+        # slot_weights reads each slot's reference share e / R from the
+        # ledger: the same division, so the same float, and no record
+        # moves it.
+        partition, _, _, ref, generated = state
+        ledger = _ledger_of([], ref, partition)
+        expect = [e / ledger.ref.total for e in ledger.ref.slot]
+        assert ledger.slot_shares == expect and len(expect) == 1441
+        for m in generated:
+            ledger.record(partition.slot_of(m).slot_id, m)
+            assert ledger.slot_shares == expect
 
     # Hour 2 is minutes 61-120; the reference has departures at 70 and 95
     # in it and at 200 outside it.
