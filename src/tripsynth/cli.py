@@ -185,8 +185,9 @@ def load_config(path) -> Config:
         raise ConfigError(f"duration_unit must be minutes or seconds, got {duration_unit!r}")
 
     delimiter = str(doc.get("csv_delimiter", ","))
-    if len(delimiter) != 1 or delimiter in "\r\n":
-        raise ConfigError("csv_delimiter must be a single character other than a line break")
+    if len(delimiter) != 1 or delimiter in '\r\n"':
+        raise ConfigError("csv_delimiter must be a single character other than a line "
+                          "break or the quote character")
 
     part_cfg = doc.get("partition", "hourly")
     try:

@@ -151,32 +151,18 @@ def _grid_zones(side: int) -> list:
 
 
 def _cells_between(side: int, o_idx: int, d_idx: int, row_first: bool) -> list:
-    """L-shaped cell walk from origin to destination cell."""
+    """L-shaped cell walk from origin to destination cell, both included:
+    along the origin's row, then the destination's column, when
+    `row_first`; else along the origin's column, then the destination's row."""
     r0, c0 = divmod(o_idx, side)
     r1, c1 = divmod(d_idx, side)
-    cells = [(r0, c0)]
+    corner, first, second = (r0 * side + c1, 1, side) if row_first else (r1 * side + c0, side, 1)
 
-    def walk_cols(r, c):
-        step = 1 if c1 > c else -1
-        while c != c1:
-            c += step
-            cells.append((r, c))
-        return c
+    def walk(a, b, stride):  # cells a, a +- stride, ..., b
+        step = stride if b >= a else -stride
+        return range(a, b + step, step)
 
-    def walk_rows(r, c):
-        step = 1 if r1 > r else -1
-        while r != r1:
-            r += step
-            cells.append((r, c))
-        return r
-
-    if row_first:
-        c_mid = walk_cols(r0, c0)
-        walk_rows(r0, c_mid)
-    else:
-        r_mid = walk_rows(r0, c0)
-        walk_cols(r_mid, c0)
-    return [r * side + c for r, c in cells]
+    return [*walk(o_idx, corner, first), *walk(corner, d_idx, second)[1:]]
 
 
 def _route(side: int, o_idx: int, d_idx: int, row_first: bool) -> tuple:

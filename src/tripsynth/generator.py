@@ -464,19 +464,19 @@ def _generate_individual(
             # Today's quota is done: jump to the start of the next day.
             cursor.day += 1
             cursor.minute = 1
-            cursor.daily_quota = daily_quota(profile, rng)
-            cursor.generated_today = 0
-            continue
-        day_before = cursor.day
-        trips.append(
-            generate_trip(cursor, partition, ledger, catalog, pools, params, rng)
-        )
-        if cursor.day != day_before:
+        else:
+            day_before = cursor.day
+            trips.append(
+                generate_trip(cursor, partition, ledger, catalog, pools, params, rng)
+            )
+            if cursor.day == day_before:
+                continue
             # Trip spilled past midnight; the old day's unmet quota is dropped.
             counted.midnight_spills += 1
             counted.spill_dropped_quota += cursor.daily_quota - cursor.generated_today
-            cursor.daily_quota = daily_quota(profile, rng)
-            cursor.generated_today = 0
+        # A new day starts: draw its quota.
+        cursor.daily_quota = daily_quota(profile, rng)
+        cursor.generated_today = 0
     counted.continuity_pairs = max(counted.trips - 1, 0)
     for name, n in vars(counted).items():
         if name != "quarantined":

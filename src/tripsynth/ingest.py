@@ -16,11 +16,9 @@ import functools
 import json
 import logging
 import math
-from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, compress
-from operator import ne
+from itertools import chain
 from pathlib import Path
 
 from .model import (
@@ -187,6 +185,7 @@ def parse_trips(
     paths = _Memo(parse_path)
     names = _Memo(parse_name)
     append = table.append
+    retyped = set()  # travellers whose rows named several types
     try:
         for row in reader:
             line = reader.line_num
@@ -225,14 +224,11 @@ def parse_trips(
             if traveller is None:
                 errors.append(RowError(line, "missing traveller id"))
                 continue
-            append(traveller, ttype, day, departure, o_zone, d_zone, path, duration)
+            if append(traveller, ttype, day, departure, o_zone, d_zone, path, duration) != ttype:
+                retyped.add(traveller)
     except csv.Error as exc:
         raise _at_line(reader, exc) from None
     table.names, table.paths = list(name_codes), list(path_codes)
-    first_types = table.first_types()
-    ttype = array("b", map(first_types.__getitem__, table.traveller))
-    retyped = len(set(compress(table.traveller, map(ne, table.ttype, ttype))))
-    table.ttype = ttype
     if result.errors:
         log.warning(
             "rejected %d trip rows: %s",
@@ -242,7 +238,7 @@ def parse_trips(
     if retyped:
         log.warning(
             "retyped %d travellers seen under several types to their first type",
-            retyped,
+            len(retyped),
         )
     return result
 
@@ -375,19 +371,18 @@ def write_network_csv(edges, stream) -> None:
 def build_profiles(trips, partition: TimeSlotPartition, window_days: int) -> dict:
     """Fold trips into per-individual history profiles.
 
-    Returns {traveller_id: IndividualProfile}. Expects one type per
-    traveller, as parse_trips gives; otherwise the first-seen type is kept.
+    Returns {traveller_id: IndividualProfile}, each under its traveller's
+    type in the table.
     Trip dates spanning more days than `window_days` are an error: every
     daily rate would be inflated by the ratio.
     """
     if window_days < 1:
         raise ValueError("window_days must be >= 1")
     table = TripTable.of(trips)
-    names = table.names
+    names, types = table.names, table.types
     if table.date and max(table.date) - min(table.date) + 1 > window_days:
         raise ValueError(f"trip dates span {max(table.date) - min(table.date) + 1} days, "
                          f"more than window_days = {window_days}")
-    types = table.first_types()
     od_counts: dict = defaultdict(lambda: defaultdict(dict))
     for (tid, o, d), n in Counter(zip(table.traveller, table.o_zone, table.d_zone)).items():
         od_counts[tid][names[o]][names[d]] = n
@@ -439,27 +434,31 @@ def path_id_of(path) -> str:
 
 
 def split_path(text: str) -> tuple:
-    """The non-empty roads of a route text; ValueError when there are none."""
-    path = tuple(filter(None, text.split(PATH_SEPARATOR)))
+    """The non-empty stripped roads of a route text; ValueError when there
+    are none."""
+    path = tuple(filter(None, map(str.strip, text.split(PATH_SEPARATOR))))
     if not path:
         raise ValueError(f"route {text!r} has no roads")
     return path
 
 
 def build_path_catalog(trips) -> PathCatalog:
-    """Pool paths across all individuals per OD pair, counting occurrences."""
+    """Pool paths across all individuals per OD pair, counting occurrences;
+    a ValueError on a path its id would not split back into, as load_store does."""
     table = TripTable.of(trips)
     names, paths = table.names, table.paths
+    ids = list(map(path_id_of, paths))
+    for pid, path in zip(ids, paths):
+        if split_path(pid) != path:
+            raise ValueError(f"route {path!r} has an empty or padded road, or one holding '-'")
     counts: dict = defaultdict(Counter)
-    paths_by_id: dict = {}
     for (o, d, p), n in Counter(zip(table.o_zone, table.d_zone, table.path)).items():
-        pid = path_id_of(paths[p])
-        counts[(names[o], names[d])][pid] += n
-        paths_by_id[pid] = paths[p]
+        counts[(names[o], names[d])][ids[p]] += n
+    by_id = dict(zip(ids, paths))
     entries = {}
     for od in sorted(counts):
         entries[od] = tuple(
-            PathEntry(pid, paths_by_id[pid], n)
+            PathEntry(pid, by_id[pid], n)
             for pid, n in sorted(counts[od].items())
         )
     return PathCatalog(entries)
@@ -499,11 +498,10 @@ def build_duration_pools(trips, partition: TimeSlotPartition) -> DurationPool:
 
 def build_reference_aggregates(trips, partition: TimeSlotPartition) -> dict:
     """{traveller type: TypeCounts} of the departures, each row under its
-    traveller's first type, the one build_profiles keeps."""
+    traveller's type in the table."""
     table = TripTable.of(trips)
-    types = table.first_types()
     per_type_minutes: dict = defaultdict(dict)
-    row_types = map(types.__getitem__, table.traveller)
+    row_types = map(table.types.__getitem__, table.traveller)
     for (t, minute), n in Counter(zip(row_types, table.departure)).items():
         per_type_minutes[TYPE_ORDER[t]][minute] = n
     return reference_from_minutes(per_type_minutes, partition)
@@ -654,7 +652,7 @@ def load_store(path) -> Store:
         def route(pid):
             roads = split_path(pid)
             if path_id_of(roads) != pid:
-                raise ValueError(f"route {pid!r} has an empty road")
+                raise ValueError(f"route {pid!r} has an empty or padded road")
             return one(pid, pid), tuple(map(one, roads, roads))
 
         catalog = PathCatalog(

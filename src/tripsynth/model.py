@@ -185,21 +185,23 @@ class TripRecord:
 class TripTable:
     """Trips as parallel columns. Traveller ids and zones are int codes
     into `names`, shared by both roles, and paths are codes into `paths`;
-    `ttype` holds TYPE_ORDER indexes. Dates and durations are lists, as
-    their ints have no fixed width. Iteration yields TripRecords."""
+    `types` maps each traveller code to the TYPE_ORDER index of its first
+    row, the one type `append` keeps for it. Dates and durations are
+    lists, as their ints have no fixed width. Iteration yields
+    TripRecords, each under its traveller's type."""
 
-    __slots__ = ("names", "paths", "traveller", "ttype", "date", "departure",
+    __slots__ = ("names", "paths", "types", "traveller", "date", "departure",
                  "o_zone", "d_zone", "path", "duration")
 
     def __init__(self):
-        self.names, self.paths, self.date, self.duration = [], [], [], []
+        self.names, self.paths, self.date, self.duration, self.types = [], [], [], [], {}
         self.traveller, self.o_zone, self.d_zone, self.path = (array("i") for _ in range(4))
-        self.ttype, self.departure = array("b"), array("h")
+        self.departure = array("h")
 
     @classmethod
     def of(cls, trips) -> "TripTable":
         """`trips` itself if it is a table, else its TripRecords packed
-        into a new one."""
+        into a new one, each traveller under the type of its first record."""
         if isinstance(trips, cls):
             return trips
         table = cls()
@@ -213,27 +215,24 @@ class TripTable:
         table.names, table.paths = list(names), list(paths)
         return table
 
-    def append(self, traveller, ttype, date, departure, o_zone, d_zone, path, duration):
-        """Add one row, its names, type and path given as codes."""
+    def append(self, traveller, ttype, date, departure, o_zone, d_zone, path, duration) -> int:
+        """Add one row given as codes; returns its traveller's kept (first) type."""
         self.traveller.append(traveller)
-        self.ttype.append(ttype)
         self.date.append(date)
         self.departure.append(departure)
         self.o_zone.append(o_zone)
         self.d_zone.append(d_zone)
         self.path.append(path)
         self.duration.append(duration)
-
-    def first_types(self) -> dict:
-        """{traveller code: the type index of its first row}."""
-        return dict(zip(reversed(self.traveller), reversed(self.ttype)))
+        return self.types.setdefault(traveller, ttype)
 
     def __len__(self):
         return len(self.date)
 
     def __iter__(self):
         name = self.names.__getitem__
-        return map(TripRecord, map(name, self.traveller), map(TYPE_ORDER.__getitem__, self.ttype),
+        types = {tid: TYPE_ORDER[t] for tid, t in self.types.items()}
+        return map(TripRecord, map(name, self.traveller), map(types.__getitem__, self.traveller),
                    self.date, self.departure, map(name, self.o_zone), map(name, self.d_zone),
                    map(self.paths.__getitem__, self.path), self.duration)
 

@@ -188,12 +188,14 @@ class _TypeCounts:
 
 
 def _count_types(table: TripTable, granularity: int) -> dict:
-    """{traveller type: _TypeCounts} of one table. Each (type, traveller)
-    sequence is taken in (date, departure) order, ties in row order, with
-    travellers in first-seen order; roads count once per distinct path,
-    and zone visits come from the OD counts."""
-    names, ttype, date, departure = table.names, table.ttype, table.date, table.departure
+    """{traveller type: _TypeCounts} of one table, each row under its
+    traveller's type. Each traveller's sequence is taken in (date,
+    departure) order, ties in row order, with travellers in first-seen
+    order; roads count once per distinct path, and zone visits come from
+    the OD counts."""
+    names, types, date, departure = table.names, table.types, table.date, table.departure
     o_zone, d_zone = table.o_zone, table.d_zone
+    ttype = array("b", map(types.__getitem__, table.traveller))
     window_of = [0] + [(m - 1) // granularity + 1 for m in range(1, MINUTES_PER_DAY + 1)]
     by_type: dict = defaultdict(_TypeCounts)
     windows = zip(ttype, date, map(window_of.__getitem__, departure))
@@ -211,12 +213,12 @@ def _count_types(table: TripTable, granularity: int) -> dict:
         counts.ods[(o, d)] = n
         counts.visits[o] += n
         counts.visits[d] += n
-    rows: dict = defaultdict(lambda: array("i"))  # (type, traveller) -> rows
-    for i, key in enumerate(zip(ttype, table.traveller)):
-        rows[key].append(i)
-    for (t, tid), seq in rows.items():
+    rows: dict = defaultdict(lambda: array("i"))  # traveller -> rows
+    for i, tid in enumerate(table.traveller):
+        rows[tid].append(i)
+    for tid, seq in rows.items():
         seq = sorted(seq, key=lambda i: date[i] * MINUTES_PER_DAY + departure[i])
-        counts = by_type[TYPE_ORDER[t]]
+        counts = by_type[TYPE_ORDER[types[tid]]]
         counts.entropies[tid] = _entropy(Counter(map(d_zone.__getitem__, seq)))
         counts.frequencies[tid] = len(seq) / len(counts.days)
         counts.pairs += len(seq) - 1
@@ -257,10 +259,9 @@ def build_report(
     summaries. Cells that cannot be computed carry the error text instead of
     a number. A granularity that does not divide the day is a ValueError.
 
-    Each table is a TripTable, or TripRecords packed into one. A row
-    counts under its own type, and continuity runs within each (type,
-    traveller) sequence: pass one type per traveller, as parse_trips
-    gives, for per-traveller figures. Each table's columns are counted
+    Each table is a TripTable, or TripRecords packed into one; a row
+    counts under its traveller's type in the table, and continuity runs
+    within each traveller's sequence. Each table's columns are counted
     once; every cell reads those integer counts, and the all-type cells
     sum the per-type counts.
     """

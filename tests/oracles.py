@@ -14,6 +14,7 @@ its own, one metric per scan; build_report computes them all from one scan.
 They do their own grouping, ranking and entropy, and take from the
 validator only the Distribution they return.
 """
+import dataclasses
 import math
 from collections import Counter, defaultdict
 
@@ -175,6 +176,14 @@ def oracle_path_probabilities(catalog, o_zone: str, d_zone: str) -> dict:
         raise ValueError(f"no pooled path for ({o_zone}, {d_zone})")
     total = sum(e.crowd_count for e in entries)
     return {e.path_id: e.crowd_count / total for e in entries}
+
+
+def first_typed(trips) -> list:
+    """`trips`, each under the type of its traveller's first trip."""
+    first = {}
+    for t in trips:
+        first.setdefault(t.traveller_id, t.traveller_type)
+    return [dataclasses.replace(t, traveller_type=first[t.traveller_id]) for t in trips]
 
 
 def _filtered(trips, ttype=None, day_filter=None):

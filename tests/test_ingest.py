@@ -200,6 +200,19 @@ def test_padded_zone_text_parses_to_the_bare_id():
     assert (a.o_zone, a.d_zone) == (b.o_zone, b.d_zone) == ("Z01", "Z02")
 
 
+def test_padded_path_text_parses_to_the_bare_roads():
+    a, b = parse(
+        [
+            "V1,commuter,0,07:31,,Z01,Z02, r1 - r2 ,14",
+            "V1,commuter,0,08:31,,Z01,Z02,r1-r2,14",
+        ]
+    ).records
+    assert a.path == b.path == ("r1", "r2")
+    # One route, not a padded twin beside it.
+    catalog = build_path_catalog([a, b])
+    assert [(e.path_id, e.crowd_count) for e in catalog.get("Z01", "Z02")] == [("r1-r2", 2)]
+
+
 def test_blank_traveller_id_rejected(caplog):
     result = parse(
         [
@@ -423,6 +436,19 @@ class TestPathCatalog:
 
     def test_path_id_of(self):
         assert path_id_of(("r1", "r4", "r7")) == "r1-r4-r7"
+
+    @pytest.mark.parametrize("path, message", [
+        ((" r1", "r2"), "empty or padded road"),
+        (("r1", "r2 "), "empty or padded road"),
+        (("r1", ""), "empty or padded road"),
+        (("r1-r2",), "empty or padded road"),
+        ((" ",), "has no roads"),
+    ])
+    def test_refuses_a_route_its_id_would_not_split_back_into(self, path, message):
+        # load_store splits a stored route id into its roads again.
+        trip = TripRecord("V1", TravellerType.COMMUTER, 0, 400, "Z1", "Z2", path, 9)
+        with pytest.raises(ValueError, match=message):
+            build_path_catalog([trip])
 
 
 def test_duration_pools(history):

@@ -8,6 +8,7 @@ from tripsynth.model import (
     TimeSlotPartition,
     TravellerType,
     TripRecord,
+    TripTable,
     hhmm_to_minute,
     minute_to_hhmm,
 )
@@ -184,3 +185,15 @@ class TestTripRecord:
             self.make(path=())
         with pytest.raises(ValueError):
             self.make(o_zone="")
+
+
+def test_trip_table_reads_a_traveller_under_its_first_type():
+    make = TestTripRecord().make
+    rows = [make(), make(traveller_id="V2", traveller_type=TravellerType.PASSBY),
+            make(traveller_type=TravellerType.RANDOM, departure=500)]
+    table = TripTable.of(rows)
+    assert [(t.traveller_id, t.traveller_type) for t in table] == [
+        ("V1", TravellerType.COMMUTER), ("V2", TravellerType.PASSBY),
+        ("V1", TravellerType.COMMUTER),
+    ]
+    assert [t.departure for t in table] == [452, 452, 500]
