@@ -330,7 +330,7 @@ def cmd_ingest(config: Config) -> int:
     # Zones and network are checked here but not stored: generate reads
     # neither.
     with _read_table(config.path("zones")) as fh:
-        zone_ids = {z.zone_id for z in parse_zones(fh, delimiter=config.csv_delimiter)}
+        zone_ids = parse_zones(fh, delimiter=config.csv_delimiter)
     unknown_zones = {table.names[z] for z in {*table.o_zone, *table.d_zone}} - zone_ids
     if unknown_zones:
         log.warning("%d trip zones missing from zone table", len(unknown_zones))

@@ -121,16 +121,12 @@ def initial_location(profile: IndividualProfile) -> str:
     for row in profile.od_counts.values():
         for d, n in row.items():
             combined[d] = combined.get(d, 0) + n
-    if not combined:
-        raise CorruptInputError(f"profile {profile.traveller_id!r} has no trips")
     return max(sorted(combined), key=combined.__getitem__)
 
 
 def most_frequent_origin(profile: IndividualProfile) -> str:
     """The zone this individual most frequently departed from (relocation
     target); lexicographically smallest id wins ties."""
-    if not profile.per_origin:
-        raise CorruptInputError(f"profile {profile.traveller_id!r} has no trips")
     return max(sorted(profile.per_origin), key=profile.per_origin.__getitem__)
 
 
@@ -182,8 +178,6 @@ def preference_terms(
     individual never departed from `current_zone`.
     """
     total = profile.total_trips
-    if total == 0:
-        raise CorruptInputError(f"profile {profile.traveller_id!r} has no trips")
     from_zone = profile.per_origin.get(current_zone, 0)
     terms = []
     for slot in partition:
@@ -494,8 +488,10 @@ def generate_all(
     *,
     stats: GenStats | None = None,
 ):
-    """Generate trips for every profile; yields records grouped by traveller
-    type (fixed type order), individuals in id order, trips chronological.
+    """Generate trips for every profile. Checks `params` against the
+    largest profile when called, then returns an iterator of records grouped
+    by traveller type (fixed type order), individuals in id order, trips
+    chronological.
 
     Each type runs against its own feedback ledger and an independent RNG
     stream derived from (rng_seed, type), so one type's output does not
@@ -508,7 +504,10 @@ def generate_all(
     """
     params.check(max((p.total_trips for p in profiles.values()), default=0))
     stats = stats if stats is not None else GenStats()
+    return _generate_types(profiles, reference, catalog, pools, params, partition, stats)
 
+
+def _generate_types(profiles, reference, catalog, pools, params, partition, stats):
     by_type = defaultdict(list)
     for tid in sorted(profiles):
         by_type[profiles[tid].traveller_type].append(profiles[tid])

@@ -1,12 +1,13 @@
 """Read and write the on-disk formats; build the aggregates generation needs.
 
-The tables are flat CSV: a trip table, a zone table, and an optional road
-network edge list, of which only the road ids are read: generation draws
-whole observed routes, so adjacency is never checked. Malformed trip rows are
-collected, not fatal; a parse returns both the accepted rows, as the
-columns of a TripTable that the builders fold, and per-row errors. Each
-table's writer sits next to its parser and shares its header and separator
-constants; the JSON store sits next to the types it holds.
+The tables are flat CSV: a trip table, a zone table, of which only the
+zone ids are read, and an optional road network edge list, of which only
+the road ids are read: generation draws whole observed routes, so adjacency
+is never checked. Malformed trip rows are collected, not fatal; a parse
+returns both the accepted rows, as the columns of a TripTable that the
+builders fold, and per-row errors. Each table's writer sits next to its
+parser and shares its header and separator constants; the JSON store sits
+next to the types it holds.
 """
 from __future__ import annotations
 
@@ -28,7 +29,6 @@ from .model import (
     TravellerType,
     TripTable,
     TypeCounts,
-    Zone,
     hhmm_to_minute,
     minute_to_hhmm,
 )
@@ -289,10 +289,10 @@ def write_trips_csv(records, stream, epoch: dt.date, partition: TimeSlotPartitio
     return n
 
 
-def parse_zones(stream, *, delimiter: str = ",") -> list:
-    """Parse the zone table. A short row, a missing or duplicate zone id and
-    a coordinate that is not a number are hard errors; each, like a
-    csv.Error, names the line it stopped at."""
+def parse_zones(stream, *, delimiter: str = ",") -> frozenset:
+    """The stripped zone ids of a zone table; only `Zone_ID` is read. A
+    short row, a missing zone id and a duplicate one are hard errors; each,
+    like a csv.Error, names the line it stopped at."""
     reader = csv.reader(stream, delimiter=delimiter)
     try:
         header = next(reader)
@@ -302,9 +302,8 @@ def parse_zones(stream, *, delimiter: str = ",") -> list:
         raise _at_line(reader, exc) from None
     columns = _header_index(header, ZONE_HEADER, "zone")
     width = max(columns) + 1
-    c_id, c_lon, c_lat, c_roads = columns
-    zones = []
-    seen = set()
+    c_id = columns[0]
+    zone_ids = set()
     try:
         for row in reader:
             if not row or all(not cell.strip() for cell in row):
@@ -315,23 +314,12 @@ def parse_zones(stream, *, delimiter: str = ",") -> list:
             zone_id = row[c_id].strip()
             if not zone_id:
                 raise ValueError(f"line {line}: missing zone id")
-            if zone_id in seen:
+            if zone_id in zone_ids:
                 raise ValueError(f"line {line}: duplicate zone id {zone_id!r}")
-            seen.add(zone_id)
-            try:
-                longitude = float(row[c_lon])
-                latitude = float(row[c_lat])
-            except ValueError as exc:
-                raise ValueError(f"line {line}: {exc}") from None
-            roads = frozenset(
-                r for r in row[c_roads].split(ROAD_LIST_SEPARATOR) if r.strip()
-            )
-            zones.append(
-                Zone(zone_id=zone_id, longitude=longitude, latitude=latitude, roads=roads)
-            )
+            zone_ids.add(zone_id)
     except csv.Error as exc:
         raise _at_line(reader, exc) from None
-    return zones
+    return frozenset(zone_ids)
 
 
 def write_zones_csv(zones, stream, delimiter: str = ",") -> None:
@@ -681,8 +669,6 @@ def load_store(path) -> Store:
         by_type: dict = {}  # type -> profile trips by slot id
         od_trips: dict = {}  # OD pair -> profile trips
         for p in kept:
-            if not p.total_trips:
-                raise ValueError(f"profile {p.traveller_id!r} has no trips")
             slots = by_type.setdefault(p.traveller_type, zero.copy())
             by_origin: dict = {}
             for slot, by_o in p.slot_origin_counts.items():

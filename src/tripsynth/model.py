@@ -245,7 +245,7 @@ class IndividualProfile:
     zero. `od_counts` maps origin -> {destination: trips}; the per-slot
     origin breakdown `slot_origin_counts` maps slot id -> {origin: trips}.
     `total_trips` and `per_origin` are derived from `od_counts` on
-    construction.
+    construction, which CorruptInputError refuses when it holds no trips.
     """
 
     traveller_id: str
@@ -260,6 +260,8 @@ class IndividualProfile:
         per_origin = {o: sum(row.values()) for o, row in self.od_counts.items() if row}
         object.__setattr__(self, "total_trips", sum(per_origin.values()))
         object.__setattr__(self, "per_origin", per_origin)
+        if self.total_trips < 1:
+            raise CorruptInputError(f"profile {self.traveller_id!r} has no trips")
 
 
 class TypeCounts:

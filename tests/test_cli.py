@@ -1,3 +1,4 @@
+import csv
 import datetime as dt
 import io
 import json
@@ -13,6 +14,7 @@ from tripsynth.cli import ConfigError, load_config, main
 from tripsynth.corpus import CorpusSpec, synth_corpus
 from tripsynth.ingest import (
     TRIP_HEADER,
+    ZONE_HEADER,
     DurationPool,
     build_duration_pools,
     build_path_catalog,
@@ -224,11 +226,21 @@ def test_trips_csv_round_trip(small):
     assert list(parsed.records) == small.trips
 
 
+def written_zones(text, delimiter=","):
+    """Each zone as write_zones_csv wrote it, all four fields read back."""
+    header, *rows = csv.reader(io.StringIO(text), delimiter=delimiter)
+    assert tuple(header) == ZONE_HEADER
+    return [
+        Zone(zone_id, float(lon), float(lat), frozenset(r for r in roads.split(";") if r))
+        for zone_id, lon, lat, roads in rows
+    ]
+
+
 def test_zone_and_network_round_trip(small):
     buf = io.StringIO()
     write_zones_csv(small.zones, buf)
-    zones = parse_zones(io.StringIO(buf.getvalue()))
-    assert zones == small.zones
+    assert written_zones(buf.getvalue()) == small.zones
+    assert parse_zones(io.StringIO(buf.getvalue())) == {z.zone_id for z in small.zones}
 
     buf = io.StringIO()
     write_network_csv(small.network, buf)
@@ -576,7 +588,9 @@ def zone_tables(draw):
 def test_zones_csv_round_trips_any_legal_ids(zones, delimiter):
     buf = io.StringIO()
     write_zones_csv(zones, buf, delimiter)
-    assert parse_zones(io.StringIO(buf.getvalue()), delimiter=delimiter) == zones
+    assert written_zones(buf.getvalue(), delimiter) == zones
+    ids = parse_zones(io.StringIO(buf.getvalue()), delimiter=delimiter)
+    assert ids == {z.zone_id for z in zones}
 
 
 def _with_profile_type(doc, name):
@@ -653,6 +667,17 @@ class TestPipeline:
         config = load_config(cfg)
         parsed = parse_trips(io.StringIO(generated), config.epoch)
         assert not parsed.errors and parsed.records
+
+    def test_invalid_params_leave_generated_csv_untouched(self, cfg, tmp_path, monkeypatch):
+        assert main(["corpus", "-c", cfg]) == 0
+        assert main(["ingest", "-c", cfg]) == 0
+        assert main(["generate", "-c", cfg]) == 0
+        out = tmp_path / "out" / "generated.csv"
+        before = out.read_bytes()
+        # The busiest individual's trips make EPSILON rival a preference.
+        monkeypatch.setattr(generator, "EPSILON", 0.5)
+        assert main(["generate", "-c", cfg]) == 2
+        assert out.read_bytes() == before
 
     def test_rerun_is_byte_identical(self, cfg, tmp_path):
         main(["corpus", "-c", cfg])
@@ -1069,8 +1094,7 @@ class TestPipeline:
         cases = [
             (zones, zone_text + "Z9\n", f"line {end}: short row, 1 fields"),
             (zones, zone_text + first + "\n", f"line {end}: duplicate zone id {first_id!r}"),
-            (zones, zone_text.replace(first, f"{first_id},abc,{rest.partition(',')[2]}"),
-             "line 2: could not convert string to float: 'abc'"),
+            (zones, zone_text.replace(first, f",{rest}"), "line 2: missing zone id"),
             (network, network_text + "R1,R2,R3\n",
              f"line {len(network_text.splitlines()) + 1}: expected 'road_id,neighbor_id'"),
         ]
@@ -1082,6 +1106,10 @@ class TestPipeline:
             assert main(["ingest", "-c", cfg]) == 1
             assert f"{path}: {message}" in caplog.text
         assert not (tmp_path / "build" / "store.json").exists()
+        # Only Zone_ID is read: a coordinate that is not a number passes.
+        zones.write_text(zone_text.replace(first, f"{first_id},abc,{rest.partition(',')[2]}"))
+        network.write_text(network_text)
+        assert main(["ingest", "-c", cfg]) == 0
 
     def test_module_entry_point(self):
         proc = subprocess.run(

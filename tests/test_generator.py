@@ -91,18 +91,12 @@ class TestInitialLocation:
         p = profile(od={"Z9": {"Z9": 1, "Z10": 1}, "Z10": {"Z9": 1, "Z10": 1}})
         assert initial_location(p) == "Z10"  # string order, not numeric
 
-    def test_empty_profile(self):
-        with pytest.raises(CorruptInputError):
-            initial_location(profile())
-
 
 def test_most_frequent_origin():
     p = profile(od={"Z3": {"A": 5}, "Z1": {"A": 5}, "Z2": {"A": 9}})
     assert most_frequent_origin(p) == "Z2"
     p = profile(od={"Z3": {"A": 5}, "Z1": {"A": 5}})
     assert most_frequent_origin(p) == "Z1"
-    with pytest.raises(CorruptInputError):
-        most_frequent_origin(profile())
 
 
 class TestDailyQuota:
@@ -363,8 +357,6 @@ def test_preference_factors():
     assert terms[1 - 1] == eps
     # never departed from C: the origin term is 0
     assert preference_terms(p, "C", HOURLY)[7 - 1] == pytest.approx(0.75 + eps)
-    with pytest.raises(CorruptInputError):
-        preference_terms(profile(), "A", HOURLY)
 
 
 def test_slot_weights_multiplicative_structure():
@@ -980,6 +972,13 @@ class TestGenerateAll:
         # 14 trips over 7 observed days: quota is exactly 2 every day
         assert len(trips) == 14
         assert stats.trips == 14 and not stats.quarantined
+
+    def test_params_are_checked_on_call(self, monkeypatch):
+        # Before any record is asked for, so no caller has opened its output.
+        profiles, ref, catalog, pools = small_world()
+        monkeypatch.setattr(generator, "EPSILON", 0.5)
+        with pytest.raises(InvalidParams, match="epsilon"):
+            generate_all(profiles, ref, catalog, pools, GenParams(), HOURLY)
 
     def test_horizon_runs_from_start_day(self):
         profiles, ref, catalog, pools = small_world()

@@ -4,6 +4,8 @@ from hypothesis import given, strategies as st
 import tripsynth
 from tripsynth.model import (
     MINUTES_PER_DAY,
+    CorruptInputError,
+    IndividualProfile,
     TimeSlot,
     TimeSlotPartition,
     TravellerType,
@@ -55,6 +57,12 @@ def test_traveller_type_parse():
 
 def test_traveller_type_has_five_values():
     assert len(TravellerType) == 5
+
+
+@pytest.mark.parametrize("od", [{}, {"A": {}}, {"A": {"B": 0}}])
+def test_profile_without_trips_is_refused(od):
+    with pytest.raises(CorruptInputError, match="^profile 'V1' has no trips$"):
+        IndividualProfile("V1", TravellerType.COMMUTER, od, {})
 
 
 class TestTimeSlot:
