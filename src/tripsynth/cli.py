@@ -139,7 +139,7 @@ def _section(doc, name) -> dict:
 def load_config(path) -> Config:
     path = Path(path)
     try:
-        doc = yaml.safe_load(path.read_text())
+        doc = yaml.safe_load(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except yaml.YAMLError as exc:
@@ -184,8 +184,8 @@ def load_config(path) -> Config:
     if duration_unit not in ("minutes", "seconds"):
         raise ConfigError(f"duration_unit must be minutes or seconds, got {duration_unit!r}")
 
-    delimiter = str(doc.get("csv_delimiter", ","))
-    if len(delimiter) != 1 or delimiter in '\r\n"':
+    delimiter = doc.get("csv_delimiter", ",")
+    if type(delimiter) is not str or len(delimiter) != 1 or delimiter in '\r\n"':
         raise ConfigError("csv_delimiter must be a single character other than a line "
                           "break or the quote character")
 
@@ -287,7 +287,7 @@ def load_config(path) -> Config:
 def _read_table(path):
     """Open a CSV table for reading; a csv.Error or ValueError raised while
     reading it names the file."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         try:
             yield fh
         except csv.Error as exc:
@@ -303,13 +303,13 @@ def cmd_corpus(config: Config) -> int:
         raise ConfigError(str(exc)) from None
     trips_path = config.path("trips")
     trips_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(trips_path, "w", newline="") as fh:
+    with open(trips_path, "w", newline="", encoding="utf-8") as fh:
         n = write_trips_csv(built.trips, fh, config.epoch, built.partition, config.csv_delimiter)
     zones_path = config.path("zones")
-    with open(zones_path, "w", newline="") as fh:
+    with open(zones_path, "w", newline="", encoding="utf-8") as fh:
         write_zones_csv(built.zones, fh, config.csv_delimiter)
     network_path = config.path("network")
-    with open(network_path, "w", newline="") as fh:
+    with open(network_path, "w", newline="", encoding="utf-8") as fh:
         write_network_csv(built.network, fh)
     log.info("corpus: %d trips, %d zones -> %s", n, len(built.zones), trips_path.parent)
     return 0
@@ -335,11 +335,7 @@ def cmd_ingest(config: Config) -> int:
     if unknown_zones:
         log.warning("%d trip zones missing from zone table", len(unknown_zones))
     if "network" in config.paths:
-        network_path = config.paths["network"]
-        if not network_path.is_file():
-            log.error("network file not found: %s", network_path)
-            return 1
-        with _read_table(network_path) as fh:
+        with _read_table(config.paths["network"]) as fh:
             roads = parse_network(fh)
         unknown_roads = {road for p in set(table.path) for road in table.paths[p]} - roads
         if unknown_roads:
@@ -388,7 +384,7 @@ def cmd_generate(config: Config, seed=None) -> int:
     )
     out_path = config.path("generated")
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", newline="") as fh:
+    with open(out_path, "w", newline="", encoding="utf-8") as fh:
         n = write_trips_csv(records, fh, config.epoch, store.partition, config.csv_delimiter)
     log.info(
         "generate: %d trips, %d relocations (%d chain breaks / %d pairs), "
@@ -433,7 +429,7 @@ def cmd_validate(config: Config, reference=None, generated=None) -> int:
     if "report" in config.paths:
         report_path = config.path("report")
         report_path.parent.mkdir(parents=True, exist_ok=True)
-        report_path.write_text(text)
+        report_path.write_text(text, encoding="utf-8")
         log.info("validate: report -> %s", report_path)
     else:
         sys.stdout.write(text)
@@ -445,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tripsynth",
         description="Synthesize and validate individual-level trip tables.",
     )
-    parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, help_text):
@@ -466,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
+        level=logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )

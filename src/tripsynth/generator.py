@@ -309,34 +309,24 @@ def select_time_period(
     return _cumulative_draw(*period_weights(slot, minute, counts), rng)
 
 
-def destination_weights(profile: IndividualProfile, origin: str):
-    """Destination candidates and weights from `origin`, relocating to the
-    individual's most frequent historical origin when `origin` has none.
-
-    Returns (origin_used, destinations, weights, relocated).
-    """
-    row = profile.od_counts.get(origin)
-    relocated = False
-    if not row:
-        origin = most_frequent_origin(profile)
-        row = profile.od_counts[origin]
-        relocated = True
-    dests = sorted(row)
-    return origin, dests, [row[d] for d in dests], relocated
-
-
 def select_destination(cursor: GenCursor, rng: random.Random):
     """Sample a destination proportionally to the individual's historical
-    OD counts from the cursor's location, relocating as destination_weights
-    does. Each location's weights are checked and accumulated once and
-    cached on the cursor, so a draw is the one random.choices would make.
-    Returns (origin_used, destination, relocated)."""
+    OD counts from the cursor's location, relocating to the individual's
+    most frequent origin when the location has none. Each location's
+    weights are checked and accumulated once and cached on the cursor as
+    (origin_used, destinations, running sums, relocated), so a draw is the
+    one random.choices would make. Returns (origin_used, destination,
+    relocated)."""
     found = cursor.destinations.get(cursor.location)
     if found is None:
-        origin, dests, weights, relocated = destination_weights(
-            cursor.profile, cursor.location
-        )
-        found = origin, dests, _checked_cumulative(dests, weights), relocated
+        origin = cursor.location
+        row = cursor.profile.od_counts.get(origin)
+        relocated = not row
+        if relocated:
+            origin = most_frequent_origin(cursor.profile)
+            row = cursor.profile.od_counts[origin]
+        dests = sorted(row)
+        found = origin, dests, _checked_cumulative(dests, [row[d] for d in dests]), relocated
         cursor.destinations[cursor.location] = found
     origin, dests, cum, relocated = found
     return origin, _cumulative_draw(dests, cum, rng), relocated

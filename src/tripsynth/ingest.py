@@ -492,17 +492,7 @@ def build_reference_aggregates(trips, partition: TimeSlotPartition) -> dict:
     row_types = map(table.types.__getitem__, table.traveller)
     for (t, minute), n in Counter(zip(row_types, table.departure)).items():
         per_type_minutes[TYPE_ORDER[t]][minute] = n
-    return reference_from_minutes(per_type_minutes, partition)
-
-
-def reference_from_minutes(per_type_minutes: dict, partition: TimeSlotPartition) -> dict:
-    """{traveller type: TypeCounts} from {traveller type: {minute: departures}}."""
-    reference = {}
-    for ttype, minutes in per_type_minutes.items():
-        counts = reference[ttype] = TypeCounts()
-        for minute, n in minutes.items():
-            counts.add(partition.slot_of(minute).slot_id, minute, n)
-    return reference
+    return {t: TypeCounts(minutes, partition) for t, minutes in per_type_minutes.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +516,7 @@ def save_store(path, *, partition, window_days, profiles, catalog, pools,
     keys in sorted order: the file holds json.dumps(document,
     sort_keys=True, separators=(",", ":")) and a newline, never whole."""
     encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write('{"catalog":[')
         fh.writelines(_joined(
             encode([o, d, [[e.path_id, e.crowd_count] for e in catalog.get(o, d)]])
@@ -605,7 +595,7 @@ def load_store(path) -> Store:
     is converted, each pooled list as soon as its tuple exists. Equal zone,
     path and road texts of the catalog and the pools share one str."""
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:
         raise ValueError(f"{path}: store is not JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -664,7 +654,7 @@ def load_store(path) -> Store:
             for name, counts in doc.pop("reference").items()
         }
         _counts(flat(r.values() for r in minutes.values()), "reference count")
-        reference = reference_from_minutes(minutes, partition)
+        reference = {t: TypeCounts(m, partition) for t, m in minutes.items()}
         zero = [0] * (len(partition) + 1)
         by_type: dict = {}  # type -> profile trips by slot id
         od_trips: dict = {}  # OD pair -> profile trips

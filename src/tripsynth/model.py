@@ -265,21 +265,21 @@ class IndividualProfile:
 
 
 class TypeCounts:
-    """Departure counts of one traveller type as dense lists indexed by
-    minute of day and by slot id (index 0 unused), plus their total."""
+    """Departure counts of one traveller type, built from {minute of day:
+    departures} under `partition`, as dense lists indexed by minute and by
+    slot id (index 0 unused), plus their total. ValueError refuses a minute
+    outside 1..1440."""
 
     __slots__ = ("minute", "slot", "total")
 
-    def __init__(self):
+    def __init__(self, minutes: dict, partition: TimeSlotPartition):
         # A slot spans at least one minute, so slot ids never exceed 1440.
         self.minute = [0] * (MINUTES_PER_DAY + 1)
         self.slot = [0] * (MINUTES_PER_DAY + 1)
-        self.total = 0
-
-    def add(self, slot_id: int, minute: int, n: int = 1) -> None:
-        self.slot[slot_id] += n
-        self.minute[minute] += n
-        self.total += n
+        for minute, n in minutes.items():
+            self.slot[partition.slot_of(minute).slot_id] += n
+            self.minute[minute] += n
+        self.total = sum(minutes.values())
 
 
 class AggregationLedger:

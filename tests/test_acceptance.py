@@ -20,11 +20,12 @@ from tripsynth.cli import load_config, main
 from tripsynth.corpus import CorpusSpec, synth_corpus
 from tripsynth.generator import (
     AggregationLedger,
+    GenCursor,
     GenParams,
     GenStats,
-    destination_weights,
     generate_all,
     preference_terms,
+    select_destination,
     slot_weights,
     subsequent_slots,
 )
@@ -34,10 +35,9 @@ from tripsynth.ingest import (
     build_profiles,
     build_reference_aggregates,
     load_store,
-    reference_from_minutes,
     write_trips_csv,
 )
-from tripsynth.model import TYPE_ORDER, TravellerType, TripRecord
+from tripsynth.model import TYPE_ORDER, TravellerType, TripRecord, TypeCounts
 from tripsynth.validator import (
     Distribution,
     build_report,
@@ -202,7 +202,7 @@ def _period_state(meta, world, rng, shape):
         counts = {m: 7 for m in supported}
     else:
         counts = {m: meta.randint(5, 120) for m in supported}
-    reference = reference_from_minutes({ttype: counts}, partition)
+    reference = {ttype: TypeCounts(counts, partition)}
     ledger = AggregationLedger(reference, ttype)
     if shape == 1:
         for m in supported[: k_ref // 2]:
@@ -230,9 +230,11 @@ def _destination_state(meta, world, rng):
     origin_used, oracle, relocated = oracle_destination_probabilities(
         profile, origin
     )
-    used, dests, weights, flagged = destination_weights(profile, origin)
+    cursor = GenCursor(profile=profile, day=0, minute=1, location=origin, daily_quota=1)
+    select_destination(cursor, random.Random(0))
+    used, dests, cum, flagged = cursor.destinations[origin]
     assert (used, flagged) == (origin_used, relocated)
-    draws = rng.choices(dests, weights, k=DRAWS)
+    draws = rng.choices(dests, cum_weights=cum, k=DRAWS)
     return _tv(oracle, draws)
 
 

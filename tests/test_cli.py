@@ -3,6 +3,7 @@ import datetime as dt
 import io
 import json
 import logging
+import os
 import subprocess
 import sys
 
@@ -185,6 +186,14 @@ corpus:
             # float() would read a boolean as 0.0 or 1.0 and parse a string
             ("validation: {topk_zones: [true]}\n", "'topk_zones' in validation"),
             ("validation: {topk_od: [\"0.5\"]}\n", "'topk_od' in validation"),
+            # str() would read the integer 1 as the delimiter "1"
+            ("csv_delimiter: 1\n", "single character"),
+            ("window_days: 0\n", "window_days must be >= 1"),
+            ("generation: {min_gap: -1}\n", "min_gap must be >= 0"),
+            ("validation: [1]\n", "section 'validation' must be a mapping"),
+            ("paths: [unclosed\n", "not valid YAML"),
+            ("- 1\n", "config root must be a mapping"),
+            ("corpus: {individuals: [commuter]}\n", "individuals must map type name to count"),
         ],
     )
     def test_rejects(self, tmp_path, body, fragment):
@@ -1064,6 +1073,55 @@ class TestPipeline:
         assert "1 trip zones missing from zone table" in caplog.text
         assert (tmp_path / "build" / "store.json").is_file()
 
+    def test_path_road_missing_from_network_warns(self, cfg, tmp_path, caplog):
+        assert main(["corpus", "-c", cfg]) == 0
+        trips = tmp_path / "data" / "trips.csv"
+        header, first, rest = trips.read_text().split("\n", 2)
+        trips.write_text("\n".join([header, first.replace(",R", ",RNOWHERE-R", 1), rest]))
+        caplog.clear()
+        assert main(["ingest", "-c", cfg]) == 0
+        assert "1 roads in paths missing from network" in caplog.text
+
+    def test_no_usable_trip_rows_fails_ingest(self, cfg, tmp_path, caplog):
+        assert main(["corpus", "-c", cfg]) == 0
+        trips = tmp_path / "data" / "trips.csv"
+        header, first = trips.read_text().splitlines()[:2]
+        trips.write_text(f"{header}\n{first.replace(',commuter,', ',wizard,')}\n")
+        caplog.clear()
+        assert main(["ingest", "-c", cfg]) == 1
+        assert "no usable trip rows (rejected: 1)" in caplog.text
+        assert not (tmp_path / "build" / "store.json").exists()
+
+    def test_validate_without_report_path_writes_stdout(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, PATHS.replace("  report: out/report.csv\n", "")
+                           + SMALL_CORPUS)
+        for command in ("corpus", "ingest", "generate"):
+            assert main([command, "-c", cfg]) == 0
+        capsys.readouterr()
+        assert main(["validate", "-c", cfg]) == 0
+        assert capsys.readouterr().out.startswith("# trip table validation report")
+        assert not (tmp_path / "out" / "report.csv").exists()
+
+    def test_non_ascii_ids_run_under_an_ascii_locale(self, cfg, tmp_path):
+        # Every file is read and written as UTF-8, whatever the locale's
+        # preferred encoding; here it is ASCII.
+        env = dict(os.environ, LC_ALL="C", LANG="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+
+        def run(command):
+            proc = subprocess.run([sys.executable, "-m", "tripsynth.cli", command, "-c", cfg],
+                                  env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+
+        run("corpus")
+        trips = tmp_path / "data" / "trips.csv"
+        text = trips.read_text(encoding="utf-8")
+        tid = text.splitlines()[1].split(",")[0]
+        trips.write_text(text.replace(f"\n{tid},", "\nÜnï0001,"), encoding="utf-8")
+        for command in ("ingest", "generate", "validate"):
+            run(command)
+        generated = (tmp_path / "out" / "generated.csv").read_text(encoding="utf-8")
+        assert "\nÜnï0001," in generated
+
     @pytest.mark.parametrize("command", ["ingest", "validate"])
     def test_oversized_csv_field_fails_command(self, cfg, tmp_path, caplog, command):
         # A field beyond the csv module's 131,072-character limit is a
@@ -1097,6 +1155,7 @@ class TestPipeline:
             (zones, zone_text.replace(first, f",{rest}"), "line 2: missing zone id"),
             (network, network_text + "R1,R2,R3\n",
              f"line {len(network_text.splitlines()) + 1}: expected 'road_id,neighbor_id'"),
+            (zones, "", "zone table is empty"),
         ]
         for path, text, message in cases:
             zones.write_text(zone_text)

@@ -231,7 +231,7 @@ class TestOracles:
 
     def test_slot_probabilities_empty_reference(self):
         halves, p, reference = self.hand_state()
-        empty = {TravellerType.COMMUTER: TypeCounts()}
+        empty = {TravellerType.COMMUTER: TypeCounts({}, halves)}
         with pytest.raises(ValueError):
             oracle_slot_probabilities(
                 halves, p, "A", AggregationLedger(reference, p.traveller_type), empty, 1, 1

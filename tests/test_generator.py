@@ -19,7 +19,6 @@ from tripsynth.generator import (
     InvalidParams,
     balance_weight,
     daily_quota,
-    destination_weights,
     generate_all,
     generate_trip,
     initial_location,
@@ -41,7 +40,6 @@ from tripsynth.ingest import (
     build_path_catalog,
     build_profiles,
     build_reference_aggregates,
-    reference_from_minutes,
 )
 from tripsynth.model import (
     CorruptInputError,
@@ -204,7 +202,7 @@ def nonzero(counts: list) -> dict:
 def test_aggregation_ledger_shares():
     t = TravellerType.STABLE
     counts = AggregationLedger(
-        reference_from_minutes({t: {30: 1}, TravellerType.COMMUTER: {30: 1}}, HOURLY), t
+        {t: TypeCounts({30: 1}, HOURLY), TravellerType.COMMUTER: TypeCounts({30: 1}, HOURLY)}, t
     )
     assert counts.total == 0 and not any(counts.slot) and not any(counts.minute)
     counts.record(1, 30)
@@ -226,9 +224,7 @@ def test_aggregation_ledger_shares():
 
 
 def test_deficit_list_follows_add():
-    ref = TypeCounts()
-    for minute, n in {10: 3, 20: 1, 30: 1}.items():
-        ref.add(1, minute, n)
+    ref = TypeCounts({10: 3, 20: 1, 30: 1}, HOURLY)
     counts = AggregationLedger({TravellerType.COMMUTER: ref}, TravellerType.COMMUTER)
     listed = counts.deficit
     # the empty ledger trails every reference minute
@@ -249,8 +245,7 @@ def test_deficit_list_follows_add():
 
 
 def test_feedback_counts_take_one_nonempty_reference():
-    ref = TypeCounts()
-    ref.add(1, 10)
+    ref = TypeCounts({10: 1}, HOURLY)
     counts = AggregationLedger({TravellerType.COMMUTER: ref}, TravellerType.COMMUTER)
     # generated departures are recorded one at a time
     with pytest.raises(TypeError):
@@ -273,9 +268,7 @@ def test_deficit_weights_stay_exact_past_float_precision():
     # where two distinct float shares r / R and n / T may round together:
     # the int weights r * T - n * R still list exactly the minutes in
     # deficit, their int running sums are exact, and the draw stays on them.
-    ref = TypeCounts()
-    for m, n in {10: 3, 20: 1, 30: 1}.items():
-        ref.add(1, m, n * 2**45)
+    ref = TypeCounts({m: n * 2**45 for m, n in {10: 3, 20: 1, 30: 1}.items()}, HOURLY)
     counts = AggregationLedger({TravellerType.COMMUTER: ref}, TravellerType.COMMUTER)
     recorded = iter([10, 20, 30, 10, 40] * 10)
     while ref.total * counts.total < 2**52:
@@ -298,10 +291,9 @@ def test_deficit_list_matches_filter(data):
     # the kept list must equal the filter built from scratch, at every
     # scale, the largest able to take R * T past 2**52 within a run.
     near = st.integers(1, 12)
-    ref = TypeCounts()
     scale = data.draw(st.sampled_from([1, 2**20, 2**45]))
-    for m, n in data.draw(st.dictionaries(near, st.integers(1, 60), min_size=1)).items():
-        ref.add(1, m, n * scale)
+    drawn = data.draw(st.dictionaries(near, st.integers(1, 60), min_size=1))
+    ref = TypeCounts({m: n * scale for m, n in drawn.items()}, HOURLY)
     counts = AggregationLedger({TravellerType.COMMUTER: ref}, TravellerType.COMMUTER)
     minute = 1
     for _ in range(data.draw(st.integers(1, 60))):
@@ -336,7 +328,7 @@ def test_aggregation_factor_full_deficit():
     # a type without reference departures, absent or present but empty, is
     # corrupt input; asking for a generation ledger does not add it to the
     # reference
-    ref[TravellerType.STABLE] = TypeCounts()
+    ref[TravellerType.STABLE] = TypeCounts({}, HOURLY)
     for ttype in (TravellerType.PASSBY, TravellerType.STABLE):
         with pytest.raises(CorruptInputError):
             AggregationLedger(ref, ttype)
@@ -516,7 +508,7 @@ class TestPeriodWeights:
 
 def _reference_of(counts, partition):
     ttype = TravellerType.COMMUTER
-    return reference_from_minutes({ttype: counts}, partition)[ttype]
+    return TypeCounts(counts, partition)
 
 
 def _ledger_of(minutes, ref, partition):
@@ -711,20 +703,22 @@ class TestExactFloats:
 class TestDestination:
     def test_weights_follow_history(self):
         p = profile(od={"A": {"B": 3, "C": 1}})
-        origin, dests, weights, relocated = destination_weights(p, "A")
-        assert (origin, dests, weights, relocated) == ("A", ["B", "C"], [3, 1], False)
-        rng = random.Random(5)
         cursor = GenCursor(profile=p, day=0, minute=1, location="A", daily_quota=1)
+        select_destination(cursor, random.Random(0))
+        # the cached running sums of the counts 3 and 1
+        assert cursor.destinations["A"] == ("A", ["B", "C"], [3, 4], False)
+        rng = random.Random(5)
         picks = [select_destination(cursor, rng)[1] for _ in range(100_000)]
         assert picks.count("B") / len(picks) == pytest.approx(0.75, abs=0.01)
 
     def test_relocates_when_origin_unseen(self):
         p = profile(od={"A": {"B": 3}, "B": {"A": 1}})
-        origin, dests, _, relocated = destination_weights(p, "Z99")
-        assert relocated and origin == "A" and dests == ["B"]
         cursor = GenCursor(
             profile=p, day=0, minute=1, location="Z99", daily_quota=1
         )
+        select_destination(cursor, random.Random(0))
+        origin, dests, _, relocated = cursor.destinations["Z99"]
+        assert relocated and origin == "A" and dests == ["B"]
         used, dest, flagged = select_destination(cursor, random.Random(1))
         assert used == "A" and dest == "B" and flagged
         # cached with the cumulative weights, here the single count 3

@@ -16,7 +16,6 @@ from tripsynth.ingest import (
     parse_trips,
     parse_zones,
     path_id_of,
-    reference_from_minutes,
 )
 from tripsynth.model import (
     AggregationLedger,
@@ -24,6 +23,7 @@ from tripsynth.model import (
     TimeSlotPartition,
     TravellerType,
     TripRecord,
+    TypeCounts,
 )
 
 EPOCH = dt.date(2019, 8, 12)
@@ -485,7 +485,7 @@ class TestReferenceAggregates:
         assert AggregationLedger(ref, TravellerType.COMMUTER).ref.total == 3
 
     def test_zero_total_share(self):
-        ref = reference_from_minutes({TravellerType.PASSBY: {}}, HOURLY)
+        ref = {TravellerType.PASSBY: TypeCounts({}, HOURLY)}
         counts = ref[TravellerType.PASSBY]
         assert counts.total == 0
         assert not any(counts.slot) and not any(counts.minute)
