@@ -127,6 +127,13 @@ def _floats(values) -> tuple:
     return tuple(_float(v) for v in _list(values))
 
 
+def _path(value) -> str:
+    # str() would read the list [a] as the file "['a']"; None and "" name no file.
+    if type(value) is not str or not value:
+        raise TypeError(repr(value))
+    return value
+
+
 def _section(doc, name) -> dict:
     value = doc.get(name, {})
     if value is None:
@@ -164,7 +171,7 @@ def load_config(path) -> Config:
         {"trips", "zones", "network", "store", "generated", "report"},
         "paths",
     )
-    paths = {k: (base / str(v)).resolve() for k, v in raw_paths.items() if v}
+    paths = {k: (base / _value(raw_paths, k, None, _path, "paths")).resolve() for k in raw_paths}
 
     epoch = doc.get("epoch", dt.date(2019, 8, 12))
     if isinstance(epoch, str):
@@ -296,20 +303,23 @@ def _read_table(path):
             raise ValueError(f"{path}: {exc}") from None
 
 
+def _write_file(path):
+    """Open `path` for writing as UTF-8 CSV text, making its directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w", newline="", encoding="utf-8")
+
+
 def cmd_corpus(config: Config) -> int:
     try:
         built = synth_corpus(config.corpus_spec)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     trips_path = config.path("trips")
-    trips_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(trips_path, "w", newline="", encoding="utf-8") as fh:
+    with _write_file(trips_path) as fh:
         n = write_trips_csv(built.trips, fh, config.epoch, built.partition, config.csv_delimiter)
-    zones_path = config.path("zones")
-    with open(zones_path, "w", newline="", encoding="utf-8") as fh:
+    with _write_file(config.path("zones")) as fh:
         write_zones_csv(built.zones, fh, config.csv_delimiter)
-    network_path = config.path("network")
-    with open(network_path, "w", newline="", encoding="utf-8") as fh:
+    with _write_file(config.path("network")) as fh:
         write_network_csv(built.network, fh)
     log.info("corpus: %d trips, %d zones -> %s", n, len(built.zones), trips_path.parent)
     return 0
@@ -383,8 +393,7 @@ def cmd_generate(config: Config, seed=None) -> int:
         stats=stats,
     )
     out_path = config.path("generated")
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
+    with _write_file(out_path) as fh:
         n = write_trips_csv(records, fh, config.epoch, store.partition, config.csv_delimiter)
     log.info(
         "generate: %d trips, %d relocations (%d chain breaks / %d pairs), "
@@ -428,8 +437,8 @@ def cmd_validate(config: Config, reference=None, generated=None) -> int:
     text = report.to_text()
     if "report" in config.paths:
         report_path = config.path("report")
-        report_path.parent.mkdir(parents=True, exist_ok=True)
-        report_path.write_text(text, encoding="utf-8")
+        with _write_file(report_path) as fh:
+            fh.write(text)
         log.info("validate: report -> %s", report_path)
     else:
         sys.stdout.write(text)

@@ -225,16 +225,13 @@ def _cumulative_draw(labels, cum: list, rng: random.Random):
     return labels[bisect_right(cum, rng.random() * (cum[-1] + 0.0), 0, len(cum) - 1)]
 
 
-def _checked_cumulative(labels, weights) -> list:
+def _checked_cumulative(weights) -> list:
     """The running sums of `weights`, as _cumulative_draw takes them.
 
-    Raises ValueError for mismatched lengths, no labels, a negative weight,
-    or a total that is not positive and finite.
+    Raises ValueError for no weights, a negative weight, or a total that is
+    not positive and finite.
     """
-    n = len(labels)
-    if n != len(weights):
-        raise ValueError("labels and weights differ in length")
-    if not n:
+    if not weights:
         raise ValueError("nothing to draw from")
     if min(weights) < 0:
         raise ValueError("weights must be non-negative")
@@ -250,7 +247,7 @@ def select_time_slot(weights: list, first: int, rng: random.Random) -> int:
     state left are those of rng.choices(ids, weights), and the same
     ValueErrors are raised. A zero weight is never drawn."""
     ids = range(first, first + len(weights))
-    return _cumulative_draw(ids, _checked_cumulative(ids, weights), rng)
+    return _cumulative_draw(ids, _checked_cumulative(weights), rng)
 
 
 def period_weights(
@@ -326,7 +323,7 @@ def select_destination(cursor: GenCursor, rng: random.Random):
             origin = most_frequent_origin(cursor.profile)
             row = cursor.profile.od_counts[origin]
         dests = sorted(row)
-        found = origin, dests, _checked_cumulative(dests, [row[d] for d in dests]), relocated
+        found = origin, dests, _checked_cumulative([row[d] for d in dests]), relocated
         cursor.destinations[cursor.location] = found
     origin, dests, cum, relocated = found
     return origin, _cumulative_draw(dests, cum, rng), relocated
@@ -344,7 +341,7 @@ def select_path(catalog: PathCatalog, o_zone: str, d_zone: str, rng: random.Rand
         entries = catalog.get(o_zone, d_zone)
         if not entries:
             raise CorruptInputError(f"no pooled path for OD pair ({o_zone}, {d_zone})")
-        cum = _checked_cumulative(entries, [e.crowd_count for e in entries])
+        cum = _checked_cumulative([e.crowd_count for e in entries])
         found = catalog.route_draws[od] = entries, cum
     return _cumulative_draw(*found, rng)
 

@@ -79,13 +79,12 @@ def _window_count(granularity: int) -> int:
     return MINUTES_PER_DAY // granularity
 
 
-def _topk(counts: Counter, k_fraction: float, universe=None) -> set:
+def _topk(counts: Counter, k_fraction: float, universe: int) -> set:
     if not 0.0 < k_fraction <= 1.0:
         raise ValueError(f"k fraction out of (0, 1]: {k_fraction}")
     if not counts:
         raise ValueError("empty distribution")
-    base = len(counts) if universe is None else universe
-    n = math.ceil(k_fraction * base)
+    n = math.ceil(k_fraction * universe)
     ranked = sorted(counts, key=lambda key: (-counts[key], key))
     if n > len(ranked):
         raise ValueError(f"only {len(ranked)} ranked labels for top-{n} request")
@@ -170,7 +169,8 @@ class _TypeCounts:
     """One traveller type's trips in one table, reduced to what the report
     cells read."""
 
-    windows: Counter = field(default_factory=Counter)  # (day, window) -> departures
+    # day class -> {window: departures}
+    windows: dict = field(default_factory=lambda: defaultdict(Counter))
     roads: Counter = field(default_factory=Counter)  # road -> trips touching it
     visits: Counter = field(default_factory=Counter)  # zone -> trip ends
     ods: Counter = field(default_factory=Counter)  # (origin, destination) -> trips
@@ -187,21 +187,22 @@ class _TypeCounts:
         return self.continuous / self.pairs
 
 
-def _count_types(table: TripTable, granularity: int) -> dict:
+def _count_types(table: TripTable, granularity: int, day_class) -> dict:
     """{traveller type: _TypeCounts} of one table, each row under its
-    traveller's type. Each traveller's sequence is taken in (date,
-    departure) order, ties in row order, with travellers in first-seen
-    order; roads count once per distinct path, and zone visits come from
-    the OD counts."""
+    traveller's type and each departure under `day_class` of its day.
+    Each traveller's sequence is taken in (date, departure) order, ties in
+    row order, with travellers in first-seen order; roads count once per
+    distinct path, and zone visits come from the OD counts."""
     names, types, date, departure = table.names, table.types, table.date, table.departure
     o_zone, d_zone = table.o_zone, table.d_zone
     ttype = array("b", map(types.__getitem__, table.traveller))
     window_of = [0] + [(m - 1) // granularity + 1 for m in range(1, MINUTES_PER_DAY + 1)]
+    classes = {day: day_class(day) for day in set(date)}
     by_type: dict = defaultdict(_TypeCounts)
     windows = zip(ttype, date, map(window_of.__getitem__, departure))
     for (t, day, window), n in Counter(windows).items():
         counts = by_type[TYPE_ORDER[t]]
-        counts.windows[(day, window)] = n
+        counts.windows[classes[day]][window] += n
         counts.days.add(day)
     for (t, p), n in Counter(zip(ttype, table.path)).items():
         roads = by_type[TYPE_ORDER[t]].roads
@@ -225,15 +226,6 @@ def _count_types(table: TripTable, granularity: int) -> dict:
         counts.continuous += sum(map(eq, map(o_zone.__getitem__, seq[1:]),
                                      map(d_zone.__getitem__, seq)))
     return by_type
-
-
-def _window_counts(windows: Counter, days=None) -> Counter:
-    """Departures per window, over the days in `days` (all when None)."""
-    counts: Counter = Counter()
-    for (day, window), n in windows.items():
-        if days is None or day in days:
-            counts[window] += n
-    return counts
 
 
 def _js(ref_counts, gen_counts, bins) -> float:
@@ -274,44 +266,37 @@ def build_report(
     report.add("trips", "", "generated", float(len(generated)))
 
     # Both map each type to its counts, empty ones made on first lookup.
-    ref = _count_types(reference, granularity)
-    gen = _count_types(generated, granularity)
+    ref = _count_types(reference, granularity, day_class)
+    gen = _count_types(generated, granularity, day_class)
     types = [t for t in TYPE_ORDER if t in ref or t in gen]
 
-    def total(side, name) -> Counter:
+    def total(counters) -> Counter:
         counts: Counter = Counter()
-        for type_counts in side.values():
-            counts.update(getattr(type_counts, name))
+        for c in counters:
+            counts.update(c)
         return counts
 
-    class_days: dict = defaultdict(set)
-    for day in set().union(*(c.days for side in (ref, gen) for c in side.values())):
-        class_days[day_class(day)].add(day)
+    def all_windows(*type_counts) -> Counter:
+        return total(w for c in type_counts for w in c.windows.values())
 
-    def js_time(ref_windows, gen_windows, days=None):
-        return _js(_window_counts(ref_windows, days), _window_counts(gen_windows, days),
-                   range(1, n_windows + 1))
+    def js_time(ref_windows, gen_windows):
+        return _js(ref_windows, gen_windows, range(1, n_windows + 1))
 
     def js_road(ref_counts, gen_counts):
         return _js(ref_counts, gen_counts, sorted(set(ref_counts) | set(gen_counts)))
 
     _cell(report, "js_time", "", "all",
-          lambda: js_time(total(ref, "windows"), total(gen, "windows")))
+          lambda: js_time(all_windows(*ref.values()), all_windows(*gen.values())))
     _cell(report, "js_road", "", "",
-          lambda: js_road(total(ref, "roads"), total(gen, "roads")))
+          lambda: js_road(total(c.roads for c in ref.values()),
+                          total(c.roads for c in gen.values())))
 
     for ttype in types:
         name = ttype.value
         r, g = ref[ttype], gen[ttype]
-        _cell(report, "js_time", name, "all", lambda: js_time(r.windows, g.windows))
+        _cell(report, "js_time", name, "all", lambda: js_time(all_windows(r), all_windows(g)))
         for cls in ("weekday", "holiday"):
-            _cell(
-                report,
-                "js_time",
-                name,
-                cls,
-                lambda: js_time(r.windows, g.windows, class_days[cls]),
-            )
+            _cell(report, "js_time", name, cls, lambda: js_time(r.windows[cls], g.windows[cls]))
         for k in topk_zone_fractions:
             _cell(report, "hotzone_overlap", name, f"{k:g}",
                   lambda: _overlap_cell(r.visits, g.visits, k))

@@ -194,6 +194,13 @@ corpus:
             ("paths: [unclosed\n", "not valid YAML"),
             ("- 1\n", "config root must be a mapping"),
             ("corpus: {individuals: [commuter]}\n", "individuals must map type name to count"),
+            # a path is a non-empty string: str() would name the files "1"
+            # and "['a']", and a falsy value would drop the key
+            ("paths: {trips: 1}\n", "bad value for 'trips' in paths: 1"),
+            ("paths: {store: [a]}\n", "bad value for 'store' in paths"),
+            ("paths: {report: 0}\n", "bad value for 'report' in paths: 0"),
+            ("paths: {report: false}\n", "bad value for 'report' in paths: False"),
+            ("paths: {report: null}\n", "bad value for 'report' in paths: None"),
         ],
     )
     def test_rejects(self, tmp_path, body, fragment):
@@ -677,6 +684,13 @@ class TestPipeline:
         parsed = parse_trips(io.StringIO(generated), config.epoch)
         assert not parsed.errors and parsed.records
 
+    def test_corpus_makes_the_directory_of_every_file(self, tmp_path):
+        cfg = write_config(tmp_path, PATHS.replace("data/zones.csv", "geo/zones.csv")
+                           .replace("data/network.csv", "roads/network.csv") + SMALL_CORPUS)
+        assert main(["corpus", "-c", cfg]) == 0
+        assert (tmp_path / "geo" / "zones.csv").is_file()
+        assert (tmp_path / "roads" / "network.csv").is_file()
+
     def test_invalid_params_leave_generated_csv_untouched(self, cfg, tmp_path, monkeypatch):
         assert main(["corpus", "-c", cfg]) == 0
         assert main(["ingest", "-c", cfg]) == 0
@@ -728,6 +742,10 @@ class TestPipeline:
         assert main(["corpus", "-c", fraction]) == 2
         boolean = write_config(tmp_path, "generation: {seed: true}\n", name="boolean.yaml")
         assert main(["corpus", "-c", boolean]) == 2
+        numbered = write_config(tmp_path, PATHS.replace("data/trips.csv", "1") + SMALL_CORPUS,
+                                name="numbered.yaml")
+        assert main(["corpus", "-c", numbered]) == 2
+        assert not (tmp_path / "1").exists()
         # With paths, so only the float entry can fail the run.
         for name, body in (("flag.yaml", "validation: {topk_zones: [true]}\n"),
                            ("text.yaml", 'validation: {topk_od: ["0.5"]}\n')):

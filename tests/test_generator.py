@@ -391,8 +391,6 @@ class TestWeightedDraw:
         with pytest.raises(ValueError):
             select_time_slot([], 1, rng)
         with pytest.raises(ValueError):
-            generator._checked_cumulative(["a"], [1.0, 2.0])
-        with pytest.raises(ValueError):
             select_time_slot([-1.0, 2.0], 1, rng)
         with pytest.raises(ValueError):
             select_time_slot([0.0, 0.0], 1, rng)

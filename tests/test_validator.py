@@ -475,6 +475,11 @@ def report_tables(draw):
 )
 @example(tables=([], []), granularity=15, holiday_weekdays={5, 6}, holiday_days=set(),
          zone_ks=[0.1], od_ks=[0.5])
+# Every day a weekday, so no holiday departure is counted on either side.
+@example(tables=([trip("V1", day=5), trip("V1", day=6, dep=900, o="Z2", d="Z1"),
+                  trip("V2", TravellerType.STABLE, day=13)],
+                 [trip("V1", day=5, dep=500), trip("V2", TravellerType.STABLE, day=0)]),
+         granularity=60, holiday_weekdays=set(), holiday_days=set(), zone_ks=[0.5], od_ks=[1.0])
 def test_report_cells_equal_the_per_metric_oracle(
     tables, granularity, holiday_weekdays, holiday_days, zone_ks, od_ks
 ):
