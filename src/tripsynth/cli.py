@@ -216,8 +216,6 @@ def load_config(path) -> Config:
     params.start_day = _value(gen, "start_day", params.start_day, _int, "generation")
     params.horizon_days = _value(gen, "horizon_days", params.horizon_days, _int, "generation")
     params.rng_seed = _value(gen, "seed", params.rng_seed, _int, "generation")
-    if params.horizon_days < 0:
-        raise ConfigError("horizon_days must be >= 0")
     try:
         params.check()
     except InvalidParams as exc:

@@ -17,7 +17,6 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import accumulate
-from math import inf
 
 from .ingest import DurationPool, PathCatalog
 from .model import (
@@ -64,10 +63,13 @@ class GenParams:
     rng_seed: int = 0
 
     def check(self, max_trip_frequency: int = 0) -> None:
-        """Reject a negative gap, and input data whose busiest individual
-        has so many trips that EPSILON would rival a historical preference."""
+        """Reject a negative gap or horizon, and input data whose busiest
+        individual has so many trips that EPSILON would rival a historical
+        preference."""
         if self.min_gap < 0:
             raise InvalidParams("min_gap must be >= 0")
+        if self.horizon_days < 0:
+            raise InvalidParams("horizon_days must be >= 0")
         if max_trip_frequency > 0 and EPSILON >= 1.0 / max_trip_frequency:
             raise InvalidParams(
                 "epsilon must stay below 1/max_trip_frequency "
@@ -96,11 +98,11 @@ class GenCursor:
 
     `day` and `minute` are the clock: the day index and the 1-based minute
     of day before which no further departure may fall. `terms` and
-    `destinations` cache preference_terms and the checked cumulative
-    destination weights by current zone. All caches live as long as the
-    cursor, which is one individual of one run. `stats` counts what this
-    individual's trips have done so far. The type's generated counts are
-    its AggregationLedger, passed to each trip beside the cursor.
+    `destinations` cache preference_terms and the cumulative destination
+    weights by current zone. All caches live as long as the cursor, which
+    is one individual of one run. `stats` counts what this individual's
+    trips have done so far. The type's generated counts are its
+    AggregationLedger, passed to each trip beside the cursor.
     """
 
     profile: IndividualProfile
@@ -225,29 +227,13 @@ def _cumulative_draw(labels, cum: list, rng: random.Random):
     return labels[bisect_right(cum, rng.random() * (cum[-1] + 0.0), 0, len(cum) - 1)]
 
 
-def _checked_cumulative(weights) -> list:
-    """The running sums of `weights`, as _cumulative_draw takes them.
-
-    Raises ValueError for no weights, a negative weight, or a total that is
-    not positive and finite.
-    """
-    if not weights:
-        raise ValueError("nothing to draw from")
-    if min(weights) < 0:
-        raise ValueError("weights must be non-negative")
-    cum = list(accumulate(weights))
-    if not 0.0 < cum[-1] + 0.0 < inf:
-        raise ValueError("weights must have a positive, finite sum")
-    return cum
-
-
 def select_time_slot(weights: list, first: int, rng: random.Random) -> int:
     """Sample a slot id from `first, first + 1, ...` proportionally to
-    `weights` (as slot_weights returns them): the id drawn and the RNG
-    state left are those of rng.choices(ids, weights), and the same
-    ValueErrors are raised. A zero weight is never drawn."""
+    `weights` (as slot_weights returns them, some positive): the id drawn
+    and the RNG state left are those of rng.choices(ids, weights). A zero
+    weight is never drawn."""
     ids = range(first, first + len(weights))
-    return _cumulative_draw(ids, _checked_cumulative(weights), rng)
+    return _cumulative_draw(ids, list(accumulate(weights)), rng)
 
 
 def period_weights(
@@ -298,10 +284,9 @@ def select_time_period(
     One inverse-CDF draw (_cumulative_draw, as random.choices makes it) over
     the running sums of period_weights: the minutes in deficit when there
     are any, otherwise every candidate minute by inverse overshoot. Those
-    sums are positive and finite by construction, so _checked_cumulative is
-    skipped. Every other candidate would add a zero weight, a repeated sum
-    the search never stops at, so leaving them out changes neither the
-    minute drawn nor the RNG state.
+    sums are positive and finite by construction. Every other candidate
+    would add a zero weight, a repeated sum the search never stops at, so
+    leaving them out changes neither the minute drawn nor the RNG state.
     """
     return _cumulative_draw(*period_weights(slot, minute, counts), rng)
 
@@ -310,7 +295,8 @@ def select_destination(cursor: GenCursor, rng: random.Random):
     """Sample a destination proportionally to the individual's historical
     OD counts from the cursor's location, relocating to the individual's
     most frequent origin when the location has none. Each location's
-    weights are checked and accumulated once and cached on the cursor as
+    counts, which IndividualProfile holds as ints >= 1, are accumulated
+    once and cached on the cursor as
     (origin_used, destinations, running sums, relocated), so a draw is the
     one random.choices would make. Returns (origin_used, destination,
     relocated)."""
@@ -323,7 +309,7 @@ def select_destination(cursor: GenCursor, rng: random.Random):
             origin = most_frequent_origin(cursor.profile)
             row = cursor.profile.od_counts[origin]
         dests = sorted(row)
-        found = origin, dests, _checked_cumulative([row[d] for d in dests]), relocated
+        found = origin, dests, list(accumulate(row[d] for d in dests)), relocated
         cursor.destinations[cursor.location] = found
     origin, dests, cum, relocated = found
     return origin, _cumulative_draw(dests, cum, rng), relocated
@@ -332,16 +318,16 @@ def select_destination(cursor: GenCursor, rng: random.Random):
 def select_path(catalog: PathCatalog, o_zone: str, d_zone: str, rng: random.Random):
     """Sample a pooled route for the OD pair proportionally to crowd counts.
 
-    The counts are checked and accumulated on the OD pair's first draw and
-    kept in catalog.route_draws, so a draw is the one random.choices would
-    make."""
+    The counts, which PathCatalog holds as ints >= 1, are accumulated on
+    the OD pair's first draw and kept in catalog.route_draws, so a draw is
+    the one random.choices would make."""
     od = (o_zone, d_zone)
     found = catalog.route_draws.get(od)
     if found is None:
         entries = catalog.get(o_zone, d_zone)
         if not entries:
             raise CorruptInputError(f"no pooled path for OD pair ({o_zone}, {d_zone})")
-        cum = _checked_cumulative([e.crowd_count for e in entries])
+        cum = list(accumulate(e.crowd_count for e in entries))
         found = catalog.route_draws[od] = entries, cum
     return _cumulative_draw(*found, rng)
 

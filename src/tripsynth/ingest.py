@@ -29,6 +29,7 @@ from .model import (
     TravellerType,
     TripTable,
     TypeCounts,
+    check_counts,
     hhmm_to_minute,
     minute_to_hhmm,
 )
@@ -362,15 +363,20 @@ def build_profiles(trips, partition: TimeSlotPartition, window_days: int) -> dic
     Returns {traveller_id: IndividualProfile}, each under its traveller's
     type in the table.
     Trip dates spanning more days than `window_days` are an error: every
-    daily rate would be inflated by the ratio.
+    daily rate would be inflated by the ratio. Fewer days log a warning, as
+    every daily rate is deflated by the ratio.
     """
     if window_days < 1:
         raise ValueError("window_days must be >= 1")
     table = TripTable.of(trips)
     names, types = table.names, table.types
-    if table.date and max(table.date) - min(table.date) + 1 > window_days:
-        raise ValueError(f"trip dates span {max(table.date) - min(table.date) + 1} days, "
-                         f"more than window_days = {window_days}")
+    if table.date:
+        span = max(table.date) - min(table.date) + 1
+        if span > window_days:
+            raise ValueError(f"trip dates span {span} days, more than window_days = {window_days}")
+        if span < window_days:
+            log.warning("trip dates span %d days, fewer than window_days = %d: every daily "
+                        "rate is deflated by the ratio", span, window_days)
     od_counts: dict = defaultdict(lambda: defaultdict(dict))
     for (tid, o, d), n in Counter(zip(table.traveller, table.o_zone, table.d_zone)).items():
         od_counts[tid][names[o]][names[d]] = n
@@ -400,10 +406,13 @@ class PathEntry:
 
 
 class PathCatalog:
-    """Crowd-level route pool: (o_zone, d_zone) -> observed paths with counts."""
+    """Crowd-level route pool: (o_zone, d_zone) -> observed paths with counts.
+    ValueError refuses a crowd count that is not an int >= 1, a bool included."""
 
     def __init__(self, entries):
         self.entries = {od: tuple(paths) for od, paths in entries.items()}
+        check_counts((e.crowd_count for paths in self.entries.values() for e in paths),
+                     "crowd count")
         # (entries, cumulative crowd counts) per OD pair, filled by
         # generator.select_path on the pair's first draw and kept as long
         # as the catalog.
@@ -555,14 +564,6 @@ class Store:
     reference: dict  # {TravellerType: TypeCounts}
 
 
-def _counts(values, what: str) -> None:
-    """ValueError naming the first of `values` that is not an int >= 1, a
-    bool included; the values are streamed once."""
-    for v in values:
-        if type(v) is not int or v < 1:
-            raise ValueError(f"{what} is not an integer >= 1: {v!r}")
-
-
 def _int_key(text: str) -> int:
     """The int a key spells as str() writes it; ValueError on any other spelling."""
     if str(n := int(text)) != text:
@@ -581,15 +582,14 @@ def _same_totals(expected: dict, found: dict, what: str) -> None:
 def load_store(path) -> Store:
     """The store saved at `path`. A file that is not JSON, not a store of
     this version or malformed inside is a ValueError naming the file.
-    Malformed includes a count or a pooled duration that is not an int of
-    at least 1, a slot or minute key not spelled as str() writes its int,
-    partition starts that are not ints strictly ascending from 1, a route
-    id other than its split_path roads joined again, a slot id outside the
-    partition, a profile with no trips, a profile whose slot x origin
-    counts do not sum to its OD counts per origin, a type whose reference
-    slot totals are not the sums of its profiles' slot counts, an OD pair
-    whose catalog counts do not sum its profiles' OD counts, and a route
-    with other than one pooled duration per catalog count.
+    Malformed includes what IndividualProfile, PathCatalog, TypeCounts and
+    TimeSlotPartition refuse to build, a `window_days`, slot id or pooled
+    duration that is not an int >= 1, a slot or minute key not spelled as
+    str() writes its int, a route id other than its split_path roads joined
+    again, a slot id outside the partition, a type whose reference slot
+    totals are not the sums of its profiles' slot counts, an OD pair whose
+    catalog counts do not sum its profiles' OD counts, and a route with
+    other than one pooled duration per catalog count.
 
     Each section is popped from the parsed document and released once it
     is converted, each pooled list as soon as its tuple exists. Equal zone,
@@ -606,7 +606,7 @@ def load_store(path) -> Store:
     try:
         partition = TimeSlotPartition(doc["partition"])
         window_days = doc["window_days"]
-        _counts([window_days], "window_days")
+        check_counts([window_days], "window_days")
         profiles = {
             tid: IndividualProfile(
                 traveller_id=tid,
@@ -620,11 +620,6 @@ def load_store(path) -> Store:
             )
             for tid, raw in doc.pop("profiles").items()
         }
-        kept = profiles.values()
-        flat = chain.from_iterable  # flat(rows): the items of every row in turn
-        _counts(flat(r.values() for p in kept for r in p.od_counts.values()), "OD count")
-        _counts(flat(r.values() for p in kept for r in p.slot_origin_counts.values()),
-                "slot-origin count")
         one = {}.setdefault  # one(text, text): the one str kept for equal texts
 
         def route(pid):
@@ -639,35 +634,27 @@ def load_store(path) -> Store:
                 for o, d, rows in doc.pop("catalog")
             }
         )
-        _counts((e.crowd_count for e in flat(catalog.entries.values())), "catalog count")
         rows = doc.pop("pools")
-        _counts((slot for _, slot, _ in rows), "slot id")
+        check_counts((slot for _, slot, _ in rows), "slot id")
         rows.reverse()
         samples = {}
         while rows:
             pid, slot, values = rows.pop()
             samples[one(pid, pid), partition.by_id(slot).slot_id] = tuple(values)
-        _counts(flat(samples.values()), "pooled duration")
+        check_counts(chain.from_iterable(samples.values()), "pooled duration")
         pools = DurationPool(samples)
-        minutes = {
-            TravellerType(name): {_int_key(m): n for m, n in counts.items()}
+        reference = {
+            TravellerType(name): TypeCounts({_int_key(m): n for m, n in counts.items()},
+                                            partition)
             for name, counts in doc.pop("reference").items()
         }
-        _counts(flat(r.values() for r in minutes.values()), "reference count")
-        reference = {t: TypeCounts(m, partition) for t, m in minutes.items()}
         zero = [0] * (len(partition) + 1)
         by_type: dict = {}  # type -> profile trips by slot id
         od_trips: dict = {}  # OD pair -> profile trips
-        for p in kept:
+        for p in profiles.values():
             slots = by_type.setdefault(p.traveller_type, zero.copy())
-            by_origin: dict = {}
             for slot, by_o in p.slot_origin_counts.items():
                 slots[slot] += sum(by_o.values())
-                for o, n in by_o.items():
-                    by_origin[o] = by_origin.get(o, 0) + n
-            if by_origin != p.per_origin:
-                raise ValueError(f"profile {p.traveller_id!r}: slot x origin counts "
-                                 "differ from its OD counts per origin")
             for o, row in p.od_counts.items():
                 for d, n in row.items():
                     od_trips[o, d] = od_trips.get((o, d), 0) + n

@@ -10,6 +10,7 @@ from bisect import bisect_left, insort
 from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from operator import ge
 
 MINUTES_PER_DAY = 1440
@@ -17,6 +18,14 @@ MINUTES_PER_DAY = 1440
 
 class CorruptInputError(ValueError):
     """Prepared inputs are internally inconsistent (e.g. a missing OD entry)."""
+
+
+def check_counts(values, what: str) -> None:
+    """ValueError naming, through `what`, the first of `values` that is not
+    an int >= 1, a bool included; the values are streamed once."""
+    for v in values:
+        if type(v) is not int or v < 1:
+            raise ValueError(f"{what} is not an integer >= 1: {v!r}")
 
 
 def hhmm_to_minute(text: str) -> int:
@@ -245,7 +254,10 @@ class IndividualProfile:
     zero. `od_counts` maps origin -> {destination: trips}; the per-slot
     origin breakdown `slot_origin_counts` maps slot id -> {origin: trips}.
     `total_trips` and `per_origin` are derived from `od_counts` on
-    construction, which CorruptInputError refuses when it holds no trips.
+    construction. CorruptInputError refuses a profile with no trips, and
+    ValueError one with an empty traveller or zone id, a count that is not
+    an int >= 1 (a bool included), or slot x origin counts whose sums per
+    origin differ from `per_origin`; each names the profile.
     """
 
     traveller_id: str
@@ -260,19 +272,32 @@ class IndividualProfile:
         per_origin = {o: sum(row.values()) for o, row in self.od_counts.items() if row}
         object.__setattr__(self, "total_trips", sum(per_origin.values()))
         object.__setattr__(self, "per_origin", per_origin)
+        name = f"profile {self.traveller_id!r}"
         if self.total_trips < 1:
-            raise CorruptInputError(f"profile {self.traveller_id!r} has no trips")
+            raise CorruptInputError(f"{name} has no trips")
+        rows = [*self.od_counts.values(), *self.slot_origin_counts.values()]
+        check_counts(chain.from_iterable(row.values() for row in rows),
+                     f"{name}: OD or slot x origin count")
+        if "" in chain([self.traveller_id], self.od_counts, *self.od_counts.values()):
+            raise ValueError(f"{name} has an empty traveller or zone id")
+        by_origin = {}
+        for row in self.slot_origin_counts.values():
+            for o, n in row.items():
+                by_origin[o] = by_origin.get(o, 0) + n
+        if by_origin != per_origin:
+            raise ValueError(f"{name}: slot x origin counts differ from its OD counts per origin")
 
 
 class TypeCounts:
     """Departure counts of one traveller type, built from {minute of day:
     departures} under `partition`, as dense lists indexed by minute and by
     slot id (index 0 unused), plus their total. ValueError refuses a minute
-    outside 1..1440."""
+    outside 1..1440 and a count that is not an int >= 1, a bool included."""
 
     __slots__ = ("minute", "slot", "total")
 
     def __init__(self, minutes: dict, partition: TimeSlotPartition):
+        check_counts(minutes.values(), "departure count")
         # A slot spans at least one minute, so slot ids never exceed 1440.
         self.minute = [0] * (MINUTES_PER_DAY + 1)
         self.slot = [0] * (MINUTES_PER_DAY + 1)

@@ -656,6 +656,26 @@ def _with_route_renamed(doc, rename):
             row[0] = rename(old)
 
 
+def _with_traveller_renamed(doc, new):
+    """Rename the first profile's traveller id to `new`."""
+    tid = next(iter(doc["profiles"]))
+    doc["profiles"][new] = doc["profiles"].pop(tid)
+
+
+def _with_zone_renamed(doc, new):
+    """Rename the first profile's first origin to `new`, in every profile
+    and in the catalog."""
+    old = next(iter(next(iter(doc["profiles"].values()))["od"]))
+    name = {old: new}.get
+    for p in doc["profiles"].values():
+        p["od"] = {name(o, o): {name(d, d): n for d, n in row.items()}
+                   for o, row in p["od"].items()}
+        p["slot_origin"] = {s: {name(o, o): n for o, n in row.items()}
+                            for s, row in p["slot_origin"].items()}
+    for row in doc["catalog"]:
+        row[0], row[1] = name(row[0], row[0]), name(row[1], row[1])
+
+
 # A traveller typed commuter, then random twice; the parser keeps commuter.
 MIXED_ROWS = (
     "X,commuter,2019-08-12,07:00,,Z01,Z02,R01_02,10\n"
@@ -931,6 +951,15 @@ class TestPipeline:
         # trip parser would not give the id back.
         self.assert_refused_on_load(cfg, tmp_path, caplog,
                                     lambda doc: _with_route_renamed(doc, rename))
+
+    @pytest.mark.parametrize(
+        "rename", [_with_traveller_renamed, _with_zone_renamed],
+        ids=["traveller-empty", "zone-empty"],
+    )
+    def test_bad_store_id_fails_generate(self, cfg, tmp_path, caplog, rename):
+        # Renamed everywhere, so every count and total still agrees; the
+        # trip parser never gives an empty id.
+        self.assert_refused_on_load(cfg, tmp_path, caplog, lambda doc: rename(doc, ""))
 
     @staticmethod
     def assert_refused_on_load(cfg, tmp_path, caplog, edit):

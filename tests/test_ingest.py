@@ -1,6 +1,7 @@
 import csv
 import datetime as dt
 import io
+import logging
 import tracemalloc
 
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from tripsynth.generator import initial_location
 from tripsynth.ingest import (
     DurationPool,
+    PathCatalog,
+    PathEntry,
     build_duration_pools,
     build_path_catalog,
     build_profiles,
@@ -419,6 +422,21 @@ class TestBuildProfiles:
         assert build_profiles(late, HOURLY, window_days=14)["V2"].observed_days == 14
         assert build_profiles(history, HOURLY, window_days=2)["V1"].total_trips == 3
 
+    def test_window_longer_than_trip_dates_warns(self, history, caplog):
+        # Every daily rate is the trips over window_days, so 3 days of trips
+        # under a 7-day window draw 3/7 of the observed rate.
+        three_days = history + [trip("V2", TravellerType.RANDOM, 2, 600, "Z1", "Z2")]
+        build_profiles(three_days, HOURLY, window_days=7)
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == [
+            "trip dates span 3 days, fewer than window_days = 7: every daily rate is "
+            "deflated by the ratio"
+        ]
+
+    def test_window_equal_to_trip_dates_is_silent(self, history, caplog):
+        three_days = history + [trip("V2", TravellerType.RANDOM, 2, 600, "Z1", "Z2")]
+        build_profiles(three_days, HOURLY, window_days=3)
+        assert caplog.records == []
+
 
 class TestPathCatalog:
     def test_pooling(self, history):
@@ -448,6 +466,14 @@ class TestPathCatalog:
         trip = TripRecord("V1", TravellerType.COMMUTER, 0, 400, "Z1", "Z2", path, 9)
         with pytest.raises(ValueError, match=message):
             build_path_catalog([trip])
+
+    @pytest.mark.parametrize("counts", [(-1, 2), (0,), (0, 0), (True,), (2.5,)])
+    def test_refuses_a_crowd_count_below_one_or_not_int(self, counts):
+        # A bool is refused though it sums as an int.
+        good = (PathEntry("r9", ("r9",), 4),)
+        bad = tuple(PathEntry(f"r{i}", (f"r{i}",), n) for i, n in enumerate(counts))
+        with pytest.raises(ValueError, match=r"^crowd count is not an integer >= 1: "):
+            PathCatalog({("B", "A"): good, ("A", "B"): bad})
 
 
 def test_duration_pools(history):

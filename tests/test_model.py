@@ -11,6 +11,7 @@ from tripsynth.model import (
     TravellerType,
     TripRecord,
     TripTable,
+    TypeCounts,
     hhmm_to_minute,
     minute_to_hhmm,
 )
@@ -63,6 +64,49 @@ def test_traveller_type_has_five_values():
 def test_profile_without_trips_is_refused(od):
     with pytest.raises(CorruptInputError, match="^profile 'V1' has no trips$"):
         IndividualProfile("V1", TravellerType.COMMUTER, od, {})
+
+
+@pytest.mark.parametrize("row", [{"B": -1, "C": 2}, {"B": 0}, {"B": 0, "C": 0}])
+def test_profile_refuses_bad_od_row(row):
+    od = {"A": row, "B": {"A": 1}}
+    slot_origin = {1: {"A": sum(row.values()), "B": 1}}
+    with pytest.raises(ValueError, match="^profile 'V1': OD or slot x origin count is not "
+                                         "an integer >= 1: (-1|0)$"):
+        IndividualProfile("V1", TravellerType.COMMUTER, od, slot_origin)
+
+
+BAD_COUNT = ": OD or slot x origin count is not an integer >= 1: "
+OFF_OD = ": slot x origin counts differ from its OD counts per origin"
+EMPTY_ID = " has an empty traveller or zone id"
+
+
+@pytest.mark.parametrize(
+    "tid,od,slot_origin,message",
+    [
+        ("V1", {"A": {"B": True}}, {1: {"A": 1}}, BAD_COUNT + "True"),
+        ("V1", {"A": {"B": 2.5}}, {1: {"A": 2.5}}, BAD_COUNT + "2.5"),
+        ("V1", {"A": {"B": 2}}, {1: {"A": 3, "B": -1}}, BAD_COUNT + "-1"),
+        ("V1", {"A": {"B": 2}}, {1: {"A": 1}}, OFF_OD),
+        ("V1", {"A": {"B": 2}}, {1: {"A": 2}, 3: {"C": 1}}, OFF_OD),
+        ("V1", {"A": {"B": 2}}, {}, OFF_OD),
+        ("", {"A": {"B": 1}}, {1: {"A": 1}}, EMPTY_ID),
+        ("V1", {"": {"B": 1}}, {1: {"": 1}}, EMPTY_ID),
+        ("V1", {"A": {"": 1}}, {1: {"A": 1}}, EMPTY_ID),
+    ],
+    ids=["od-bool", "fraction", "slot-origin-negative", "slot-origin-short",
+         "slot-origin-off-origin", "slot-origin-empty", "traveller-empty", "origin-empty",
+         "destination-empty"],
+)
+def test_profile_refuses_counts_and_ids_by_name(tid, od, slot_origin, message):
+    with pytest.raises(ValueError) as refused:
+        IndividualProfile(tid, TravellerType.COMMUTER, od, slot_origin)
+    assert str(refused.value) == f"profile {tid!r}{message}"
+
+
+@pytest.mark.parametrize("n", [0, -1, True, 2.5])
+def test_type_counts_refuse_a_count_below_one_or_not_int(n):
+    with pytest.raises(ValueError, match=f"^departure count is not an integer >= 1: {n!r}$"):
+        TypeCounts({30: 1, 90: n}, TimeSlotPartition.hourly())
 
 
 class TestTimeSlot:
