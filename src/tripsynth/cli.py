@@ -290,9 +290,9 @@ def load_config(path) -> Config:
 
 @contextlib.contextmanager
 def _read_table(path):
-    """Open a CSV table for reading; a csv.Error or ValueError raised while
-    reading it names the file."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """Open a UTF-8 CSV table for reading, skipping a byte-order mark; a
+    csv.Error or ValueError raised while reading it names the file."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             yield fh
         except csv.Error as exc:

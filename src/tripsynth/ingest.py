@@ -230,12 +230,15 @@ def parse_trips(
     except csv.Error as exc:
         raise _at_line(reader, exc) from None
     table.names, table.paths = list(name_codes), list(path_codes)
-    if result.errors:
-        log.warning(
-            "rejected %d trip rows: %s",
-            len(result.errors),
-            dict(result.error_counts),
-        )
+    if errors:
+        counts = result.error_counts
+        first = {}  # reason -> its first RowError
+        for err in errors:
+            first.setdefault(err.reason, err)
+        log.warning("rejected %d trip rows: %s", len(errors), ", ".join(
+            f"{reason} x{counts[reason]} (first at line {err.line}"
+            f"{f': {err.detail!r}' if err.detail else ''})" for reason, err in first.items()
+        ))
     if retyped:
         log.warning(
             "retyped %d travellers seen under several types to their first type",

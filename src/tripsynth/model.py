@@ -255,9 +255,10 @@ class IndividualProfile:
     origin breakdown `slot_origin_counts` maps slot id -> {origin: trips}.
     `total_trips` and `per_origin` are derived from `od_counts` on
     construction. CorruptInputError refuses a profile with no trips, and
-    ValueError one with an empty traveller or zone id, a count that is not
-    an int >= 1 (a bool included), or slot x origin counts whose sums per
-    origin differ from `per_origin`; each names the profile.
+    ValueError one with an empty traveller or zone id, a count or an
+    `observed_days` that is not an int >= 1 (a bool included), or slot x
+    origin counts whose sums per origin differ from `per_origin`; each
+    names the profile.
     """
 
     traveller_id: str
@@ -275,6 +276,7 @@ class IndividualProfile:
         name = f"profile {self.traveller_id!r}"
         if self.total_trips < 1:
             raise CorruptInputError(f"{name} has no trips")
+        check_counts([self.observed_days], f"{name}: observed_days")
         rows = [*self.od_counts.values(), *self.slot_origin_counts.values()]
         check_counts(chain.from_iterable(row.values() for row in rows),
                      f"{name}: OD or slot x origin count")

@@ -1,7 +1,7 @@
 """Aggregate and individual-level comparison metrics for trip tables.
 
-All divergences use the natural logarithm. Distributions compared against
-each other must be built over an identical, explicitly shared bin set.
+All divergences use the natural logarithm. A divergence reads two count
+mappings and normalizes each over one bin set that its caller passes.
 """
 from __future__ import annotations
 
@@ -14,52 +14,37 @@ from operator import eq
 from .model import MINUTES_PER_DAY, TYPE_ORDER, TripTable
 
 
-@dataclass(frozen=True)
-class Distribution:
-    """A discrete probability distribution over labelled bins."""
+def js_divergence(p_counts, q_counts, bins) -> float:
+    """Jensen-Shannon divergence in nats of two count mappings, each
+    normalized over the shared `bins`: the mean KL of each side against
+    the midpoint mixture. Symmetric, finite, bounded by ln 2.
 
-    bins: tuple
-    mass: tuple
-
-    def __post_init__(self):
-        if len(self.bins) != len(self.mass):
-            raise ValueError("bins and mass differ in length")
-        if any(m < 0 for m in self.mass):
-            raise ValueError("negative mass")
-        total = sum(self.mass)
-        if self.mass and abs(total - 1.0) > 1e-9:
-            raise ValueError(f"mass sums to {total}, not 1")
-
-    @classmethod
-    def from_counts(cls, counts, bins=None) -> "Distribution":
-        """Normalize a count mapping. `bins` forces a common support (counts
-        outside it are rejected); defaults to the sorted observed keys."""
-        if bins is None:
-            bins = tuple(sorted(counts))
-        else:
-            bins = tuple(bins)
-            unknown = set(counts) - set(bins)
-            if unknown:
-                raise ValueError(f"counts outside the bin set: {sorted(unknown)[:5]}")
+    ValueError refuses a repeated bin and then, `p_counts` before
+    `q_counts`, a key outside `bins`, counts summing to 0 or less, and a
+    negative count."""
+    bins = tuple(bins)
+    bin_set = set(bins)
+    if len(bin_set) != len(bins):
+        raise ValueError("repeated bin")
+    masses = []
+    for counts in (p_counts, q_counts):
+        unknown = set(counts) - bin_set
+        if unknown:
+            raise ValueError(f"counts outside the bin set: {sorted(unknown)[:5]}")
         total = sum(counts.values())
         if total <= 0:
             raise ValueError("empty distribution")
-        return cls(bins=bins, mass=tuple(counts.get(b, 0) / total for b in bins))
-
-
-def js_divergence(p: Distribution, q: Distribution) -> float:
-    """Jensen-Shannon divergence in nats: the mean KL of each side against
-    the midpoint mixture. Symmetric, finite, bounded by ln 2."""
-    if p.bins != q.bins:
-        raise ValueError("bin-set mismatch")
-    total = 0.0
-    for pi, qi in zip(p.mass, q.mass):
+        if any(n < 0 for n in counts.values()):
+            raise ValueError("negative count")
+        masses.append([counts.get(b, 0) / total for b in bins])
+    js = 0.0
+    for pi, qi in zip(*masses):
         mi = 0.5 * (pi + qi)
         if pi > 0.0:
-            total += 0.5 * pi * math.log(pi / mi)
+            js += 0.5 * pi * math.log(pi / mi)
         if qi > 0.0:
-            total += 0.5 * qi * math.log(qi / mi)
-    return max(0.0, total)
+            js += 0.5 * qi * math.log(qi / mi)
+    return max(0.0, js)
 
 
 def overlap_ratio(observed: set, generated: set) -> float:
@@ -228,12 +213,6 @@ def _count_types(table: TripTable, granularity: int, day_class) -> dict:
     return by_type
 
 
-def _js(ref_counts, gen_counts, bins) -> float:
-    """JS divergence of two count mappings normalized over the shared `bins`."""
-    return js_divergence(Distribution.from_counts(ref_counts, bins=bins),
-                         Distribution.from_counts(gen_counts, bins=bins))
-
-
 def build_report(
     reference_trips,
     generated_trips,
@@ -280,10 +259,10 @@ def build_report(
         return total(w for c in type_counts for w in c.windows.values())
 
     def js_time(ref_windows, gen_windows):
-        return _js(ref_windows, gen_windows, range(1, n_windows + 1))
+        return js_divergence(ref_windows, gen_windows, range(1, n_windows + 1))
 
     def js_road(ref_counts, gen_counts):
-        return _js(ref_counts, gen_counts, sorted(set(ref_counts) | set(gen_counts)))
+        return js_divergence(ref_counts, gen_counts, sorted(set(ref_counts) | set(gen_counts)))
 
     _cell(report, "js_time", "", "all",
           lambda: js_time(all_windows(*ref.values()), all_windows(*gen.values())))
@@ -333,7 +312,5 @@ def _mean(per_individual: dict) -> float:
 def _js_histograms(ref: dict, gen: dict, width: float, top: float) -> float:
     """JS divergence of two per-individual value histograms with bins of
     `width`, everything at or above `top` pooled in the last bin."""
-    if not ref or not gen:
-        raise ValueError("empty distribution")
-    return _js(_histogram(ref.values(), width, top), _histogram(gen.values(), width, top),
-               range(int(top / width) + 1))
+    return js_divergence(_histogram(ref.values(), width, top),
+                         _histogram(gen.values(), width, top), range(int(top / width) + 1))

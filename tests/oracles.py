@@ -11,8 +11,7 @@ only the per-minute counts, and sum slot counts and totals from those.
 
 The per-metric oracles compute each report metric from the trip list on
 its own, one metric per scan; build_report computes them all from one scan.
-They do their own grouping, ranking and entropy, and take from the
-validator only the Distribution they return.
+They do their own grouping, ranking and entropy.
 """
 import dataclasses
 import math
@@ -20,7 +19,6 @@ from collections import Counter, defaultdict
 
 from tripsynth.corpus import CORPUS_SLOT_STARTS, LEG_WINDOWS
 from tripsynth.model import TimeSlotPartition, TravellerType
-from tripsynth.validator import Distribution
 
 # The generator's slot weights: reserved-slot scale, full-deficit feedback
 # and preference floor.
@@ -212,18 +210,15 @@ def _traveller(trip):
 
 def temporal_distribution(
     trips, granularity: int = 15, ttype=None, day_filter=None
-) -> Distribution:
-    """Departure-time distribution over fixed windows of `granularity`
-    minutes (which must divide the day). Bin labels are 1-based window
-    indices and always cover the whole day."""
+) -> Counter:
+    """Departures per fixed window of `granularity` minutes (which must
+    divide the day), keyed by 1-based window index."""
     if granularity < 1 or 1440 % granularity:
         raise ValueError("granularity must divide 1440")
-    n_bins = 1440 // granularity
-    counts = Counter(
+    return Counter(
         (t.departure - 1) // granularity + 1
         for t in _filtered(trips, ttype, day_filter)
     )
-    return Distribution.from_counts(counts, bins=range(1, n_bins + 1))
 
 
 def zone_visit_counts(trips, ttype=None) -> Counter:

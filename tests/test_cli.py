@@ -743,6 +743,21 @@ class TestPipeline:
         lines = (tmp_path / "out" / "generated.csv").read_text().splitlines()
         assert len(lines) == 1 and lines[0].startswith("traveller_ID")
 
+    def test_byte_order_mark_is_skipped(self, cfg, tmp_path):
+        # Spreadsheets export "CSV UTF-8" with a leading EF BB BF.
+        assert main(["corpus", "-c", cfg]) == 0
+        assert main(["ingest", "-c", cfg]) == 0
+        assert main(["generate", "-c", cfg]) == 0
+        assert main(["validate", "-c", cfg]) == 0
+        outputs = [tmp_path / "build" / "store.json", tmp_path / "out" / "report.csv"]
+        before = [path.read_bytes() for path in outputs]
+        for name in ("trips", "zones", "network"):
+            table = tmp_path / "data" / f"{name}.csv"
+            table.write_bytes(b"\xef\xbb\xbf" + table.read_bytes())
+        assert main(["ingest", "-c", cfg]) == 0
+        assert main(["validate", "-c", cfg]) == 0
+        assert [path.read_bytes() for path in outputs] == before
+
     def test_exit_codes(self, cfg, tmp_path):
         bad = write_config(tmp_path, "bogus: 1\n", name="bad.yaml")
         assert main(["corpus", "-c", bad]) == 2

@@ -233,6 +233,19 @@ def test_blank_traveller_id_rejected(caplog):
     assert "retyped" not in caplog.text
 
 
+def test_rejection_warning_names_the_first_line_of_each_reason(caplog):
+    parse(
+        [
+            "V1,commuter,2019-08-12,07:52,x,Z02,Z01,R01_02,19",
+            "V2,commuter,2019-13-01,07:52,x,Z02,Z01,R01_02,19",
+            "V3,commuter,2019-08-12,07:52,x,Z02,Z01,,19",
+            "V4,commuter,2019-08-32,07:52,x,Z02,Z01,R01_02,19",
+        ]
+    )
+    assert ("rejected 3 trip rows: bad date x2 (first at line 3: '2019-13-01'), "
+            "empty path x1 (first at line 4)") in caplog.text
+
+
 def test_parsed_records_hold_under_48_bytes_per_row():
     # 20,000 rows of 50 ids over 9 zones: a row's column entries, not a
     # record or fresh copies of its id and zone texts, are what the result

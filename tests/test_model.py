@@ -78,28 +78,35 @@ def test_profile_refuses_bad_od_row(row):
 BAD_COUNT = ": OD or slot x origin count is not an integer >= 1: "
 OFF_OD = ": slot x origin counts differ from its OD counts per origin"
 EMPTY_ID = " has an empty traveller or zone id"
+# daily_quota divides the trip count by observed_days.
+BAD_DAYS = ": observed_days is not an integer >= 1: "
+ONE_TRIP = {"A": {"B": 1}}, {1: {"A": 1}}
 
 
 @pytest.mark.parametrize(
-    "tid,od,slot_origin,message",
+    "tid,od,slot_origin,days,message",
     [
-        ("V1", {"A": {"B": True}}, {1: {"A": 1}}, BAD_COUNT + "True"),
-        ("V1", {"A": {"B": 2.5}}, {1: {"A": 2.5}}, BAD_COUNT + "2.5"),
-        ("V1", {"A": {"B": 2}}, {1: {"A": 3, "B": -1}}, BAD_COUNT + "-1"),
-        ("V1", {"A": {"B": 2}}, {1: {"A": 1}}, OFF_OD),
-        ("V1", {"A": {"B": 2}}, {1: {"A": 2}, 3: {"C": 1}}, OFF_OD),
-        ("V1", {"A": {"B": 2}}, {}, OFF_OD),
-        ("", {"A": {"B": 1}}, {1: {"A": 1}}, EMPTY_ID),
-        ("V1", {"": {"B": 1}}, {1: {"": 1}}, EMPTY_ID),
-        ("V1", {"A": {"": 1}}, {1: {"A": 1}}, EMPTY_ID),
+        ("V1", {"A": {"B": True}}, {1: {"A": 1}}, 1, BAD_COUNT + "True"),
+        ("V1", {"A": {"B": 2.5}}, {1: {"A": 2.5}}, 1, BAD_COUNT + "2.5"),
+        ("V1", {"A": {"B": 2}}, {1: {"A": 3, "B": -1}}, 1, BAD_COUNT + "-1"),
+        ("V1", {"A": {"B": 2}}, {1: {"A": 1}}, 1, OFF_OD),
+        ("V1", {"A": {"B": 2}}, {1: {"A": 2}, 3: {"C": 1}}, 1, OFF_OD),
+        ("V1", {"A": {"B": 2}}, {}, 1, OFF_OD),
+        ("", {"A": {"B": 1}}, {1: {"A": 1}}, 1, EMPTY_ID),
+        ("V1", {"": {"B": 1}}, {1: {"": 1}}, 1, EMPTY_ID),
+        ("V1", {"A": {"": 1}}, {1: {"A": 1}}, 1, EMPTY_ID),
+        ("V1", *ONE_TRIP, 0, BAD_DAYS + "0"),
+        ("V1", *ONE_TRIP, -3, BAD_DAYS + "-3"),
+        ("V1", *ONE_TRIP, True, BAD_DAYS + "True"),
+        ("V1", *ONE_TRIP, 2.5, BAD_DAYS + "2.5"),
     ],
     ids=["od-bool", "fraction", "slot-origin-negative", "slot-origin-short",
          "slot-origin-off-origin", "slot-origin-empty", "traveller-empty", "origin-empty",
-         "destination-empty"],
+         "destination-empty", "days-zero", "days-negative", "days-bool", "days-fraction"],
 )
-def test_profile_refuses_counts_and_ids_by_name(tid, od, slot_origin, message):
+def test_profile_refuses_counts_and_ids_by_name(tid, od, slot_origin, days, message):
     with pytest.raises(ValueError) as refused:
-        IndividualProfile(tid, TravellerType.COMMUTER, od, slot_origin)
+        IndividualProfile(tid, TravellerType.COMMUTER, od, slot_origin, observed_days=days)
     assert str(refused.value) == f"profile {tid!r}{message}"
 
 

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 from tripsynth.ingest import parse_trips, write_trips_csv
 from tripsynth.model import TYPE_ORDER, TimeSlotPartition, TravellerType, TripRecord
 from tripsynth.validator import (
-    Distribution,
     ValidationReport,
     build_report,
     day_class,
@@ -35,51 +34,51 @@ from oracles import (
 HOURLY = TimeSlotPartition.hourly()
 
 
-def dist(*mass):
-    return Distribution(bins=tuple(range(len(mass))), mass=tuple(mass))
+def dist(*counts):
+    """A count mapping over the bins 0, 1, ..."""
+    return dict(enumerate(counts))
 
 
 class TestDistribution:
-    def test_from_counts_normalizes(self):
-        d = Distribution.from_counts({"a": 3, "b": 1})
-        assert d.bins == ("a", "b")
-        assert d.mass == (0.75, 0.25)
-        assert dict(zip(d.bins, d.mass)) == {"a": 0.75, "b": 0.25}
-
-    def test_forced_bins_pad_with_zero(self):
-        d = Distribution.from_counts({"b": 2}, bins=("a", "b", "c"))
-        assert d.mass == (0.0, 1.0, 0.0)
+    """What js_divergence refuses in a count mapping or in its bins, one
+    test per refusal, `p_counts` checked before `q_counts`."""
 
     def test_counts_outside_bins_rejected(self):
-        with pytest.raises(ValueError, match="outside"):
-            Distribution.from_counts({"z": 1}, bins=("a",))
+        with pytest.raises(ValueError, match=r"counts outside the bin set: \['z'\]"):
+            js_divergence({"z": 1}, {"y": 1}, ("a",))
+        with pytest.raises(ValueError, match=r"counts outside the bin set: \['y'\]"):
+            js_divergence({"a": 1}, {"a": 1, "y": 2}, ("a",))
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty distribution"):
-            Distribution.from_counts({})
-        with pytest.raises(ValueError, match="empty distribution"):
-            Distribution.from_counts({"a": 0})
+        for p, q in (({}, {"z": 1}), ({"a": 0}, {"a": 1}), ({"a": 1}, {"a": 2, "b": -2})):
+            with pytest.raises(ValueError, match="empty distribution"):
+                js_divergence(p, q, ("a", "b"))
 
-    def test_mass_validated(self):
-        with pytest.raises(ValueError):
-            Distribution(bins=(1, 2), mass=(0.5,))
-        with pytest.raises(ValueError):
-            Distribution(bins=(1,), mass=(-0.1,))
-        with pytest.raises(ValueError):
-            Distribution(bins=(1, 2), mass=(0.6, 0.6))
+    def test_repeated_bin_rejected(self):
+        for bins in (("a", "a"), ("a", "b", "b")):
+            with pytest.raises(ValueError, match="repeated bin"):
+                js_divergence({"a": 1}, {"a": 1}, bins)
+
+    def test_negative_count_rejected(self):
+        for p, q in (({"a": 2, "b": -1}, {"a": 1}), ({"a": 1}, {"a": 2, "b": -1})):
+            with pytest.raises(ValueError, match="negative count"):
+                js_divergence(p, q, ("a", "b"))
+
+    def test_forced_bins_pad_with_zero(self):
+        assert js_divergence({"b": 2}, {"b": 5}, ("a", "b", "c")) == 0.0
 
 
 class TestJS:
     def test_self_is_exactly_zero(self):
-        for p in (dist(1.0), dist(0.25, 0.25, 0.5), dist(0.1, 0.9)):
-            assert js_divergence(p, p) == 0.0
+        for p in (dist(1), dist(1, 1, 2), dist(1, 9)):
+            assert js_divergence(p, p, range(len(p))) == 0.0
 
     def test_disjoint_support_is_ln2(self):
-        got = js_divergence(dist(1.0, 0.0), dist(0.0, 1.0))
+        got = js_divergence(dist(1, 0), dist(0, 1), range(2))
         assert got == pytest.approx(math.log(2), abs=1e-12)
 
     def test_point_against_uniform(self):
-        got = js_divergence(dist(1.0, 0.0), dist(0.5, 0.5))
+        got = js_divergence(dist(1, 0), dist(1, 1), range(2))
         assert got == pytest.approx(0.75 * math.log(4 / 3), abs=1e-12)
         assert got == pytest.approx(0.2158, abs=1e-4)
 
@@ -89,10 +88,9 @@ class TestJS:
     )
     def test_symmetric_and_bounded(self, a, b):
         n = min(len(a), len(b))
-        p = Distribution.from_counts({i: a[i] for i in range(n)}, bins=range(n))
-        q = Distribution.from_counts({i: b[i] for i in range(n)}, bins=range(n))
-        left = js_divergence(p, q)
-        assert left == pytest.approx(js_divergence(q, p), abs=1e-12)
+        p, q = dist(*a[:n]), dist(*b[:n])
+        left = js_divergence(p, q, range(n))
+        assert left == pytest.approx(js_divergence(q, p, range(n)), abs=1e-12)
         assert 0.0 <= left <= math.log(2) + 1e-12
 
 
@@ -125,14 +123,12 @@ def trip(tid="V1", ttype=TravellerType.COMMUTER, day=0, dep=452, o="Z1", d="Z2",
 
 class TestTemporalDistribution:
     def test_bin_assignment(self):
-        d = temporal_distribution([trip(dep=452)], granularity=15)
-        assert len(d.bins) == 96
-        assert dict(zip(d.bins, d.mass))[31] == 1.0  # minute 452 sits in window 31
+        # minute 452 sits in window 31
+        assert temporal_distribution([trip(dep=452)], granularity=15) == {31: 1}
 
     def test_minute_edges(self):
-        d = temporal_distribution([trip(dep=15), trip(dep=16)], granularity=15)
-        by_bin = dict(zip(d.bins, d.mass))
-        assert by_bin[1] == 0.5 and by_bin[2] == 0.5
+        counts = temporal_distribution([trip(dep=15), trip(dep=16)], granularity=15)
+        assert counts == {1: 1, 2: 1}
 
     def test_granularity_must_divide_day(self):
         with pytest.raises(ValueError):
@@ -143,10 +139,10 @@ class TestTemporalDistribution:
             trip("V1", TravellerType.COMMUTER, day=0, dep=100),
             trip("V2", TravellerType.PASSBY, day=5, dep=700),
         ]
-        d = temporal_distribution(trips, ttype=TravellerType.PASSBY)
-        assert dict(zip(d.bins, d.mass))[(700 - 1) // 15 + 1] == 1.0
-        d = temporal_distribution(trips, day_filter=lambda day: day < 5)
-        assert dict(zip(d.bins, d.mass))[(100 - 1) // 15 + 1] == 1.0
+        counts = temporal_distribution(trips, ttype=TravellerType.PASSBY)
+        assert counts == {(700 - 1) // 15 + 1: 1}
+        counts = temporal_distribution(trips, day_filter=lambda day: day < 5)
+        assert counts == {(100 - 1) // 15 + 1: 1}
 
 
 def test_zone_visit_counts_touch_both_ends():
@@ -358,16 +354,13 @@ def oracle_report(ref, gen, granularity, day_class_of, zone_ks, od_ks) -> list:
         return js_divergence(
             temporal_distribution(ref, granularity, ttype, day_filter),
             temporal_distribution(gen, granularity, ttype, day_filter),
+            range(1, 1440 // granularity + 1),
         )
 
     def js_road(ttype=None):
         ref_counts = road_access_counts(ref, ttype)
         gen_counts = road_access_counts(gen, ttype)
-        bins = sorted(set(ref_counts) | set(gen_counts))
-        return js_divergence(
-            Distribution.from_counts(ref_counts, bins=bins),
-            Distribution.from_counts(gen_counts, bins=bins),
-        )
+        return js_divergence(ref_counts, gen_counts, sorted(set(ref_counts) | set(gen_counts)))
 
     def overlap(topk, counts, ttype, k):
         universe = len(set(counts(ref, ttype)) | set(counts(gen, ttype)))
@@ -397,13 +390,11 @@ def oracle_report(ref, gen, granularity, day_class_of, zone_ks, od_ks) -> list:
         gen_values = per_individual(only(gen, ttype)).values()
         if not ref_values or not gen_values:
             raise ValueError("empty distribution")
-        bins = range(int(top / width) + 1)
-        return js_divergence(*(
-            Distribution.from_counts(
-                Counter(min(int(v / width), int(top / width)) for v in values), bins=bins
-            )
+        ref_counts, gen_counts = (
+            Counter(min(int(v / width), int(top / width)) for v in values)
             for values in (ref_values, gen_values)
-        ))
+        )
+        return js_divergence(ref_counts, gen_counts, range(int(top / width) + 1))
 
     cell("trips", "", "reference", lambda: float(len(ref)))
     cell("trips", "", "generated", lambda: float(len(gen)))
