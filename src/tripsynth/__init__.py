@@ -1,11 +1,14 @@
-"""Privacy-preserving synthesis of individual-level trip tables.
+"""Synthesis of individual-level trip tables from aggregates of a source table.
 
 The package reads a historical trip table, folds it into per-individual
 histories plus crowd-level aggregates, then regenerates a synthetic table
 trip by trip: each individual's next departure slot, minute, destination,
 route, and duration are drawn from weights that blend personal habit with
-population-level balance feedback. A validation module compares generated
-output against the source data on aggregate and individual-level metrics.
+population-level balance feedback. Trips are drawn, not copied, but
+traveller ids carry over and a drawn row can coincide with a source row,
+so the output is not private by construction. A validation module compares
+generated output against the source data on aggregate and individual-level
+metrics.
 """
 from .generator import (
     AggregationLedger,

@@ -65,11 +65,7 @@ class Config:
     csv_delimiter: str
     partition: TimeSlotPartition
     params: GenParams
-    granularity: int
-    holiday_weekdays: tuple
-    holiday_days: tuple
-    topk_zone_fractions: tuple
-    topk_od_fractions: tuple
+    report: dict  # build_report's keyword arguments
     corpus_spec: CorpusSpec
 
     def duration_divisor(self) -> float:
@@ -82,38 +78,11 @@ class Config:
             raise ConfigError(f"config paths section is missing {key!r}") from None
 
 
-def _check_keys(section, allowed, where):
-    unknown = sorted(set(section) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
-
-
-def _value(section, key, default, convert, where):
-    """`convert` applied to section[key], or to `default` when the key is
-    absent; a value it cannot convert is a ConfigError naming the key."""
-    value = section.get(key, default)
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"bad value for {key!r} in {where}: {value!r}") from None
-
-
-def _list(values):
-    # A string is iterable too, but "12" is not the list [1, 2].
-    if not isinstance(values, (list, tuple)):
-        raise TypeError(f"expected a list, got {values!r}")
-    return values
-
-
 def _int(value) -> int:
     # int() would read 7.9 as 7 and True as 1.
     if type(value) is not int:
         raise TypeError(repr(value))
     return value
-
-
-def _ints(values) -> tuple:
-    return tuple(_int(v) for v in _list(values))
 
 
 def _float(value) -> float:
@@ -123,10 +92,6 @@ def _float(value) -> float:
     return float(value)
 
 
-def _floats(values) -> tuple:
-    return tuple(_float(v) for v in _list(values))
-
-
 def _path(value) -> str:
     # str() would read the list [a] as the file "['a']"; None and "" name no file.
     if type(value) is not str or not value:
@@ -134,13 +99,130 @@ def _path(value) -> str:
     return value
 
 
-def _section(doc, name) -> dict:
-    value = doc.get(name, {})
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"section {name!r} must be a mapping")
+def _list_of(read):
+    """Reader of a YAML list, each entry read by `read`, into a tuple."""
+    def read_list(values) -> tuple:
+        # A string is iterable too, but "12" is not the list [1, 2].
+        if not isinstance(values, list):
+            raise TypeError(f"expected a list, got {values!r}")
+        return tuple(read(v) for v in values)
+    return read_list
+
+
+def _section(name):
+    """Reader of the root's `name` section: its mapping, {} when null."""
+    def read_section(value) -> dict:
+        if not isinstance(value, (dict, type(None))):
+            raise ConfigError(f"section {name!r} must be a mapping")
+        return value or {}
+    return read_section
+
+
+def _epoch(value) -> dt.date:
+    if isinstance(value, str):
+        try:
+            value = dt.date.fromisoformat(value)
+        except ValueError:
+            raise ConfigError(f"bad epoch date: {value!r}") from None
+    # A YAML timestamp is a datetime, which is a date subclass.
+    if type(value) is not dt.date:
+        raise ConfigError("epoch must be an ISO date")
     return value
+
+
+def _delimiter(value) -> str:
+    if type(value) is not str or len(value) != 1 or value in '\r\n"':
+        raise ConfigError("csv_delimiter must be a single character other than a line "
+                          "break or the quote character")
+    return value
+
+
+def _partition(value) -> TimeSlotPartition:
+    try:
+        if value == "hourly":
+            return TimeSlotPartition.hourly()
+        if isinstance(value, list):
+            return TimeSlotPartition(value)
+    except TypeError as exc:
+        raise ConfigError(f"bad slot start in 'partition': {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    raise ConfigError("partition must be 'hourly' or a list of slot starts")
+
+
+def _individuals(value) -> tuple:
+    """(type, count) for each type that `value` names, in TYPE_ORDER."""
+    if not isinstance(value, dict):
+        raise ConfigError("corpus individuals must map type name to count")
+    counts = _read(value, "corpus individuals", [(t.value, None, _int) for t in TYPE_ORDER])
+    return tuple((t, counts[t.value]) for t in TYPE_ORDER if t.value in value)
+
+
+# One (key, default, reader) row per config key, by section. A default is
+# the key's value when the file leaves the key out; it is not read, and a
+# path left out is unset.
+
+ROOT_ROWS = (
+    ("paths", {}, _section("paths")),
+    ("epoch", dt.date(2019, 8, 12), _epoch),
+    ("window_days", 7, _int),
+    ("duration_unit", "minutes", str),
+    ("csv_delimiter", ",", _delimiter),
+    ("partition", TimeSlotPartition.hourly(), _partition),
+    ("generation", {}, _section("generation")),
+    ("validation", {}, _section("validation")),
+    ("corpus", {}, _section("corpus")),
+)
+
+PATHS_ROWS = (
+    ("trips", None, _path),
+    ("zones", None, _path),
+    ("network", None, _path),
+    ("store", None, _path),
+    ("generated", None, _path),
+    ("report", None, _path),
+)
+
+GENERATION_ROWS = (
+    ("min_gap", GenParams.min_gap, _int),
+    ("seed", GenParams.rng_seed, _int),
+    ("horizon_days", GenParams.horizon_days, _int),
+    ("start_day", GenParams.start_day, _int),
+)
+
+VALIDATION_ROWS = (
+    ("granularity", 15, _int),
+    ("holiday_weekdays", (5, 6), _list_of(_int)),
+    ("holiday_days", (), _list_of(_int)),
+    ("topk_zones", (0.10,), _list_of(_float)),
+    ("topk_od", (0.50,), _list_of(_float)),
+)
+
+CORPUS_ROWS = (
+    ("grid_side", CorpusSpec.grid_side, _int),
+    ("days", CorpusSpec.days, _int),
+    ("seed", CorpusSpec.rng_seed, _int),
+    ("individuals", CorpusSpec.individuals, _individuals),
+)
+
+
+def _read(section, where, rows) -> dict:
+    """{key: value} over `rows`: each key's reader applied to section[key],
+    or its default when the key is left out. A TypeError or ValueError from
+    a reader is refused here, naming the key; its ConfigError passes."""
+    known = {key for key, _, _ in rows}
+    for key in section:
+        if key not in known:
+            raise ConfigError(f"unknown key {key!r} in {where}")
+    values = {}
+    for key, default, read in rows:
+        try:
+            values[key] = read(section[key]) if key in section else default
+        except ConfigError:
+            raise
+        except (TypeError, ValueError):
+            raise ConfigError(f"bad value for {key!r} in {where}: {section[key]!r}") from None
+    return values
 
 
 def load_config(path) -> Config:
@@ -155,111 +237,35 @@ def load_config(path) -> Config:
         doc = {}
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a mapping")
-    _check_keys(
-        doc,
-        {
-            "paths", "epoch", "window_days", "duration_unit", "csv_delimiter",
-            "partition", "generation", "validation", "corpus",
-        },
-        "config root",
-    )
-
-    base = path.parent
-    raw_paths = _section(doc, "paths")
-    _check_keys(
-        raw_paths,
-        {"trips", "zones", "network", "store", "generated", "report"},
-        "paths",
-    )
-    paths = {k: (base / _value(raw_paths, k, None, _path, "paths")).resolve() for k in raw_paths}
-
-    epoch = doc.get("epoch", dt.date(2019, 8, 12))
-    if isinstance(epoch, str):
-        try:
-            epoch = dt.date.fromisoformat(epoch)
-        except ValueError:
-            raise ConfigError(f"bad epoch date: {epoch!r}") from None
-    # A YAML timestamp is a datetime, which is a date subclass.
-    if type(epoch) is not dt.date:
-        raise ConfigError("epoch must be an ISO date")
-
-    window_days = _value(doc, "window_days", 7, _int, "config root")
-    if window_days < 1:
+    root = _read(doc, "config root", ROOT_ROWS)
+    paths = _read(root["paths"], "paths", PATHS_ROWS)
+    gen = _read(root["generation"], "generation", GENERATION_ROWS)
+    val = _read(root["validation"], "validation", VALIDATION_ROWS)
+    cor = _read(root["corpus"], "corpus", CORPUS_ROWS)
+    if root["window_days"] < 1:
         raise ConfigError("window_days must be >= 1")
+    if root["duration_unit"] not in ("minutes", "seconds"):
+        raise ConfigError("duration_unit must be minutes or seconds, "
+                          f"got {root['duration_unit']!r}")
+    if val["granularity"] < 1 or MINUTES_PER_DAY % val["granularity"]:
+        raise ConfigError("granularity must divide 1440")
+    if not all(0 <= d <= 6 for d in val["holiday_weekdays"]):
+        raise ConfigError("holiday_weekdays must be weekdays 0-6 (Monday = 0)")
+    for k in val["topk_zones"] + val["topk_od"]:
+        if not 0.0 < k <= 1.0:
+            raise ConfigError(f"top-k fraction out of (0, 1]: {k}")
 
-    duration_unit = str(doc.get("duration_unit", "minutes"))
-    if duration_unit not in ("minutes", "seconds"):
-        raise ConfigError(f"duration_unit must be minutes or seconds, got {duration_unit!r}")
-
-    delimiter = doc.get("csv_delimiter", ",")
-    if type(delimiter) is not str or len(delimiter) != 1 or delimiter in '\r\n"':
-        raise ConfigError("csv_delimiter must be a single character other than a line "
-                          "break or the quote character")
-
-    part_cfg = doc.get("partition", "hourly")
-    try:
-        if part_cfg == "hourly":
-            partition = TimeSlotPartition.hourly()
-        elif isinstance(part_cfg, list):
-            partition = TimeSlotPartition(part_cfg)
-        else:
-            raise ValueError(f"partition must be 'hourly' or a list of slot starts")
-    except TypeError as exc:
-        raise ConfigError(f"bad slot start in 'partition': {exc}") from None
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    gen = _section(doc, "generation")
-    _check_keys(gen, {"min_gap", "seed", "horizon_days", "start_day"}, "generation")
-    params = GenParams()
-    params.min_gap = _value(gen, "min_gap", params.min_gap, _int, "generation")
-    params.start_day = _value(gen, "start_day", params.start_day, _int, "generation")
-    params.horizon_days = _value(gen, "horizon_days", params.horizon_days, _int, "generation")
-    params.rng_seed = _value(gen, "seed", params.rng_seed, _int, "generation")
+    params = GenParams(min_gap=gen["min_gap"], start_day=gen["start_day"],
+                       horizon_days=gen["horizon_days"], rng_seed=gen["seed"])
     try:
         params.check()
     except InvalidParams as exc:
         raise ConfigError(str(exc)) from None
-
-    val = _section(doc, "validation")
-    _check_keys(
-        val,
-        {"granularity", "holiday_weekdays", "holiday_days", "topk_zones", "topk_od"},
-        "validation",
-    )
-    granularity = _value(val, "granularity", 15, _int, "validation")
-    if granularity < 1 or MINUTES_PER_DAY % granularity:
-        raise ConfigError("granularity must divide 1440")
-    holiday_weekdays = _value(val, "holiday_weekdays", (5, 6), _ints, "validation")
-    if not all(0 <= d <= 6 for d in holiday_weekdays):
-        raise ConfigError("holiday_weekdays must be weekdays 0-6 (Monday = 0)")
-    holiday_days = _value(val, "holiday_days", (), _ints, "validation")
-    topk_zones = _value(val, "topk_zones", (0.10,), _floats, "validation")
-    topk_od = _value(val, "topk_od", (0.50,), _floats, "validation")
-    for k in topk_zones + topk_od:
-        if not 0.0 < k <= 1.0:
-            raise ConfigError(f"top-k fraction out of (0, 1]: {k}")
-
-    cor = _section(doc, "corpus")
-    _check_keys(cor, {"grid_side", "days", "seed", "individuals"}, "corpus")
-    corpus_spec = CorpusSpec()
-    corpus_spec.grid_side = _value(cor, "grid_side", corpus_spec.grid_side, _int, "corpus")
-    corpus_spec.days = _value(cor, "days", corpus_spec.days, _int, "corpus")
-    corpus_spec.rng_seed = _value(cor, "seed", corpus_spec.rng_seed, _int, "corpus")
-    if "individuals" in cor:
-        raw = cor["individuals"]
-        if not isinstance(raw, dict):
-            raise ConfigError("corpus individuals must map type name to count")
-        leftover = set(raw) - {t.value for t in TYPE_ORDER}
-        if leftover:
-            raise ConfigError(f"unknown traveller type in corpus individuals: {sorted(leftover)[0]!r}")
-        corpus_spec.individuals = tuple(
-            (ttype, _value(raw, ttype.value, None, _int, "corpus individuals"))
-            for ttype in TYPE_ORDER
-            if ttype.value in raw
-        )
+    corpus_spec = CorpusSpec(grid_side=cor["grid_side"], days=cor["days"],
+                             rng_seed=cor["seed"], individuals=cor["individuals"])
 
     # The trip writers render each day as a date counted from the epoch.
+    epoch = root["epoch"]
     lo, hi = 1 - epoch.toordinal(), dt.date.max.toordinal() - epoch.toordinal()
     for key, first, n in (("'start_day' and 'horizon_days' in generation", params.start_day,
                            params.horizon_days), ("'days' in corpus", 0, corpus_spec.days)):
@@ -267,19 +273,24 @@ def load_config(path) -> Config:
             raise ConfigError(f"{key} give a day outside the calendar from epoch {epoch} "
                               f"(days {lo}..{hi})")
 
+    # day_class reads day % 7, and day 0 falls on the epoch's calendar weekday.
+    weekdays = tuple((d - epoch.weekday()) % 7 for d in val["holiday_weekdays"])
     return Config(
-        paths=paths,
+        paths={k: (path.parent / p).resolve() for k, p in paths.items() if p is not None},
         epoch=epoch,
-        window_days=window_days,
-        duration_unit=duration_unit,
-        csv_delimiter=delimiter,
-        partition=partition,
+        window_days=root["window_days"],
+        duration_unit=root["duration_unit"],
+        csv_delimiter=root["csv_delimiter"],
+        partition=root["partition"],
         params=params,
-        granularity=granularity,
-        holiday_weekdays=holiday_weekdays,
-        holiday_days=holiday_days,
-        topk_zone_fractions=topk_zones,
-        topk_od_fractions=topk_od,
+        report={
+            "granularity": val["granularity"],
+            "day_class": functools.partial(
+                day_class, holiday_weekdays=weekdays, holiday_days=val["holiday_days"]
+            ),
+            "topk_zone_fractions": val["topk_zones"],
+            "topk_od_fractions": val["topk_od"],
+        },
         corpus_spec=corpus_spec,
     )
 
@@ -420,18 +431,7 @@ def cmd_validate(config: Config, reference=None, generated=None) -> int:
     # `generate` writes durations in minutes whatever the input unit.
     with _read_table(gen_path) as fh:
         gen = parse_trips(fh, config.epoch, delimiter=config.csv_delimiter)
-    # day_class reads day % 7, and day 0 falls on the epoch's calendar weekday.
-    weekdays = tuple((d - config.epoch.weekday()) % 7 for d in config.holiday_weekdays)
-    report = build_report(
-        ref.records,
-        gen.records,
-        granularity=config.granularity,
-        day_class=functools.partial(
-            day_class, holiday_weekdays=weekdays, holiday_days=config.holiday_days
-        ),
-        topk_zone_fractions=config.topk_zone_fractions,
-        topk_od_fractions=config.topk_od_fractions,
-    )
+    report = build_report(ref.records, gen.records, **config.report)
     text = report.to_text()
     if "report" in config.paths:
         report_path = config.path("report")

@@ -335,29 +335,33 @@ def write_zones_csv(zones, stream, delimiter: str = ",") -> None:
 
 
 def parse_network(stream) -> frozenset:
-    """The road ids of a road network edge list: one `road_id,neighbor_id`
-    per line. Adjacency is not kept; a leading header line is skipped.
-    """
+    """The road ids of a road network edge list, a CSV table of
+    `road_id,neighbor_id` rows. Adjacency is not kept; a first row equal to
+    the header is skipped. A row that does not hold two ids, like a
+    csv.Error, names its line."""
     expected = NETWORK_SEPARATOR.join(NETWORK_HEADER)
+    reader = csv.reader(stream, delimiter=NETWORK_SEPARATOR)
     roads = set()
-    for i, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = [p.strip() for p in line.split(NETWORK_SEPARATOR)]
-        if len(parts) != len(NETWORK_HEADER) or not all(parts):
-            raise ValueError(f"line {i}: expected {expected!r}, got {raw!r}")
-        if i == 1 and parts[0].lower() == NETWORK_HEADER[0]:
-            continue
-        roads.update(parts)
+    try:
+        for row in reader:
+            ids = [cell.strip() for cell in row]
+            if not any(ids):
+                continue
+            if len(ids) != len(NETWORK_HEADER) or not all(ids):
+                raise ValueError(f"line {reader.line_num}: expected {expected!r}, got {row!r}")
+            if reader.line_num == 1 and tuple(map(str.lower, ids)) == NETWORK_HEADER:
+                continue
+            roads.update(ids)
+    except csv.Error as exc:
+        raise _at_line(reader, exc) from None
     return frozenset(roads)
 
 
 def write_network_csv(edges, stream) -> None:
     """Write (road, neighbor) pairs as a network edge list, in the order given."""
-    stream.write(NETWORK_SEPARATOR.join(NETWORK_HEADER) + "\n")
-    for road, neighbor in edges:
-        stream.write(f"{road}{NETWORK_SEPARATOR}{neighbor}\n")
+    writer = csv.writer(_LineFeedRows(stream), delimiter=NETWORK_SEPARATOR, lineterminator="\r\n")
+    writer.writerow(NETWORK_HEADER)
+    writer.writerows(edges)
 
 
 def build_profiles(trips, partition: TimeSlotPartition, window_days: int) -> dict:

@@ -29,8 +29,9 @@ def check_counts(values, what: str) -> None:
 
 
 def hhmm_to_minute(text: str) -> int:
-    """Parse 'HH:MM' into a 1-based minute of day ('00:00' -> 1)."""
-    hh, _, mm = text.partition(":")
+    """Parse 'HH:MM', padding stripped, into a 1-based minute of day
+    ('00:00' -> 1)."""
+    hh, _, mm = text.strip().partition(":")
     if not (hh.isdigit() and mm.isdigit() and len(mm) == 2):
         raise ValueError(f"bad time of day: {text!r}")
     if int(mm) >= 60:

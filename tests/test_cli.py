@@ -4,8 +4,10 @@ import io
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -37,7 +39,6 @@ from tripsynth.model import (
     TripRecord,
     Zone,
 )
-from tripsynth.validator import day_class
 
 from oracles import first_typed
 
@@ -80,9 +81,9 @@ class TestLoadConfig:
         assert config.params.rng_seed == 0
         assert config.params.start_day == 0
         assert config.params.horizon_days == 7
-        assert config.granularity == 15
-        assert config.topk_zone_fractions == (0.1,)
-        assert config.topk_od_fractions == (0.5,)
+        assert config.report["granularity"] == 15
+        assert config.report["topk_zone_fractions"] == (0.1,)
+        assert config.report["topk_od_fractions"] == (0.5,)
         assert config.path("trips") == tmp_path / "data" / "trips.csv"
 
     def test_full_document(self, tmp_path):
@@ -115,21 +116,22 @@ corpus:
         assert config.params.min_gap == 5
         assert config.params.start_day == 2
         assert config.params.horizon_days == 3
-        assert config.topk_zone_fractions == (0.1, 0.2)
+        assert config.report["topk_zone_fractions"] == (0.1, 0.2)
         assert config.corpus_spec.grid_side == 5
         assert config.corpus_spec.days == 3
         assert config.corpus_spec.individuals == ((TravellerType.COMMUTER, 2),)
-        assert config.holiday_weekdays == (6,)
-        assert config.holiday_days == (2,)
-        rule = (config.holiday_weekdays, config.holiday_days)
-        assert day_class(2, *rule) == "holiday"   # listed day
-        assert day_class(6, *rule) == "holiday"   # weekday rule
-        assert day_class(5, *rule) == "weekday"
+        # The epoch is a Monday, so calendar weekday 6 is day index 6.
+        rule = config.report["day_class"]
+        assert rule(2) == "holiday"   # listed day
+        assert rule(6) == "holiday"   # weekday rule
+        assert rule(5) == "weekday"
 
     @pytest.mark.parametrize(
         "body,fragment",
         [
             ("bogus: 1\n", "unknown key"),
+            # keys of mixed types, which cannot be sorted together
+            ("bogus: 1\n1: 2\n", "unknown key 'bogus' in config root"),
             ("paths: {nowhere: x}\n", "unknown key"),
             ("epoch: not-a-date\n", "bad epoch"),
             # an unquoted timestamp is a datetime, not a date
@@ -215,6 +217,24 @@ corpus:
         config = load_config(write_config(tmp_path, "paths: {trips: t.csv}\n"))
         with pytest.raises(ConfigError, match="store"):
             config.path("store")
+
+    def test_readme_config_reference_names_each_key_row(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("### Config reference\n\n", 1)[1].split("\n\n", 1)[0]
+        documented = {}
+        for line in table.splitlines()[2:]:  # below the header and its rule
+            section, keys = (cell.strip() for cell in line.split("|")[1:3])
+            documented.setdefault(section.strip("`"), set()).update(re.findall(r"`(\w+)`", keys))
+        sections = {"paths", "generation", "validation", "corpus"}
+        assert documented == {
+            "(root)": {key for key, _, _ in cli.ROOT_ROWS} - sections,
+            "generation": {key for key, _, _ in cli.GENERATION_ROWS},
+            "validation": {key for key, _, _ in cli.VALIDATION_ROWS},
+            "corpus": {key for key, _, _ in cli.CORPUS_ROWS},
+        }
+        example = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
+        config = load_config(write_config(tmp_path, example))
+        assert config.path("generated") == tmp_path / "out" / "generated.csv"
 
 
 @pytest.fixture(scope="module")

@@ -19,6 +19,7 @@ from tripsynth.ingest import (
     parse_trips,
     parse_zones,
     path_id_of,
+    write_network_csv,
 )
 from tripsynth.model import (
     AggregationLedger,
@@ -216,6 +217,13 @@ def test_padded_path_text_parses_to_the_bare_roads():
     assert [(e.path_id, e.crowd_count) for e in catalog.get("Z01", "Z02")] == [("r1-r2", 2)]
 
 
+def test_padded_departure_time_parses():
+    result = parse(["V1, commuter, 2019-08-12, 07:31, x, Z1, Z2, r1-r2, 14"])
+    assert not result.errors
+    (trip,) = result.records
+    assert trip.departure == 452
+
+
 def test_blank_traveller_id_rejected(caplog):
     result = parse(
         [
@@ -360,6 +368,18 @@ def test_parse_network_tolerates_header():
     assert roads == {"r1", "r2", "r3"}
     with pytest.raises(ValueError):
         parse_network(io.StringIO("r1,r2,r3\n"))
+
+
+def test_parse_network_reads_quoted_fields():
+    roads = parse_network(io.StringIO('"road_id","neighbor_id"\n"R1","R2"\n'))
+    assert roads == {"R1", "R2"}
+
+
+def test_network_road_with_separator_or_quote_round_trips():
+    edges = [("R1,2", 'R"3'), ('R"3', "R4")]
+    buf = io.StringIO()
+    write_network_csv(edges, buf)
+    assert parse_network(io.StringIO(buf.getvalue())) == {"R1,2", 'R"3', "R4"}
 
 
 def trip(tid, ttype, day, dep, o, d, path=("r1",), dur=10):
