@@ -17,6 +17,7 @@ import functools
 import json
 import logging
 import math
+import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
@@ -58,7 +59,7 @@ NETWORK_SEPARATOR = ","
 STORE_VERSION = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RowError:
     """One rejected CSV row: physical line number plus a stable reason kind."""
 
@@ -92,13 +93,21 @@ def _header_index(header, wanted, what) -> list:
     return index
 
 
+# A day index in ASCII digits with an optional sign, or a YYYY-MM-DD date.
+# int() also reads other Unicode digits and "_", and date.fromisoformat
+# reads "20190812" and "2019-W33-1" on Python 3.11+ only.
+_DAY = re.compile(r"([+-]?[0-9]+)|[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
 def parse_day_index(text: str, epoch: dt.date) -> int:
-    """Day index from either an ISO date or a bare integer offset."""
+    """Day index from a `YYYY-MM-DD` date or an integer offset, padding
+    stripped; ValueError on any other spelling."""
     text = text.strip()
-    try:
+    match = _DAY.fullmatch(text)
+    if match is None:
+        raise ValueError(f"bad date: {text!r}")
+    if match[1]:
         return int(text)
-    except ValueError:
-        pass
     return (dt.date.fromisoformat(text) - epoch).days
 
 
@@ -132,16 +141,19 @@ def parse_trips(
     """Parse a historical trip CSV into a TripTable.
 
     The textual time-slot column is not read: a slot is always derived from
-    the departure minute under the partition in use. Durations are
-    divided by `duration_divisor` (60.0 for input in seconds) and rounded to
-    whole minutes. Bad rows become RowErrors and parsing continues.
+    the departure minute under the partition in use. A date is read by
+    parse_day_index and a departure time by hhmm_to_minute; a duration is
+    an ASCII decimal without "_", divided by `duration_divisor` (60.0 for
+    input in seconds) and rounded half to even to whole minutes. Bad rows
+    become RowErrors and parsing continues.
 
     Each accepted row takes the type of its traveller's first accepted
     row; a warning counts the travellers whose rows named several types.
 
     Each distinct type, date, time, duration, path, id and zone text is
-    parsed once per call; rows go straight into the table's columns, and
-    texts that strip or split to the same id, zone or path share one code.
+    parsed once per call; rows go straight into the table's columns,
+    texts that strip or split to the same id, zone or path share one code,
+    and equal roads of different paths share one str.
     A csv.Error names the line it stopped at.
     """
     reader = csv.reader(stream, delimiter=delimiter)
@@ -156,6 +168,8 @@ def parse_trips(
     c_id, c_type, c_date, c_time, _, c_o, c_d, c_path, c_dur = columns
 
     def parse_duration(text):
+        if not text.isascii() or "_" in text:  # float() reads other digits and "_"
+            raise ValueError(text)
         minutes = float(text) / duration_divisor
         if not math.isfinite(minutes):  # round() raises OverflowError on inf
             raise ValueError(text)
@@ -168,6 +182,7 @@ def parse_trips(
     errors = result.errors
     table = result.records
     name_codes, path_codes = {}, {}  # name or path -> its code, in first-seen order
+    road = {}.setdefault  # road(text, text): the one str kept for equal roads
 
     def parse_name(text):
         name = text.strip()
@@ -176,7 +191,8 @@ def parse_trips(
         return name_codes.setdefault(name, len(name_codes))
 
     def parse_path(text):
-        return path_codes.setdefault(split_path(text), len(path_codes))
+        roads = split_path(text)
+        return path_codes.setdefault(tuple(map(road, roads, roads)), len(path_codes))
 
     # text -> parsed value or code, None for a rejected text
     types = _Memo(lambda text: TYPE_ORDER.index(TravellerType.parse(text)))
@@ -403,7 +419,7 @@ def build_profiles(trips, partition: TimeSlotPartition, window_days: int) -> dic
     }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathEntry:
     """One pooled route between a zone pair, with its crowd-level count."""
 

@@ -5,6 +5,7 @@ Calendar dates only exist at the CSV boundary; see `ingest` and `cli`.
 """
 from __future__ import annotations
 
+import re
 from array import array
 from bisect import bisect_left, insort
 from collections import defaultdict
@@ -28,16 +29,18 @@ def check_counts(values, what: str) -> None:
             raise ValueError(f"{what} is not an integer >= 1: {v!r}")
 
 
+# [0-9], not str.isdigit(): that also takes other Unicode digits, as int() does.
+_HHMM = re.compile(r"([0-9]{2}):([0-9]{2})")
+
+
 def hhmm_to_minute(text: str) -> int:
-    """Parse 'HH:MM', padding stripped, into a 1-based minute of day
-    ('00:00' -> 1)."""
-    hh, _, mm = text.strip().partition(":")
-    if not (hh.isdigit() and mm.isdigit() and len(mm) == 2):
+    """Parse 'HH:MM' in ASCII digits, padding stripped, into a 1-based
+    minute of day ('00:00' -> 1)."""
+    match = _HHMM.fullmatch(text.strip())
+    if match is None or int(match[2]) >= 60:
         raise ValueError(f"bad time of day: {text!r}")
-    if int(mm) >= 60:
-        raise ValueError(f"bad time of day: {text!r}")
-    minute = int(hh) * 60 + int(mm) + 1
-    if not 1 <= minute <= MINUTES_PER_DAY:
+    minute = int(match[1]) * 60 + int(match[2]) + 1
+    if minute > MINUTES_PER_DAY:
         raise ValueError(f"time of day out of range: {text!r}")
     return minute
 
@@ -247,7 +250,7 @@ class TripTable:
                    map(self.paths.__getitem__, self.path), self.duration)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndividualProfile:
     """Aggregated trip history of one individual over an observation window.
 

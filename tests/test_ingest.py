@@ -292,6 +292,59 @@ def test_wide_dates_and_durations_parse_intact():
     ]
 
 
+@pytest.mark.parametrize("row, reason", [
+    # int(), float() and str.isdigit() read any Unicode decimal digit.
+    ("V1,commuter,٣,07:31,,Z1,Z2,r1,14", "bad date"),
+    ("V1,commuter,0,٠٧:٣١,,Z1,Z2,r1,14", "bad departure time"),
+    ("V1,commuter,0,07:31,,Z1,Z2,r1,١٤", "bad duration"),
+    # int() and float() read "_" between digits.
+    ("V1,commuter,1_0,07:31,,Z1,Z2,r1,14", "bad date"),
+    ("V1,commuter,0,07:31,,Z1,Z2,r1,1_4", "bad duration"),
+    # date.fromisoformat reads ISO week dates on Python 3.11+ only.
+    ("V1,commuter,2019-W33-1,07:31,,Z1,Z2,r1,14", "bad date"),
+    ("V1,commuter,2019W331,07:31,,Z1,Z2,r1,14", "bad date"),
+    # An hour takes two digits, as minute_to_hhmm writes it.
+    ("V1,commuter,0,7:31,,Z1,Z2,r1,14", "bad departure time"),
+])
+def test_date_time_and_duration_take_ascii_spellings_only(row, reason):
+    result = parse([row])
+    assert [e.reason for e in result.errors] == [reason]
+    assert len(result.records) == 0
+
+
+def test_signed_day_index_iso_date_and_decimal_duration_parse():
+    result = parse([
+        "V1,commuter,+3,07:31,,Z1,Z2,r1,14",
+        "V1,commuter, -3 ,07:31,,Z1,Z2,r1,14",
+        "V1,commuter,20190812,07:31,,Z1,Z2,r1,14",
+        "V1,commuter,2019-08-13,07:31,,Z1,Z2,r1,1.4e1",
+    ])
+    assert not result.errors
+    assert [(t.date, t.duration) for t in result.records] == [
+        (3, 14), (-3, 14), (20190812, 14), (1, 14),
+    ]
+
+
+def test_paths_sharing_a_road_hold_one_str_for_it():
+    a, b = parse(
+        [
+            "V1,commuter,0,07:31,,Z1,Z2,r1-r22,14",
+            "V1,commuter,0,08:31,,Z2,Z3,r22 - r3,14",
+        ]
+    ).records
+    assert a.path[1] == b.path[0] == "r22"
+    assert a.path[1] is b.path[0]
+
+
+def test_holders_have_no_instance_dict():
+    result = parse(["V1,commuter,0,07:31,,Z1,Z2,r1,14", "V2,commuter,0,07:31,,Z1,Z2,,14"])
+    (error,) = result.errors
+    profile = build_profiles(result.records, HOURLY, 1)["V1"]
+    (entry,) = build_path_catalog(result.records).get("Z1", "Z2")
+    for holder in (error, profile, entry):
+        assert not hasattr(holder, "__dict__"), type(holder).__name__
+
+
 def test_reference_counts_rows_under_the_travellers_first_type():
     # The type build_profiles keeps, so a record list that bypasses the
     # parser still gives a reference that agrees with the profiles.
