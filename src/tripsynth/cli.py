@@ -36,6 +36,7 @@ from .ingest import (
     build_profiles,
     build_reference_aggregates,
     load_store,
+    parse_date,
     parse_network,
     parse_trips,
     parse_zones,
@@ -121,7 +122,7 @@ def _section(name):
 def _epoch(value) -> dt.date:
     if isinstance(value, str):
         try:
-            value = dt.date.fromisoformat(value)
+            value = parse_date(value)
         except ValueError:
             raise ConfigError(f"bad epoch date: {value!r}") from None
     # A YAML timestamp is a datetime, which is a date subclass.

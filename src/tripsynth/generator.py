@@ -315,20 +315,19 @@ def select_destination(cursor: GenCursor, rng: random.Random):
     return origin, _cumulative_draw(dests, cum, rng), relocated
 
 
-def select_path(catalog: PathCatalog, o_zone: str, d_zone: str, rng: random.Random):
-    """Sample a pooled route for the OD pair proportionally to crowd counts.
+def route_draws(catalog: PathCatalog) -> dict:
+    """{(o_zone, d_zone): (routes, running crowd counts)} of each pair with routes."""
+    return {od: (entries, list(accumulate(e.crowd_count for e in entries)))
+            for od, entries in catalog.entries.items() if entries}
 
-    The counts, which PathCatalog holds as ints >= 1, are accumulated on
-    the OD pair's first draw and kept in catalog.route_draws, so a draw is
-    the one random.choices would make."""
-    od = (o_zone, d_zone)
-    found = catalog.route_draws.get(od)
+
+def select_path(draws: dict, o_zone: str, d_zone: str, rng: random.Random):
+    """Sample a route for the OD pair from the route_draws table `draws`,
+    proportionally to crowd counts, as random.choices would; a pair with
+    no pooled route raises CorruptInputError."""
+    found = draws.get((o_zone, d_zone))
     if found is None:
-        entries = catalog.get(o_zone, d_zone)
-        if not entries:
-            raise CorruptInputError(f"no pooled path for OD pair ({o_zone}, {d_zone})")
-        cum = list(accumulate(e.crowd_count for e in entries))
-        found = catalog.route_draws[od] = entries, cum
+        raise CorruptInputError(f"no pooled path for OD pair ({o_zone}, {d_zone})")
     return _cumulative_draw(*found, rng)
 
 
@@ -351,7 +350,7 @@ def generate_trip(
     cursor: GenCursor,
     partition: TimeSlotPartition,
     ledger: AggregationLedger,
-    catalog: PathCatalog,
+    draws: dict,
     pools: DurationPool,
     params: GenParams,
     rng: random.Random,
@@ -391,7 +390,7 @@ def generate_trip(
         stats.relocations += 1
         if stats.trips:
             stats.chain_breaks += 1
-    entry = select_path(catalog, origin, destination, rng)
+    entry = select_path(draws, origin, destination, rng)
     duration, fell_back = sample_duration(pools, entry.path_id, slot_id, rng)
     stats.duration_fallbacks += fell_back
 
@@ -412,7 +411,7 @@ def generate_trip(
 
 
 def _generate_individual(
-    profile, partition, ledger, catalog, pools, params, rng, stats
+    profile, partition, ledger, draws, pools, params, rng, stats
 ) -> list:
     """All trips of one individual over the horizon, chronological; folds
     their counts into `stats` once the last one is drawn."""
@@ -434,7 +433,7 @@ def _generate_individual(
         else:
             day_before = cursor.day
             trips.append(
-                generate_trip(cursor, partition, ledger, catalog, pools, params, rng)
+                generate_trip(cursor, partition, ledger, draws, pools, params, rng)
             )
             if cursor.day == day_before:
                 continue
@@ -473,14 +472,16 @@ def generate_all(
     (dropped, logged, listed in stats) and the run continues; its ledger
     contributions up to the failure remain. Any other error propagates.
     A type without reference departures has no ledger, so each of its
-    individuals is quarantined before any draw.
+    individuals is quarantined before any draw. Routes are drawn from one
+    route_draws(catalog) table built for the call; `catalog` is only read.
     """
     params.check(max((p.total_trips for p in profiles.values()), default=0))
     stats = stats if stats is not None else GenStats()
-    return _generate_types(profiles, reference, catalog, pools, params, partition, stats)
+    draws = route_draws(catalog)
+    return _generate_types(profiles, reference, draws, pools, params, partition, stats)
 
 
-def _generate_types(profiles, reference, catalog, pools, params, partition, stats):
+def _generate_types(profiles, reference, draws, pools, params, partition, stats):
     by_type = defaultdict(list)
     for tid in sorted(profiles):
         by_type[profiles[tid].traveller_type].append(profiles[tid])
@@ -493,7 +494,7 @@ def _generate_types(profiles, reference, catalog, pools, params, partition, stat
             try:
                 ledger = ledger or AggregationLedger(reference, ttype)
                 trips = _generate_individual(
-                    profile, partition, ledger, catalog, pools, params, rng, stats
+                    profile, partition, ledger, draws, pools, params, rng, stats
                 )
             except CorruptInputError:
                 stats.quarantined.append(profile.traveller_id)

@@ -93,22 +93,26 @@ def _header_index(header, wanted, what) -> list:
     return index
 
 
-# A day index in ASCII digits with an optional sign, or a YYYY-MM-DD date.
-# int() also reads other Unicode digits and "_", and date.fromisoformat
-# reads "20190812" and "2019-W33-1" on Python 3.11+ only.
-_DAY = re.compile(r"([+-]?[0-9]+)|[0-9]{4}-[0-9]{2}-[0-9]{2}")
+# ASCII digits only: int() also reads other Unicode digits and "_", and
+# date.fromisoformat reads "20190812" and "2019-W33-1" on 3.11+ only.
+_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_DAY_INDEX = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_date(text: str) -> dt.date:
+    """The date `text` spells as `YYYY-MM-DD`, unpadded, as the Date column
+    and the config's `epoch` read it; ValueError on any other spelling."""
+    if _DATE.fullmatch(text) is None:
+        raise ValueError(f"bad date: {text!r}")
+    return dt.date.fromisoformat(text)
 
 
 def parse_day_index(text: str, epoch: dt.date) -> int:
-    """Day index from a `YYYY-MM-DD` date or an integer offset, padding
-    stripped; ValueError on any other spelling."""
+    """Day index from a `YYYY-MM-DD` date or an optionally signed integer, padding stripped."""
     text = text.strip()
-    match = _DAY.fullmatch(text)
-    if match is None:
-        raise ValueError(f"bad date: {text!r}")
-    if match[1]:
+    if _DAY_INDEX.fullmatch(text):
         return int(text)
-    return (dt.date.fromisoformat(text) - epoch).days
+    return (parse_date(text) - epoch).days
 
 
 class _Memo(dict):
@@ -389,8 +393,6 @@ def build_profiles(trips, partition: TimeSlotPartition, window_days: int) -> dic
     daily rate would be inflated by the ratio. Fewer days log a warning, as
     every daily rate is deflated by the ratio.
     """
-    if window_days < 1:
-        raise ValueError("window_days must be >= 1")
     table = TripTable.of(trips)
     names, types = table.names, table.types
     if table.date:
@@ -430,16 +432,13 @@ class PathEntry:
 
 class PathCatalog:
     """Crowd-level route pool: (o_zone, d_zone) -> observed paths with counts.
-    ValueError refuses a crowd count that is not an int >= 1, a bool included."""
+    ValueError refuses a crowd count that is not an int >= 1, a bool included.
+    A run only reads it: generate_all draws from a table it builds per call."""
 
     def __init__(self, entries):
         self.entries = {od: tuple(paths) for od, paths in entries.items()}
         check_counts((e.crowd_count for paths in self.entries.values() for e in paths),
                      "crowd count")
-        # (entries, cumulative crowd counts) per OD pair, filled by
-        # generator.select_path on the pair's first draw and kept as long
-        # as the catalog.
-        self.route_draws = {}
 
     def get(self, o_zone: str, d_zone: str):
         return self.entries.get((o_zone, d_zone), ())
@@ -580,7 +579,6 @@ class Store:
     """Everything `generate` needs, as rebuilt from the persisted form."""
 
     partition: TimeSlotPartition
-    window_days: int
     profiles: dict
     catalog: PathCatalog
     pools: DurationPool
@@ -703,7 +701,6 @@ def load_store(path) -> Store:
         raise ValueError(f"{path}: malformed store: {exc}") from None
     return Store(
         partition=partition,
-        window_days=window_days,
         profiles=profiles,
         catalog=catalog,
         pools=pools,

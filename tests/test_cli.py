@@ -126,6 +126,10 @@ corpus:
         assert rule(6) == "holiday"   # weekday rule
         assert rule(5) == "weekday"
 
+    def test_quoted_epoch_reads_as_the_date_column_does(self, tmp_path):
+        config = load_config(write_config(tmp_path, PATHS + 'epoch: "2019-08-12"\n'))
+        assert config.epoch == dt.date(2019, 8, 12)
+
     @pytest.mark.parametrize(
         "body,fragment",
         [
@@ -134,6 +138,11 @@ corpus:
             ("bogus: 1\n1: 2\n", "unknown key 'bogus' in config root"),
             ("paths: {nowhere: x}\n", "unknown key"),
             ("epoch: not-a-date\n", "bad epoch"),
+            # a quoted epoch takes the Date column's YYYY-MM-DD only, as
+            # date.fromisoformat does on Python 3.10 but not on 3.11+
+            ('epoch: "20190812"\n', "bad epoch date: '20190812'"),
+            ('epoch: "2019-W33-1"\n', "bad epoch date: '2019-W33-1'"),
+            ('epoch: " 2019-08-12"\n', "bad epoch date"),
             # an unquoted timestamp is a datetime, not a date
             ("epoch: 2019-08-12 00:00:00\n", "epoch must be an ISO date"),
             ("duration_unit: hours\n", "duration_unit"),
@@ -312,11 +321,23 @@ class TestStore:
         profiles, catalog, pools, reference = self.build(small, path)
         store = load_store(path)
         assert store.partition == small.partition
-        assert store.window_days == small.spec.days
+        assert {p.observed_days for p in store.profiles.values()} == {small.spec.days}
         assert store.profiles == profiles
         assert store.catalog.entries == catalog.entries
         assert store.pools == pools
         assert reference_counts(store.reference) == reference_counts(reference)
+
+    def test_generate_all_leaves_the_loaded_catalog_as_loaded(self, small, tmp_path):
+        # A run draws routes from its own table, so the store it reads
+        # stays as loaded.
+        path = tmp_path / "store.json"
+        self.build(small, path)
+        store = load_store(path)
+        loaded = {name: dict(value) for name, value in vars(store.catalog).items()}
+        trips = generator.generate_all(store.profiles, store.reference, store.catalog,
+                                       store.pools, generator.GenParams(), store.partition)
+        assert list(trips)
+        assert vars(store.catalog) == loaded
 
     def test_holds_only_independent_facts(self, small, tmp_path):
         path = tmp_path / "store.json"
@@ -524,7 +545,8 @@ def test_corpus_store_round_trips_and_loads_clean(state, tmp_path_factory):
     save_store(path, partition=partition, window_days=spec.days, profiles=profiles,
                catalog=catalog, pools=pools, reference=reference)
     store = load_store(path)
-    assert store.partition == partition and store.window_days == spec.days
+    assert store.partition == partition
+    assert {p.observed_days for p in store.profiles.values()} == {spec.days}
     assert store.profiles == profiles
     assert store.catalog.entries == catalog.entries
     assert store.pools.samples == pools.samples
@@ -814,9 +836,11 @@ class TestPipeline:
             refused = write_config(tmp_path, PATHS + body, name=name)
             assert main(["corpus", "-c", refused]) == 2
             assert not (tmp_path / "data" / "trips.csv").exists()
-        # Refused by load_config: a day off the calendar, a line-break or
-        # quote-character delimiter.
+        # Refused by load_config: a day off the calendar, an epoch not
+        # spelled YYYY-MM-DD, a line-break or quote-character delimiter.
         for name, body in (("late.yaml", "epoch: 9999-12-28\n"),
+                           ("basic.yaml", 'epoch: "20190812"\n'),
+                           ("week.yaml", 'epoch: "2019-W33-1"\n'),
                            ("far.yaml", "generation: {start_day: 3000000}\n"),
                            ("newline.yaml", 'csv_delimiter: "\\n"\n'),
                            ("quote.yaml", "csv_delimiter: '\"'\n")):

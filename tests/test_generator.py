@@ -25,6 +25,7 @@ from tripsynth.generator import (
     most_frequent_origin,
     period_weights,
     preference_terms,
+    route_draws,
     sample_duration,
     select_destination,
     select_path,
@@ -34,6 +35,8 @@ from tripsynth.generator import (
     subsequent_slots,
 )
 from tripsynth.ingest import (
+    PathCatalog,
+    PathEntry,
     build_duration_pools,
     build_path_catalog,
     build_profiles,
@@ -732,10 +735,11 @@ def small_world():
 def test_select_path_and_duration():
     profiles, ref, catalog, pools = small_world()
     rng = random.Random(0)
-    entry = select_path(catalog, "A", "B", rng)
+    draws = route_draws(catalog)
+    entry = select_path(draws, "A", "B", rng)
     assert entry.path == ("r1", "r2")
     with pytest.raises(CorruptInputError):
-        select_path(catalog, "A", "Z99", rng)
+        select_path(draws, "A", "Z99", rng)
     assert sample_duration(pools, "r1-r2", 8, rng) == (14, False)
     # unseen slot falls back to the path pool
     assert sample_duration(pools, "r1-r2", 3, rng) == (14, True)
@@ -749,8 +753,20 @@ def test_select_path_prefers_crowd_counts():
     trips += [TripRecord("V2", t, 0, 452, "A", "B", ("r3",), 10)]
     catalog = build_path_catalog(trips)
     rng = random.Random(11)
-    picks = [select_path(catalog, "A", "B", rng).path_id for _ in range(100_000)]
+    draws = route_draws(catalog)
+    picks = [select_path(draws, "A", "B", rng).path_id for _ in range(100_000)]
     assert picks.count("r1-r2") / len(picks) == pytest.approx(0.9, abs=0.01)
+
+
+def test_route_draws_leave_out_a_pair_without_entries():
+    # A library-built catalog may list a pair with no route: the table
+    # leaves it out, so a draw for it is refused.
+    routes = [PathEntry("r1", ("r1",), 3), PathEntry("r2", ("r2",), 2)]
+    catalog = PathCatalog({("A", "B"): (), ("B", "A"): routes})
+    draws = route_draws(catalog)
+    assert draws == {("B", "A"): (tuple(routes), [3, 5])}
+    with pytest.raises(CorruptInputError, match=r"no pooled path for OD pair \(A, B\)"):
+        select_path(draws, "A", "B", random.Random(0))
 
 
 class TestGenerateTrip:
@@ -765,14 +781,14 @@ class TestGenerateTrip:
             location=initial_location(profiles["V1"]),
             daily_quota=2,
         )
-        rng = random.Random(3)
-        trip = generate_trip(cursor, HOURLY, ledger, catalog, pools, params, rng)
+        rng, draws = random.Random(3), route_draws(catalog)
+        trip = generate_trip(cursor, HOURLY, ledger, draws, pools, params, rng)
         assert trip.o_zone == "A" and trip.d_zone == "B"
         assert cursor.location == "B"
         assert cursor.generated_today == 1
         assert (cursor.day, cursor.minute) == (0, trip.departure + trip.duration + 1)
         assert ledger.total == ledger.slot[HOURLY.slot_of(trip.departure).slot_id] == 1
-        second = generate_trip(cursor, HOURLY, ledger, catalog, pools, params, rng)
+        second = generate_trip(cursor, HOURLY, ledger, draws, pools, params, rng)
         assert second.o_zone == "B" and second.d_zone == "A"
         assert second.departure >= trip.departure + trip.duration + 1
 
@@ -788,7 +804,7 @@ class TestGenerateTrip:
             generated_today=1,
         )
         trip = generate_trip(
-            cursor, HOURLY, ledger, catalog, pools, GenParams(), random.Random(0)
+            cursor, HOURLY, ledger, route_draws(catalog), pools, GenParams(), random.Random(0)
         )
         assert trip.date == 0 and trip.departure >= 1435
         assert cursor.day == 1
@@ -804,7 +820,7 @@ class TestGenerateTrip:
             profile=profiles["V1"], day=3, minute=1, location="A", daily_quota=1,
         )
         trip = generate_trip(
-            cursor, HOURLY, ledger, build_path_catalog(trips),
+            cursor, HOURLY, ledger, route_draws(build_path_catalog(trips)),
             build_duration_pools(trips, HOURLY), GenParams(), random.Random(0),
         )
         assert (trip.date, trip.departure, trip.duration) == (3, 452, 10**12)
@@ -843,7 +859,7 @@ class TestGenerateTrip:
         ]
         profiles = build_profiles(trips, partition, window_days=7)
         reference = build_reference_aggregates(trips, partition)
-        catalog = build_path_catalog(trips)
+        draws = route_draws(build_path_catalog(trips))
         pools = build_duration_pools(trips, partition)
         ledger, params = AggregationLedger(reference, t), GenParams(min_gap=min_gap)
         cursor = GenCursor(
@@ -853,7 +869,7 @@ class TestGenerateTrip:
         rng = random.Random(seed)
         for _ in range(quota):
             day, minute = cursor.day, cursor.minute
-            trip = generate_trip(cursor, partition, ledger, catalog, pools, params, rng)
+            trip = generate_trip(cursor, partition, ledger, draws, pools, params, rng)
             assert trip.date == day and trip.departure >= minute
             assert 1 <= cursor.minute <= 1440
             assert cursor.day >= day
@@ -890,7 +906,7 @@ class TestGenerateTrip:
         monkeypatch.setattr(generator, "select_time_slot", refuse)
         monkeypatch.setattr(generator, "select_time_period", spy)
         trip = generate_trip(
-            cursor, HOURLY, ledger, catalog, pools, GenParams(), random.Random(5)
+            cursor, HOURLY, ledger, route_draws(catalog), pools, GenParams(), random.Random(5)
         )
         # nothing was drawn before the minute
         assert states == [random.Random(5).getstate()]
@@ -909,7 +925,7 @@ class TestGenerateTrip:
         )
         with pytest.raises(ValueError):
             generate_trip(
-                cursor, HOURLY, ledger, catalog, pools, GenParams(), random.Random(0)
+                cursor, HOURLY, ledger, route_draws(catalog), pools, GenParams(), random.Random(0)
             )
 
 
