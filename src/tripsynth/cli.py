@@ -11,12 +11,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import datetime as dt
 import functools
 import logging
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
@@ -55,19 +53,24 @@ class ConfigError(ValueError):
     """The config file is missing, malformed, or inconsistent."""
 
 
-@dataclass
 class Config:
     """Validated run configuration; paths are resolved next to the file."""
 
-    paths: dict
-    epoch: dt.date
-    window_days: int
-    duration_unit: str
-    csv_delimiter: str
-    partition: TimeSlotPartition
-    params: GenParams
-    report: dict  # build_report's keyword arguments
-    corpus_spec: CorpusSpec
+    __slots__ = ("paths", "epoch", "window_days", "duration_unit", "csv_delimiter",
+                 "partition", "params", "report", "corpus_spec")
+
+    def __init__(self, paths: dict, epoch: dt.date, window_days: int, duration_unit: str,
+                 csv_delimiter: str, partition: TimeSlotPartition, params: GenParams,
+                 report: dict, corpus_spec: CorpusSpec):
+        self.paths = paths
+        self.epoch = epoch
+        self.window_days = window_days
+        self.duration_unit = duration_unit
+        self.csv_delimiter = csv_delimiter
+        self.partition = partition
+        self.params = params
+        self.report = report  # build_report's keyword arguments
+        self.corpus_spec = corpus_spec
 
     def duration_divisor(self) -> float:
         return 60.0 if self.duration_unit == "seconds" else 1.0
@@ -185,10 +188,10 @@ PATHS_ROWS = (
 )
 
 GENERATION_ROWS = (
-    ("min_gap", GenParams.min_gap, _int),
-    ("seed", GenParams.rng_seed, _int),
-    ("horizon_days", GenParams.horizon_days, _int),
-    ("start_day", GenParams.start_day, _int),
+    ("min_gap", GenParams().min_gap, _int),
+    ("seed", GenParams().rng_seed, _int),
+    ("horizon_days", GenParams().horizon_days, _int),
+    ("start_day", GenParams().start_day, _int),
 )
 
 VALIDATION_ROWS = (
@@ -200,10 +203,10 @@ VALIDATION_ROWS = (
 )
 
 CORPUS_ROWS = (
-    ("grid_side", CorpusSpec.grid_side, _int),
-    ("days", CorpusSpec.days, _int),
-    ("seed", CorpusSpec.rng_seed, _int),
-    ("individuals", CorpusSpec.individuals, _individuals),
+    ("grid_side", CorpusSpec().grid_side, _int),
+    ("days", CorpusSpec().days, _int),
+    ("seed", CorpusSpec().rng_seed, _int),
+    ("individuals", CorpusSpec().individuals, _individuals),
 )
 
 
@@ -391,7 +394,7 @@ def cmd_generate(config: Config, seed=None) -> int:
     store = load_store(config.path("store"))
     params = config.params
     if seed is not None:
-        params = dataclasses.replace(params, rng_seed=seed)
+        params = params._replace(rng_seed=seed)
     stats = GenStats()
     records = generate_all(
         store.profiles,

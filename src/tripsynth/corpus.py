@@ -16,7 +16,7 @@ forces late spillover.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .model import (
     TimeSlotPartition,
@@ -83,40 +83,36 @@ _DESK_INDIVIDUALS = (
 )
 
 
-@dataclass
-class CorpusSpec:
+class CorpusSpec(namedtuple("CorpusSpec", "grid_side days rng_seed individuals",
+                            defaults=(7, 7, 7, _DESK_INDIVIDUALS))):
     """Size and seed of one synthetic corpus; defaults are the desk-scale
     fixture (about a thousand individuals on a 7x7 grid over one week).
     Route split and zone popularity are the constants ROUTE_SPLIT and
     ZIPF_EXPONENT."""
 
-    grid_side: int = 7
-    days: int = 7
-    rng_seed: int = 7
-    individuals: tuple = _DESK_INDIVIDUALS
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PlantedIndividual:
+class PlantedIndividual(namedtuple("PlantedIndividual",
+                                   "traveller_id ttype home anchors od_support")):
     """Ground truth for one synthetic individual."""
 
-    traveller_id: str
-    ttype: TravellerType
-    home: str
-    anchors: tuple
-    od_support: frozenset
+    __slots__ = ()
 
 
-@dataclass
 class SynthCorpus:
     """A generated corpus plus everything needed to check it."""
 
-    spec: CorpusSpec
-    trips: list
-    zones: list
-    network: tuple  # sorted (road, neighbor) edges
-    planted: dict
-    partition: TimeSlotPartition
+    __slots__ = ("spec", "trips", "zones", "network", "planted", "partition")
+
+    def __init__(self, spec: CorpusSpec, trips: list, zones: list, network: tuple,
+                 planted: dict, partition: TimeSlotPartition):
+        self.spec = spec
+        self.trips = trips
+        self.zones = zones
+        self.network = network  # sorted (road, neighbor) edges
+        self.planted = planted
+        self.partition = partition
 
 
 def _zone_id(index: int, side: int) -> str:

@@ -14,8 +14,7 @@ from __future__ import annotations
 import logging
 import random
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
-from dataclasses import dataclass, field
+from collections import defaultdict, namedtuple
 from itertools import accumulate
 
 from .ingest import DurationPool, PathCatalog
@@ -51,16 +50,13 @@ class InvalidParams(ValueError):
     trips for EPSILON to stay below every historical preference."""
 
 
-@dataclass
-class GenParams:
+class GenParams(namedtuple("GenParams", "min_gap start_day horizon_days rng_seed",
+                           defaults=(1, 0, 7, 0))):
     """Minimum gap between trips, horizon and seed for one generation run.
     The slot-choice weights are the module constants KAPPA, EPSILON and
     BLOWUP."""
 
-    min_gap: int = 1
-    start_day: int = 0
-    horizon_days: int = 7
-    rng_seed: int = 0
+    __slots__ = ()
 
     def check(self, max_trip_frequency: int = 0) -> None:
         """Reject a negative gap or horizon, and input data whose busiest
@@ -77,22 +73,34 @@ class GenParams:
             )
 
 
-@dataclass
 class GenStats:
     """Bookkeeping for one generation run, or for one individual of it."""
 
-    trips: int = 0
-    relocations: int = 0  # trips whose origin was relocated off the cursor
-    chain_breaks: int = 0  # relocations that broke a consecutive-trip pair
-    continuity_pairs: int = 0  # consecutive same-individual trip pairs
-    degenerate_slot_draws: int = 0  # all-zero slot weights, slot taken undrawn
-    duration_fallbacks: int = 0  # durations drawn from the path-only pool
-    midnight_spills: int = 0  # trips arriving after midnight, ending their day
-    spill_dropped_quota: int = 0  # trips of a spilled day's quota left undrawn
-    quarantined: list = field(default_factory=list)
+    __slots__ = ("trips", "relocations", "chain_breaks", "continuity_pairs",
+                 "degenerate_slot_draws", "duration_fallbacks", "midnight_spills",
+                 "spill_dropped_quota", "quarantined")
+
+    def __init__(self, trips=0, relocations=0, chain_breaks=0, continuity_pairs=0,
+                 degenerate_slot_draws=0, duration_fallbacks=0, midnight_spills=0,
+                 spill_dropped_quota=0, quarantined: list | None = None):
+        self.trips = trips
+        # trips whose origin was relocated off the cursor
+        self.relocations = relocations
+        # relocations that broke a consecutive-trip pair
+        self.chain_breaks = chain_breaks
+        # consecutive same-individual trip pairs
+        self.continuity_pairs = continuity_pairs
+        # all-zero slot weights, slot taken undrawn
+        self.degenerate_slot_draws = degenerate_slot_draws
+        # durations drawn from the path-only pool
+        self.duration_fallbacks = duration_fallbacks
+        # trips arriving after midnight, ending their day
+        self.midnight_spills = midnight_spills
+        # trips of a spilled day's quota left undrawn
+        self.spill_dropped_quota = spill_dropped_quota
+        self.quarantined = [] if quarantined is None else quarantined
 
 
-@dataclass(slots=True)
 class GenCursor:
     """Mutable per-individual generation state.
 
@@ -105,15 +113,21 @@ class GenCursor:
     AggregationLedger, passed to each trip beside the cursor.
     """
 
-    profile: IndividualProfile
-    day: int
-    minute: int
-    location: str
-    daily_quota: int
-    generated_today: int = 0
-    stats: GenStats = field(default_factory=GenStats, repr=False)
-    terms: dict = field(default_factory=dict, repr=False)
-    destinations: dict = field(default_factory=dict, repr=False)
+    __slots__ = ("profile", "day", "minute", "location", "daily_quota", "generated_today",
+                 "stats", "terms", "destinations")
+
+    def __init__(self, profile: IndividualProfile, day: int, minute: int, location: str,
+                 daily_quota: int, generated_today: int = 0, stats: GenStats | None = None,
+                 terms: dict | None = None, destinations: dict | None = None):
+        self.profile = profile
+        self.day = day
+        self.minute = minute
+        self.location = location
+        self.daily_quota = daily_quota
+        self.generated_today = generated_today
+        self.stats = GenStats() if stats is None else stats
+        self.terms = {} if terms is None else terms
+        self.destinations = {} if destinations is None else destinations
 
 
 def initial_location(profile: IndividualProfile) -> str:
@@ -340,7 +354,7 @@ def sample_duration(
     pool = pools.samples.get((path_id, slot_id))
     fell_back = not pool
     if fell_back:
-        pool = pools.fallback.get(path_id)
+        pool = pools.fallback(path_id)
     if not pool:
         raise CorruptInputError(f"no recorded durations for path {path_id!r}")
     return pool[rng.randrange(len(pool))], fell_back
@@ -444,9 +458,9 @@ def _generate_individual(
         cursor.daily_quota = daily_quota(profile, rng)
         cursor.generated_today = 0
     counted.continuity_pairs = max(counted.trips - 1, 0)
-    for name, n in vars(counted).items():
+    for name in GenStats.__slots__:
         if name != "quarantined":
-            setattr(stats, name, getattr(stats, name) + n)
+            setattr(stats, name, getattr(stats, name) + getattr(counted, name))
     return trips
 
 

@@ -18,8 +18,7 @@ import json
 import logging
 import math
 import re
-from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from collections import Counter, defaultdict, namedtuple
 from itertools import chain
 from pathlib import Path
 
@@ -59,19 +58,20 @@ NETWORK_SEPARATOR = ","
 STORE_VERSION = 2
 
 
-@dataclass(frozen=True, slots=True)
-class RowError:
+class RowError(namedtuple("RowError", "line reason detail", defaults=("",))):
     """One rejected CSV row: physical line number plus a stable reason kind."""
 
-    line: int
-    reason: str
-    detail: str = ""
+    __slots__ = ()
 
 
-@dataclass
 class ParseResult:
-    records: TripTable = field(default_factory=TripTable)
-    errors: list = field(default_factory=list)
+    """The rows a parse accepted, as a TripTable, and a RowError per row it refused."""
+
+    __slots__ = ("records", "errors")
+
+    def __init__(self, records: TripTable | None = None, errors: list | None = None):
+        self.records = TripTable() if records is None else records
+        self.errors = [] if errors is None else errors
 
     @property
     def error_counts(self) -> Counter:
@@ -421,13 +421,10 @@ def build_profiles(trips, partition: TimeSlotPartition, window_days: int) -> dic
     }
 
 
-@dataclass(frozen=True, slots=True)
-class PathEntry:
+class PathEntry(namedtuple("PathEntry", "path_id path crowd_count")):
     """One pooled route between a zone pair, with its crowd-level count."""
 
-    path_id: str
-    path: tuple
-    crowd_count: int
+    __slots__ = ()
 
 
 class PathCatalog:
@@ -483,20 +480,33 @@ def build_path_catalog(trips) -> PathCatalog:
     return PathCatalog(entries)
 
 
-@dataclass
 class DurationPool:
     """Historical trip durations pooled by (path, slot), with a path-only
-    fallback pool derived from them on first use."""
+    fallback pool per path derived from them when that path first needs
+    one. Pools are equal when their samples are."""
 
-    samples: dict = field(default_factory=dict)  # (path_id, slot_id) -> tuple
+    __slots__ = ("samples", "_slot_ids", "_fallback")
 
-    @functools.cached_property
-    def fallback(self) -> dict:
-        """path_id -> the sorted durations of all its slots."""
-        pooled: dict = defaultdict(list)
-        for (pid, _), values in self.samples.items():
-            pooled[pid].extend(values)
-        return {pid: tuple(sorted(v)) for pid, v in pooled.items()}
+    def __init__(self, samples: dict | None = None):
+        self.samples = {} if samples is None else samples  # (path_id, slot_id) -> tuple
+        self._slot_ids = None  # every slot id up to the largest sampled, once a path needs it
+        self._fallback = {}  # path_id -> its path-only pool, for each path built
+
+    def __eq__(self, other):
+        if type(other) is not DurationPool:
+            return NotImplemented
+        return self.samples == other.samples
+
+    def fallback(self, path_id: str) -> tuple:
+        """The sorted durations of all slots of `path_id`, () when it has none."""
+        pool = self._fallback.get(path_id)
+        if pool is None:
+            if self._slot_ids is None:
+                self._slot_ids = range(1, max((s for _, s in self.samples), default=0) + 1)
+            get = self.samples.get
+            self._fallback[path_id] = pool = tuple(sorted(chain.from_iterable(
+                get((path_id, s), ()) for s in self._slot_ids)))
+        return pool
 
 
 def build_duration_pools(trips, partition: TimeSlotPartition) -> DurationPool:
@@ -574,15 +584,18 @@ def save_store(path, *, partition, window_days, profiles, catalog, pools,
         fh.write(f'}},"version":{STORE_VERSION},"window_days":{encode(window_days)}}}\n')
 
 
-@dataclass
 class Store:
     """Everything `generate` needs, as rebuilt from the persisted form."""
 
-    partition: TimeSlotPartition
-    profiles: dict
-    catalog: PathCatalog
-    pools: DurationPool
-    reference: dict  # {TravellerType: TypeCounts}
+    __slots__ = ("partition", "profiles", "catalog", "pools", "reference")
+
+    def __init__(self, partition: TimeSlotPartition, profiles: dict, catalog: PathCatalog,
+                 pools: DurationPool, reference: dict):
+        self.partition = partition
+        self.profiles = profiles
+        self.catalog = catalog
+        self.pools = pools
+        self.reference = reference  # {TravellerType: TypeCounts}
 
 
 def _int_key(text: str) -> int:

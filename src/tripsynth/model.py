@@ -8,8 +8,7 @@ from __future__ import annotations
 import re
 from array import array
 from bisect import bisect_left, insort
-from collections import defaultdict
-from dataclasses import dataclass, field
+from collections import defaultdict, namedtuple
 from enum import Enum
 from itertools import chain
 from operator import ge
@@ -78,17 +77,15 @@ class TravellerType(Enum):
 TYPE_ORDER: tuple[TravellerType, ...] = tuple(TravellerType)
 
 
-@dataclass(frozen=True)
-class TimeSlot:
+class TimeSlot(namedtuple("TimeSlot", "slot_id start end")):
     """A contiguous run of minutes [start, end], both 1-based inclusive."""
 
-    slot_id: int
-    start: int
-    end: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (1 <= self.start <= self.end <= MINUTES_PER_DAY):
-            raise ValueError(f"bad slot bounds: [{self.start}, {self.end}]")
+    def __new__(cls, slot_id: int, start: int, end: int):
+        if not (1 <= start <= end <= MINUTES_PER_DAY):
+            raise ValueError(f"bad slot bounds: [{start}, {end}]")
+        return super().__new__(cls, slot_id, start, end)
 
     def __contains__(self, minute: int) -> bool:
         return self.start <= minute <= self.end
@@ -156,43 +153,54 @@ class TimeSlotPartition:
         return [s.start for s in self.slots]
 
 
-@dataclass(frozen=True)
-class Zone:
+class Zone(namedtuple("Zone", "zone_id longitude latitude roads", defaults=(frozenset(),))):
     """A traffic zone with a representative point and its bounding roads."""
 
-    zone_id: str
-    longitude: float
-    latitude: float
-    roads: frozenset = frozenset()
+    __slots__ = ()
 
 
-@dataclass(slots=True)
-class TripRecord:
+class _Fields:
+    """Value equality over the attributes a subclass names in `__slots__`,
+    for a record type that is not a tuple; instances are unhashable, as
+    they are mutable."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+
+class TripRecord(_Fields):
     """One observed or synthesized trip.
 
-    Not frozen: a frozen dataclass sets each field through
-    object.__setattr__, and a record is built for every generated trip.
-    Nothing mutates a record once built.
+    Not frozen: a record is built for every generated trip, and a frozen
+    one would set each field through object.__setattr__. Nothing mutates a
+    record once built.
     """
 
-    traveller_id: str
-    traveller_type: TravellerType
-    date: int  # day index relative to the configured epoch
-    departure: int  # 1-based minute of day
-    o_zone: str
-    d_zone: str
-    path: tuple
-    duration: int  # minutes
+    __slots__ = ("traveller_id", "traveller_type", "date", "departure", "o_zone", "d_zone",
+                 "path", "duration")
 
-    def __post_init__(self):
-        if not 1 <= self.departure <= MINUTES_PER_DAY:
-            raise ValueError(f"departure out of range: {self.departure}")
-        if self.duration < 1:
-            raise ValueError(f"non-positive duration: {self.duration}")
-        if not self.path:
+    def __init__(self, traveller_id: str, traveller_type: TravellerType, date: int,
+                 departure: int, o_zone: str, d_zone: str, path: tuple, duration: int):
+        if not 1 <= departure <= MINUTES_PER_DAY:
+            raise ValueError(f"departure out of range: {departure}")
+        if duration < 1:
+            raise ValueError(f"non-positive duration: {duration}")
+        if not path:
             raise ValueError("empty path")
-        if not self.o_zone or not self.d_zone:
+        if not o_zone or not d_zone:
             raise ValueError("missing zone id")
+        self.traveller_id = traveller_id
+        self.traveller_type = traveller_type
+        self.date = date  # day index relative to the configured epoch
+        self.departure = departure  # 1-based minute of day
+        self.o_zone = o_zone
+        self.d_zone = d_zone
+        self.path = path
+        self.duration = duration  # minutes
 
 
 class TripTable:
@@ -250,8 +258,7 @@ class TripTable:
                    map(self.paths.__getitem__, self.path), self.duration)
 
 
-@dataclass(frozen=True, slots=True)
-class IndividualProfile:
+class IndividualProfile(_Fields):
     """Aggregated trip history of one individual over an observation window.
 
     All counters are plain dicts over observed keys only; missing keys mean
@@ -265,33 +272,35 @@ class IndividualProfile:
     names the profile.
     """
 
-    traveller_id: str
-    traveller_type: TravellerType
-    od_counts: dict = field(repr=False)
-    slot_origin_counts: dict = field(repr=False)
-    observed_days: int = 1
-    total_trips: int = field(init=False)
-    per_origin: dict = field(init=False, repr=False)
+    __slots__ = ("traveller_id", "traveller_type", "od_counts", "slot_origin_counts",
+                 "observed_days", "total_trips", "per_origin")
 
-    def __post_init__(self):
-        per_origin = {o: sum(row.values()) for o, row in self.od_counts.items() if row}
-        object.__setattr__(self, "total_trips", sum(per_origin.values()))
-        object.__setattr__(self, "per_origin", per_origin)
-        name = f"profile {self.traveller_id!r}"
-        if self.total_trips < 1:
+    def __init__(self, traveller_id: str, traveller_type: TravellerType, od_counts: dict,
+                 slot_origin_counts: dict, observed_days: int = 1):
+        per_origin = {o: sum(row.values()) for o, row in od_counts.items() if row}
+        total_trips = sum(per_origin.values())
+        name = f"profile {traveller_id!r}"
+        if total_trips < 1:
             raise CorruptInputError(f"{name} has no trips")
-        check_counts([self.observed_days], f"{name}: observed_days")
-        rows = [*self.od_counts.values(), *self.slot_origin_counts.values()]
+        check_counts([observed_days], f"{name}: observed_days")
+        rows = [*od_counts.values(), *slot_origin_counts.values()]
         check_counts(chain.from_iterable(row.values() for row in rows),
                      f"{name}: OD or slot x origin count")
-        if "" in chain([self.traveller_id], self.od_counts, *self.od_counts.values()):
+        if "" in chain([traveller_id], od_counts, *od_counts.values()):
             raise ValueError(f"{name} has an empty traveller or zone id")
         by_origin = {}
-        for row in self.slot_origin_counts.values():
+        for row in slot_origin_counts.values():
             for o, n in row.items():
                 by_origin[o] = by_origin.get(o, 0) + n
         if by_origin != per_origin:
             raise ValueError(f"{name}: slot x origin counts differ from its OD counts per origin")
+        self.traveller_id = traveller_id
+        self.traveller_type = traveller_type
+        self.od_counts = od_counts
+        self.slot_origin_counts = slot_origin_counts
+        self.observed_days = observed_days
+        self.total_trips = total_trips
+        self.per_origin = per_origin
 
 
 class TypeCounts:

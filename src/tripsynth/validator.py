@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from operator import eq
 
 from .model import MINUTES_PER_DAY, TYPE_ORDER, TripTable
@@ -149,22 +148,24 @@ def _cell(report, metric, ttype, param, fn) -> None:
         report.add(metric, ttype, param, str(exc))
 
 
-@dataclass
 class _TypeCounts:
     """One traveller type's trips in one table, reduced to what the report
     cells read."""
 
-    # day class -> {window: departures}
-    windows: dict = field(default_factory=lambda: defaultdict(Counter))
-    roads: Counter = field(default_factory=Counter)  # road -> trips touching it
-    visits: Counter = field(default_factory=Counter)  # zone -> trip ends
-    ods: Counter = field(default_factory=Counter)  # (origin, destination) -> trips
-    days: set = field(default_factory=set)  # days with a trip
-    # traveller -> destination entropy, and trips per day in `days`
-    entropies: dict = field(default_factory=dict)
-    frequencies: dict = field(default_factory=dict)
-    pairs: int = 0  # consecutive trip pairs within an individual's sequence
-    continuous: int = 0  # pairs whose next origin is the previous destination
+    __slots__ = ("windows", "roads", "visits", "ods", "days", "entropies", "frequencies",
+                 "pairs", "continuous")
+
+    def __init__(self):
+        self.windows = defaultdict(Counter)  # day class -> {window: departures}
+        self.roads = Counter()  # road -> trips touching it
+        self.visits = Counter()  # zone -> trip ends
+        self.ods = Counter()  # (origin, destination) -> trips
+        self.days = set()  # days with a trip
+        # traveller -> destination entropy, and trips per day in `days`
+        self.entropies = {}
+        self.frequencies = {}
+        self.pairs = 0  # consecutive trip pairs within an individual's sequence
+        self.continuous = 0  # pairs whose next origin is the previous destination
 
     def continuity(self) -> float:
         if not self.pairs:

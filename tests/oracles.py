@@ -13,12 +13,11 @@ The per-metric oracles compute each report metric from the trip list on
 its own, one metric per scan; build_report computes them all from one scan.
 They do their own grouping, ranking and entropy.
 """
-import dataclasses
 import math
 from collections import Counter, defaultdict
 
 from tripsynth.corpus import CORPUS_SLOT_STARTS, LEG_WINDOWS
-from tripsynth.model import TimeSlotPartition, TravellerType
+from tripsynth.model import TimeSlotPartition, TravellerType, TripRecord
 
 # The generator's slot weights: reserved-slot scale, full-deficit feedback
 # and preference floor.
@@ -181,7 +180,8 @@ def first_typed(trips) -> list:
     first = {}
     for t in trips:
         first.setdefault(t.traveller_id, t.traveller_type)
-    return [dataclasses.replace(t, traveller_type=first[t.traveller_id]) for t in trips]
+    return [TripRecord(t.traveller_id, first[t.traveller_id], t.date, t.departure, t.o_zone,
+                       t.d_zone, t.path, t.duration) for t in trips]
 
 
 def _filtered(trips, ttype=None, day_filter=None):

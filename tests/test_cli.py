@@ -369,11 +369,13 @@ class TestStore:
 
     def test_path_only_pool_is_built_on_first_use(self, small, tmp_path):
         pools = self.build(small, tmp_path / "store.json")[2]
-        assert "fallback" not in vars(pools)
+        assert pools._fallback == {}
         pools = load_store(tmp_path / "store.json").pools
-        assert "fallback" not in vars(pools)
-        assert pools.fallback == DurationPool(pools.samples).fallback
-        assert "fallback" in vars(pools)
+        assert pools._fallback == {}
+        pid = min(pid for pid, _ in pools.samples)
+        assert pools.fallback(pid) == tuple(sorted(
+            d for (p, _), values in pools.samples.items() if p == pid for d in values))
+        assert pools._fallback == {pid: pools.fallback(pid)}
 
     def test_pool_off_catalog_refused_without_path_only_pool(
         self, small, tmp_path, monkeypatch
@@ -383,8 +385,8 @@ class TestStore:
         doc = json.loads(path.read_text())
         doc["pools"][0][2] += [500] * 50
         path.write_text(json.dumps(doc))
-        monkeypatch.setattr(DurationPool, "fallback", property(
-            lambda pools: pytest.fail("the path-only pool was built")))
+        monkeypatch.setattr(DurationPool, "fallback",
+                            lambda pools, pid: pytest.fail("a path-only pool was built"))
         with pytest.raises(ValueError, match="pooled durations differ"):
             load_store(path)
 
@@ -1284,3 +1286,15 @@ class TestPipeline:
         )
         assert proc.returncode == 0
         assert "corpus" in proc.stdout and "validate" in proc.stdout
+
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        # Each command is a fresh process, so it pays for every module the
+        # import pulls in; `inspect` alone brings `ast` and `dis`.
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = ("import sys, tripsynth.cli; "
+                "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

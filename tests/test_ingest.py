@@ -567,10 +567,11 @@ def test_duration_pools(history):
     assert isinstance(pools, DurationPool)
     assert pools.samples[("r1-r4", 8)] == (10, 12)
     assert pools.samples[("r4-r1", 18)] == (10,)
-    assert pools.fallback["r1-r4"] == (10, 12)
-    # the path-only fallback pools every slot of the path
+    assert pools.fallback("r1-r4") == (10, 12)
+    # the path-only fallback pools every slot of the path, and of no other
     pools = DurationPool({("p", 2): (4, 9), ("p", 7): (3,), ("q", 2): (5,)})
-    assert pools.fallback == {"p": (3, 4, 9), "q": (5,)}
+    assert (pools.fallback("p"), pools.fallback("q")) == ((3, 4, 9), (5,))
+    assert pools.fallback("r") == ()
 
 
 class TestReferenceAggregates:
