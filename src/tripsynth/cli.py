@@ -43,7 +43,7 @@ from .ingest import (
     write_trips_csv,
     write_zones_csv,
 )
-from .model import MINUTES_PER_DAY, TYPE_ORDER, TimeSlotPartition
+from .model import MINUTES_PER_DAY, TYPE_ORDER, TimeSlotPartition, split_path
 from .validator import build_report, day_class
 
 log = logging.getLogger(__name__)
@@ -360,7 +360,7 @@ def cmd_ingest(config: Config) -> int:
     if "network" in config.paths:
         with _read_table(config.paths["network"]) as fh:
             roads = parse_network(fh)
-        unknown_roads = {road for p in set(table.path) for road in table.paths[p]} - roads
+        unknown_roads = {road for p in table.paths for road in split_path(p)} - roads
         if unknown_roads:
             log.warning("%d roads in paths missing from network", len(unknown_roads))
 

@@ -19,10 +19,12 @@ import random
 from collections import namedtuple
 
 from .model import (
+    PATH_SEPARATOR,
     TimeSlotPartition,
     TravellerType,
     TripRecord,
     Zone,
+    split_path,
 )
 
 _ID_PREFIX = {
@@ -161,9 +163,9 @@ def _cells_between(side: int, o_idx: int, d_idx: int, row_first: bool) -> list:
     return [*walk(o_idx, corner, first), *walk(corner, d_idx, second)[1:]]
 
 
-def _route(side: int, o_idx: int, d_idx: int, row_first: bool) -> tuple:
+def _route(side: int, o_idx: int, d_idx: int, row_first: bool) -> str:
     cells = _cells_between(side, o_idx, d_idx, row_first)
-    return tuple(_road_id(a, b, side) for a, b in zip(cells, cells[1:]))
+    return PATH_SEPARATOR.join(_road_id(a, b, side) for a, b in zip(cells, cells[1:]))
 
 
 def _pick(rng: random.Random, mixture: dict):
@@ -283,7 +285,7 @@ def synth_corpus(spec: CorpusSpec | None = None) -> SynthCorpus:
     zone_index = {z.zone_id: i for i, z in enumerate(zones)}
 
     planted = _plant_individuals(rng, spec)
-    # One path tuple per (origin, destination, row-first), shared by trips.
+    # One route id per (origin, destination, row-first), shared by trips.
     routes = {}
     trips = []
     for tid in sorted(planted):
@@ -307,7 +309,7 @@ def synth_corpus(spec: CorpusSpec | None = None) -> SynthCorpus:
                     path = routes[key] = _route(
                         side, zone_index[o_zone], zone_index[d_zone], key[2]
                     )
-                duration = 9 * len(path) + rng.randint(0, 14)
+                duration = 9 * len(split_path(path)) + rng.randint(0, 14)
                 trips.append(
                     TripRecord(
                         traveller_id=tid,

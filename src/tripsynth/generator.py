@@ -410,7 +410,7 @@ def generate_trip(
 
     trip = TripRecord(
         profile.traveller_id, profile.traveller_type, cursor.day, departure, origin,
-        destination, entry.path, duration,
+        destination, entry.path_id, duration,
     )
     ledger.record(slot_id, departure)
 

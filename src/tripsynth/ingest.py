@@ -32,6 +32,7 @@ from .model import (
     check_counts,
     hhmm_to_minute,
     minute_to_hhmm,
+    path_id_of,
 )
 
 log = logging.getLogger(__name__)
@@ -51,7 +52,6 @@ TRIP_HEADER = (
 ZONE_HEADER = ("Zone_ID", "Longitude", "Latitude", "Roads")
 NETWORK_HEADER = ("road_id", "neighbor_id")
 
-PATH_SEPARATOR = "-"
 ROAD_LIST_SEPARATOR = ";"
 NETWORK_SEPARATOR = ","
 
@@ -155,9 +155,9 @@ def parse_trips(
     row; a warning counts the travellers whose rows named several types.
 
     Each distinct type, date, time, duration, path, id and zone text is
-    parsed once per call; rows go straight into the table's columns,
-    texts that strip or split to the same id, zone or path share one code,
-    and equal roads of different paths share one str.
+    parsed once per call; rows go straight into the table's columns, and
+    texts that strip to the same id or zone, or have the same path_id_of
+    route id, share one code.
     A csv.Error names the line it stopped at.
     """
     reader = csv.reader(stream, delimiter=delimiter)
@@ -185,8 +185,7 @@ def parse_trips(
     result = ParseResult()
     errors = result.errors
     table = result.records
-    name_codes, path_codes = {}, {}  # name or path -> its code, in first-seen order
-    road = {}.setdefault  # road(text, text): the one str kept for equal roads
+    name_codes, path_codes = {}, {}  # name or route id -> its code, in first-seen order
 
     def parse_name(text):
         name = text.strip()
@@ -195,8 +194,7 @@ def parse_trips(
         return name_codes.setdefault(name, len(name_codes))
 
     def parse_path(text):
-        roads = split_path(text)
-        return path_codes.setdefault(tuple(map(road, roads, roads)), len(path_codes))
+        return path_codes.setdefault(path_id_of(text), len(path_codes))
 
     # text -> parsed value or code, None for a rejected text
     types = _Memo(lambda text: TYPE_ORDER.index(TravellerType.parse(text)))
@@ -305,7 +303,7 @@ def write_trips_csv(records, stream, epoch: dt.date, partition: TimeSlotPartitio
                 slot_label(trip.departure),
                 trip.o_zone,
                 trip.d_zone,
-                PATH_SEPARATOR.join(trip.path),
+                trip.path,
                 trip.duration,
             )
         )
@@ -356,12 +354,13 @@ def write_zones_csv(zones, stream, delimiter: str = ",") -> None:
 
 def parse_network(stream) -> frozenset:
     """The road ids of a road network edge list, a CSV table of
-    `road_id,neighbor_id` rows. Adjacency is not kept; a first row equal to
-    the header is skipped. A row that does not hold two ids, like a
-    csv.Error, names its line."""
+    `road_id,neighbor_id` rows. Adjacency is not kept; a first non-blank
+    row equal to the header is skipped. A row that does not hold two ids,
+    like a csv.Error, names its line."""
     expected = NETWORK_SEPARATOR.join(NETWORK_HEADER)
     reader = csv.reader(stream, delimiter=NETWORK_SEPARATOR)
     roads = set()
+    first = True  # until the first non-blank row
     try:
         for row in reader:
             ids = [cell.strip() for cell in row]
@@ -369,8 +368,10 @@ def parse_network(stream) -> frozenset:
                 continue
             if len(ids) != len(NETWORK_HEADER) or not all(ids):
                 raise ValueError(f"line {reader.line_num}: expected {expected!r}, got {row!r}")
-            if reader.line_num == 1 and tuple(map(str.lower, ids)) == NETWORK_HEADER:
-                continue
+            if first:
+                first = False
+                if tuple(map(str.lower, ids)) == NETWORK_HEADER:
+                    continue
             roads.update(ids)
     except csv.Error as exc:
         raise _at_line(reader, exc) from None
@@ -421,21 +422,25 @@ def build_profiles(trips, partition: TimeSlotPartition, window_days: int) -> dic
     }
 
 
-class PathEntry(namedtuple("PathEntry", "path_id path crowd_count")):
+class PathEntry(namedtuple("PathEntry", "path_id crowd_count")):
     """One pooled route between a zone pair, with its crowd-level count."""
 
     __slots__ = ()
 
 
 class PathCatalog:
-    """Crowd-level route pool: (o_zone, d_zone) -> observed paths with counts.
-    ValueError refuses a crowd count that is not an int >= 1, a bool included.
+    """Crowd-level route pool: (o_zone, d_zone) -> observed routes with counts.
+    ValueError refuses a crowd count that is not an int >= 1, a bool
+    included, and a route id other than its own path_id_of.
     A run only reads it: generate_all draws from a table it builds per call."""
 
     def __init__(self, entries):
         self.entries = {od: tuple(paths) for od, paths in entries.items()}
-        check_counts((e.crowd_count for paths in self.entries.values() for e in paths),
-                     "crowd count")
+        routes = list(chain.from_iterable(self.entries.values()))
+        check_counts((e.crowd_count for e in routes), "crowd count")
+        for e in routes:
+            if path_id_of(e.path_id) != e.path_id:
+                raise ValueError(f"route {e.path_id!r} has an empty or padded road")
 
     def get(self, o_zone: str, d_zone: str):
         return self.entries.get((o_zone, d_zone), ())
@@ -444,40 +449,15 @@ class PathCatalog:
         return sorted(self.entries)
 
 
-def path_id_of(path) -> str:
-    """Canonical identity of a road sequence (the rendered sequence itself)."""
-    return PATH_SEPARATOR.join(path)
-
-
-def split_path(text: str) -> tuple:
-    """The non-empty stripped roads of a route text; ValueError when there
-    are none."""
-    path = tuple(filter(None, map(str.strip, text.split(PATH_SEPARATOR))))
-    if not path:
-        raise ValueError(f"route {text!r} has no roads")
-    return path
-
-
 def build_path_catalog(trips) -> PathCatalog:
-    """Pool paths across all individuals per OD pair, counting occurrences;
-    a ValueError on a path its id would not split back into, as load_store does."""
+    """Pool routes across all individuals per OD pair, counting occurrences."""
     table = TripTable.of(trips)
     names, paths = table.names, table.paths
-    ids = list(map(path_id_of, paths))
-    for pid, path in zip(ids, paths):
-        if split_path(pid) != path:
-            raise ValueError(f"route {path!r} has an empty or padded road, or one holding '-'")
     counts: dict = defaultdict(Counter)
     for (o, d, p), n in Counter(zip(table.o_zone, table.d_zone, table.path)).items():
-        counts[(names[o], names[d])][ids[p]] += n
-    by_id = dict(zip(ids, paths))
-    entries = {}
-    for od in sorted(counts):
-        entries[od] = tuple(
-            PathEntry(pid, by_id[pid], n)
-            for pid, n in sorted(counts[od].items())
-        )
-    return PathCatalog(entries)
+        counts[(names[o], names[d])][paths[p]] += n
+    return PathCatalog({od: tuple(map(PathEntry._make, sorted(counts[od].items())))
+                        for od in sorted(counts)})
 
 
 class DurationPool:
@@ -513,8 +493,7 @@ def build_duration_pools(trips, partition: TimeSlotPartition) -> DurationPool:
     """Durations by (path id, slot id), each pool a sorted tuple; each list
     gives way to its tuple before the next one is built."""
     table = TripTable.of(trips)
-    path_ids = [path_id_of(p) for p in table.paths]
-    keys = zip(map(path_ids.__getitem__, table.path),
+    keys = zip(map(table.paths.__getitem__, table.path),
                map(partition.slot_ids().__getitem__, table.departure))
     samples: dict = defaultdict(list)
     for key, duration in zip(keys, table.duration):
@@ -619,15 +598,14 @@ def load_store(path) -> Store:
     Malformed includes what IndividualProfile, PathCatalog, TypeCounts and
     TimeSlotPartition refuse to build, a `window_days`, slot id or pooled
     duration that is not an int >= 1, a slot or minute key not spelled as
-    str() writes its int, a route id other than its split_path roads joined
-    again, a slot id outside the partition, a type whose reference slot
-    totals are not the sums of its profiles' slot counts, an OD pair whose
-    catalog counts do not sum its profiles' OD counts, and a route with
-    other than one pooled duration per catalog count.
+    str() writes its int, a slot id outside the partition, a type whose
+    reference slot totals are not the sums of its profiles' slot counts, an
+    OD pair whose catalog counts do not sum its profiles' OD counts, and a
+    route with other than one pooled duration per catalog count.
 
     Each section is popped from the parsed document and released once it
-    is converted, each pooled list as soon as its tuple exists. Equal zone,
-    path and road texts of the catalog and the pools share one str."""
+    is converted, each pooled list as soon as its tuple exists. Equal zone
+    and route texts of the catalog and the pools share one str."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:
@@ -655,16 +633,9 @@ def load_store(path) -> Store:
             for tid, raw in doc.pop("profiles").items()
         }
         one = {}.setdefault  # one(text, text): the one str kept for equal texts
-
-        def route(pid):
-            roads = split_path(pid)
-            if path_id_of(roads) != pid:
-                raise ValueError(f"route {pid!r} has an empty or padded road")
-            return one(pid, pid), tuple(map(one, roads, roads))
-
         catalog = PathCatalog(
             {
-                (one(o, o), one(d, d)): [PathEntry(*route(pid), n) for pid, n in rows]
+                (one(o, o), one(d, d)): [PathEntry(one(pid, pid), n) for pid, n in rows]
                 for o, d, rows in doc.pop("catalog")
             }
         )

@@ -14,6 +14,7 @@ from itertools import chain
 from operator import ge
 
 MINUTES_PER_DAY = 1440
+PATH_SEPARATOR = "-"
 
 
 class CorruptInputError(ValueError):
@@ -26,6 +27,21 @@ def check_counts(values, what: str) -> None:
     for v in values:
         if type(v) is not int or v < 1:
             raise ValueError(f"{what} is not an integer >= 1: {v!r}")
+
+
+def split_path(text: str) -> tuple:
+    """The non-empty stripped roads of a route text; ValueError when there
+    are none."""
+    roads = tuple(filter(None, map(str.strip, text.split(PATH_SEPARATOR))))
+    if not roads:
+        raise ValueError(f"route {text!r} has no roads")
+    return roads
+
+
+def path_id_of(text: str) -> str:
+    """The canonical id of a route text, its split_path roads joined again:
+    the one form of a route in every table, record and store."""
+    return PATH_SEPARATOR.join(split_path(text))
 
 
 # [0-9], not str.isdigit(): that also takes other Unicode digits, as int() does.
@@ -173,7 +189,8 @@ class _Fields:
 
 
 class TripRecord(_Fields):
-    """One observed or synthesized trip.
+    """One observed or synthesized trip; its `path` is a route id, a str
+    (TypeError otherwise).
 
     Not frozen: a record is built for every generated trip, and a frozen
     one would set each field through object.__setattr__. Nothing mutates a
@@ -184,11 +201,13 @@ class TripRecord(_Fields):
                  "path", "duration")
 
     def __init__(self, traveller_id: str, traveller_type: TravellerType, date: int,
-                 departure: int, o_zone: str, d_zone: str, path: tuple, duration: int):
+                 departure: int, o_zone: str, d_zone: str, path: str, duration: int):
         if not 1 <= departure <= MINUTES_PER_DAY:
             raise ValueError(f"departure out of range: {departure}")
         if duration < 1:
             raise ValueError(f"non-positive duration: {duration}")
+        if not isinstance(path, str):
+            raise TypeError(f"route is not a str: {path!r}")
         if not path:
             raise ValueError("empty path")
         if not o_zone or not d_zone:
@@ -205,10 +224,10 @@ class TripRecord(_Fields):
 
 class TripTable:
     """Trips as parallel columns. Traveller ids and zones are int codes
-    into `names`, shared by both roles, and paths are codes into `paths`;
-    `types` maps each traveller code to the TYPE_ORDER index of its first
-    row, the one type `append` keeps for it. Dates and durations are
-    lists, as their ints have no fixed width. Iteration yields
+    into `names`, shared by both roles, and paths into the route ids of
+    `paths`; `types` maps each traveller code to the TYPE_ORDER index of
+    its first row, the one type `append` keeps for it. Dates and durations
+    are lists, as their ints have no fixed width. Iteration yields
     TripRecords, each under its traveller's type."""
 
     __slots__ = ("names", "paths", "types", "traveller", "date", "departure",

@@ -10,7 +10,7 @@ from array import array
 from collections import Counter, defaultdict
 from operator import eq
 
-from .model import MINUTES_PER_DAY, TYPE_ORDER, TripTable
+from .model import MINUTES_PER_DAY, TYPE_ORDER, TripTable, split_path
 
 
 def js_divergence(p_counts, q_counts, bins) -> float:
@@ -64,8 +64,6 @@ def _window_count(granularity: int) -> int:
 
 
 def _topk(counts: Counter, k_fraction: float, universe: int) -> set:
-    if not 0.0 < k_fraction <= 1.0:
-        raise ValueError(f"k fraction out of (0, 1]: {k_fraction}")
     if not counts:
         raise ValueError("empty distribution")
     n = math.ceil(k_fraction * universe)
@@ -192,7 +190,7 @@ def _count_types(table: TripTable, granularity: int, day_class) -> dict:
         counts.days.add(day)
     for (t, p), n in Counter(zip(ttype, table.path)).items():
         roads = by_type[TYPE_ORDER[t]].roads
-        for road in set(table.paths[p]):
+        for road in set(split_path(table.paths[p])):
             roads[road] += n
     for (t, o, d), n in Counter(zip(ttype, o_zone, d_zone)).items():
         counts = by_type[TYPE_ORDER[t]]
@@ -229,7 +227,8 @@ def build_report(
     (overall and per day class), hot-zone and OD top-k overlaps, road-access
     divergence, continuity ratios, destination-entropy and daily-frequency
     summaries. Cells that cannot be computed carry the error text instead of
-    a number. A granularity that does not divide the day is a ValueError.
+    a number. A granularity that does not divide the day and a top-k
+    fraction outside (0, 1] are ValueErrors, raised before any counting.
 
     Each table is a TripTable, or TripRecords packed into one; a row
     counts under its traveller's type in the table, and continuity runs
@@ -238,6 +237,9 @@ def build_report(
     sum the per-type counts.
     """
     n_windows = _window_count(granularity)
+    for k in (*topk_zone_fractions, *topk_od_fractions):
+        if not 0.0 < k <= 1.0:
+            raise ValueError(f"k fraction out of (0, 1]: {k}")
     reference = TripTable.of(reference_trips)
     generated = TripTable.of(generated_trips)
     report = ValidationReport()

@@ -266,7 +266,7 @@ def road_access_counts(trips, ttype=None) -> Counter:
     path, both travel directions pooled under the road id."""
     counts: Counter = Counter()
     for t in _filtered(trips, ttype):
-        for road in set(t.path):
+        for road in set(t.path.split("-")):
             counts[road] += 1
     return counts
 

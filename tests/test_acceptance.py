@@ -383,7 +383,7 @@ def test_criterion_08_support_containment(world):
         profile = world.profiles[t.traveller_id]
         row = profile.od_counts.get(t.o_zone, {})
         entries = world.catalog.get(t.o_zone, t.d_zone)
-        if t.d_zone not in row or all(e.path != t.path for e in entries):
+        if t.d_zone not in row or all(e.path_id != t.path for e in entries):
             bad += 1
     verdict(
         8,
@@ -403,7 +403,7 @@ def test_criterion_09_metric_self_checks():
     ]
     for k in (2, 5, 24):
         # One traveller who visits k distinct zones, one trip each.
-        uniform = [TripRecord("V1", TravellerType.COMMUTER, 0, i + 1, "Z0", f"Z{i}", ("r1",), 5)
+        uniform = [TripRecord("V1", TravellerType.COMMUTER, 0, i + 1, "Z0", f"Z{i}", "r1", 5)
                    for i in range(k)]
         entropy = build_report(uniform, uniform).numeric("entropy_mean", "commuter", "generated")
         checks.append(abs(entropy - math.log(k)) <= 1e-12)

@@ -321,9 +321,9 @@ def test_deficit_list_matches_filter(data):
 
 def test_aggregation_factor_full_deficit():
     trips = [
-        TripRecord("V1", TravellerType.COMMUTER, 0, 400, "A", "B", ("r1",), 10)
+        TripRecord("V1", TravellerType.COMMUTER, 0, 400, "A", "B", "r1", 10)
         for _ in range(3)
-    ] + [TripRecord("V1", TravellerType.COMMUTER, 0, 1000, "B", "A", ("r1",), 10)]
+    ] + [TripRecord("V1", TravellerType.COMMUTER, 0, 1000, "B", "A", "r1", 10)]
     ref = build_reference_aggregates(trips, HOURLY)
     # logic and preference factors of 1 leave the feedback factor alone
     ones = [1.0] * len(HOURLY)
@@ -365,10 +365,10 @@ def test_slot_weights_multiplicative_structure():
     )
     ref = build_reference_aggregates(
         [
-            TripRecord("V1", p.traveller_type, 0, 400, "A", "B", ("r1",), 10),
-            TripRecord("V1", p.traveller_type, 0, 400, "A", "B", ("r1",), 10),
-            TripRecord("V1", p.traveller_type, 0, 400, "A", "B", ("r1",), 10),
-            TripRecord("V1", p.traveller_type, 0, 1000, "B", "A", ("r1",), 10),
+            TripRecord("V1", p.traveller_type, 0, 400, "A", "B", "r1", 10),
+            TripRecord("V1", p.traveller_type, 0, 400, "A", "B", "r1", 10),
+            TripRecord("V1", p.traveller_type, 0, 400, "A", "B", "r1", 10),
+            TripRecord("V1", p.traveller_type, 0, 1000, "B", "A", "r1", 10),
         ],
         halves,
     )
@@ -440,7 +440,7 @@ def test_select_time_slot_conditioning():
 class TestPeriodWeights:
     def ref(self, counts):
         trips = [
-            TripRecord("V1", TravellerType.COMMUTER, 0, m, "A", "B", ("r1",), 10)
+            TripRecord("V1", TravellerType.COMMUTER, 0, m, "A", "B", "r1", 10)
             for m, n in counts.items()
             for _ in range(n)
         ]
@@ -721,8 +721,8 @@ def small_world():
     t = TravellerType.COMMUTER
     trips = []
     for day in range(7):
-        trips.append(TripRecord("V1", t, day, 452, "A", "B", ("r1", "r2"), 14))
-        trips.append(TripRecord("V1", t, day, 1052, "B", "A", ("r2", "r1"), 16))
+        trips.append(TripRecord("V1", t, day, 452, "A", "B", "r1-r2", 14))
+        trips.append(TripRecord("V1", t, day, 1052, "B", "A", "r2-r1", 16))
     profiles = build_profiles(trips, HOURLY, window_days=7)
     return (
         profiles,
@@ -737,7 +737,7 @@ def test_select_path_and_duration():
     rng = random.Random(0)
     draws = route_draws(catalog)
     entry = select_path(draws, "A", "B", rng)
-    assert entry.path == ("r1", "r2")
+    assert entry.path_id == "r1-r2"
     with pytest.raises(CorruptInputError):
         select_path(draws, "A", "Z99", rng)
     assert sample_duration(pools, "r1-r2", 8, rng) == (14, False)
@@ -749,8 +749,8 @@ def test_select_path_and_duration():
 
 def test_select_path_prefers_crowd_counts():
     t = TravellerType.COMMUTER
-    trips = [TripRecord("V1", t, 0, 452, "A", "B", ("r1", "r2"), 10)] * 9
-    trips += [TripRecord("V2", t, 0, 452, "A", "B", ("r3",), 10)]
+    trips = [TripRecord("V1", t, 0, 452, "A", "B", "r1-r2", 10)] * 9
+    trips += [TripRecord("V2", t, 0, 452, "A", "B", "r3", 10)]
     catalog = build_path_catalog(trips)
     rng = random.Random(11)
     draws = route_draws(catalog)
@@ -761,7 +761,7 @@ def test_select_path_prefers_crowd_counts():
 def test_route_draws_leave_out_a_pair_without_entries():
     # A library-built catalog may list a pair with no route: the table
     # leaves it out, so a draw for it is refused.
-    routes = [PathEntry("r1", ("r1",), 3), PathEntry("r2", ("r2",), 2)]
+    routes = [PathEntry("r1", 3), PathEntry("r2", 2)]
     catalog = PathCatalog({("A", "B"): (), ("B", "A"): routes})
     draws = route_draws(catalog)
     assert draws == {("B", "A"): (tuple(routes), [3, 5])}
@@ -813,7 +813,7 @@ class TestGenerateTrip:
         # A parsed duration may have any width. A day-at-a-time clock would
         # take about 6.9e8 steps to carry this one.
         t = TravellerType.COMMUTER
-        trips = [TripRecord("V1", t, 0, 452, "A", "B", ("r1",), 10**12)]
+        trips = [TripRecord("V1", t, 0, 452, "A", "B", "r1", 10**12)]
         profiles = build_profiles(trips, HOURLY, window_days=1)
         ledger = AggregationLedger(build_reference_aggregates(trips, HOURLY), t)
         cursor = GenCursor(
@@ -852,7 +852,7 @@ class TestGenerateTrip:
         partition = FOUR_HOUR if four_hour else HOURLY
         t = TravellerType.COMMUTER
         trips = [
-            TripRecord("V1", t, day, departure, *zones, ("r1",), duration)
+            TripRecord("V1", t, day, departure, *zones, "r1", duration)
             for day in range(7)
             for i, (departure, duration) in enumerate(history)
             for zones in [("A", "B") if i % 2 == 0 else ("B", "A")]
@@ -911,7 +911,7 @@ class TestGenerateTrip:
         # nothing was drawn before the minute
         assert states == [random.Random(5).getstate()]
         assert trip == TripRecord(
-            "V1", TravellerType.COMMUTER, 0, 1425, "A", "B", ("r1", "r2"), 14
+            "V1", TravellerType.COMMUTER, 0, 1425, "A", "B", "r1-r2", 14
         )
         assert ledger.slot[24] == 2
         assert cursor.stats.degenerate_slot_draws == 1
@@ -979,15 +979,15 @@ class TestGenerateAll:
         for t in trips:
             assert (t.o_zone, t.d_zone) in catalog.entries
             assert any(
-                e.path == t.path for e in catalog.get(t.o_zone, t.d_zone)
+                e.path_id == t.path for e in catalog.get(t.o_zone, t.d_zone)
             )
 
     def test_fractional_rate_within_bounds(self):
         t = TravellerType.RANDOM
         trips = []
         for day in range(7):
-            trips.append(TripRecord("V9", t, day, 600, "A", "B", ("r1",), 10))
-        trips.append(TripRecord("V9", t, 0, 700, "B", "A", ("r2",), 10))
+            trips.append(TripRecord("V9", t, day, 600, "A", "B", "r1", 10))
+        trips.append(TripRecord("V9", t, 0, 700, "B", "A", "r2", 10))
         # 8 trips over 7 days: daily quota is 1 or 2
         profiles = build_profiles(trips, HOURLY, window_days=7)
         catalog = build_path_catalog(trips)
@@ -1002,9 +1002,9 @@ class TestGenerateAll:
         profiles, ref, catalog, pools = small_world()
         t = TravellerType.COMMUTER
         orphan = [
-            TripRecord("V0", t, day, 452, "X", "Y", ("q1",), 9) for day in range(7)
+            TripRecord("V0", t, day, 452, "X", "Y", "q1", 9) for day in range(7)
         ] + [
-            TripRecord("V0", t, day, 1052, "Y", "X", ("q1",), 9) for day in range(7)
+            TripRecord("V0", t, day, 1052, "Y", "X", "q1", 9) for day in range(7)
         ]
         # V0's OD pairs are absent from the shared catalog: path choice fails
         profiles.update(build_profiles(orphan, HOURLY, window_days=7))
@@ -1103,9 +1103,9 @@ class TestGenerateAll:
         t2 = TravellerType.STABLE
         trips = []
         for day in range(7):
-            trips.append(TripRecord("C1", t1, day, 452, "A", "B", ("r1",), 10))
-            trips.append(TripRecord("C1", t1, day, 1052, "B", "A", ("r2",), 10))
-            trips.append(TripRecord("S1", t2, day, 600, "A", "B", ("r1",), 10))
+            trips.append(TripRecord("C1", t1, day, 452, "A", "B", "r1", 10))
+            trips.append(TripRecord("C1", t1, day, 1052, "B", "A", "r2", 10))
+            trips.append(TripRecord("S1", t2, day, 600, "A", "B", "r1", 10))
         profiles = build_profiles(trips, HOURLY, window_days=7)
         catalog = build_path_catalog(trips)
         pools = build_duration_pools(trips, HOURLY)
@@ -1129,7 +1129,7 @@ def test_tally_separates_breaks_from_first_trip_relocation():
         # B tie on touches; the smaller id wins), which has no departures, so
         # every trip relocates to B; only the first breaks no pair.
         history = [
-            TripRecord("V1", t, day, minute, "B", "A", ("r1",), 10)
+            TripRecord("V1", t, day, minute, "B", "A", "r1", 10)
             for day in range(7)
             for minute in departures
         ]
@@ -1158,7 +1158,7 @@ def test_midnight_spill_drops_unmet_quota():
     # so the day's second trip is dropped with the spill.
     t = TravellerType.STABLE
     history = [
-        TripRecord("V1", t, day, minute, o, d, ("r1",), 20)
+        TripRecord("V1", t, day, minute, o, d, "r1", 20)
         for day in range(7)
         for minute, o, d in ((1430, "A", "B"), (1432, "B", "A"))
     ]

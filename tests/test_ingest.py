@@ -18,7 +18,6 @@ from tripsynth.ingest import (
     parse_network,
     parse_trips,
     parse_zones,
-    path_id_of,
     write_network_csv,
 )
 from tripsynth.model import (
@@ -28,6 +27,8 @@ from tripsynth.model import (
     TravellerType,
     TripRecord,
     TypeCounts,
+    path_id_of,
+    split_path,
 )
 
 EPOCH = dt.date(2019, 8, 12)
@@ -50,7 +51,7 @@ def test_parse_single_row():
     assert trip.date == 0
     assert trip.departure == 452
     assert trip.o_zone == "Z3" and trip.d_zone == "Z9"
-    assert trip.path == ("r1", "r4", "r7")
+    assert trip.path == "r1-r4-r7"
     assert trip.duration == 14
 
 
@@ -144,9 +145,9 @@ def test_repeated_texts_keep_their_row_errors():
     ]
     records = list(result.records)
     assert records == [
-        TripRecord("V1", TravellerType.COMMUTER, 0, 452, "Z3", "Z9", ("r1", "r4"), 14),
-        TripRecord("V1", TravellerType.COMMUTER, 1, 452, "Z9", "Z3", ("r1", "r4"), 14),
-        TripRecord("V2", TravellerType.PASSBY, 0, 481, "Z3", "Z9", ("r1", "r4"), 1),
+        TripRecord("V1", TravellerType.COMMUTER, 0, 452, "Z3", "Z9", "r1-r4", 14),
+        TripRecord("V1", TravellerType.COMMUTER, 1, 452, "Z9", "Z3", "r1-r4", 14),
+        TripRecord("V2", TravellerType.PASSBY, 0, 481, "Z3", "Z9", "r1-r4", 1),
     ]
     assert records[0].path is records[1].path
 
@@ -211,7 +212,7 @@ def test_padded_path_text_parses_to_the_bare_roads():
             "V1,commuter,0,08:31,,Z01,Z02,r1-r2,14",
         ]
     ).records
-    assert a.path == b.path == ("r1", "r2")
+    assert a.path == b.path == "r1-r2"
     # One route, not a padded twin beside it.
     catalog = build_path_catalog([a, b])
     assert [(e.path_id, e.crowd_count) for e in catalog.get("Z01", "Z02")] == [("r1-r2", 2)]
@@ -325,15 +326,26 @@ def test_signed_day_index_iso_date_and_decimal_duration_parse():
     ]
 
 
-def test_paths_sharing_a_road_hold_one_str_for_it():
-    a, b = parse(
+def test_table_catalog_and_pools_hold_one_str_per_route_id():
+    table = parse(
         [
             "V1,commuter,0,07:31,,Z1,Z2,r1-r22,14",
-            "V1,commuter,0,08:31,,Z2,Z3,r22 - r3,14",
+            "V1,commuter,0,08:31,,Z1,Z2, r1 - r22 ,14",
+            "V1,commuter,0,09:31,,Z2,Z3,r22-r3,14",
         ]
     ).records
-    assert a.path[1] == b.path[0] == "r22"
-    assert a.path[1] is b.path[0]
+    assert table.paths == ["r1-r22", "r22-r3"]
+    catalog = build_path_catalog(table)
+    pools = build_duration_pools(table, HOURLY)
+
+    def shared(pid):
+        return any(pid is p for p in table.paths)
+
+    assert all(shared(e.path_id) for od in catalog.od_pairs() for e in catalog.get(*od))
+    assert all(shared(pid) for pid, _ in pools.samples)
+    one = parse(["V1,commuter,0,07:31,,Z1,Z2,r1-r2,14"]).records
+    assert (build_path_catalog(one).get("Z1", "Z2")[0].path_id
+            is next(iter(build_duration_pools(one, HOURLY).samples))[0])
 
 
 def test_holders_have_no_instance_dict():
@@ -349,8 +361,8 @@ def test_reference_counts_rows_under_the_travellers_first_type():
     # The type build_profiles keeps, so a record list that bypasses the
     # parser still gives a reference that agrees with the profiles.
     trips = [
-        TripRecord("X", TravellerType.COMMUTER, 0, 420, "Z1", "Z2", ("r1",), 10),
-        TripRecord("X", TravellerType.RANDOM, 0, 540, "Z2", "Z1", ("r1",), 10),
+        TripRecord("X", TravellerType.COMMUTER, 0, 420, "Z1", "Z2", "r1", 10),
+        TripRecord("X", TravellerType.RANDOM, 0, 540, "Z2", "Z1", "r1", 10),
     ]
     reference = build_reference_aggregates(trips, HOURLY)
     assert list(reference) == [TravellerType.COMMUTER]
@@ -419,6 +431,8 @@ def test_csv_error_names_line():
 def test_parse_network_tolerates_header():
     roads = parse_network(io.StringIO("road_id,neighbor_id\nr1,r2\nr2,r3\n"))
     assert roads == {"r1", "r2", "r3"}
+    # The header is the first non-blank row, not only line 1.
+    assert parse_network(io.StringIO("\n , \nroad_id,neighbor_id\na,b\n")) == {"a", "b"}
     with pytest.raises(ValueError):
         parse_network(io.StringIO("r1,r2,r3\n"))
 
@@ -435,7 +449,7 @@ def test_network_road_with_separator_or_quote_round_trips():
     assert parse_network(io.StringIO(buf.getvalue())) == {"R1,2", 'R"3', "R4"}
 
 
-def trip(tid, ttype, day, dep, o, d, path=("r1",), dur=10):
+def trip(tid, ttype, day, dep, o, d, path="r1", dur=10):
     return TripRecord(
         traveller_id=tid,
         traveller_type=ttype,
@@ -452,9 +466,9 @@ def trip(tid, ttype, day, dep, o, d, path=("r1",), dur=10):
 def history():
     t = TravellerType.COMMUTER
     return [
-        trip("V1", t, 0, 452, "Z3", "Z9", ("r1", "r4")),
-        trip("V1", t, 0, 1052, "Z9", "Z3", ("r4", "r1")),
-        trip("V1", t, 1, 455, "Z3", "Z9", ("r1", "r4"), dur=12),
+        trip("V1", t, 0, 452, "Z3", "Z9", "r1-r4"),
+        trip("V1", t, 0, 1052, "Z9", "Z3", "r4-r1"),
+        trip("V1", t, 1, 455, "Z3", "Z9", "r1-r4", dur=12),
         trip("V2", TravellerType.RANDOM, 0, 600, "Z1", "Z2"),
     ]
 
@@ -530,7 +544,6 @@ class TestPathCatalog:
         entries = catalog.get("Z3", "Z9")
         assert len(entries) == 1
         assert entries[0].path_id == "r1-r4"
-        assert entries[0].path == ("r1", "r4")
         assert entries[0].crowd_count == 2
         assert ("Z3", "Z9") in catalog.entries
         assert catalog.get("Z9", "Z1") == ()
@@ -538,26 +551,31 @@ class TestPathCatalog:
         assert len(catalog.entries) == 3
 
     def test_path_id_of(self):
-        assert path_id_of(("r1", "r4", "r7")) == "r1-r4-r7"
+        assert path_id_of("r1-r4-r7") == "r1-r4-r7"
+        assert path_id_of(" r1 - r4--r7-") == "r1-r4-r7"
+        assert split_path(" r1 - r4--r7-") == ("r1", "r4", "r7")
+        with pytest.raises(ValueError, match="has no roads"):
+            path_id_of(" - ")
 
     @pytest.mark.parametrize("path, message", [
         ((" r1", "r2"), "empty or padded road"),
         (("r1", "r2 "), "empty or padded road"),
         (("r1", ""), "empty or padded road"),
-        (("r1-r2",), "empty or padded road"),
+        (("r1", "", "r2"), "empty or padded road"),
         ((" ",), "has no roads"),
     ])
     def test_refuses_a_route_its_id_would_not_split_back_into(self, path, message):
-        # load_store splits a stored route id into its roads again.
-        trip = TripRecord("V1", TravellerType.COMMUTER, 0, 400, "Z1", "Z2", path, 9)
+        # The route text of these roads is not its own path_id_of, which
+        # load_store refuses too.
+        trip = TripRecord("V1", TravellerType.COMMUTER, 0, 400, "Z1", "Z2", "-".join(path), 9)
         with pytest.raises(ValueError, match=message):
             build_path_catalog([trip])
 
     @pytest.mark.parametrize("counts", [(-1, 2), (0,), (0, 0), (True,), (2.5,)])
     def test_refuses_a_crowd_count_below_one_or_not_int(self, counts):
         # A bool is refused though it sums as an int.
-        good = (PathEntry("r9", ("r9",), 4),)
-        bad = tuple(PathEntry(f"r{i}", (f"r{i}",), n) for i, n in enumerate(counts))
+        good = (PathEntry("r9", 4),)
+        bad = tuple(PathEntry(f"r{i}", n) for i, n in enumerate(counts))
         with pytest.raises(ValueError, match=r"^crowd count is not an integer >= 1: "):
             PathCatalog({("B", "A"): good, ("A", "B"): bad})
 

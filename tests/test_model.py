@@ -222,7 +222,7 @@ class TestTripRecord:
             departure=452,
             o_zone="Z3",
             d_zone="Z9",
-            path=("r1", "r4", "r7"),
+            path="r1-r4-r7",
             duration=14,
         )
         base.update(kw)
@@ -231,7 +231,7 @@ class TestTripRecord:
     def test_valid(self):
         trip = self.make()
         assert trip.departure == 452
-        assert trip.path == ("r1", "r4", "r7")
+        assert trip.path == "r1-r4-r7"
 
     def test_rejects(self):
         with pytest.raises(ValueError):
@@ -241,9 +241,15 @@ class TestTripRecord:
         with pytest.raises(ValueError):
             self.make(duration=0)
         with pytest.raises(ValueError):
-            self.make(path=())
+            self.make(path="")
         with pytest.raises(ValueError):
             self.make(o_zone="")
+
+
+def test_trip_record_refuses_a_route_that_is_not_a_str():
+    # A road tuple would otherwise be written as the text "('r1', 'r4')".
+    with pytest.raises(TypeError, match=r"^route is not a str: \('r1', 'r4'\)$"):
+        TestTripRecord().make(path=("r1", "r4"))
 
 
 def test_trip_table_reads_a_traveller_under_its_first_type():

@@ -108,7 +108,7 @@ class TestOverlapRatio:
 
 
 def trip(tid="V1", ttype=TravellerType.COMMUTER, day=0, dep=452, o="Z1", d="Z2",
-         path=("r1",), dur=10):
+         path="r1", dur=10):
     return TripRecord(
         traveller_id=tid,
         traveller_type=ttype,
@@ -196,8 +196,8 @@ class TestTopK:
 
 def test_road_access_counts_distinct_per_trip():
     trips = [
-        trip(path=("r1", "r2", "r1")),  # r1 twice in one path counts once
-        trip(path=("r2",)),
+        trip(path="r1-r2-r1"),  # r1 twice in one path counts once
+        trip(path="r2"),
     ]
     assert road_access_counts(trips) == {"r1": 1, "r2": 2}
 
@@ -295,11 +295,11 @@ class TestBuildReport:
     def sample(self):
         trips = []
         for day in range(7):
-            trips.append(trip("V1", day=day, dep=452, o="A", d="B", path=("r1", "r2")))
-            trips.append(trip("V1", day=day, dep=1052, o="B", d="A", path=("r2", "r1")))
+            trips.append(trip("V1", day=day, dep=452, o="A", d="B", path="r1-r2"))
+            trips.append(trip("V1", day=day, dep=1052, o="B", d="A", path="r2-r1"))
             # one passby trip per individual: the type never forms pairs
             trips.append(
-                trip(f"P{day}", TravellerType.PASSBY, day, 700, "W", "E", ("r3",))
+                trip(f"P{day}", TravellerType.PASSBY, day, 700, "W", "E", "r3")
             )
         return trips
 
@@ -327,6 +327,19 @@ class TestBuildReport:
         report = build_report(trips, only_commuter)
         cell = report.get("js_time", "passby", "all")
         assert isinstance(cell, str) and "empty" in cell
+
+    @pytest.mark.parametrize("fractions", [
+        {"topk_zone_fractions": (1.5,)},
+        {"topk_od_fractions": (0.5, 0.0)},
+    ])
+    def test_refuses_a_topk_fraction_outside_unit_interval_before_counting(self, fractions):
+        # Refused as a bad granularity is, not written as an error cell.
+        def uncounted():
+            pytest.fail("a table was counted")
+            yield
+
+        with pytest.raises(ValueError, match=r"^k fraction out of \(0, 1\]: "):
+            build_report(uncounted(), uncounted(), **fractions)
 
     def test_passby_has_no_continuity_pairs(self):
         trips = self.sample()
@@ -445,8 +458,8 @@ def report_tables(draw):
                 dep=draw(st.one_of(st.sampled_from([1, 452, 453, 1440]), st.integers(1, 1440))),
                 o=draw(st.sampled_from(["Z1", "Z2", "Z3", "Z4"])),
                 d=draw(st.sampled_from(["Z1", "Z2", "Z3", "Z4"])),
-                path=tuple(draw(st.lists(st.sampled_from(["r1", "r2", "r3", "r4"]),
-                                         min_size=1, max_size=4))),
+                path="-".join(draw(st.lists(st.sampled_from(["r1", "r2", "r3", "r4"]),
+                                            min_size=1, max_size=4))),
             ))
         return trips
 
