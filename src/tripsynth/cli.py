@@ -277,10 +277,17 @@ def load_config(path) -> Config:
             raise ConfigError(f"{key} give a day outside the calendar from epoch {epoch} "
                               f"(days {lo}..{hi})")
 
+    resolved = {k: (path.parent / p).resolve() for k, p in paths.items() if p is not None}
+    # A command that wrote one key's file would overwrite the other's.
+    first_key = {}
+    for key, file in resolved.items():
+        if first_key.setdefault(file, key) != key:
+            raise ConfigError(f"paths {first_key[file]!r} and {key!r} name one file: {file}")
+
     # day_class reads day % 7, and day 0 falls on the epoch's calendar weekday.
     weekdays = tuple((d - epoch.weekday()) % 7 for d in val["holiday_weekdays"])
     return Config(
-        paths={k: (path.parent / p).resolve() for k, p in paths.items() if p is not None},
+        paths=resolved,
         epoch=epoch,
         window_days=root["window_days"],
         duration_unit=root["duration_unit"],
@@ -323,17 +330,20 @@ def _write_file(path):
 
 
 def cmd_corpus(config: Config) -> int:
+    # Every required path is named before the first write; the network
+    # table is optional, as for ingest.
+    trips_path, zones_path = config.path("trips"), config.path("zones")
     try:
         built = synth_corpus(config.corpus_spec)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    trips_path = config.path("trips")
     with _write_file(trips_path) as fh:
         n = write_trips_csv(built.trips, fh, config.epoch, built.partition, config.csv_delimiter)
-    with _write_file(config.path("zones")) as fh:
+    with _write_file(zones_path) as fh:
         write_zones_csv(built.zones, fh, config.csv_delimiter)
-    with _write_file(config.path("network")) as fh:
-        write_network_csv(built.network, fh)
+    if "network" in config.paths:
+        with _write_file(config.paths["network"]) as fh:
+            write_network_csv(built.network, fh)
     log.info("corpus: %d trips, %d zones -> %s", n, len(built.zones), trips_path.parent)
     return 0
 

@@ -81,15 +81,19 @@ class ParseResult:
 def _header_index(header, wanted, what) -> list:
     """The index of each column named in `wanted`, case-insensitively.
 
-    A missing column is a hard error: nothing row-level can recover it.
+    A missing column, or one named twice, is a hard error: nothing
+    row-level can recover it, nor tell which copy was meant.
     """
-    lookup = {name.strip().lower(): i for i, name in enumerate(header)}
+    names = [name.strip().lower() for name in header]
     index = []
     for name in wanted:
         name = name.lower()
-        if name not in lookup:
+        copies = names.count(name)
+        if copies == 0:
             raise ValueError(f"{what} table is missing column {name!r}")
-        index.append(lookup[name])
+        if copies > 1:
+            raise ValueError(f"{what} table names column {name!r} twice")
+        index.append(names.index(name))
     return index
 
 
@@ -463,7 +467,7 @@ def build_path_catalog(trips) -> PathCatalog:
 class DurationPool:
     """Historical trip durations pooled by (path, slot), with a path-only
     fallback pool per path derived from them when that path first needs
-    one. Pools are equal when their samples are."""
+    one."""
 
     __slots__ = ("samples", "_slot_ids", "_fallback")
 
@@ -471,11 +475,6 @@ class DurationPool:
         self.samples = {} if samples is None else samples  # (path_id, slot_id) -> tuple
         self._slot_ids = None  # every slot id up to the largest sampled, once a path needs it
         self._fallback = {}  # path_id -> its path-only pool, for each path built
-
-    def __eq__(self, other):
-        if type(other) is not DurationPool:
-            return NotImplemented
-        return self.samples == other.samples
 
     def fallback(self, path_id: str) -> tuple:
         """The sorted durations of all slots of `path_id`, () when it has none."""

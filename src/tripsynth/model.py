@@ -103,9 +103,6 @@ class TimeSlot(namedtuple("TimeSlot", "slot_id start end")):
             raise ValueError(f"bad slot bounds: [{start}, {end}]")
         return super().__new__(cls, slot_id, start, end)
 
-    def __contains__(self, minute: int) -> bool:
-        return self.start <= minute <= self.end
-
     def width(self) -> int:
         return self.end - self.start + 1
 

@@ -6,13 +6,16 @@ computed in closed form here or measured through an independent route.
 """
 import hashlib
 import io
+import json
 import math
 import random
+import re
 import subprocess
 import sys
 import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -51,15 +54,10 @@ from oracles import (
 GEN_SEED = 11
 DRAWS = 100_000
 N_STATES = 100
-# Every table of the CLI run below (corpus seed 7, generation seed 11).
-DESK_SHA256 = {
-    "data/network.csv": "616587c921b76be94dd80c8d9bcee10688b3284678a08986c9bce4f021145e4e",
-    "data/zones.csv": "0f9f4ef936e1499cbcfda76e0327c563c4bf2f4f61375139d7bbbae36cd5d64f",
-    "data/trips.csv": "afd4214b3d96a20dc6c5399b6e9164ae1aa3b36ecbce3b49f5921eb394ca43cb",
-    "build/store.json": "c6ee6e53262b0aac3181812a6b1d08765ac26f01f37ebc2af0ad23c97c85ce88",
-    "out/generated.csv": "5a4d720946358351d32c369fffe24ca5a309a8565d82343fa5f1eb161a611b63",
-    "out/report.csv": "26744e743549d97e581dbf093bda8ee393b3d220b7ad0e6b33d1de3bad30ca9b",
-}
+# Every pinned output value lives in pins.json, its one home: the sha256
+# of each table by workload, corpus seed and table, and the desk run's
+# GenStats counts.
+PINS = json.loads((Path(__file__).parent / "pins.json").read_text(encoding="utf-8"))
 
 CONFIG = """\
 paths:
@@ -429,17 +427,21 @@ def test_criterion_10_byte_identical_reruns(cli_runs):
     )
 
 
-@pytest.mark.parametrize("table", sorted(DESK_SHA256))
+def _digests(base, tables) -> dict:
+    return {table: hashlib.sha256((base / table).read_bytes()).hexdigest() for table in tables}
+
+
+@pytest.mark.parametrize("table", sorted(PINS["sha256"]["desk"]["7"]))
 def test_desk_bytes_pinned(cli_runs, table):
-    digest = hashlib.sha256((cli_runs[0]["base"] / table).read_bytes()).hexdigest()
-    assert digest == DESK_SHA256[table]
+    pinned = PINS["sha256"]["desk"]["7"][table]
+    assert _digests(cli_runs[0]["base"], [table]) == {table: pinned}
 
 
 # The benchmark's workloads as edits of the desk run above (corpus seed 7,
 # generation seed 11, min_gap 1, granularity 15 for all): hourly runs under
 # the product's default partition, whose 24 slots cut the day in more
 # places than desk's six, and long_window folds 28 source days and
-# generates one.
+# generates one. Each runs at every corpus seed pins.json holds for it.
 WORKLOAD_CONFIGS = {
     "desk": (),
     "hourly": (("partition: [1, 241, 481, 721, 961, 1201]\n", "partition: hourly\n"),),
@@ -448,75 +450,61 @@ WORKLOAD_CONFIGS = {
         ("corpus:\n", "corpus:\n  days: 28\n"),
     ),
 }
-WORKLOAD_SHA256 = {
-    "desk": {
-        table: DESK_SHA256[table]
-        for table in ("build/store.json", "out/generated.csv", "out/report.csv")
-    },
-    "hourly": {
-        "build/store.json": "c0d787dbb4fc8e241170b126c38e35db117d11553705549b7b41451474b10eab",
-        "out/generated.csv": "74694bef79979bac4a5c36e60f67ec46c83912444f0b322611cba184ae90f5da",
-        "out/report.csv": "53fa3c0045c658ec561ed581a9dfda183a4e299b141b4359868344a4012d19fe",
-    },
-    "long_window": {
-        "build/store.json": "511954def0a5587a892dcb3197ce156551b70e42736d0a9eb101ca7c55490390",
-        "out/generated.csv": "6c1934529c6680b9c8338815c59fcf963d62bbdaea82f1f85f8997b88453730d",
-        "out/report.csv": "d1f518a7e25801aef6a3546a7283542ba2dd044bbd8bffcb3952ecb175146301",
-    },
-}
+WORKLOAD_RUNS = [
+    pytest.param(workload, seed, id=workload if seed == "7" else f"{workload}-seed-{seed}")
+    for workload, by_seed in PINS["sha256"].items()
+    for seed in by_seed
+]
 
 
-# The same workloads over the corpus of seed 3 (generation seed 11).
-WORKLOAD_CONFIGS.update({
-    f"{name}-seed-3": edits + (("  seed: 7\n", "  seed: 3\n"),)
-    for name, edits in list(WORKLOAD_CONFIGS.items())
-})
-WORKLOAD_SHA256.update({
-    "desk-seed-3": {
-        "build/store.json": "51a57cfe34b7d9ba033bceb7b2d4232a93f230762fe46fa241c6fbc7c30b0282",
-        "out/generated.csv": "f8382db3d49b3e7bc4017dac768424095b5b2a31e576cd950d0ef7b24e77a894",
-        "out/report.csv": "31aa6a5963d355edbc9b44ed9c9f418149db848db701923004e80ef94e060b47",
-    },
-    "hourly-seed-3": {
-        "build/store.json": "6c873c2abfdeae143aedf39565279d2b5dfd1ec1f9a5c4c5f4b961b7103b3736",
-        "out/generated.csv": "f669520b4ed4917539dc238844ec936665fbcbc81a2ea0f234f45fa4a7a30474",
-        "out/report.csv": "9763c38ae3a843f12b973563e2105132d213613b7b4b55217a70fbc8a4547e79",
-    },
-    "long_window-seed-3": {
-        "build/store.json": "86ae5baf5d28c3ddbc52b51396b01f58a25b98772f7695676fe02c45fafd8172",
-        "out/generated.csv": "d45f145e71824c3c1a1e90ccccbcd33656ca0b46e48b60a681228d84e49b42ba",
-        "out/report.csv": "341aed24a9f81d1d1850f3051705173d4a1ffd13324db3a19e11549ee4b2ab1b",
-    },
-})
-
-
-@pytest.mark.parametrize("workload", sorted(WORKLOAD_SHA256))
-def test_workload_bytes_pinned(tmp_path, workload):
+@pytest.mark.parametrize("workload,seed", WORKLOAD_RUNS)
+def test_workload_bytes_pinned(cli_runs, tmp_path, workload, seed):
+    pinned = PINS["sha256"][workload][seed]
+    if (workload, seed) == ("desk", "7"):
+        # The run test_desk_bytes_pinned reads.
+        assert _digests(cli_runs[0]["base"], pinned) == pinned
+        return
     config = CONFIG
-    for old, new in WORKLOAD_CONFIGS[workload]:
+    for old, new in WORKLOAD_CONFIGS[workload] + (("  seed: 7\n", f"  seed: {seed}\n"),):
         assert config.count(old) == 1, old
         config = config.replace(old, new)
     cfg = tmp_path / "run.yaml"
     cfg.write_text(config)
     for command in ("corpus", "ingest", "generate", "validate"):
         assert main([command, "-c", str(cfg)]) == 0, command
-    digests = {
-        table: hashlib.sha256((tmp_path / table).read_bytes()).hexdigest()
-        for table in WORKLOAD_SHA256[workload]
-    }
-    assert digests == WORKLOAD_SHA256[workload]
+    assert _digests(tmp_path, pinned) == pinned
+
+
+def _assert_stats_pinned(world, *counters):
+    pinned = PINS["gen_stats"]["desk"]["7"]
+    assert {c: getattr(world.stats, c) for c in counters} == {c: pinned[c] for c in counters}
 
 
 def test_midnight_spills_counted(world):
-    # bench/run.py's traced desk run counts the same 2 trips ending past
-    # midnight; each was the last of its day's quota.
-    assert (world.stats.midnight_spills, world.stats.spill_dropped_quota) == (2, 0)
+    # bench/run.py's traced desk run counts the same trips ending past
+    # midnight, and the planned trips they dropped.
+    _assert_stats_pinned(world, "midnight_spills", "spill_dropped_quota")
 
 
 def test_sampler_fallbacks_counted(world):
-    # bench/run.py's traced desk run counts the same fallbacks: no all-zero
-    # slot draw, and 1,982 durations drawn from the path-only pool.
-    assert (world.stats.degenerate_slot_draws, world.stats.duration_fallbacks) == (0, 1982)
+    # bench/run.py's traced desk run counts the same all-zero slot draws and
+    # durations drawn from the path-only pool.
+    _assert_stats_pinned(world, "degenerate_slot_draws", "duration_fallbacks")
+
+
+def test_pins_have_one_home():
+    # A digest spelled in a test or a CI step would be a second copy that a
+    # byte-changing change must find and move; pins.json is the only one.
+    root = Path(__file__).resolve().parents[1]
+    files = sorted(root.glob("tests/*.py")) + sorted(root.glob(".github/workflows/*.yml"))
+    assert any(f.suffix == ".yml" for f in files)
+    digest = re.compile(r"(?<![0-9a-fA-F])[0-9a-fA-F]{64}(?![0-9a-fA-F])")
+    literals = [
+        f"{f.relative_to(root)}: {m.group()}"
+        for f in files
+        for m in digest.finditer(f.read_text(encoding="utf-8"))
+    ]
+    assert literals == []
 
 
 def _generate_fresh(base, config_text):

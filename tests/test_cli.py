@@ -212,6 +212,12 @@ corpus:
             ("paths: {report: 0}\n", "bad value for 'report' in paths: 0"),
             ("paths: {report: false}\n", "bad value for 'report' in paths: False"),
             ("paths: {report: null}\n", "bad value for 'report' in paths: None"),
+            # `generate` would overwrite its own source table, and `validate`
+            # the store; two spellings of one file are one file
+            ("paths: {trips: data/trips.csv, generated: data/trips.csv}\n",
+             "paths 'trips' and 'generated' name one file: "),
+            ("paths: {store: build/s.json, report: out/../build/s.json}\n",
+             "paths 'store' and 'report' name one file: "),
         ],
     )
     def test_rejects(self, tmp_path, body, fragment):
@@ -324,7 +330,7 @@ class TestStore:
         assert {p.observed_days for p in store.profiles.values()} == {small.spec.days}
         assert store.profiles == profiles
         assert store.catalog.entries == catalog.entries
-        assert store.pools == pools
+        assert store.pools.samples == pools.samples
         assert reference_counts(store.reference) == reference_counts(reference)
 
     def test_generate_all_leaves_the_loaded_catalog_as_loaded(self, small, tmp_path):
@@ -502,7 +508,7 @@ def test_store_round_trips_any_legal_ids(table, tmp_path_factory):
     assert store.partition == partition
     assert store.profiles == profiles
     assert store.catalog.entries == catalog.entries
-    assert store.pools == pools
+    assert store.pools.samples == pools.samples
     assert reference_counts(store.reference) == reference_counts(reference)
 
 
@@ -753,6 +759,20 @@ class TestPipeline:
         assert main(["corpus", "-c", cfg]) == 0
         assert (tmp_path / "geo" / "zones.csv").is_file()
         assert (tmp_path / "roads" / "network.csv").is_file()
+
+    def test_corpus_without_a_zones_path_writes_nothing(self, tmp_path, caplog):
+        cfg = write_config(tmp_path, PATHS.replace("  zones: data/zones.csv\n", "") + SMALL_CORPUS)
+        assert main(["corpus", "-c", cfg]) == 2
+        assert "config paths section is missing 'zones'" in caplog.text
+        assert not (tmp_path / "data").exists()
+
+    def test_corpus_without_a_network_path_writes_the_other_tables(self, tmp_path):
+        cfg = write_config(
+            tmp_path, PATHS.replace("  network: data/network.csv\n", "") + SMALL_CORPUS
+        )
+        assert main(["corpus", "-c", cfg]) == 0
+        assert sorted(p.name for p in (tmp_path / "data").iterdir()) == ["trips.csv", "zones.csv"]
+        assert main(["ingest", "-c", cfg]) == 0
 
     def test_invalid_params_leave_generated_csv_untouched(self, cfg, tmp_path, monkeypatch):
         assert main(["corpus", "-c", cfg]) == 0

@@ -533,7 +533,8 @@ def period_states(draw):
         generated = draw(st.lists(inside | st.integers(1, 1440), max_size=200))
     else:
         k = draw(st.integers(1, 4))
-        generated = [m for m, n in ref.items() if m in slot for _ in range(k * n)]
+        generated = [m for m, n in ref.items()
+                     if slot.start <= m <= slot.end for _ in range(k * n)]
     return partition, slot, clock, ref, generated
 
 

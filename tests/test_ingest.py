@@ -376,6 +376,13 @@ def test_missing_column_is_fatal():
         parse_trips(io.StringIO(text), EPOCH)
 
 
+def test_trip_column_named_twice_is_fatal():
+    # Read from the last copy, this row would last 99 minutes.
+    text = HEADER + ", duration \nV1,commuter,0,07:31,,Z3,Z9,r1,14,99\n"
+    with pytest.raises(ValueError, match="^trip table names column 'duration' twice$"):
+        parse_trips(io.StringIO(text), EPOCH)
+
+
 def test_empty_stream_is_fatal():
     with pytest.raises(ValueError, match="empty"):
         parse_trips(io.StringIO(""), EPOCH)
@@ -399,6 +406,12 @@ def test_parse_zones():
 def test_parse_zones_duplicate_id_is_fatal():
     text = "Zone_ID,Longitude,Latitude,Roads\nZ1,0,0,\nZ1,1,1,\n"
     with pytest.raises(ValueError, match="duplicate"):
+        parse_zones(io.StringIO(text))
+
+
+def test_zone_column_named_twice_is_fatal():
+    text = "Zone_ID,Longitude,Latitude,Roads,zone_id\nZ1,0,0,,Z9\n"
+    with pytest.raises(ValueError, match="^zone table names column 'zone_id' twice$"):
         parse_zones(io.StringIO(text))
 
 
@@ -499,7 +512,8 @@ class TestBuildProfiles:
         p = build_profiles(history, HOURLY, window_days=7)["V1"]
         for slot in HOURLY:
             in_slot = sum(
-                1 for t in history if t.traveller_id == "V1" and t.departure in slot
+                1 for t in history
+                if t.traveller_id == "V1" and slot.start <= t.departure <= slot.end
             )
             assert sum(p.slot_origin_counts.get(slot.slot_id, {}).values()) == in_slot
         assert p.slot_origin_counts[8] == {"Z3": 2}

@@ -118,9 +118,11 @@ def test_type_counts_refuse_a_count_below_one_or_not_int(n):
 
 class TestTimeSlot:
     def test_contains_and_width(self):
-        slot = TimeSlot(7, 421, 480)
-        assert 421 in slot and 480 in slot and 450 in slot
-        assert 420 not in slot and 481 not in slot
+        # The minutes a slot holds are [start, end], both inclusive.
+        part = TimeSlotPartition.hourly()
+        slot = part.by_id(8)
+        assert (slot.start, slot.end) == (421, 480)
+        assert [part.slot_of(m).slot_id for m in (420, 421, 450, 480, 481)] == [7, 8, 8, 8, 9]
         assert slot.width() == 60
 
     def test_label(self):
@@ -194,7 +196,7 @@ class TestTimeSlotPartition:
     )
     def test_each_minute_in_exactly_one_slot(self, starts, minute):
         part = TimeSlotPartition([1] + sorted(set(starts)))
-        holders = [s for s in part if minute in s]
+        holders = [s for s in part if s.start <= minute <= s.end]
         assert len(holders) == 1
         assert part.slot_of(minute) == holders[0]
 
